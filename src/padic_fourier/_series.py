@@ -1,0 +1,160 @@
+"""Truncated-series arithmetic shared by every series type of the library.
+
+A series is a dict of nonzero coefficients on an integer exponent grid,
+key k standing for the exponent k / p^depth.  It is known modulo a box:
+coefficients modulo p^N and keys below an exclusive key bound, where a
+bound of None means exact finite support.  Terms outside the box are
+forgotten, never an error.  Products leave sums unreduced: reduction is
+the job of each series type's constructor.
+"""
+
+from __future__ import annotations
+
+import math
+import operator
+from fractions import Fraction
+
+from .errors import ParseError, PreconditionError
+from .padic import SExponent
+
+
+def degree_min(a, b):
+    """The smaller of two degree bounds, where None is no bound."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return min(a, b)
+
+
+def key_bound(p, depth, degree):
+    """Exclusive integer key bound of ``degree`` on the 1/p^depth grid."""
+    return None if degree is None else math.ceil(degree * p**depth)
+
+
+def truncate(p, depth, degree, coeffs, mod):
+    """The box rule, as (depth, coeffs): the nonzero residues mod ``mod`` of
+    the terms below ``degree``, on the coarsest grid that holds every key."""
+    bound = key_bound(p, depth, degree)
+    out = {}
+    for k, c in coeffs.items():
+        if k < 0:
+            raise PreconditionError("series exponents are nonnegative")
+        if bound is not None and k >= bound:
+            continue
+        c %= mod
+        if c:
+            out[k] = c
+    while depth > 0 and all(k % p == 0 for k in out):
+        out = {k // p: c for k, c in out.items()}
+        depth -= 1
+    return depth, out
+
+
+def regrid(coeffs, factor):
+    """The same series on a grid ``factor`` times finer."""
+    return {k * factor: c for k, c in coeffs.items()}
+
+
+def scale(p, depth, degree, coeffs, k):
+    """(depth, degree, coeffs) after q -> p^k q, k in Z: spends grid depth
+    before it multiplies keys; a negative k only deepens the grid."""
+    if degree is not None:
+        degree = degree * Fraction(p) ** k
+    if k <= depth:
+        return depth - k, degree, coeffs
+    return 0, degree, regrid(coeffs, p ** (k - depth))
+
+
+def sparse(seq):
+    """Dense coefficient sequence (index = key) to a coefficient map."""
+    return {k: c for k, c in enumerate(seq) if c}
+
+
+def dense(coeffs, n):
+    """Coefficient map with keys below n to a list of length n."""
+    out = [0] * n
+    for k, c in coeffs.items():
+        out[k] = c
+    return out
+
+
+def mul(a, b, bound):
+    """Truncated product of two coefficient maps: keys below ``bound`` only.
+
+    Walks ``b`` in ascending key order and stops at the bound, so no pair
+    outside the box is visited.  Coefficient sums are left unreduced.
+    """
+    if bound is None:
+        bound = max(a, default=0) + max(b, default=0) + 1
+    bs = sorted(b.items())
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in bs:
+            k = k1 + k2
+            if k >= bound:
+                break
+            out[k] = out.get(k, 0) + c1 * c2
+    return out
+
+
+def power(x, k, one, mul=operator.mul):
+    """x^k by square-and-multiply, every product taken by ``mul``."""
+    if k < 0:
+        raise PreconditionError("negative powers not supported")
+    out = one
+    while k:
+        if k & 1:
+            out = mul(out, x)
+        k >>= 1
+        if k:
+            x = mul(x, x)
+    return out
+
+
+def equal(a, b, bound, mod):
+    """Box-relative equality: every key below ``bound`` agrees mod ``mod``."""
+    return all(
+        (a.get(k, 0) - b.get(k, 0)) % mod == 0
+        for k in a.keys() | b.keys()
+        if bound is None or k < bound
+    )
+
+
+def substitute(coeffs, x, zero, one):
+    """Σ coeffs[k] · x^k over ascending powers of x, in x's own arithmetic;
+    stops at the first empty power, since every later one is empty too."""
+    out, xk = zero, one
+    for k, c in enumerate(coeffs):
+        if k > 0:
+            xk = xk * x
+            if not xk.coeffs:
+                break
+        if c:
+            out = out + xk * c
+    return out
+
+
+def encode_degree(p, degree):
+    """JSON form of a degree bound: an S-exponent, or None for no bound."""
+    return None if degree is None else SExponent.from_fraction(p, degree).to_json()
+
+
+def encode_terms(p, depth, coeffs):
+    """JSON terms ``[{"q", "coeff"}, ...]`` in ascending exponent order."""
+    return [
+        {"q": SExponent(p, k, depth).to_json(), "coeff": c}
+        for k, c in sorted(coeffs.items())
+    ]
+
+
+def decode_terms(p, depth, terms):
+    """Coefficient map on the 1/p^depth grid from JSON terms; an exponent
+    off that grid (``logden > depth`` in lowest terms) is a ParseError."""
+    cs = {}
+    for term in terms:
+        q = SExponent.from_json(p, term["q"])
+        if q.logden > depth:
+            raise ParseError(f"exponent {q} is off the 1/{p}^{depth} grid")
+        cs[q.num * p ** (depth - q.logden)] = term["coeff"]
+    return cs

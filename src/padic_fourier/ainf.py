@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from . import _series
 from .errors import (
     BoxExhausted,
     PrecisionExhausted,
@@ -49,17 +50,6 @@ __all__ = [
     "w_valuation_S",
 ]
 
-_INF = math.inf
-
-
-def _degree_min(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
 class AinfElt:
     """A uniform measure on Q_p as a truncated S-series."""
 
@@ -73,21 +63,7 @@ class AinfElt:
         degree = None if degree is None else Fraction(degree)
         if degree is not None and degree <= 0:
             raise PreconditionError("degree bound must be positive")
-        mod = p**prec
-        keybound = None if degree is None else degree * p**depth
-        cs = {}
-        for k, c in coeffs.items():
-            if k < 0:
-                raise PreconditionError("S-series exponents are nonnegative")
-            if keybound is not None and k >= keybound:
-                continue  # outside the box: forgotten, not an error
-            c %= mod
-            if c:
-                cs[k] = c
-        # canonical depth: all keys in lowest terms
-        while depth > 0 and all(k % p == 0 for k in cs):
-            cs = {k // p: c for k, c in cs.items()}
-            depth -= 1
+        depth, cs = _series.truncate(p, depth, degree, coeffs, p**prec)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "prec", prec)
         object.__setattr__(self, "depth", depth)
@@ -127,7 +103,7 @@ class AinfElt:
         object.__setattr__(elt, "depth", depth)
         object.__setattr__(elt, "degree", self.degree)
         object.__setattr__(elt, "shift", self.shift)
-        object.__setattr__(elt, "coeffs", {k * f: c for k, c in self.coeffs.items()})
+        object.__setattr__(elt, "coeffs", _series.regrid(self.coeffs, f))
         return elt
 
     def _pair(self, other):
@@ -137,6 +113,17 @@ class AinfElt:
             raise PrimeMismatch(f"p={self.p} vs p={other.p}")
         m = max(self.depth, other.depth)
         return self.with_depth(m), other.with_depth(m)
+
+    def _align(self, other):
+        """Both coefficient maps on a common grid and shift:
+        (ca, cb, depth, shift, prec, degree), prec counted above the shift."""
+        a, b = self._pair(other)
+        s = min(a.shift, b.shift)
+        prec = min(a.shift + a.prec, b.shift + b.prec) - s
+        fa, fb = self.p ** (a.shift - s), self.p ** (b.shift - s)
+        ca = {k: c * fa for k, c in a.coeffs.items()}
+        cb = {k: c * fb for k, c in b.coeffs.items()}
+        return ca, cb, a.depth, s, prec, _series.degree_min(a.degree, b.degree)
 
     def resize(self, prec=None, degree=None):
         """Shrink the box (truncation only; never a gain of information)."""
@@ -160,18 +147,12 @@ class AinfElt:
     def __add__(self, other):
         if isinstance(other, int):
             other = AinfElt.one(self.p, self.prec) * other
-        a, b = self._pair(other)
-        s = min(a.shift, b.shift)
-        prec = min(a.shift + a.prec, b.shift + b.prec) - s
+        ca, cb, depth, s, prec, degree = self._align(other)
         if prec < 1:
             raise PrecisionExhausted("shift alignment exhausts the precision")
-        mod = self.p**prec
-        cs = {k: c * self.p ** (a.shift - s) % mod for k, c in a.coeffs.items()}
-        for k, c in b.coeffs.items():
-            cs[k] = (cs.get(k, 0) + c * self.p ** (b.shift - s)) % mod
-        return AinfElt(
-            self.p, prec, a.depth, _degree_min(a.degree, b.degree), cs, shift=s
-        )
+        for k, c in cb.items():
+            ca[k] = ca.get(k, 0) + c
+        return AinfElt(self.p, prec, depth, degree, ca, shift=s)
 
     __radd__ = __add__
 
@@ -196,54 +177,26 @@ class AinfElt:
                 {k: c * other for k, c in self.coeffs.items()}, shift=self.shift,
             )
         a, b = self._pair(other)
-        prec = min(a.prec, b.prec)
-        degree = _degree_min(a.degree, b.degree)
-        keybound = None if degree is None else degree * self.p**a.depth
-        mod = self.p**prec
-        cs = {}
-        for k1, c1 in a.coeffs.items():
-            for k2, c2 in b.coeffs.items():
-                k = k1 + k2
-                if keybound is not None and k >= keybound:
-                    continue
-                cs[k] = (cs.get(k, 0) + c1 * c2) % mod
-        return AinfElt(self.p, prec, a.depth, degree, cs, shift=a.shift + b.shift)
+        degree = _series.degree_min(a.degree, b.degree)
+        cs = _series.mul(a.coeffs, b.coeffs, _series.key_bound(self.p, a.depth, degree))
+        return AinfElt(
+            self.p, min(a.prec, b.prec), a.depth, degree, cs, shift=a.shift + b.shift
+        )
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if k < 0:
-            raise PreconditionError("negative powers not supported")
-        out = AinfElt.one(self.p, self.prec, self.degree)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return _series.power(self, k, AinfElt.one(self.p, self.prec, self.degree))
 
     def __eq__(self, other):
         if not isinstance(other, AinfElt):
             return NotImplemented
         if self.p != other.p:
             return False
-        a, b = self._pair(other)
-        s = min(a.shift, b.shift)
-        prec = min(a.shift + a.prec, b.shift + b.prec) - s
-        degree = _degree_min(a.degree, b.degree)
-        keybound = None if degree is None else degree * self.p**a.depth
-        mod = self.p**prec
-        keys = set(a.coeffs) | set(b.coeffs)
-        for k in keys:
-            if keybound is not None and k >= keybound:
-                continue
-            ca = a.coeffs.get(k, 0) * self.p ** (a.shift - s)
-            cb = b.coeffs.get(k, 0) * self.p ** (b.shift - s)
-            if (ca - cb) % mod:
-                return False
-        return True
+        ca, cb, depth, _, prec, degree = self._align(other)
+        return _series.equal(
+            ca, cb, _series.key_bound(self.p, depth, degree), self.p**prec
+        )
 
     def __hash__(self):
         raise TypeError("AinfElt equality is box-relative; not hashable")
@@ -308,19 +261,12 @@ class AinfElt:
         return f"{body} + O({self.p}^{self.shift + self.prec}, q>={dstr})"
 
     def to_json(self):
-        if self.degree is None:
-            deg = None
-        else:
-            dq = SExponent.from_fraction(self.p, self.degree)
-            deg = dq.to_json()
         doc = {
             "p": self.p,
             "prec": self.prec,
             "depth": self.depth,
-            "degree": deg,
-            "terms": [
-                {"q": q.to_json(), "coeff": c} for q, c in self.items_sexp()
-            ],
+            "degree": _series.encode_degree(self.p, self.degree),
+            "terms": _series.encode_terms(self.p, self.depth, self.coeffs),
         }
         if self.shift:
             doc["shift"] = self.shift
@@ -332,10 +278,7 @@ class AinfElt:
         depth = doc["depth"]
         deg = doc["degree"]
         degree = None if deg is None else Fraction(deg["num"], p ** deg["logden"])
-        cs = {}
-        for term in doc["terms"]:
-            q = SExponent.from_json(p, term["q"])
-            cs[q.num * p ** (depth - q.logden)] = term["coeff"]
+        cs = _series.decode_terms(p, depth, doc["terms"])
         return cls(p, doc["prec"], depth, degree, cs, shift=doc.get("shift", 0))
 
 
@@ -403,21 +346,8 @@ def rescale_pushforward(x):
     In series coordinates this is the monomial substitution Tt^q -> Tt^(pq),
     lowering the working depth by one (depth-0 keys simply scale by p).
     """
-    if x.depth > 0:
-        elt = object.__new__(AinfElt)
-        object.__setattr__(elt, "p", x.p)
-        object.__setattr__(elt, "prec", x.prec)
-        object.__setattr__(elt, "depth", x.depth - 1)
-        object.__setattr__(
-            elt, "degree", None if x.degree is None else x.degree * x.p
-        )
-        object.__setattr__(elt, "shift", x.shift)
-        object.__setattr__(elt, "coeffs", dict(x.coeffs))
-        return elt
     return AinfElt(
-        x.p, x.prec, 0,
-        None if x.degree is None else x.degree * x.p,
-        {k * x.p: c for k, c in x.coeffs.items()}, shift=x.shift,
+        x.p, x.prec, *_series.scale(x.p, x.depth, x.degree, x.coeffs, 1), shift=x.shift
     )
 
 

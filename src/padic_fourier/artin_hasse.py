@@ -22,6 +22,7 @@ import functools
 import math
 from fractions import Fraction
 
+from . import _series
 from .ainf import AinfElt, dirac_q
 from .errors import (
     BoxExhausted,
@@ -35,7 +36,6 @@ __all__ = [
     "PIntegralSeries",
     "artin_hasse_exp",
     "artin_hasse_log",
-    "artin_hasse_exp_mod",
     "artin_hasse_log_mod",
     "apply_series",
     "canonical_measure",
@@ -46,30 +46,21 @@ __all__ = [
 # -- truncated series helpers (coefficient lists, index = degree) -----------
 
 
+def _mul_sparse(a, b, d, mod):
+    """Truncated product of coefficient maps, reduced mod ``mod`` unless None."""
+    out = _series.mul(a, b, d)
+    return out if mod is None else {k: r for k, c in out.items() if (r := c % mod)}
+
+
 def _mul_trunc(a, b, d, mod=None):
-    out = [0] * d
-    for i, x in enumerate(a):
-        if x and i < d:
-            for j, y in enumerate(b):
-                if i + j >= d:
-                    break
-                if y:
-                    out[i + j] = out[i + j] + x * y if mod is None else (
-                        out[i + j] + x * y
-                    ) % mod
-    return out
+    return _series.dense(_mul_sparse(_series.sparse(a), _series.sparse(b), d, mod), d)
 
 
 def _pow_trunc(a, k, d, mod=None):
-    out = [1] + [0] * (d - 1)
-    base = list(a[:d]) + [0] * max(0, d - len(a))
-    while k:
-        if k & 1:
-            out = _mul_trunc(out, base, d, mod)
-        k >>= 1
-        if k:
-            base = _mul_trunc(base, base, d, mod)
-    return out
+    out = _series.power(
+        _series.sparse(a), k, {0: 1}, lambda x, y: _mul_sparse(x, y, d, mod)
+    )
+    return _series.dense(out, d)
 
 
 def _div_trunc(a, b, d, mod=None):
@@ -278,12 +269,6 @@ def artin_hasse_log(p: int, degree: int) -> PIntegralSeries:
 
 
 @functools.lru_cache(maxsize=None)
-def artin_hasse_exp_mod(p: int, degree: int, prec: int) -> tuple:
-    """Residues of E mod (p^prec, T^degree)."""
-    return tuple(artin_hasse_exp(p, degree).residues(prec))
-
-
-@functools.lru_cache(maxsize=None)
 def artin_hasse_log_mod(p: int, degree: int, prec: int) -> tuple:
     """Residues of L mod (p^prec, T^degree), by the same Newton iteration
     run over scaled integers.
@@ -339,20 +324,10 @@ def artin_hasse_log_mod(p: int, degree: int, prec: int) -> tuple:
 
 
 def _apply_residues(coeffs, x: AinfElt) -> AinfElt:
-    """Substitute a measure into a residue coefficient list (Horner-free
-    ascending powers; stops when a power leaves the box)."""
-    p = x.p
-    out = AinfElt.zero(p, x.prec, x.degree)
-    power = AinfElt.one(p, x.prec, x.degree)
-    for k, c in enumerate(coeffs):
-        if k > 0:
-            power = power * x
-            if not power.coeffs:
-                break
-        c %= p**x.prec
-        if c:
-            out = out + power * c
-    return out
+    """Substitute a measure into a list of residues mod p^x.prec."""
+    return _series.substitute(
+        coeffs, x, AinfElt.zero(x.p, x.prec, x.degree), AinfElt.one(x.p, x.prec, x.degree)
+    )
 
 
 def apply_series(series: PIntegralSeries, x: AinfElt, terms=None) -> AinfElt:

@@ -41,6 +41,7 @@ from .iwasawa import (
     intersection_vs_middle_scan,
     mahler_coeffs_by_differences,
     mahler_coeffs_from_samples,
+    middle_ideal_valuation,
     ptadic_power_generators,
 )
 from .padic import LowerBound, PadicScalar, SExponent
@@ -446,13 +447,7 @@ def _cmd_idealcheck(pr):
             mod = p ** (N + 2)
             sets = []
             for m in range(p**N + 1):
-                if m == 0:
-                    need = N + 1
-                else:
-                    j = 0
-                    while p ** (j + 1) <= m:
-                        j += 1
-                    need = max(0, N - j)
+                need = middle_ideal_valuation(p, N, m)
                 cand = {0, p**need % mod}
                 if need > 0:
                     cand.add(p ** (need - 1) % mod)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from . import _series
 from .ainf import AinfElt
 from .errors import (
     PreconditionError,
@@ -60,17 +61,7 @@ class UnifFn:
             raise PreconditionError(f"p = {p} is not prime")
         if prec < 1 or depth < 0:
             raise PreconditionError("need prec >= 1 and depth >= 0")
-        mod = p**prec
-        cs = {}
-        for k, c in coeffs.items():
-            if k < 0:
-                raise PreconditionError("exponents are nonnegative")
-            c %= mod
-            if c:
-                cs[k] = c
-        while depth > 0 and all(k % p == 0 for k in cs):
-            cs = {k // p: c for k, c in cs.items()}
-            depth -= 1
+        depth, cs = _series.truncate(p, depth, None, coeffs, p**prec)
         if not exact_tail:
             if not decay_cert:
                 raise PreconditionError(
@@ -123,11 +114,12 @@ class UnifFn:
         if self.p != other.p:
             return False
         m = max(self.depth, other.depth)
-        prec = min(self.prec, other.prec)
-        mod = self.p**prec
-        a = {k * self.p ** (m - self.depth): c for k, c in self.coeffs.items()}
-        b = {k * other.p ** (m - other.depth): c for k, c in other.coeffs.items()}
-        return all((a.get(k, 0) - b.get(k, 0)) % mod == 0 for k in set(a) | set(b))
+        return _series.equal(
+            _series.regrid(self.coeffs, self.p ** (m - self.depth)),
+            _series.regrid(other.coeffs, self.p ** (m - other.depth)),
+            None,
+            self.p ** min(self.prec, other.prec),
+        )
 
     def __hash__(self):
         raise TypeError("UnifFn is not hashable")
@@ -143,9 +135,7 @@ class UnifFn:
             "p": self.p,
             "prec": self.prec,
             "depth": self.depth,
-            "terms": [
-                {"q": q.to_json(), "coeff": c} for q, c in self.items_sexp()
-            ],
+            "terms": _series.encode_terms(self.p, self.depth, self.coeffs),
             "decay_cert": [
                 {
                     "q_ge": SExponent.from_fraction(self.p, t).to_json(),
@@ -162,10 +152,7 @@ class UnifFn:
     def from_json(cls, doc):
         p = doc["p"]
         depth = doc["depth"]
-        cs = {}
-        for term in doc["terms"]:
-            q = SExponent.from_json(p, term["q"])
-            cs[q.num * p ** (depth - q.logden)] = term["coeff"]
+        cs = _series.decode_terms(p, depth, doc["terms"])
         cert = [
             (SExponent.from_json(p, e["q_ge"]).as_fraction(), e["val_floor"])
             for e in doc.get("decay_cert", [])
@@ -188,9 +175,9 @@ def integrate_unif(f: UnifFn, mu: AinfElt) -> PadicScalar:
     p = f.p
     m = max(f.depth, mu.depth)
     mud = mu.with_depth(m)
-    fk = {k * p ** (m - f.depth): c for k, c in f.coeffs.items()}
+    fk = _series.regrid(f.coeffs, p ** (m - f.depth))
     grid = Fraction(1, p**m)
-    keybound = None if mu.degree is None else mu.degree * p**m
+    keybound = _series.key_bound(p, m, mu.degree)
     prec = min(f.prec, mu.prec)
     out_prec = prec
     total = 0

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 
+from . import _series
 from .errors import (
     BoxExhausted,
     PrecisionExhausted,
@@ -54,6 +55,7 @@ __all__ = [
     "ptadic_power_generators",
     "ball_ideal_equal_generators",
     "ball_ideal_middle_generators",
+    "middle_ideal_valuation",
     "middle_ideal_contains",
     "intersection_vs_middle_scan",
 ]
@@ -104,11 +106,9 @@ class IwasawaElt:
 
     @classmethod
     def monomial(cls, p, m, prec, degree, coeff=1):
-        cs = [0] * degree
         if m >= degree:
             raise BoxExhausted(f"T^{m} does not fit below degree {degree}")
-        cs[m] = coeff
-        return cls(p, prec, degree, cs, exact_tail=True)
+        return cls(p, prec, degree, _series.dense({m: coeff}, degree), exact_tail=True)
 
     # -- box plumbing ----------------------------------------------------
 
@@ -164,37 +164,18 @@ class IwasawaElt:
                 [c * other for c in self.coeffs], exact_tail=self.exact_tail,
             )
         prec, degree = self._common_box(other)
-        mod = self.p**prec
-        cs = [0] * degree
-        for i, a in enumerate(self.coeffs):
-            if a == 0 or i >= degree:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j >= degree:
-                    break
-                if b:
-                    cs[i + j] = (cs[i + j] + a * b) % mod
+        cs = _series.mul(_series.sparse(self.coeffs), _series.sparse(other.coeffs), degree)
         exact = (
             self.exact_tail
             and other.exact_tail
             and self.poly_degree() + other.poly_degree() < degree
         )
-        return IwasawaElt(self.p, prec, degree, cs, exact_tail=exact)
+        return IwasawaElt(self.p, prec, degree, _series.dense(cs, degree), exact_tail=exact)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if k < 0:
-            raise PreconditionError("negative powers not supported")
-        out = IwasawaElt.one(self.p, self.prec, self.degree)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return _series.power(self, k, IwasawaElt.one(self.p, self.prec, self.degree))
 
     def __eq__(self, other):
         if not isinstance(other, IwasawaElt):
@@ -202,9 +183,8 @@ class IwasawaElt:
         if self.p != other.p:
             return False
         prec, degree = self._common_box(other)
-        mod = self.p**prec
-        return all(
-            (self.coeffs[n] - other.coeffs[n]) % mod == 0 for n in range(degree)
+        return _series.equal(
+            _series.sparse(self.coeffs), _series.sparse(other.coeffs), degree, self.p**prec
         )
 
     def __hash__(self):
@@ -305,15 +285,12 @@ class IwasawaElt:
         uncertified corner.
         """
         d = self.degree if degree is None else degree
-        gen = BivariateSeries(self.p, self.prec, d, {(1, 0): 1, (0, 1): 1, (1, 1): 1})
-        out = BivariateSeries(self.p, self.prec, d, {})
-        power = BivariateSeries(self.p, self.prec, d, {(0, 0): 1})
-        for n, c in enumerate(self.coeffs[:d]):
-            if n > 0:
-                power = power * gen
-            if c:
-                out = out + power * c
-        return out
+        return _series.substitute(
+            self.coeffs[:d],
+            BivariateSeries(self.p, self.prec, d, {(1, 0): 1, (0, 1): 1, (1, 1): 1}),
+            BivariateSeries(self.p, self.prec, d, {}),
+            BivariateSeries(self.p, self.prec, d, {(0, 0): 1}),
+        )
 
     # -- presentation -----------------------------------------------------
 
@@ -438,7 +415,12 @@ def coproduct(mu, degree=None):
 
 
 class BivariateSeries:
-    """Minimal truncated series in T1, T2 over Z/p^N, total degree < d."""
+    """Minimal truncated series in T1, T2 over Z/p^N, total degree < d.
+
+    Products and equality go through the one-variable kernel on the key
+    (i+j)·d + i: keys add without carry inside the box, and the box
+    i + j < d becomes the key bound d².
+    """
 
     __slots__ = ("p", "prec", "degree", "coeffs")
 
@@ -458,6 +440,9 @@ class BivariateSeries:
     def __setattr__(self, name, value):
         raise AttributeError("BivariateSeries is immutable")
 
+    def _keyed(self, d):
+        return {(i + j) * d + i: c for (i, j), c in self.coeffs.items() if i + j < d}
+
     @classmethod
     def tensor(cls, mu, nu):
         """The product measure mu ⊗ nu on Z_p x Z_p."""
@@ -465,13 +450,9 @@ class BivariateSeries:
             raise PrimeMismatch("tensor factors over different primes")
         prec = min(mu.prec, nu.prec)
         degree = min(mu.degree, nu.degree)
-        cs = {}
-        for i, a in enumerate(mu.coeffs[:degree]):
-            if a:
-                for j, b in enumerate(nu.coeffs[:degree]):
-                    if b:
-                        cs[(i, j)] = a * b
-        return cls(mu.p, prec, degree, cs)
+        left = cls(mu.p, prec, degree, {(i, 0): c for i, c in enumerate(mu.coeffs)})
+        right = cls(mu.p, prec, degree, {(0, j): c for j, c in enumerate(nu.coeffs)})
+        return left * right
 
     def __add__(self, other):
         cs = dict(self.coeffs)
@@ -488,30 +469,21 @@ class BivariateSeries:
                 {k: c * other for k, c in self.coeffs.items()},
             )
         prec = min(self.prec, other.prec)
-        degree = min(self.degree, other.degree)
-        mod = self.p**prec
+        d = min(self.degree, other.degree)
         cs = {}
-        for (i1, j1), a in self.coeffs.items():
-            for (i2, j2), b in other.coeffs.items():
-                i, j = i1 + i2, j1 + j2
-                if i + j < degree:
-                    key = (i, j)
-                    cs[key] = (cs.get(key, 0) + a * b) % mod
-        return BivariateSeries(self.p, prec, degree, cs)
+        for k, c in _series.mul(self._keyed(d), other._keyed(d), d * d).items():
+            s, i = divmod(k, d)
+            cs[(i, s - i)] = c
+        return BivariateSeries(self.p, prec, d, cs)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, BivariateSeries):
             return NotImplemented
-        prec = min(self.prec, other.prec)
-        degree = min(self.degree, other.degree)
-        mod = self.p**prec
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(
-            (self.coeffs.get(k, 0) - other.coeffs.get(k, 0)) % mod == 0
-            for k in keys
-            if k[0] + k[1] < degree
+        d = min(self.degree, other.degree)
+        return _series.equal(
+            self._keyed(d), other._keyed(d), None, self.p ** min(self.prec, other.prec)
         )
 
     def __hash__(self):
@@ -836,23 +808,23 @@ def ball_ideal_middle_generators(p, N):
     return gens
 
 
-def middle_ideal_contains(p, N, coeffs):
-    """Per-coefficient membership test for the deepened middle ideal.
+def middle_ideal_valuation(p, N, m):
+    """Valuation the deepened middle ideal asks of the coefficient of T^m.
 
     The ideal is spanned, degree by degree, by p^(N+1) in degree 0 and by
     p^(max(0, N - floor(log_p m))) in degree m >= 1.
     """
-    for m, c in enumerate(coeffs):
-        if m == 0:
-            need = N + 1
-        else:
-            j = 0
-            while p ** (j + 1) <= m:
-                j += 1
-            need = max(0, N - j)
-        if c % p**need:
-            return False
-    return True
+    if m == 0:
+        return N + 1
+    j = 0
+    while p ** (j + 1) <= m:
+        j += 1
+    return max(0, N - j)
+
+
+def middle_ideal_contains(p, N, coeffs):
+    """Per-coefficient membership test for the deepened middle ideal."""
+    return all(c % p ** middle_ideal_valuation(p, N, m) == 0 for m, c in enumerate(coeffs))
 
 
 def intersection_vs_middle_scan(p, N, coefficient_sets=None):
@@ -904,14 +876,7 @@ def intersection_vs_middle_scan(p, N, coefficient_sets=None):
 
     middle = np.ones(total, dtype=bool)
     for m in range(deg):
-        if m == 0:
-            need = N + 1
-        else:
-            j = 0
-            while p ** (j + 1) <= m:
-                j += 1
-            need = max(0, N - j)
-        middle &= cands[:, m] % p**need == 0
+        middle &= cands[:, m] % p ** middle_ideal_valuation(p, N, m) == 0
 
     escapees = int(np.count_nonzero(inter & ~middle))
     missed = int(np.count_nonzero(middle & ~inter))

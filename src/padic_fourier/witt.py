@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import _series
 from .ainf import AinfElt
 from .errors import (
     BoxExhausted,
@@ -24,7 +25,7 @@ from .errors import (
     PreconditionError,
     PrimeMismatch,
 )
-from .padic import is_prime
+from .padic import SExponent, is_prime
 
 __all__ = [
     "PerfSeries",
@@ -33,14 +34,6 @@ __all__ = [
     "witt_decompose",
     "witt_recompose",
 ]
-
-
-def _degree_min(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
 
 
 class PerfSeries:
@@ -54,19 +47,7 @@ class PerfSeries:
         if depth < 0:
             raise PreconditionError("depth must be >= 0")
         degree = None if degree is None else Fraction(degree)
-        keybound = None if degree is None else degree * p**depth
-        cs = {}
-        for k, c in coeffs.items():
-            if k < 0:
-                raise PreconditionError("exponents are nonnegative")
-            if keybound is not None and k >= keybound:
-                continue  # outside the box: forgotten, not an error
-            c %= p
-            if c:
-                cs[k] = c
-        while depth > 0 and all(k % p == 0 for k in cs):
-            cs = {k // p: c for k, c in cs.items()}
-            depth -= 1
+        depth, cs = _series.truncate(p, depth, degree, coeffs, p)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "degree", degree)
@@ -87,11 +68,8 @@ class PerfSeries:
 
     @classmethod
     def monomial(cls, p, q, degree=None, coeff=1):
-        q = Fraction(q)
-        depth = 0
-        while (q * p**depth).denominator != 1:
-            depth += 1
-        return cls(p, depth, degree, {int(q * p**depth): coeff})
+        q = SExponent.from_fraction(p, q)
+        return cls(p, q.logden, degree, {q.num: coeff})
 
     # -- plumbing -----------------------------------------------------------
 
@@ -104,7 +82,7 @@ class PerfSeries:
         object.__setattr__(elt, "p", self.p)
         object.__setattr__(elt, "depth", depth)
         object.__setattr__(elt, "degree", self.degree)
-        object.__setattr__(elt, "coeffs", {k * f: c for k, c in self.coeffs.items()})
+        object.__setattr__(elt, "coeffs", _series.regrid(self.coeffs, f))
         return elt
 
     def _pair(self, other):
@@ -121,8 +99,8 @@ class PerfSeries:
         a, b = self._pair(other)
         cs = dict(a.coeffs)
         for k, c in b.coeffs.items():
-            cs[k] = (cs.get(k, 0) + c) % self.p
-        return PerfSeries(self.p, a.depth, _degree_min(a.degree, b.degree), cs)
+            cs[k] = cs.get(k, 0) + c
+        return PerfSeries(self.p, a.depth, _series.degree_min(a.degree, b.degree), cs)
 
     def __neg__(self):
         return PerfSeries(
@@ -140,61 +118,24 @@ class PerfSeries:
                 {k: c * other for k, c in self.coeffs.items()},
             )
         a, b = self._pair(other)
-        degree = _degree_min(a.degree, b.degree)
-        keybound = None if degree is None else degree * self.p**a.depth
-        cs = {}
-        for k1, c1 in a.coeffs.items():
-            for k2, c2 in b.coeffs.items():
-                k = k1 + k2
-                if keybound is not None and k >= keybound:
-                    continue
-                cs[k] = (cs.get(k, 0) + c1 * c2) % self.p
+        degree = _series.degree_min(a.degree, b.degree)
+        cs = _series.mul(a.coeffs, b.coeffs, _series.key_bound(self.p, a.depth, degree))
         return PerfSeries(self.p, a.depth, degree, cs)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if k < 0:
-            raise PreconditionError("negative powers not supported")
-        out = PerfSeries.one(self.p, self.degree)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return _series.power(self, k, PerfSeries.one(self.p, self.degree))
 
     def frobenius(self, k=1):
         """x -> x^(p^k), exact: scales every exponent by p^k."""
-        if k < 0:
-            return self.frobenius_inverse(-k)
-        out = self
-        for _ in range(k):
-            if out.depth > 0:
-                out = PerfSeries(
-                    out.p, out.depth - 1,
-                    None if out.degree is None else out.degree * out.p,
-                    dict(out.coeffs),
-                )
-            else:
-                out = PerfSeries(
-                    out.p, 0,
-                    None if out.degree is None else out.degree * out.p,
-                    {k2 * out.p: c for k2, c in out.coeffs.items()},
-                )
-        return out
+        p = self.p
+        return PerfSeries(p, *_series.scale(p, self.depth, self.degree, self.coeffs, k))
 
     def frobenius_inverse(self, k=1):
         """The exact p^k-th root: scales every exponent by p^-k."""
-        if k < 0:
-            return self.frobenius(-k)
-        return PerfSeries(
-            self.p, self.depth + k,
-            None if self.degree is None else self.degree / self.p**k,
-            dict(self.coeffs),
-        )
+        p = self.p
+        return PerfSeries(p, *_series.scale(p, self.depth, self.degree, self.coeffs, -k))
 
     def t_adic_valuation(self):
         """min of the exponents (None for the zero series)."""
@@ -217,15 +158,10 @@ class PerfSeries:
         if self.p != other.p:
             return False
         a, b = self._pair(other)
-        degree = _degree_min(a.degree, b.degree)
-        keybound = None if degree is None else degree * self.p**a.depth
-        keys = set(a.coeffs) | set(b.coeffs)
-        for k in keys:
-            if keybound is not None and k >= keybound:
-                continue
-            if (a.coeffs.get(k, 0) - b.coeffs.get(k, 0)) % self.p:
-                return False
-        return True
+        degree = _series.degree_min(a.degree, b.degree)
+        return _series.equal(
+            a.coeffs, b.coeffs, _series.key_bound(self.p, a.depth, degree), self.p
+        )
 
     def __hash__(self):
         raise TypeError("PerfSeries equality is box-relative; not hashable")
@@ -252,39 +188,12 @@ class PerfSeries:
         return f"{body}  (mod {self.p}, q>={dstr})"
 
     def to_json(self):
-        den = self.p**self.depth
-        if self.degree is None:
-            deg = None
-        else:
-            deg = {"num": self.degree.numerator,
-                   "logden": _logden(self.degree.denominator, self.p)}
         return {
             "p": self.p,
             "depth": self.depth,
-            "degree": deg,
-            "terms": [
-                {"q": {"num": _red_num(k, den, self.p)[0],
-                       "logden": _red_num(k, den, self.p)[1]},
-                 "coeff": self.coeffs[k]}
-                for k in sorted(self.coeffs)
-            ],
+            "degree": _series.encode_degree(self.p, self.degree),
+            "terms": _series.encode_terms(self.p, self.depth, self.coeffs),
         }
-
-
-def _logden(den, p):
-    e = 0
-    while den % p == 0:
-        den //= p
-        e += 1
-    return e
-
-
-def _red_num(k, den, p):
-    e = _logden(den, p)
-    while e > 0 and k % p == 0:
-        k //= p
-        e -= 1
-    return k, e
 
 
 class WittElt:

@@ -8,6 +8,7 @@ from padic_fourier.artin_hasse import (
     apply_series,
     artin_hasse_exp,
     artin_hasse_log,
+    artin_hasse_log_mod,
     canonical_measure,
     pi_element,
 )
@@ -177,3 +178,12 @@ class TestPiElement:
             pi = pi_element(p, 2, 4, p**2 + 1)
             w = pi.w_valuation()
             assert (w.bound if isinstance(w, LowerBound) else w) >= 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("degree", [2, 3, 5, 9, 17, 33, 65])
+def test_log_mod_matches_exact_series(p, degree):
+    """The production Newton loop mod p^N against the exact series over Q."""
+    exact = artin_hasse_log(p, degree)
+    for prec in (1, 3, 6, 10):
+        assert artin_hasse_log_mod(p, degree, prec) == tuple(exact.residues(prec))
