@@ -140,6 +140,17 @@ def encode_degree(p, degree):
     return None if degree is None else SExponent.from_fraction(p, degree).to_json()
 
 
+def decode_degree(p, doc):
+    """Degree bound from JSON: an S-exponent, an integer, or None for no bound;
+    any other value is a ParseError."""
+    if doc is None or (isinstance(doc, int) and not isinstance(doc, bool)):
+        return None if doc is None else Fraction(doc)
+    try:
+        return Fraction(doc["num"], p ** doc["logden"])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError):
+        raise ParseError(f"bad degree {doc!r}: need an S-exponent, an integer or null")
+
+
 def encode_terms(p, depth, coeffs):
     """JSON terms ``[{"q", "coeff"}, ...]`` in ascending exponent order."""
     return [

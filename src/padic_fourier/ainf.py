@@ -276,8 +276,7 @@ class AinfElt:
     def from_json(cls, doc):
         p = doc["p"]
         depth = doc["depth"]
-        deg = doc["degree"]
-        degree = None if deg is None else Fraction(deg["num"], p ** deg["logden"])
+        degree = _series.decode_degree(p, doc["degree"])
         cs = _series.decode_terms(p, depth, doc["terms"])
         return cls(p, doc["prec"], depth, degree, cs, shift=doc.get("shift", 0))
 

@@ -44,7 +44,7 @@ from .iwasawa import (
     middle_ideal_valuation,
     ptadic_power_generators,
 )
-from .padic import LowerBound, PadicScalar, SExponent
+from .padic import LowerBound, PadicScalar, SExponent, is_prime
 from .witt import PerfSeries, teichmuller
 
 COMMANDS = (
@@ -103,6 +103,30 @@ def _check_box(cells):
         )
 
 
+def _int(text, what, sep=None):
+    """An integer flag value, or with ``sep`` the pair (int, rest) of a term
+    ``c<sep>rest`` such as a --combo term; a bad value is a ParseError."""
+    try:
+        if sep is None:
+            return int(text)
+        c, rest = str(text).split(sep, 1)
+        return int(c), rest
+    except (TypeError, ValueError):
+        raise ParseError(f"bad {what} {text!r}")
+
+
+def _load_doc(expr):
+    """The JSON object of an ``@path`` measure argument."""
+    try:
+        with open(expr.strip()[1:]) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as e:
+        raise ParseError(f"cannot read {expr!r}: {e}")
+    if not isinstance(doc, dict):
+        raise ParseError(f"{expr!r} is not a JSON object")
+    return doc
+
+
 def _frac(text) -> Fraction:
     try:
         if "/" in str(text):
@@ -116,8 +140,7 @@ def _frac(text) -> Fraction:
 def _parse_zp_measure(p, expr, prec, degree):
     expr = expr.strip()
     if expr.startswith("@"):
-        with open(expr[1:]) as fh:
-            return IwasawaElt.from_json(json.load(fh))
+        return IwasawaElt.from_json(_load_doc(expr))
     if expr == "1":
         return IwasawaElt.one(p, prec, degree)
     if expr == "T":
@@ -140,8 +163,7 @@ def _parse_zp_measure(p, expr, prec, degree):
 def _parse_qp_measure(p, expr, prec, degree, depth):
     expr = expr.strip()
     if expr.startswith("@"):
-        with open(expr[1:]) as fh:
-            return AinfElt.from_json(json.load(fh))
+        return AinfElt.from_json(_load_doc(expr))
     if expr == "1":
         return AinfElt.one(p, prec, degree)
     if expr == "Tt":
@@ -153,7 +175,7 @@ def _parse_qp_measure(p, expr, prec, degree, depth):
         m = depth
         if "@depth" in body:
             body, dd = body.split("@depth", 1)
-            m = int(dd)
+            m = _int(dd, "depth")
         if m is None:
             raise ParseError("diracq needs @depthM or --depth")
         return dirac_q(p, _frac(body), m, prec, degree)
@@ -161,19 +183,22 @@ def _parse_qp_measure(p, expr, prec, degree, depth):
 
 
 def _is_qp_expr(expr):
-    return expr.strip().startswith(("Tt", "diracq:")) or "@depth" in expr
+    expr = expr.strip()
+    if expr.startswith("@"):
+        return "terms" in _load_doc(expr)  # a Z_p document lists "coeffs"
+    return expr.startswith(("Tt", "diracq:")) or "@depth" in expr
 
 
 def _parse_function(p, expr, prec):
     expr = expr.strip()
     if expr.startswith("const:"):
-        return MahlerFn.from_coeffs(p, [int(expr[6:])], prec)
+        return MahlerFn.from_coeffs(p, [_int(expr[6:], "constant")], prec)
     if expr.startswith("binom:"):
         body = expr[len("binom:"):]
         depth = 0
         if "@depth" in body:
             body, dd = body.split("@depth", 1)
-            depth = int(dd)
+            depth = _int(dd, "depth")
         q = _frac(body)
         if q.denominator == 1 and depth == 0:
             return MahlerFn.basis(p, int(q), prec)
@@ -194,8 +219,7 @@ def _parse_perfseries(p, expr):
         coeff = 1
         body = term
         if "*" in term:
-            c_str, body = term.split("*", 1)
-            coeff = int(c_str)
+            coeff, body = _int(term, "term", "*")
         if body == "1":
             q = Fraction(0)
         elif body == "t":
@@ -228,9 +252,10 @@ def _wval_doc(w):
 
 
 def _cmd_mahler(pr):
-    p = int(pr["p"])
-    samples = [int(s) for s in str(pr["samples"]).split(",") if s != ""]
-    f = mahler_coeffs_from_samples(p, samples, prec=pr.get("prec"))
+    p = pr["p"]
+    samples = [_int(s, "sample") for s in str(pr["samples"]).split(",") if s != ""]
+    prec = _int(pr["prec"], "--prec") if "prec" in pr else None
+    f = mahler_coeffs_from_samples(p, samples, prec=prec)
     coeffs = [f.coeffs.get(n, 0) for n in range(len(samples))]
     oracle = mahler_coeffs_by_differences(p, samples, f.prec)
     return {
@@ -243,8 +268,8 @@ def _cmd_mahler(pr):
 
 
 def _cmd_integrate(pr):
-    p = int(pr["p"])
-    prec = int(pr.get("prec", 12))
+    p = pr["p"]
+    prec = _int(pr.get("prec", 12), "--prec")
     degree = pr.get("degree", 16)
     depth = pr.get("depth")
     f_expr, mu_expr = str(pr["f"]), str(pr["mu"])
@@ -257,70 +282,71 @@ def _cmd_integrate(pr):
         _check_box(int(_frac(degree) * p ** mu.depth) + 1)
         val = integrate_unif(f, mu)
     else:
-        mu = _parse_zp_measure(p, mu_expr, prec, int(degree))
-        _check_box(int(degree))
+        degree = _int(degree, "--degree")
+        mu = _parse_zp_measure(p, mu_expr, prec, degree)
+        _check_box(degree)
         val = integrate(f, mu)
     return _scalar_doc(val)
 
 
 def _cmd_convolve(pr):
-    p = int(pr["p"])
-    prec = int(pr.get("prec", 8))
+    p = pr["p"]
+    prec = _int(pr.get("prec", 8), "--prec")
     degree = pr.get("degree", 16)
     depth = pr.get("depth")
     e1, e2 = str(pr["mu1"]), str(pr["mu2"])
     if _is_qp_expr(e1) or _is_qp_expr(e2):
         m1 = _parse_qp_measure(p, e1, prec, _frac(degree), depth)
         m2 = _parse_qp_measure(p, e2, prec, _frac(degree), depth)
-        out = m1 * m2
-        return {"measure": out.to_json(), "pretty": str(out)}
-    m1 = _parse_zp_measure(p, e1, prec, int(degree))
-    m2 = _parse_zp_measure(p, e2, prec, int(degree))
+    else:
+        degree = _int(degree, "--degree")
+        m1 = _parse_zp_measure(p, e1, prec, degree)
+        m2 = _parse_zp_measure(p, e2, prec, degree)
     out = m1 * m2
     return {"measure": out.to_json(), "pretty": str(out)}
 
 
 def _cmd_ball(pr):
-    p = int(pr["p"])
-    prec = int(pr.get("prec", 8))
-    degree = int(pr.get("degree", 16))
+    p = pr["p"]
+    prec = _int(pr.get("prec", 8), "--prec")
+    degree = _int(pr.get("degree", 16), "--degree")
     _check_box(degree)
     mu = _parse_zp_measure(p, str(pr["mu"]), prec, degree)
-    val = mu.ball_measure(int(pr["a"]), int(pr["h"]))
+    val = mu.ball_measure(_int(pr["a"], "--a"), _int(pr["h"], "--h"))
     return _scalar_doc(val)
 
 
 def _cmd_wval(pr):
-    p = int(pr["p"])
-    prec = int(pr.get("prec", 8))
+    p = pr["p"]
+    prec = _int(pr.get("prec", 8), "--prec")
     degree = pr.get("degree", 16)
     depth = pr.get("depth")
     expr = str(pr["mu"])
     if _is_qp_expr(expr):
         mu = _parse_qp_measure(p, expr, prec, _frac(degree), depth)
     else:
-        mu = _parse_zp_measure(p, expr, prec, int(degree))
+        mu = _parse_zp_measure(p, expr, prec, _int(degree, "--degree"))
     return _wval_doc(mu.w_valuation())
 
 
 def _cmd_dirac(pr):
-    p = int(pr["p"])
-    prec = int(pr.get("prec", 8))
+    p = pr["p"]
+    prec = _int(pr.get("prec", 8), "--prec")
     if "s" in pr:
-        depth = int(pr.get("depth", 0))
+        depth = _int(pr.get("depth", 0), "--depth")
         degree = _frac(pr.get("degree", 4))
         _check_box(int(degree * p**depth) + 1)
         out = dirac_q(p, _frac(pr["s"]), depth, prec, degree)
         return {"measure": out.to_json(), "pretty": str(out)}
-    degree = int(pr.get("degree", 16))
+    degree = _int(pr.get("degree", 16), "--degree")
     _check_box(degree)
-    out = dirac(int(pr["a"]), degree, prec, p=p)
+    out = dirac(_int(pr["a"], "--a"), degree, prec, p=p)
     return {"measure": out.to_json(), "pretty": str(out)}
 
 
 def _cmd_teich(pr):
-    p = int(pr["p"])
-    digits = int(pr.get("digits", 3))
+    p = pr["p"]
+    digits = _int(pr.get("digits", 3), "--digits")
     x = _parse_perfseries(p, str(pr["x"]))
     if "degree" in pr:
         x = PerfSeries(p, x.depth, _frac(pr["degree"]), dict(x.coeffs))
@@ -329,10 +355,10 @@ def _cmd_teich(pr):
 
 
 def _cmd_mucan(pr):
-    p = int(pr["p"])
-    stage = int(pr.get("stage", 1))
-    prec = int(pr.get("prec", 4))
-    depth = int(pr.get("depth", stage))
+    p = pr["p"]
+    stage = _int(pr.get("stage", 1), "--stage")
+    prec = _int(pr.get("prec", 4), "--prec")
+    depth = _int(pr.get("depth", stage), "--depth")
     degree = _frac(pr.get("degree", 2))
     _check_box(int(degree * p**depth) + 1)
     out = canonical_measure(p, stage, depth, prec, degree)
@@ -340,15 +366,15 @@ def _cmd_mucan(pr):
 
 
 def _cmd_fourier(pr):
-    p = int(pr["p"])
-    prec = int(pr.get("prec", 8))
+    p = pr["p"]
+    prec = _int(pr.get("prec", 8), "--prec")
     if "combo" in pr:
-        qdepth = int(pr.get("qdepth", 1))
+        qdepth = _int(pr.get("qdepth", 1), "--qdepth")
         qmax = _frac(pr.get("qmax", 2))
         combo = []
         for part in str(pr["combo"]).split(","):
-            c_str, s_str = part.split("@", 1)
-            combo.append((int(c_str), _frac(s_str)))
+            c, s = _int(part, "--combo term", "@")
+            combo.append((c, _frac(s)))
         qs = [
             SExponent(p, k, qdepth)
             for k in range(int(qmax * p**qdepth) + 1)
@@ -368,12 +394,12 @@ def _cmd_fourier(pr):
 
 
 def _cmd_orthocheck(pr):
-    p = int(pr["p"])
+    p = pr["p"]
     mode = str(pr.get("mode", "zp"))
     failures = []
     if mode == "zp":
-        imax = int(pr.get("imax", 30))
-        prec = int(pr.get("prec", 20))
+        imax = _int(pr.get("imax", 30), "--imax")
+        prec = _int(pr.get("prec", 20), "--prec")
         degree = imax + 2
         for i in range(imax + 1):
             f = MahlerFn.basis(p, i, prec)
@@ -383,9 +409,9 @@ def _cmd_orthocheck(pr):
                     failures.append({"i": i, "j": j})
         checked = (imax + 1) ** 2
     elif mode == "qp":
-        qdepth = int(pr.get("qdepth", 2))
+        qdepth = _int(pr.get("qdepth", 2), "--qdepth")
         qmax = _frac(pr.get("qmax", 4))
-        prec = int(pr.get("prec", 12))
+        prec = _int(pr.get("prec", 12), "--prec")
         ks = range(int(qmax * p**qdepth))
         for k1 in ks:
             f = UnifFn.basis(p, Fraction(k1, p**qdepth), prec)
@@ -403,36 +429,26 @@ def _cmd_orthocheck(pr):
 
 
 def _cmd_idealcheck(pr):
-    p = int(pr["p"])
-    N = int(pr["N"])
+    p = pr["p"]
+    N = _int(pr["N"], "--N")
     scan = str(pr.get("scan", "bounded"))
     prec = N + 3
     degree = p ** (N + 1) + 1
     _check_box(degree)
 
-    def member(i, m, h, l):
-        mu = IwasawaElt.monomial(p, m, prec, degree, coeff=p**i)
-        ok, _ = mu.natural_ideal_membership(h, l)
-        return ok
+    def failures(gens, top, deepen=0):
+        """Generators p^i T^m outside U_(h, l + deepen) for some h + l = top."""
+        out = []
+        for i, m in gens:
+            mu = IwasawaElt.monomial(p, m, prec, degree, coeff=p**i)
+            for h in range(top + 1):
+                if not mu.natural_ideal_membership(h, top - h + deepen)[0]:
+                    out.append({"gen": [i, m], "h": h, "l": top - h})
+        return out
 
-    gen_fail = []
-    for i, m in ptadic_power_generators(p, N):
-        for h in range(N + 2):
-            l = N + 1 - h
-            if not member(i, m, h, l):
-                gen_fail.append({"gen": [i, m], "h": h, "l": l})
-    equal_fail = []
-    for i, m in ball_ideal_equal_generators(p, N):
-        for h in range(N + 2):
-            l = N + 1 - h
-            if not member(i, m, h, l):
-                equal_fail.append({"gen": [i, m], "h": h, "l": l})
-    middle_fail = []
-    for i, m in ball_ideal_middle_generators(p, N):
-        for h in range(N + 1):
-            l = N - h
-            if not member(i, m, h, l + 1):
-                middle_fail.append({"gen": [i, m], "h": h, "l": l})
+    gen_fail = failures(ptadic_power_generators(p, N), N + 1)
+    equal_fail = failures(ball_ideal_equal_generators(p, N), N + 1)
+    middle_fail = failures(ball_ideal_middle_generators(p, N), N, deepen=1)
     doc = {
         "p": p,
         "N": N,
@@ -498,6 +514,9 @@ def run(job: JobSpec) -> dict:
             params.setdefault(k, v)
     job2 = JobSpec(job.command, params, None, job.out_path, job.fmt)
     job2.validate()
+    params["p"] = _int(params.get("p"), "--p")
+    if not is_prime(params["p"]):
+        raise PreconditionError(f"p = {params['p']} is not prime")
     return _HANDLERS[job.command](params)
 
 

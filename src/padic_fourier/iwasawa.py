@@ -6,11 +6,11 @@ is the series (1+T)^a, convolution of measures is the series product,
 and the pairing with a continuous function f = Σ c_n (x choose n)
 (Mahler coefficients) is Σ c_n a_n.
 
-Ball values are computed from the closed form
-
-    T^m(a + p^h Z_p) = Σ_{i ≡ a mod p^h, 0 <= i <= m} (-1)^(m-i) C(m, i),
-
-and degree truncation is converted into p-adic precision through the
+Ball values come from the quotient Z_p[[T]]/((1+T)^(p^h) - 1), which is
+Z_p[Z/p^h]: substitute T = S - 1 and fold the exponents of S mod p^h;
+the coefficient of S^a is the value on a + p^h Z_p, so one Horner pass
+gives every ball of a radius (Washington, Cyclotomic Fields, §7.1).
+Degree truncation is converted into p-adic precision through the
 containment of T^(p^(h+l)) in the ideal of measures taking values in
 p^(l+1) Z_p on all balls of radius p^(-h).
 """
@@ -209,23 +209,23 @@ class IwasawaElt:
             return 0
         return l + 1
 
-    def ball_measure(self, a, h):
-        """The value of the measure on the ball a + p^h Z_p."""
-        p = self.p
-        if h < 0 or not 0 <= a < p**h:
-            raise PreconditionError("need 0 <= a < p^h")
-        floor = self.ball_tail_floor(h)
-        out_prec = min(self.prec, floor)
+    def _ball_values(self, h):
+        """(residues, out_prec): residues[a] is the value on a + p^h Z_p mod
+        p^prec (0 past the list's end), certified to O(p^out_prec)."""
+        out_prec = min(self.prec, self.ball_tail_floor(h))
         if out_prec <= 0:
             raise UncertifiedTailError(
                 f"degree bound {self.degree} certifies nothing at radius p^-{h}"
             )
-        mod = p**self.prec
-        total = 0
-        for m, c in enumerate(self.coeffs):
-            if c:
-                total = (total + c * _tpower_ball_value(p, m, a, h, self.prec)) % mod
-        return PadicScalar(p, 0, total, self.prec).truncate(out_prec)
+        return _ball_residues(self.coeffs, self.p**h, self.p**self.prec), out_prec
+
+    def ball_measure(self, a, h):
+        """The value of the measure on the ball a + p^h Z_p."""
+        if h < 0 or not 0 <= a < self.p**h:
+            raise PreconditionError("need 0 <= a < p^h")
+        vals, out_prec = self._ball_values(h)
+        total = vals[a] if a < len(vals) else 0
+        return PadicScalar(self.p, 0, total, self.prec).truncate(out_prec)
 
     def w_valuation(self):
         """w(Σ a_n T^n) = min_n v_p(a_n) + n, or a lower-bound marker.
@@ -258,20 +258,19 @@ class IwasawaElt:
         valuation.  Raises when the box cannot decide.
         """
         p = self.p
+        vals, out_prec = self._ball_values(h)
+        cut = p**out_prec
         witness = None
         min_val = _INF
         for a in range(p**h):
-            val = self.ball_measure(a, h)
-            if val.is_zero():
-                if val.abs_bound < l:
-                    raise UncertifiedTailError(
-                        f"ball {a} + p^{h} Z_p only certified to O(p^{val.abs_bound}) < {l}"
-                    )
-                cand = val.abs_bound
-            else:
-                if val.shift < l:
+            r = vals[a] % cut if a < len(vals) else 0
+            cand = vp_int(r, p) if r else out_prec
+            if cand < l:
+                if r:
                     return False, a
-                cand = val.shift
+                raise UncertifiedTailError(
+                    f"ball {a} + p^{h} Z_p only certified to O(p^{out_prec}) < {l}"
+                )
             if cand < min_val:
                 min_val, witness = cand, a
         return True, witness
@@ -330,38 +329,20 @@ class IwasawaElt:
         )
 
 
-def _tpower_ball_value(p, m, a, h, prec):
-    """T^m(a + p^h Z_p) mod p^prec via the signed binomial sum.
+def _ball_residues(coeffs, r, mod):
+    """Σ_m c_m (S-1)^m in (Z/mod)[S]/(S^n - 1), n = min(r, len(coeffs)).
 
-    Walked incrementally so that huge m stays affordable: C(m, i) is
-    updated factor by factor with the p-part tracked separately.
+    Horner from the top nonzero coefficient; multiplying by S - 1 is one
+    cyclic difference pass.  For r = p^h entry a is the value on
+    a + p^h Z_p (and 0 for a >= n, as no power of S reaches it).
     """
-    if m == 0:
-        return 1 if a == 0 else 0
-    ph = p**h
-    mod = p**prec
-    total = 0
-    # C(m, i) for i = 0..m, tracked as p^val * unit mod p^work
-    work = prec
-    mod_w = p**work
-    val, unit = 0, 1
-    if a == 0:
-        total = (-1) ** (m % 2)  # i = 0 term
-    for i in range(1, m + 1):
-        f = m - i + 1
-        fv = vp_int(f, p)
-        val += fv
-        unit = unit * (f // p**fv) % mod_w
-        iv = vp_int(i, p)
-        val -= iv
-        unit = unit * pow(i // p**iv % mod_w, -1, mod_w) % mod_w
-        if i % ph == a:
-            if val < prec:
-                term = unit * p**val % mod
-                if (m - i) % 2:
-                    term = -term
-                total += term
-    return total % mod
+    n = min(r, len(coeffs))
+    top = max((m for m, c in enumerate(coeffs) if c), default=-1)
+    out = [0] * n
+    for m in range(top, -1, -1):
+        out = [(out[a - 1] - out[a]) % mod for a in range(n)]
+        out[0] = (out[0] + coeffs[m]) % mod
+    return out
 
 
 def dirac(a, degree, prec, p=None):
@@ -371,25 +352,24 @@ def dirac(a, degree, prec, p=None):
     which case each coefficient C(a, n) costs v_p(n!) digits of a's
     precision and the box precision must still be reachable.
     """
-    if isinstance(a, PadicScalar):
-        p = a.p
-        if a.shift < 0:
-            raise PreconditionError("Dirac points on Z_p must be integral")
-        need = prec + vp_factorial(degree - 1, p)
-        if a.abs_bound < need:
-            raise PrecisionExhausted(
-                f"need a mod p^{need} for degree {degree} at precision {prec}"
-            )
-        X, M = a.integer_rep(), a.abs_bound
-        cs = []
-        for n, val, unit, rel in binomial_row_tracked(p, X, M, degree - 1, prec):
-            cs.append(unit * p**val if val < prec else 0)
-        # exactness of the tail is only known for small true integers
-        return IwasawaElt(p, prec, degree, cs, exact_tail=False)
-    if p is None:
-        raise PreconditionError("p is required when a is a plain integer")
-    cs = [comb_int(a, n) for n in range(degree)]
-    exact = 0 <= a < degree
+    exact = False  # exactness of the tail is only known for small true integers
+    if not isinstance(a, PadicScalar):
+        if p is None:
+            raise PreconditionError("p is required when a is a plain integer")
+        exact = 0 <= a < degree
+        a = PadicScalar.from_int(p, a, prec + vp_factorial(degree - 1, p))
+    p = a.p
+    if a.shift < 0:
+        raise PreconditionError("Dirac points on Z_p must be integral")
+    need = prec + vp_factorial(degree - 1, p)
+    if a.abs_bound < need:
+        raise PrecisionExhausted(
+            f"need a mod p^{need} for degree {degree} at precision {prec}"
+        )
+    X, M = a.integer_rep(), a.abs_bound
+    cs = []
+    for n, val, unit, rel in binomial_row_tracked(p, X, M, degree - 1, prec):
+        cs.append(unit * p**val if val < prec else 0)
     return IwasawaElt(p, prec, degree, cs, exact_tail=exact)
 
 
@@ -673,10 +653,10 @@ def mahler_coeffs_from_samples(p, values, prec=None):
     """Mahler coefficients of a locally constant function from its samples.
 
     ``values`` must list f(0), ..., f(p^M - 1) for some M; the function is
-    promised constant on residue classes mod p^M.  The lower-triangular
-    unipotent system C(n, a) against the coefficient vector is solved by
-    forward substitution, exactly mod p^(M+1) (or the samples' precision
-    if lower).  Coefficients beyond index p^M - 1 are not extrapolated.
+    promised constant on residue classes mod p^M.  The coefficients are
+    the iterated differences c_n = (Δ^n f)(0), exact mod p^(M+1) (or the
+    samples' precision if lower).  Coefficients beyond index p^M - 1 are
+    not extrapolated.
     """
     m = len(values)
     M = 0
@@ -695,17 +675,10 @@ def mahler_coeffs_from_samples(p, values, prec=None):
         (v.residue(out_prec) if isinstance(v, PadicScalar) else v % mod)
         for v in values
     ]
-    coeffs = [0] * m
-    for n in range(m):
-        acc = vals[n]
-        row = 1  # C(n, 0)
-        for a in range(n):
-            if a > 0:
-                row = row * (n - a + 1) // a
-            if coeffs[a]:
-                acc -= row * coeffs[a] % mod
-        # row now holds C(n, n-1); final term a = n has C(n, n) = 1
-        coeffs[n] = acc % mod
+    coeffs = []
+    while vals:
+        coeffs.append(vals[0])
+        vals = [(vals[i + 1] - vals[i]) % mod for i in range(len(vals) - 1)]
     return MahlerFn(
         p, out_prec, dict(enumerate(coeffs)), m, exact_tail=False, period=m
     )
@@ -853,9 +826,7 @@ def intersection_vs_middle_scan(p, N, coefficient_sets=None):
             raise PreconditionError(f"need {deg} coefficient sets")
 
     sizes = [len(s) for s in sets]
-    total = 1
-    for s in sizes:
-        total *= s
+    total = math.prod(sizes)
     # all candidate coefficient vectors, mixed-radix enumeration
     grid = np.indices(sizes).reshape(deg, total).T
     cands = np.empty((total, deg), dtype=np.int64)
@@ -869,8 +840,8 @@ def intersection_vs_middle_scan(p, N, coefficient_sets=None):
         lmod = p ** (l + 1)
         W = np.zeros((deg, ph), dtype=np.int64)
         for m in range(deg):
-            for a in range(ph):
-                W[m, a] = _tpower_ball_value(p, m, a, h, N + 2) % mod
+            row = _ball_residues([0] * m + [1], ph, mod)
+            W[m, : len(row)] = row
         balls = cands @ W % lmod
         inter &= (balls == 0).all(axis=1)
 

@@ -65,7 +65,7 @@ def vp_factorial(n: int, p: int) -> int:
     """v_p(n!) by Legendre's formula."""
     s = 0
     q = n
-    while q:
+    while q > 0:
         q //= p
         s += q
     return s

@@ -143,3 +143,24 @@ class TestErrors:
         path.write_text(json.dumps({"samples": "1,1,1,0,0,0,0,0,0"}))
         doc = run(JobSpec("mahler", {"p": 3}, in_path=str(path)))
         assert doc["period"] == 9
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["ball", "--p", "3", "--mu", "T^2", "--a", "x", "--h", "1"], 2),
+    (["ball", "--p", "3", "--mu", "T^2", "--a", "0", "--h", "1", "--degree", "1.5"], 2),
+    (["wval", "--p", "3", "--mu", "T^2", "--degree", "abc"], 2),
+    (["mahler", "--p", "3", "--samples", "1,x,1"], 2),
+    (["idealcheck", "--p", "2", "--N", "two", "--scan", "off"], 2),
+    (["teich", "--p", "2", "--x", "x*t"], 2),
+    (["integrate", "--p", "2", "--f", "binom:1@depthx", "--mu", "Tt"], 2),
+    (["wval", "--p", "2", "--mu", "@does-not-exist.json"], 2),
+    (["wval", "--p", "x", "--mu", "T"], 2),
+    (["fourier", "--p", "6", "--combo", "1@1/2"], 3),
+    (["dirac", "--p", "3", "--a", "5", "--degree", "0"], 3),
+    (["mahler", "--p", "3", "--samples", "1,1,1,0,0,0,0,0,0", "--prec", "2"], 0),
+])
+def test_flag_values_map_to_documented_exit_codes(capsys, argv, code):
+    from padic_fourier.cli import main
+
+    assert main(argv) == code
+    capsys.readouterr()

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from padic_fourier.errors import (
     PrecisionExhausted,
@@ -23,7 +24,7 @@ from padic_fourier.iwasawa import (
     middle_ideal_contains,
     ptadic_power_generators,
 )
-from padic_fourier.padic import LowerBound, PadicScalar, vp_int
+from padic_fourier.padic import LowerBound, PadicScalar, comb_int, vp_int
 
 
 class TestDiracAndConvolution:
@@ -388,3 +389,125 @@ class TestJsonAndStr:
     def test_pretty(self):
         mu = IwasawaElt(3, 4, 5, [1, 2])
         assert str(mu) == "1 + 2·T + O(3^4, T^5)"
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the ball-value fold, the Mahler solve and integer Dirac masses
+# ---------------------------------------------------------------------------
+
+
+def tpower_ball_oracle(m, a, ph):
+    """T^m(a + p^h Z_p) = Σ_{i ≡ a mod p^h, 0 <= i <= m} (-1)^(m-i) C(m, i)."""
+    return sum((-1) ** (m - i) * comb_int(m, i) for i in range(a, m + 1, ph))
+
+
+def ball_oracle(mu, a, h):
+    """One ball value by the signed binomial sum, certified like ball_measure."""
+    out_prec = min(mu.prec, mu.ball_tail_floor(h))
+    if out_prec <= 0:
+        raise UncertifiedTailError("uncertified")
+    total = sum(c * tpower_ball_oracle(m, a, mu.p**h) for m, c in enumerate(mu.coeffs))
+    return PadicScalar(mu.p, 0, total % mu.p**mu.prec, mu.prec).truncate(out_prec)
+
+
+def membership_oracle(mu, h, l):
+    """natural_ideal_membership as a per-ball loop over the oracle."""
+    witness, min_val = None, math.inf
+    for a in range(mu.p**h):
+        val = ball_oracle(mu, a, h)
+        if val.is_zero():
+            if val.abs_bound < l:
+                raise UncertifiedTailError("uncertified")
+            cand = val.abs_bound
+        else:
+            if val.shift < l:
+                return False, a
+            cand = val.shift
+        if cand < min_val:
+            min_val, witness = cand, a
+    return True, witness
+
+
+@st.composite
+def zp_measures(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    prec = draw(st.integers(1, 5))
+    degree = draw(st.integers(1, 40))
+    if draw(st.booleans()):  # dense: every coefficient drawn
+        coeffs = draw(
+            st.lists(st.integers(0, p**prec - 1), min_size=degree, max_size=degree)
+        )
+    else:  # sparse: a few monomials, possibly high ones
+        terms = draw(
+            st.dictionaries(st.integers(0, degree - 1), st.integers(1, p**prec), max_size=3)
+        )
+        coeffs = [terms.get(m, 0) for m in range(degree)]
+    return IwasawaElt(p, prec, degree, coeffs, exact_tail=draw(st.booleans()))
+
+
+def radius(mu, h):
+    """The drawn radius exponent h, lowered until every ball can be listed."""
+    while h > 0 and mu.p**h > 400:
+        h -= 1
+    return h
+
+
+@settings(max_examples=200, deadline=None)
+@given(zp_measures(), st.integers(0, 6))
+@example(IwasawaElt(2, 4, 3, [1, 2, 3]), 0)  # h = 0: the total mass
+@example(IwasawaElt(3, 5, 4, [0, 0, 0, 1], exact_tail=True), 3)  # p^h > degree
+@example(IwasawaElt(2, 3, 16, [0] * 15 + [1]), 2)  # lone top monomial, inexact tail
+def test_ball_measure_matches_binomial_oracle(mu, h):
+    h = radius(mu, h)
+    for a in range(mu.p**h):
+        try:
+            want = ball_oracle(mu, a, h).to_json()
+        except UncertifiedTailError:
+            with pytest.raises(UncertifiedTailError):
+                mu.ball_measure(a, h)
+            continue
+        assert mu.ball_measure(a, h).to_json() == want, (a, h)
+
+
+@settings(max_examples=200, deadline=None)
+@given(zp_measures(), st.integers(0, 6), st.integers(0, 6))
+@example(IwasawaElt(2, 8, 256, [(7 * n + 3) % 256 for n in range(256)]), 8, 1)
+@example(IwasawaElt(3, 4, 10, [0, 0, 0, 0, 0, 0, 0, 0, 0, 9], exact_tail=True), 4, 2)
+def test_natural_ideal_membership_matches_per_ball_oracle(mu, h, l):
+    h = radius(mu, h)
+    try:
+        want = membership_oracle(mu, h, l)
+    except UncertifiedTailError:
+        with pytest.raises(UncertifiedTailError):
+            mu.natural_ideal_membership(h, l)
+        return
+    assert mu.natural_ideal_membership(h, l) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([(2, 0), (2, 3), (2, 6), (3, 2), (3, 4), (5, 1), (5, 3)]),
+    st.randoms(use_true_random=False),
+    st.one_of(st.none(), st.integers(1, 9)),
+)
+def test_mahler_from_samples_matches_difference_oracle(pM, rnd, prec):
+    p, M = pM
+    values = [rnd.randrange(-(10**6), 10**6) for _ in range(p**M)]
+    f = mahler_coeffs_from_samples(p, values, prec=prec)
+    assert f.prec == (M + 1 if prec is None else min(prec, M + 1))
+    assert f.period == p**M and not f.exact_tail
+    got = [f.coeffs.get(n, 0) for n in range(p**M)]
+    assert got == mahler_coeffs_by_differences(p, values, f.prec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.one_of(st.just(0), st.integers(-60, 60), st.integers(-(10**9), 10**9)),
+    st.integers(1, 60),
+    st.integers(1, 8),
+)
+def test_dirac_int_matches_comb_int(p, a, degree, prec):
+    mu = dirac(a, degree, prec, p=p)
+    assert mu.coeffs == tuple(comb_int(a, n) % p**prec for n in range(degree))
+    assert mu.exact_tail == (0 <= a < degree)

@@ -351,3 +351,46 @@ def test_perfseries_monomial_off_grid_exponent():
     out = run_cli(["teich", "--p", "2", "--x", "t^1/3"])
     assert out.returncode == 3
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("degree, expect", [
+    ({"num": 9, "logden": 1}, Fraction(9, 2)), (4, Fraction(4)), (None, None),
+])
+def test_ainf_from_json_degree_forms(degree, expect):
+    doc = qp_doc({"num": 1, "logden": 1})
+    doc["degree"] = degree
+    assert AinfElt.from_json(doc).degree == expect
+
+
+@pytest.mark.parametrize("degree", ["4", 2.5, True, [4], {"num": 4}])
+def test_ainf_from_json_rejects_bad_degree(degree):
+    doc = qp_doc({"num": 1, "logden": 1})
+    doc["degree"] = degree
+    with pytest.raises(ParseError):
+        AinfElt.from_json(doc)
+
+
+@pytest.mark.parametrize("argv", [
+    ["wval", "--p", "2", "--mu", "Tt^3/2"],
+    ["integrate", "--p", "2", "--f", "binom:3/2@depth1", "--mu", "Tt^3/2", "--prec", "8"],
+    ["convolve", "--p", "2", "--mu1", "Tt^3/2", "--mu2", "Tt^1/2", "--degree", "4"],
+])
+def test_cli_qp_file_matches_inline_measure(tmp_path, capsys, argv):
+    from padic_fourier import cli
+
+    def run(args):
+        assert cli.main(args) == 0
+        return capsys.readouterr().out
+
+    inline = run(argv)
+    files = list(argv)
+    for i, arg in enumerate(argv):
+        if arg.startswith("Tt^"):
+            q = Fraction(arg[3:])
+            path = tmp_path / f"mu{i}.json"
+            path.write_text(json.dumps({
+                "p": 2, "prec": 8, "depth": 1, "degree": 4 if "--degree" in argv else 16,
+                "terms": [{"q": {"num": int(q * 2), "logden": 1}, "coeff": 1}],
+            }))
+            files[i] = f"@{path}"
+    assert run(files) == inline
