@@ -375,6 +375,7 @@ def _cmd_fourier(pr):
         for part in str(pr["combo"]).split(","):
             c, s = _int(part, "--combo term", "@")
             combo.append((c, _frac(s)))
+        _check_box((int(qmax * p**qdepth) + 1) * len(combo))
         qs = [
             SExponent(p, k, qdepth)
             for k in range(int(qmax * p**qdepth) + 1)

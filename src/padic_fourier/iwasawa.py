@@ -31,7 +31,6 @@ from .padic import (
     LowerBound,
     PadicScalar,
     binomial_row_tracked,
-    comb_int,
     is_prime,
     vp_factorial,
     vp_int,
@@ -72,7 +71,7 @@ class IwasawaElt:
     required.
     """
 
-    __slots__ = ("p", "prec", "degree", "coeffs", "exact_tail")
+    __slots__ = ("p", "prec", "degree", "coeffs", "exact_tail", "_balls")
 
     def __init__(self, p, prec, degree, coeffs, exact_tail=False):
         if not is_prime(p):
@@ -211,13 +210,18 @@ class IwasawaElt:
 
     def _ball_values(self, h):
         """(residues, out_prec): residues[a] is the value on a + p^h Z_p mod
-        p^prec (0 past the list's end), certified to O(p^out_prec)."""
+        p^prec (0 past the list's end), certified to O(p^out_prec).  One fold
+        per radius, kept on the instance; callers must not mutate it."""
         out_prec = min(self.prec, self.ball_tail_floor(h))
         if out_prec <= 0:
             raise UncertifiedTailError(
                 f"degree bound {self.degree} certifies nothing at radius p^-{h}"
             )
-        return _ball_residues(self.coeffs, self.p**h, self.p**self.prec), out_prec
+        if not hasattr(self, "_balls"):
+            object.__setattr__(self, "_balls", {})
+        if h not in self._balls:
+            self._balls[h] = _ball_residues(self.coeffs, self.p**h, self.p**self.prec)
+        return self._balls[h], out_prec
 
     def ball_measure(self, a, h):
         """The value of the measure on the ball a + p^h Z_p."""
@@ -689,9 +693,10 @@ def mahler_coeffs_by_differences(p, values, prec):
     mod = p**prec
     out = []
     for n in range(len(values)):
-        acc = 0
+        acc, c = 0, 1
         for i in range(n + 1):
-            acc += (-1) ** (n - i) * comb_int(n, i) * values[i]
+            acc += (-1) ** (n - i) * c * values[i]
+            c = c * (n - i) // (i + 1)  # C(n, i + 1)
         out.append(acc % mod)
     return out
 

@@ -453,11 +453,92 @@ def binomial_row_tracked(p: int, X: int, M: int, n_max: int, work: int):
 
 
 def comb_tracked(p: int, X: int, M: int, n: int, work: int) -> PadicScalar:
-    """C(x, n) as a PadicScalar, for x ≡ X mod p^M, at the provable precision."""
-    for k, val, unit, rel in binomial_row_tracked(p, X, M, n, work):
-        if k == n:
-            return PadicScalar(p, val, unit % (p**rel if rel > 0 else 1), max(rel, 0))
-    raise AssertionError("unreachable")
+    """C(x, n) as a PadicScalar, for x ≡ X mod p^M, at the provable precision.
+
+    The last entry of ``binomial_row_tracked`` in closed form (for n > p^M
+    it may certify fewer digits, never more).  Legendre counting gives the
+    valuation: p^t divides 1 + (n-1-r_t)//p^t of the factors x - j, with
+    r_t = X mod p^t, while r_t < n and t <= M.  The unit is the unit part
+    of X(X-1)...(X-n+1) over that of n!, each from at most log_p(n) + 1
+    levels of aligned blocks (``_unit_product``).  Cost: O(p log_p(n)^2)
+    block evaluations of degree <= work, not the walk's n steps.
+    """
+    if M <= 0:
+        raise PrecisionExhausted("argument has no known digits")
+    X %= p**M
+    val, maxfv = -vp_factorial(n, p), 0
+    while maxfv < M and X % p ** (maxfv + 1) < n:
+        maxfv += 1
+        val += 1 + (n - 1 - X % p**maxfv) // p**maxfv
+    rel = min(max(work, 1), M - maxfv)
+    if rel <= 0:
+        return PadicScalar(p, val, 0, 0)
+    den = _unit_product(p, 1, n + 1, rel)  # unit part of n!
+    return PadicScalar(p, val, _unit_product(p, X - n + 1, X + 1, rel) * pow(den, -1, p**rel), rel)
+
+
+_BLOCK_POLYS = {}  # (p, w) -> [F_1, F_2, ...], grown on demand
+
+
+def _block_poly(p: int, w: int, k: int) -> list:
+    """F_k(y) = ∏_{u < p^k, p ∤ u} (y + u) mod (p^w, y^⌈w/k⌉), 1 <= k < w, as
+    a coefficient list.  It is evaluated only at points of valuation >= k,
+    where the dropped terms vanish mod p^w; F_k = ∏_{t<p} F_(k-1)(y + t p^(k-1))."""
+    from . import _series
+
+    mod = p**w
+    table = _BLOCK_POLYS.get((p, w), [])
+    while len(table) < k:
+        j = len(table) + 1
+        if j == 1:
+            factors = [[u, 1] for u in range(1, p)]
+        else:
+            factors = [_taylor_shift(table[-1], t * p ** (j - 1), mod) for t in range(p)]
+        size = -(-w // j)
+        f = {0: 1}
+        for g in factors:
+            f = {i: c % mod for i, c in _series.mul(f, _series.sparse(g), size).items()}
+        table = table + [_series.dense(f, size)]  # published whole, never mutated
+    _BLOCK_POLYS[(p, w)] = table
+    return table[k - 1]
+
+
+def _taylor_shift(c: list, s: int, mod: int) -> list:
+    """Coefficients of c(y + s) mod ``mod``."""
+    c = list(c)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] = (c[j] + s * c[j + 1]) % mod
+    return c
+
+
+def _unit_product(p: int, lo: int, hi: int, w: int) -> int:
+    """Unit part of ∏_{lo <= m < hi} m mod p^w, for 1 <= lo.
+
+    Each level multiplies the integers prime to p in [lo, hi), covered by
+    aligned blocks [a, a + p^k), p^k | a, each F_k(a), or ±1 by generalized
+    Wilson when k >= w; the multiples of p, divided by p, form the next level.
+    """
+    mod = p**w
+    out = 1
+    while lo < hi:
+        a = lo
+        while a < hi:
+            k = 0
+            while a % p ** (k + 1) == 0 and a + p ** (k + 1) <= hi:
+                k += 1
+            if k >= w:
+                out = out if p == 2 and k >= 3 else -out
+            elif k:
+                r, y = 0, a % mod
+                for c in reversed(_block_poly(p, w, k)):
+                    r = (r * y + c) % mod
+                out = out * r % mod
+            elif a % p:
+                out = out * a % mod
+            a += p**k
+        lo, hi = -(-lo // p), -(-hi // p)
+    return out % mod
 
 
 def binomial(x: PadicScalar, n: int) -> PadicScalar:
@@ -531,7 +612,9 @@ def gen_binomial(x: PadicScalar, q, target_prec: int) -> PadicScalar:
 
     Computed as the scaling-level approximant C(p^n x, p^n q) with n chosen
     so that the tail of the level sequence is certified below p^-target_prec:
-    consecutive approximants differ by a multiple of p^(1+n+v(x)).
+    consecutive approximants differ by a multiple of p^(1+n+v(x)).  It comes
+    from ``comb_tracked``'s counting and block products, in time polynomial
+    in n ≈ target_prec, where the falling-factorial walk took ~p^n steps.
     """
     p = x.p
     q = _as_sexponent(p, q)
@@ -577,8 +660,8 @@ def gen_binomial_profile(x: PadicScalar, logden: int, q_max, target_prec: int) -
     """All (x choose j/p^logden) for 0 <= j/p^logden <= q_max, in one sweep.
 
     Returns {j: PadicScalar}.  A single scaling level serves every exponent,
-    so the falling-factorial walk is shared; this is the fast path for
-    addition-formula sums and Dirac-combination transforms.
+    so the falling-factorial walk is shared.  Its cost is linear in the
+    largest scaled exponent; ``gen_binomial`` is cheaper for a few entries.
     """
     p = x.p
     q_max = Fraction(q_max)

@@ -124,6 +124,12 @@ class TestErrors:
         )
         assert out.returncode == 3
 
+    def test_fourier_combo_q_count_is_budgeted(self):
+        out = run_cli(["fourier", "--p", "3", "--combo", "1@1/3", "--qmax", "1000000000"])
+        assert out.returncode == 3
+        assert "PADIC_FOURIER_MAX_BOX" in out.stderr
+        assert "Traceback" not in out.stderr
+
     def test_unknown_command_rejected(self):
         with pytest.raises(ParseError):
             run(JobSpec("frobnicate", {}))

@@ -511,3 +511,28 @@ def test_dirac_int_matches_comb_int(p, a, degree, prec):
     mu = dirac(a, degree, prec, p=p)
     assert mu.coeffs == tuple(comb_int(a, n) % p**prec for n in range(degree))
     assert mu.exact_tail == (0 <= a < degree)
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (2, 17), (3, 9), (5, 12)])
+def test_mahler_oracle_matches_explicit_binomial_sum(p, m):
+    rng = random.Random(m)
+    values = [rng.randrange(-(10**6), 10**6) for _ in range(m)]
+    want = [
+        sum((-1) ** (n - i) * comb_int(n, i) * values[i] for i in range(n + 1)) % p**6
+        for n in range(m)
+    ]
+    assert mahler_coeffs_by_differences(p, values, 6) == want
+
+
+def test_ball_values_folded_once_per_radius():
+    mu = IwasawaElt(3, 5, 30, [(4 * n + 1) % 243 for n in range(30)])
+    first = [mu.ball_measure(a, 2).to_json() for a in range(9)]
+    assert mu._ball_values(2)[0] is mu._ball_values(2)[0]
+    assert mu._ball_values(1)[0] is not mu._ball_values(2)[0]
+    fresh = IwasawaElt(3, 5, 30, mu.coeffs)
+    assert first == [fresh.ball_measure(a, 2).to_json() for a in range(9)]
+    assert mu.natural_ideal_membership(2, 0) == fresh.natural_ideal_membership(2, 0)
+    with pytest.raises(UncertifiedTailError):  # an uncertified radius stays an error
+        mu.ball_measure(0, 4)
+    with pytest.raises(UncertifiedTailError):
+        mu.ball_measure(0, 4)

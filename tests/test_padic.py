@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from padic_fourier.errors import PrecisionExhausted, PreconditionError, PrimeMismatch
 from padic_fourier.padic import (
@@ -10,7 +10,9 @@ from padic_fourier.padic import (
     PadicScalar,
     SExponent,
     binomial,
+    binomial_row_tracked,
     comb_int,
+    comb_tracked,
     gen_binomial,
     gen_binomial_approximants,
     gen_binomial_profile,
@@ -328,3 +330,57 @@ class TestSExponent:
     def test_json(self):
         q = SExponent(5, 7, 2)
         assert SExponent.from_json(5, q.to_json()) == q
+
+
+def walk_comb(p, X, M, K, work):
+    """Oracle: the last entry of the falling-factorial walk, as comb_tracked
+    returns it."""
+    *_, (k, val, unit, rel) = binomial_row_tracked(p, X, M, K, work)
+    return PadicScalar(p, val, unit % p ** max(rel, 0), max(rel, 0))
+
+
+def triple(s):
+    return s.shift, s.unit, s.prec
+
+
+@st.composite
+def comb_case(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    M = draw(st.integers(1, {2: 13, 3: 8, 5: 5, 7: 4}[p]))
+    X = draw(st.integers(0, p**M - 1))
+    K = draw(st.integers(0, min(p**M - 1, 3000)))
+    if draw(st.booleans()):
+        K = min(K, X)  # no zero factor: a unit part is computed
+    return p, X, M, K, draw(st.integers(0, 13))
+
+
+class TestCombTrackedOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(comb_case())
+    @example((3, 5, 4, 10, 6))  # X < K: a zero factor
+    @example((2, 0, 5, 3, 4))  # X = 0
+    @example((7, 0, 3, 0, 2))  # X = 0, K = 0
+    @example((5, 17, 3, 0, 4))  # K = 0
+    @example((3, 700, 7, 243, 5))  # K = p^k
+    @example((2, 4000, 12, 1024, 9))  # K = p^k
+    @example((2, 3000, 12, 600, 9))  # p = 2, blocks 3 <= k < w
+    @example((2, 1000, 12, 200, 2))  # p = 2, blocks k >= max(w, 3): Wilson sign +1
+    @example((3, 700, 7, 300, 2))  # blocks k >= w: Wilson sign -1
+    @example((5, 3000, 5, 1000, 1))  # blocks k >= w = 1
+    @example((2, 255, 8, 255, 13))  # work > M
+    @example((2, 59, 8, 7, 10))  # w = 5: F_2 keeps ceil(5/2) = 3 terms, not 2
+    def test_matches_walk(self, case):
+        assert triple(comb_tracked(*case)) == triple(walk_comb(*case))
+
+    def test_no_digits_raises(self):
+        with pytest.raises(PrecisionExhausted):
+            comb_tracked(3, 5, 0, 2, 4)
+
+    @pytest.mark.parametrize("p, prec", [(3, 16), (5, 12)])
+    def test_high_precision_agrees_with_walk_at_prec_6(self, p, prec):
+        x = PadicScalar.from_fraction(p, Fraction(1, p), prec + 2)
+        q = SExponent(p, 1, 2)
+        n = 6  # the level gen_binomial picks for x = 1/p at target 6
+        walked = walk_comb(p, x.unit * p ** (x.shift + n), x.abs_bound + n, p ** (n - 2), 8)
+        assert triple(gen_binomial(x, q, 6)) == triple(walked.truncate(6))
+        assert triple(gen_binomial(x, q, prec).truncate(6)) == triple(walked.truncate(6))
