@@ -5,7 +5,8 @@ key k standing for the exponent k / p^depth.  It is known modulo a box:
 coefficients modulo p^N and keys below an exclusive key bound, where a
 bound of None means exact finite support.  Terms outside the box are
 forgotten, never an error.  Products leave sums unreduced: reduction is
-the job of each series type's constructor.
+the job of each series type's constructor.  Dense products are one bigint
+multiply (Kronecker substitution), sparse ones a pair loop: see ``mul``.
 """
 
 from __future__ import annotations
@@ -82,20 +83,78 @@ def dense(coeffs, n):
 def mul(a, b, bound):
     """Truncated product of two coefficient maps: keys below ``bound`` only.
 
-    Walks ``b`` in ascending key order and stops at the bound, so no pair
-    outside the box is visited.  Coefficient sums are left unreduced.
+    Sums are exact and unreduced; a key whose sum is zero may be left out.
+    Keys that cannot reach below the bound are dropped, and each operand is
+    shifted to start at key 0.  Density rule: if len(a) · len(b) <= span_a +
+    span_b, loop over term pairs; else use Kronecker substitution: pack each
+    operand into one int, a w-byte slot per key (room for any coefficient of
+    the product and a sign bit), take one Karatsuba bigint product and unpack
+    the slots below the bound.  Cost: about min(pairs, Karatsuba on (span_a +
+    span_b) · w bytes).  ``Fraction``s are scaled by a common denominator.
     """
+    if not a or not b:
+        return {}
+    same, lo_a, lo_b = a is b, min(a), min(b)
+    offset = lo_a + lo_b
     if bound is None:
-        bound = max(a, default=0) + max(b, default=0) + 1
-    bs = sorted(b.items())
-    out = {}
-    for k1, c1 in a.items():
-        for k2, c2 in bs:
-            k = k1 + k2
-            if k >= bound:
-                break
-            out[k] = out.get(k, 0) + c1 * c2
-    return out
+        bound = max(a) + max(b) + 1
+    if bound <= offset:
+        return {}
+    a = {k - lo_a: c for k, c in a.items() if k + lo_b < bound}
+    b = a if same else {k - lo_b: c for k, c in b.items() if k + lo_a < bound}
+    span_a, span_b = max(a) + 1, max(b) + 1
+    n = min(bound - offset, span_a + span_b - 1)  # result slots
+    if len(a) * len(b) <= span_a + span_b:
+        bs = sorted(b.items())
+        out = {}
+        for k1, c1 in a.items():
+            for k2, c2 in bs:
+                if k1 + k2 >= n:
+                    break
+                k = offset + k1 + k2
+                out[k] = out.get(k, 0) + c1 * c2
+        return out
+    den_a, a = _integral(a)
+    den_b, b = (den_a, a) if same else _integral(b)
+    top = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
+    if not top:
+        return {}
+    w = (top.bit_length() + 8) // 8  # slot bytes, with a sign bit
+    half = 1 << (8 * w - 1)
+    x = _pack(a, span_a, w, half)
+    prod = x * x if same else x * _pack(b, span_b, w, half)
+    # balanced digits: with half added, slot i holds c_i + half, no borrows
+    low = (prod + _biases(n, w, half)) % (1 << 8 * w * n)
+    raw = low.to_bytes(w * n, "little")
+    cs = [int.from_bytes(raw[i:i + w], "little") - half for i in range(0, w * n, w)]
+    if den_a is None and den_b is None:
+        return {offset + i: c for i, c in enumerate(cs) if c}
+    den = (den_a or 1) * (den_b or 1)
+    return {offset + i: Fraction(c, den) for i, c in enumerate(cs) if c}
+
+
+def _integral(cs):
+    """(None, cs) for int coefficients, else (their lcm den, cs · den)."""
+    if all(type(c) is int for c in cs.values()):
+        return None, cs
+    den = math.lcm(*(c.denominator for c in cs.values()))
+    return den, {k: int(c * den) for k, c in cs.items()}
+
+
+def _biases(span, w, half):
+    """Σ half · 2^(8 w k) over 0 <= k < span."""
+    return int.from_bytes(half.to_bytes(w, "little") * span, "little")
+
+
+def _pack(cs, span, w, half):
+    """Σ cs[k] · 2^(8 w k) over 0 <= k < span, |cs[k]| < half: each slot is
+    packed as the bytes of cs[k] + half, and the biases are taken off once."""
+    mid = half.to_bytes(w, "little")
+    raw = b"".join([
+        mid if (c := cs.get(k)) is None else (c + half).to_bytes(w, "little")
+        for k in range(span)
+    ])
+    return int.from_bytes(raw, "little") - _biases(span, w, half)
 
 
 def power(x, k, one, mul=operator.mul):

@@ -178,6 +178,7 @@ def _parse_qp_measure(p, expr, prec, degree, depth):
             m = _int(dd, "depth")
         if m is None:
             raise ParseError("diracq needs @depthM or --depth")
+        _check_box(int(degree * p**m) + 1)
         return dirac_q(p, _frac(body), m, prec, degree)
     raise ParseError(f"cannot parse Q_p measure {expr!r}")
 

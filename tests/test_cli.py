@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -8,7 +9,7 @@ from padic_fourier.cli import JobSpec, run
 from padic_fourier.errors import ParseError
 
 
-def run_cli(args, env=None):
+def run_cli(args, env=None, timeout=None):
     import os
 
     full_env = dict(os.environ)
@@ -16,7 +17,7 @@ def run_cli(args, env=None):
         full_env.update(env)
     return subprocess.run(
         [sys.executable, "-m", "padic_fourier.cli", *args],
-        capture_output=True, text=True, env=full_env,
+        capture_output=True, text=True, env=full_env, timeout=timeout,
     )
 
 
@@ -126,6 +127,22 @@ class TestErrors:
 
     def test_fourier_combo_q_count_is_budgeted(self):
         out = run_cli(["fourier", "--p", "3", "--combo", "1@1/3", "--qmax", "1000000000"])
+        assert out.returncode == 3
+        assert "PADIC_FOURIER_MAX_BOX" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("args", [
+        ["integrate", "--f", "binom:1", "--mu", "diracq:1/2@depth24"],
+        ["convolve", "--mu1", "diracq:1/2@depth24", "--mu2", "Tt"],
+        ["wval", "--mu", "diracq:1/2@depth24"],
+    ])
+    def test_diracq_box_is_budgeted_before_it_is_built(self, args):
+        # 16 * 2^24 + 1 cells: building the measure first runs for minutes, so
+        # the timeout fails the test; the budget check itself takes
+        # milliseconds, the rest is interpreter start-up
+        start = time.monotonic()
+        out = run_cli([args[0], "--p", "2", *args[1:], "--degree", "16"], timeout=10)
+        assert time.monotonic() - start < 5
         assert out.returncode == 3
         assert "PADIC_FOURIER_MAX_BOX" in out.stderr
         assert "Traceback" not in out.stderr

@@ -12,8 +12,9 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from padic_fourier import _series
 from padic_fourier.ainf import AinfElt
 from padic_fourier.errors import ParseError, PreconditionError
 from padic_fourier.fourier import UnifFn
@@ -48,6 +49,67 @@ def below(degree):
 
 def degree_min(a, b):
     return a if b is None else b if a is None else min(a, b)
+
+
+# -- the product kernel ------------------------------------------------------
+
+
+def nonzero(terms):
+    return {q: c for q, c in terms.items() if c}
+
+
+COEFFS = st.one_of(
+    st.integers(-9, 9),
+    st.integers(-(2**130), 2**130),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)),
+)
+
+
+@st.composite
+def coeff_maps(draw):
+    lo = draw(st.integers(0, 40))
+    span = draw(st.sampled_from([0, 4, 16, 10**6]))  # dense to sparse
+    return draw(st.dictionaries(st.integers(lo, lo + span), COEFFS, max_size=24))
+
+
+@st.composite
+def kernel_cases(draw):
+    a = draw(coeff_maps())
+    b = a if draw(st.booleans()) else draw(coeff_maps())
+    least = min(a, default=0) + min(b, default=0)
+    bound = draw(st.one_of(
+        st.none(), st.just(0), st.integers(0, least),
+        st.integers(0, max(a, default=0) + max(b, default=0) + 2),
+    ))
+    return a, b, bound
+
+
+# Squares whose middle coefficient 3c^2 has a bit length divisible by 8: a
+# slot without room for the sign bit reads it back as negative.
+SQ_SMALL = {0: 8, 1: -8, 2: 8}  # middle coefficient 192
+SQ_WIDE = {5: 2**67, 6: 2**67, 7: 2**67}  # middle coefficient 3 * 2^134
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+@example((SQ_SMALL, SQ_SMALL, None))
+@example((SQ_WIDE, SQ_WIDE, None))
+@example((SQ_WIDE, dict(SQ_WIDE), 13))
+@example(({k: 1 for k in range(40)}, {0: Fraction(1, 3), 9: -2}, 30))  # dense
+@example(({0: 1, 10**6: 1}, {0: 1, 3: 1}, None))  # sparse: the pair loop
+@example(({}, {0: 1}, None))
+def test_kernel_product_matches_schoolbook(case):
+    a, b, bound = case
+    expect = schoolbook(a, b, lambda k: bound is None or k < bound)
+    assert nonzero(_series.mul(a, b, bound)) == nonzero(expect)
+
+
+def test_kernel_square_of_wide_sparse_series():
+    # keys {1, 3, 2^23 + 1}: packed densely, the square would take seconds
+    depth = 22
+    x = AinfElt(2, 8, depth, None, {1: 1, 3: 1, 2 ** (depth + 1) + 1: 1})
+    expect = schoolbook(ainf_terms(x), ainf_terms(x), below(None))
+    assert ainf_terms(x * x) == residues(expect, 2**8)
 
 
 # -- AinfElt ---------------------------------------------------------------
