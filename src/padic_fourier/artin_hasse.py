@@ -12,8 +12,10 @@ Both series come from identities that avoid composition:
     n e_n = Σ_{p^i <= n} e_{n - p^i}          (E' = E · d/dT Σ T^(p^i)/p^i)
     Σ_{i>=0} L^(p^i) / p^i = log(1 + T)        (take log of E(L) = 1 + T)
 
-the second solved by a Newton iteration whose only series operations are
-p-th powers and one division per round.
+the second solved by one Newton iteration, exact or mod p^N, whose only
+series operations are products: p-th powers, and one reciprocal step per
+round on an inverse of G'(L) carried from round to round, in place of a
+series division.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import (
     InternalConsistencyError,
     PreconditionError,
 )
-from .padic import is_prime, vp_int
+from .padic import is_prime
 from .witt import PerfSeries
 
 __all__ = [
@@ -52,31 +54,13 @@ def _mul_sparse(a, b, d, mod):
     return out if mod is None else {k: r for k, c in out.items() if (r := c % mod)}
 
 
-def _mul_trunc(a, b, d, mod=None):
-    return _series.dense(_mul_sparse(_series.sparse(a), _series.sparse(b), d, mod), d)
+def _mul_trunc(a, b, d):
+    return _series.dense(_series.mul(_series.sparse(a), _series.sparse(b), d), d)
 
 
-def _pow_trunc(a, k, d, mod=None):
-    out = _series.power(
-        _series.sparse(a), k, {0: 1}, lambda x, y: _mul_sparse(x, y, d, mod)
-    )
-    return _series.dense(out, d)
-
-
-def _div_trunc(a, b, d, mod=None):
-    """a / b for b with unit constant term (b_0 = 1, or invertible mod)."""
-    out = [0] * d
-    if mod is None:
-        inv0 = Fraction(1, 1) / b[0]
-    else:
-        inv0 = pow(b[0] % mod, -1, mod)
-    for n in range(d):
-        acc = a[n] if n < len(a) else 0
-        for j in range(1, n + 1):
-            if j < len(b) and b[j] and out[n - j]:
-                acc -= b[j] * out[n - j]
-        out[n] = acc * inv0 if mod is None else acc * inv0 % mod
-    return out
+def _residue(c, mod):
+    """A p-integral rational itself (mod None) or its residue mod ``mod``."""
+    return c if mod is None else c.numerator * pow(c.denominator, -1, mod) % mod
 
 
 class PIntegralSeries:
@@ -161,10 +145,7 @@ class PIntegralSeries:
 
     def residues(self, prec):
         """Coefficients as residues mod p^prec."""
-        mod = self.p**prec
-        return [
-            c.numerator * pow(c.denominator, -1, mod) % mod for c in self.coeffs
-        ]
+        return [_residue(c, self.p**prec) for c in self.coeffs]
 
     def reduce_mod_p(self, depth=0):
         """The mod-p reduction as a polynomial in t (on a depth-grid)."""
@@ -226,101 +207,76 @@ def artin_hasse_exp(p: int, degree: int) -> PIntegralSeries:
     return PIntegralSeries(p, degree, e).assert_p_integral()
 
 
-def _log1p(degree):
-    return [Fraction(0)] + [
-        Fraction((-1) ** (n + 1), n) for n in range(1, degree)
-    ]
+def _log_newton(p, degree, prec=None):
+    """Coefficients of L mod T^degree: exact over Q if prec is None, else
+    integers right mod p^prec.
+
+    Newton's method on G(L) = Σ_i L^(p^i)/p^i - log(1+T), the settled
+    degree s doubling each round.  Every sum is scaled by p^guard, the
+    largest power of p below degree, so p^(guard-i) and p^guard·log(1+T)
+    are p-integral.  Mod p^prec the scaled sums are taken mod
+    p^(prec+guard), as L^(p^i) mod p^(prec+i) depends only on L mod
+    p^prec, and the scaled residual must be divisible by p^guard.  The
+    inverse g of G'(L) = Σ L^(p^i - 1), which has constant term 1, is
+    carried across rounds: L moves only at orders >= s, so g, right mod
+    T^(s/2), stays right for the new L, and one step g <- g(2 - G'g) makes
+    it right mod T^(d-s), all that the update G/G' mod T^d needs.
+    """
+    guard = 0
+    while p ** (guard + 1) < degree:
+        guard += 1
+    scale = p**guard
+    mod, pmod = (None, None) if prec is None else (p ** (prec + guard), p**prec)
+    slog = {  # p^guard · log(1+T)
+        n: _residue(Fraction((-1) ** (n + 1) * scale, n), mod) for n in range(1, degree)
+    }
+    L, g, s = {1: 1}, {0: 1}, 2
+    while s < degree:
+        d = min(2 * s, degree)
+        mul = functools.partial(_mul_sparse, d=d, mod=mod)
+        H = {n: -c for n, c in slog.items() if n < d}  # p^guard · G(L)
+        Gp = {}  # G'(L)
+        P, Q, i = L, {0: 1}, 0  # L^(p^i), L^(p^i - 1)
+        while p**i < d:
+            if i:
+                R = _series.power(P, p - 1, {0: 1}, mul)
+                P, Q = mul(R, P), mul(R, Q)
+            for k, c in P.items():
+                H[k] = H.get(k, 0) + scale // p**i * c
+            for k, c in Q.items():
+                Gp[k] = Gp.get(k, 0) + c
+            i += 1
+        r = {k: -c for k, c in _mul_sparse(Gp, g, d - s, pmod).items()}
+        r[0] = r.get(0, 0) + 2
+        g = _mul_sparse(g, r, d - s, pmod)
+        G = {}
+        for k, c in H.items():
+            c = Fraction(c, scale)
+            if c.denominator % p == 0:
+                raise InternalConsistencyError(
+                    "scaled Newton residual not divisible by the guard power"
+                )
+            G[k] = _residue(c, pmod)
+        for k, c in _mul_sparse(G, g, d, pmod).items():
+            L[k] = L.get(k, 0) - c
+        s = d
+    return tuple(L.get(n, 0) for n in range(degree))
 
 
 @functools.lru_cache(maxsize=None)
 def artin_hasse_log(p: int, degree: int) -> PIntegralSeries:
-    """L(T) with E(L(T)) = 1 + T, mod T^degree; L(T) = T + O(T^2).
-
-    Solved from Σ_{i>=0} L^(p^i)/p^i = log(1+T) by a Newton iteration:
-    the update divides G(L) by G'(L) = Σ L^(p^i - 1), so each round costs
-    a few p-th powers and one series division, never a composition.
-    """
-    log1p = _log1p(degree)
-    L = [Fraction(0), Fraction(1)] + [Fraction(0)] * (degree - 2)
-    settled = 2
-    while settled < degree:
-        settled = min(settled * 2, degree)
-        d = settled
-        # Q_i = L^(p^i - 1) via Q_(i+1) = Q_i^p * L^(p-1); P_i = Q_i * L
-        Lp1 = _pow_trunc(L[:d], p - 1, d)
-        G = [-log1p[n] for n in range(d)]
-        Gp = [Fraction(0)] * d
-        Q = [Fraction(1)] + [Fraction(0)] * (d - 1)
-        i = 0
-        while p**i <= d:
-            if i > 0:
-                Q = _mul_trunc(_pow_trunc(Q, p, d), Lp1, d)
-            P = _mul_trunc(Q, L[:d], d)
-            sc = Fraction(1, p**i)
-            for n in range(d):
-                if P[n]:
-                    G[n] += P[n] * sc
-                if Q[n]:
-                    Gp[n] += Q[n]
-            i += 1
-        delta = _div_trunc(G, Gp, d)
-        L = [L[n] - delta[n] for n in range(d)] + [Fraction(0)] * (degree - d)
-    return PIntegralSeries(p, degree, L[:degree]).assert_p_integral()
+    """L(T) with E(L(T)) = 1 + T, mod T^degree; L(T) = T + O(T^2), exactly
+    over Q, from Σ_{i>=0} L^(p^i)/p^i = log(1+T) (see ``_log_newton``)."""
+    return PIntegralSeries(p, degree, _log_newton(p, degree))
 
 
 @functools.lru_cache(maxsize=None)
 def artin_hasse_log_mod(p: int, degree: int, prec: int) -> tuple:
-    """Residues of L mod (p^prec, T^degree), by the same Newton iteration
-    run over scaled integers.
-
-    Working precision carries ceil(log_p degree) guard digits so that the
-    non-integral intermediates Σ L^(p^i)/p^i - log(1+T) can be formed as
-    exact multiples of p^guard.
-    """
-    guard = 0
-    while p**guard < degree:
-        guard += 1
-    W = prec + guard
-    mod = p**W
-    scale = p**guard
-    # p^guard * log(1+T) is p-integral below T^degree
-    slog = [0] * degree
-    for n in range(1, degree):
-        v = vp_int(n, p)
-        u = n // p**v
-        slog[n] = (-1) ** (n + 1) * (scale // p**v) * pow(u, -1, mod) % mod
-    L = [0, 1] + [0] * (degree - 2)
-    pmod = p**prec
-    settled = 2
-    while settled < degree:
-        settled = min(settled * 2, degree)
-        d = settled
-        Lp1 = _pow_trunc(L[:d], p - 1, d, mod)
-        H = [(-slog[n]) % mod for n in range(d)]  # p^guard * G(L)
-        Gp = [0] * d
-        Q = [1] + [0] * (d - 1)
-        i = 0
-        while p**i <= d:
-            if i > 0:
-                Q = _mul_trunc(_pow_trunc(Q, p, d, mod), Lp1, d, mod)
-            P = _mul_trunc(Q, L[:d], d, mod)
-            sc = scale // p**i
-            for n in range(d):
-                if P[n]:
-                    H[n] = (H[n] + sc * P[n]) % mod
-                if Q[n]:
-                    Gp[n] = (Gp[n] + Q[n]) % pmod
-            i += 1
-        G = []
-        for n, c in enumerate(H):
-            if c % scale:
-                raise InternalConsistencyError(
-                    "scaled Newton residual not divisible by the guard power"
-                )
-            G.append(c // scale % pmod)
-        delta = _div_trunc(G, Gp, d, pmod)
-        L = [(L[n] - delta[n]) % mod for n in range(d)] + [0] * (degree - d)
-    return tuple(c % pmod for c in L[:degree])
+    """Residues of L mod (p^prec, T^degree), prec >= 1, from the same Newton
+    solve as ``artin_hasse_log`` run over scaled integers."""
+    if prec < 1:
+        raise PreconditionError(f"precision must be >= 1, got {prec}")
+    return tuple(c % p**prec for c in _log_newton(p, degree, prec))
 
 
 def _apply_residues(coeffs, x: AinfElt) -> AinfElt:
@@ -330,13 +286,16 @@ def _apply_residues(coeffs, x: AinfElt) -> AinfElt:
     )
 
 
-def apply_series(series: PIntegralSeries, x: AinfElt, terms=None) -> AinfElt:
-    """Substitute a measure with w(x) > 0 into a p-integral series.
+def _terms_needed(prec, degree, w):
+    """Series terms a substitution of x with w(x) >= w > 0 must keep in the
+    box (prec, degree): from ceil((N + ceil(D))/w) + 1 on, every
+    contribution has either exponent >= D or valuation >= N."""
+    return math.ceil(Fraction(prec + math.ceil(degree)) / Fraction(w)) + 1
 
-    The number of series terms needed is ceil((N + D)/w(x)) + 1: beyond it
-    every contribution has either exponent >= D or valuation >= N.
-    """
-    p = x.p
+
+def apply_series(series: PIntegralSeries, x: AinfElt) -> AinfElt:
+    """Substitute a measure with w(x) > 0 into a p-integral series, which
+    must be known to the degree that ``_terms_needed`` asks for."""
     if x.shift != 0:
         raise PreconditionError("substitution needs integral coefficients")
     if x.degree is None:
@@ -344,13 +303,12 @@ def apply_series(series: PIntegralSeries, x: AinfElt, terms=None) -> AinfElt:
     w0 = x.w_floor()
     if w0 <= 0:
         raise PreconditionError("substitution needs w(x) > 0")
-    need = math.ceil(Fraction(x.prec + math.ceil(x.degree)) / Fraction(w0)) + 1
-    if terms is None and series.degree < min(need, len(series.coeffs)):
+    need = _terms_needed(x.prec, x.degree, w0)
+    if series.degree < need:
         raise BoxExhausted(
             f"series known to degree {series.degree}, substitution needs {need}"
         )
-    k_max = min(need if terms is None else terms, series.degree)
-    return _apply_residues(series.residues(x.prec)[:k_max], x)
+    return _apply_residues(series.residues(x.prec)[:need], x)
 
 
 def canonical_measure(p, stage, depth, prec, degree):
@@ -374,9 +332,7 @@ def canonical_measure(p, stage, depth, prec, degree):
         )
     else:
         tn = dirac_q(p, Fraction(1, p**stage), depth, prec, degree) - 1
-        w0 = tn.w_floor()
-        need = math.ceil(Fraction(prec + math.ceil(degree)) / Fraction(w0)) + 1
-        L = artin_hasse_log_mod(p, need, prec)
+        L = artin_hasse_log_mod(p, _terms_needed(prec, degree, tn.w_floor()), prec)
         inner = _apply_residues(L, tn)
     return inner ** (p**stage)
 

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from padic_fourier.ainf import AinfElt, dirac_q
@@ -139,6 +140,14 @@ class TestCanonicalMeasure:
         assert all(d2 >= d1 for d1, d2 in zip(dists, dists[1:]))
         assert dists[0] < dists[-1]
 
+    def test_apply_series_rejects_a_short_series(self):
+        # Tt^(1/2) in the box (2^6, q < 4) needs 21 terms of E, not 4
+        x = AinfElt.monomial(2, Fraction(1, 2), 6, 4)
+        with pytest.raises(BoxExhausted):
+            apply_series(artin_hasse_exp(2, 4), x)
+        y = apply_series(artin_hasse_exp(2, 21), x)
+        assert {q.as_fraction(): c for q, c in y.items_sexp()}[Fraction(2)] == 22
+
     def test_depth_below_stage_rejected(self):
         with pytest.raises(BoxExhausted):
             canonical_measure(3, 2, 1, 3, 2)
@@ -187,3 +196,19 @@ def test_log_mod_matches_exact_series(p, degree):
     exact = artin_hasse_log(p, degree)
     for prec in (1, 3, 6, 10):
         assert artin_hasse_log_mod(p, degree, prec) == tuple(exact.residues(prec))
+
+
+@pytest.mark.parametrize("p, degree, prec", [
+    (2, 113, 10), (2, 257, 12), (2, 321, 8), (3, 217, 6), (5, 176, 6), (7, 65, 5),
+])
+def test_log_mod_inverts_exp_mod_p_n(p, degree, prec):
+    """E(L) = 1 + T mod (p^prec, T^degree), by Horner over Z/p^prec with E
+    from its coefficient recurrence: no Newton step, no series kernel."""
+    mod = p**prec
+    e = artin_hasse_exp(p, degree).residues(prec)
+    L = np.array(artin_hasse_log_mod(p, degree, prec), dtype=np.int64)
+    out = np.array([e[-1]], dtype=np.int64)
+    for c in reversed(e[:-1]):  # int64 is exact: degree · mod^2 < 2^63
+        out = np.convolve(out, L)[:degree] % mod
+        out[0] = (out[0] + c) % mod
+    assert out.tolist() == [1, 1] + [0] * (degree - 2)

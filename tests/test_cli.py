@@ -125,6 +125,11 @@ class TestErrors:
         )
         assert out.returncode == 3
 
+    @pytest.mark.parametrize("prec", ["0", "-3"])
+    def test_mucan_nonpositive_prec_exit_3(self, prec):
+        out = run_cli(["mucan", "--p", "2", "--stage", "1", "--prec", prec])
+        assert out.returncode == 3 and "Traceback" not in out.stderr
+
     def test_fourier_combo_q_count_is_budgeted(self):
         out = run_cli(["fourier", "--p", "3", "--combo", "1@1/3", "--qmax", "1000000000"])
         assert out.returncode == 3

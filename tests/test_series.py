@@ -88,6 +88,10 @@ def kernel_cases(draw):
 # slot without room for the sign bit reads it back as negative.
 SQ_SMALL = {0: 8, 1: -8, 2: 8}  # middle coefficient 192
 SQ_WIDE = {5: 2**67, 6: 2**67, 7: 2**67}  # middle coefficient 3 * 2^134
+# The same past the density rule's factor, so the kernel packs them: 16 equal
+# terms c, middle coefficient 16c^2.
+SQ_PACKED = {k: 48 for k in range(16)}  # 36864, 16 bits
+SQ_PACKED_WIDE = {k: 48 << 64 for k in range(16)}  # 36864 * 2^128, 144 bits
 
 
 @settings(max_examples=300, deadline=None)
@@ -95,7 +99,10 @@ SQ_WIDE = {5: 2**67, 6: 2**67, 7: 2**67}  # middle coefficient 3 * 2^134
 @example((SQ_SMALL, SQ_SMALL, None))
 @example((SQ_WIDE, SQ_WIDE, None))
 @example((SQ_WIDE, dict(SQ_WIDE), 13))
-@example(({k: 1 for k in range(40)}, {0: Fraction(1, 3), 9: -2}, 30))  # dense
+@example((SQ_PACKED, SQ_PACKED, None))
+@example((SQ_PACKED_WIDE, dict(SQ_PACKED_WIDE), 20))
+@example(({k: 1 for k in range(40)}, {0: Fraction(1, 3), 9: -2}, 30))  # dense, paired
+@example(({k: 1 for k in range(40)}, {k: Fraction(k, 3) for k in range(10)}, 30))  # packed
 @example(({0: 1, 10**6: 1}, {0: 1, 3: 1}, None))  # sparse: the pair loop
 @example(({}, {0: 1}, None))
 def test_kernel_product_matches_schoolbook(case):
