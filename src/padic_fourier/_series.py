@@ -221,12 +221,35 @@ def encode_terms(p, depth, coeffs):
 
 
 def decode_terms(p, depth, terms):
-    """Coefficient map on the 1/p^depth grid from JSON terms; an exponent
-    off that grid (``logden > depth`` in lowest terms) is a ParseError."""
+    """Coefficient map on the 1/p^depth grid from JSON terms; a term that is
+    not ``{"q": {"num", "logden"}, "coeff"}`` with integer entries, or an
+    exponent off that grid (``logden > depth`` in lowest terms), is a
+    ParseError."""
+    if not isinstance(terms, list):
+        raise ParseError(f"terms must be a list, not {type(terms).__name__}")
     cs = {}
     for term in terms:
-        q = SExponent.from_json(p, term["q"])
+        q = json_field(term, "q")
+        q = SExponent(p, json_int(q, "num"), json_int(q, "logden"))
         if q.logden > depth:
             raise ParseError(f"exponent {q} is off the 1/{p}^{depth} grid")
-        cs[q.num * p ** (depth - q.logden)] = term["coeff"]
+        cs[q.num * p ** (depth - q.logden)] = json_int(term, "coeff")
     return cs
+
+
+def json_field(doc, key):
+    """``doc[key]`` of a JSON object; a missing key, or a ``doc`` that is no
+    object, is a ParseError."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ParseError(f"missing {key!r} in a JSON document")
+    return doc[key]
+
+
+def json_int(doc, key, low=None):
+    """``doc[key]`` as an integer of at least ``low``; a missing key, a bool,
+    any other non-integer or a smaller value is a ParseError."""
+    value = json_field(doc, key)
+    if type(value) is not int or (low is not None and value < low):
+        need = "an integer" if low is None else f"an integer >= {low}"
+        raise ParseError(f"bad {key} {value!r}: need {need}")
+    return value

@@ -274,11 +274,14 @@ class AinfElt:
 
     @classmethod
     def from_json(cls, doc):
-        p = doc["p"]
-        depth = doc["depth"]
-        degree = _series.decode_degree(p, doc["degree"])
-        cs = _series.decode_terms(p, depth, doc["terms"])
-        return cls(p, doc["prec"], depth, degree, cs, shift=doc.get("shift", 0))
+        """The measure of a ``to_json`` document; a missing key, a non-integer
+        field or coefficient, or prec < 1 is a ParseError."""
+        p, depth = _series.json_int(doc, "p"), _series.json_int(doc, "depth")
+        prec = _series.json_int(doc, "prec", low=1)
+        degree = _series.decode_degree(p, _series.json_field(doc, "degree"))
+        cs = _series.decode_terms(p, depth, _series.json_field(doc, "terms"))
+        shift = _series.json_int(doc, "shift") if "shift" in doc else 0
+        return cls(p, prec, depth, degree, cs, shift=shift)
 
 
 def dirac_q(p, s, depth, prec, degree):

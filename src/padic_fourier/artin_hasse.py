@@ -89,9 +89,6 @@ class PIntegralSeries:
     def __setattr__(self, name, value):
         raise AttributeError("PIntegralSeries is immutable")
 
-    def truncate(self, degree):
-        return PIntegralSeries(self.p, degree, self.coeffs[:degree], check=False)
-
     def __add__(self, other):
         d = min(self.degree, other.degree)
         return PIntegralSeries(
@@ -128,12 +125,6 @@ class PIntegralSeries:
             out = _mul_trunc(out, inner.coeffs, d)
             out[0] += self.coeffs[n]
         return PIntegralSeries(self.p, d, out, check=False)
-
-    def derivative(self):
-        return PIntegralSeries(
-            self.p, max(self.degree - 1, 1),
-            [self.coeffs[n] * n for n in range(1, self.degree)], check=False,
-        )
 
     def assert_p_integral(self):
         for n, c in enumerate(self.coeffs):
@@ -204,7 +195,7 @@ def artin_hasse_exp(p: int, degree: int) -> PIntegralSeries:
             acc += e[n - p**i]
             i += 1
         e[n] = acc / n
-    return PIntegralSeries(p, degree, e).assert_p_integral()
+    return PIntegralSeries(p, degree, e)
 
 
 def _log_newton(p, degree, prec=None):

@@ -20,8 +20,9 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 
-from . import __version__
+from . import __version__, _series
 from .ainf import AinfElt, dirac_q
 from .artin_hasse import canonical_measure
 from .errors import (
@@ -29,6 +30,7 @@ from .errors import (
     PadicFourierError,
     ParseError,
     PreconditionError,
+    PrimeMismatch,
 )
 from .fourier import UnifFn, forward_transform, forward_transform_diracs, integrate_unif
 from .iwasawa import (
@@ -47,25 +49,6 @@ from .iwasawa import (
 from .padic import LowerBound, PadicScalar, SExponent, is_prime
 from .witt import PerfSeries, teichmuller
 
-COMMANDS = (
-    "mahler", "integrate", "convolve", "ball", "wval", "dirac",
-    "teich", "mucan", "fourier", "orthocheck", "idealcheck",
-)
-
-_KNOWN_KEYS = {
-    "mahler": {"p", "samples", "prec"},
-    "integrate": {"p", "f", "mu", "prec", "degree", "depth"},
-    "convolve": {"p", "mu1", "mu2", "prec", "degree", "depth"},
-    "ball": {"p", "mu", "a", "h", "prec", "degree", "depth"},
-    "wval": {"p", "mu", "prec", "degree", "depth"},
-    "dirac": {"p", "a", "s", "prec", "degree", "depth"},
-    "teich": {"p", "x", "digits", "degree"},
-    "mucan": {"p", "stage", "prec", "depth", "degree"},
-    "fourier": {"p", "mu", "combo", "qmax", "qdepth", "prec", "degree", "depth"},
-    "orthocheck": {"p", "mode", "imax", "qmax", "qdepth", "prec", "seed"},
-    "idealcheck": {"p", "N", "scan"},
-}
-
 
 @dataclass
 class JobSpec:
@@ -76,11 +59,11 @@ class JobSpec:
     fmt: str = "json"
 
     def validate(self):
-        if self.command not in COMMANDS:
+        if self.command not in _COMMANDS:
             raise ParseError(f"unknown command {self.command!r}")
         if self.fmt not in ("json", "pretty"):
             raise ParseError(f"unknown format {self.fmt!r}")
-        unknown = set(self.params) - _KNOWN_KEYS[self.command]
+        unknown = set(self.params) - {"p", *_COMMANDS[self.command][1]}
         if unknown:
             raise ParseError(
                 f"unknown parameter(s) for {self.command}: {sorted(unknown)}"
@@ -115,15 +98,15 @@ def _int(text, what, sep=None):
         raise ParseError(f"bad {what} {text!r}")
 
 
-def _load_doc(expr):
-    """The JSON object of an ``@path`` measure argument."""
+def _load_doc(path):
+    """The JSON object in the file ``path``: an ``@path`` measure or ``--in``."""
     try:
-        with open(expr.strip()[1:]) as fh:
+        with open(path) as fh:
             doc = json.load(fh)
     except (OSError, ValueError) as e:
-        raise ParseError(f"cannot read {expr!r}: {e}")
+        raise ParseError(f"cannot read {path!r}: {e}")
     if not isinstance(doc, dict):
-        raise ParseError(f"{expr!r} is not a JSON object")
+        raise ParseError(f"{path!r} is not a JSON object")
     return doc
 
 
@@ -137,33 +120,41 @@ def _frac(text) -> Fraction:
         raise ParseError(f"bad rational {text!r}: {e}")
 
 
-def _parse_zp_measure(p, expr, prec, degree):
+def _parse_measure(p, expr, prec, degree, depth, qp):
+    """The measure ``expr`` on Q_p (an AinfElt) if ``qp``, else on Z_p (an
+    IwasawaElt); its box must fit the cap, and a document's prime be ``p``."""
     expr = expr.strip()
+    if qp:
+        degree = _frac(degree)
+        mu = _parse_qp_measure(p, expr, prec, degree, depth)
+        _check_box(int(degree * p**mu.depth) + 1)
+    else:
+        mu = _parse_zp_measure(p, expr, prec, _int(degree, "--degree"))
+    if mu.p != p:
+        raise PrimeMismatch(f"{expr!r} is a measure at p = {mu.p}, not {p}")
+    return mu
+
+
+def _parse_zp_measure(p, expr, prec, degree):
     if expr.startswith("@"):
-        return IwasawaElt.from_json(_load_doc(expr))
+        doc = _load_doc(expr[1:])
+        _check_box(_series.json_int(doc, "degree"))
+        return IwasawaElt.from_json(doc)
+    _check_box(degree)
     if expr == "1":
         return IwasawaElt.one(p, prec, degree)
     if expr == "T":
         return IwasawaElt.monomial(p, 1, prec, degree)
     if expr.startswith("T^"):
-        try:
-            m = int(expr[2:])
-        except ValueError:
-            raise ParseError(f"bad monomial {expr!r}")
-        return IwasawaElt.monomial(p, m, prec, degree)
+        return IwasawaElt.monomial(p, _int(expr[2:], "monomial"), prec, degree)
     if expr.startswith("dirac:"):
-        try:
-            a = int(expr[6:])
-        except ValueError:
-            raise ParseError(f"bad dirac point {expr!r}")
-        return dirac(a, degree, prec, p=p)
+        return dirac(_int(expr[6:], "dirac point"), degree, prec, p=p)
     raise ParseError(f"cannot parse Z_p measure {expr!r}")
 
 
 def _parse_qp_measure(p, expr, prec, degree, depth):
-    expr = expr.strip()
     if expr.startswith("@"):
-        return AinfElt.from_json(_load_doc(expr))
+        return AinfElt.from_json(_load_doc(expr[1:]))
     if expr == "1":
         return AinfElt.one(p, prec, degree)
     if expr == "Tt":
@@ -186,7 +177,7 @@ def _parse_qp_measure(p, expr, prec, degree, depth):
 def _is_qp_expr(expr):
     expr = expr.strip()
     if expr.startswith("@"):
-        return "terms" in _load_doc(expr)  # a Z_p document lists "coeffs"
+        return "terms" in _load_doc(expr[1:])  # a Z_p document lists "coeffs"
     return expr.startswith(("Tt", "diracq:")) or "@depth" in expr
 
 
@@ -240,6 +231,10 @@ def _scalar_doc(x: PadicScalar):
     return {"value": x.to_json(), "pretty": str(x)}
 
 
+def _measure_doc(mu):
+    return {"measure": mu.to_json(), "pretty": str(mu)}
+
+
 def _wval_doc(w):
     if isinstance(w, LowerBound):
         b = w.bound
@@ -271,62 +266,40 @@ def _cmd_mahler(pr):
 def _cmd_integrate(pr):
     p = pr["p"]
     prec = _int(pr.get("prec", 12), "--prec")
-    degree = pr.get("degree", 16)
-    depth = pr.get("depth")
-    f_expr, mu_expr = str(pr["f"]), str(pr["mu"])
-    f = _parse_function(p, f_expr, prec)
-    if isinstance(f, UnifFn) or _is_qp_expr(mu_expr):
-        if not isinstance(f, UnifFn):
-            # lift a Z_p basis function to the Q_p side
-            f = UnifFn(p, prec, 0, dict(f.coeffs), exact_tail=True)
-        mu = _parse_qp_measure(p, mu_expr, prec, _frac(degree), depth)
-        _check_box(int(_frac(degree) * p ** mu.depth) + 1)
-        val = integrate_unif(f, mu)
-    else:
-        degree = _int(degree, "--degree")
-        mu = _parse_zp_measure(p, mu_expr, prec, degree)
-        _check_box(degree)
-        val = integrate(f, mu)
-    return _scalar_doc(val)
+    f, mu_expr = _parse_function(p, str(pr["f"]), prec), str(pr["mu"])
+    qp = isinstance(f, UnifFn) or _is_qp_expr(mu_expr)
+    mu = _parse_measure(p, mu_expr, prec, pr.get("degree", 16), pr.get("depth"), qp)
+    if qp and isinstance(f, MahlerFn):
+        # lift a Z_p basis function to the Q_p side
+        f = UnifFn(p, prec, 0, dict(f.coeffs), exact_tail=True)
+    return _scalar_doc((integrate_unif if qp else integrate)(f, mu))
 
 
 def _cmd_convolve(pr):
     p = pr["p"]
     prec = _int(pr.get("prec", 8), "--prec")
-    degree = pr.get("degree", 16)
-    depth = pr.get("depth")
-    e1, e2 = str(pr["mu1"]), str(pr["mu2"])
-    if _is_qp_expr(e1) or _is_qp_expr(e2):
-        m1 = _parse_qp_measure(p, e1, prec, _frac(degree), depth)
-        m2 = _parse_qp_measure(p, e2, prec, _frac(degree), depth)
-    else:
-        degree = _int(degree, "--degree")
-        m1 = _parse_zp_measure(p, e1, prec, degree)
-        m2 = _parse_zp_measure(p, e2, prec, degree)
-    out = m1 * m2
-    return {"measure": out.to_json(), "pretty": str(out)}
+    exprs = str(pr["mu1"]), str(pr["mu2"])
+    qp = any(map(_is_qp_expr, exprs))
+    m1, m2 = (
+        _parse_measure(p, e, prec, pr.get("degree", 16), pr.get("depth"), qp)
+        for e in exprs
+    )
+    return _measure_doc(m1 * m2)
 
 
 def _cmd_ball(pr):
     p = pr["p"]
     prec = _int(pr.get("prec", 8), "--prec")
-    degree = _int(pr.get("degree", 16), "--degree")
-    _check_box(degree)
-    mu = _parse_zp_measure(p, str(pr["mu"]), prec, degree)
-    val = mu.ball_measure(_int(pr["a"], "--a"), _int(pr["h"], "--h"))
-    return _scalar_doc(val)
+    mu = _parse_measure(p, str(pr["mu"]), prec, pr.get("degree", 16), None, False)
+    return _scalar_doc(mu.ball_measure(_int(pr["a"], "--a"), _int(pr["h"], "--h")))
 
 
 def _cmd_wval(pr):
-    p = pr["p"]
-    prec = _int(pr.get("prec", 8), "--prec")
-    degree = pr.get("degree", 16)
-    depth = pr.get("depth")
     expr = str(pr["mu"])
-    if _is_qp_expr(expr):
-        mu = _parse_qp_measure(p, expr, prec, _frac(degree), depth)
-    else:
-        mu = _parse_zp_measure(p, expr, prec, _int(degree, "--degree"))
+    prec = _int(pr.get("prec", 8), "--prec")
+    mu = _parse_measure(
+        pr["p"], expr, prec, pr.get("degree", 16), pr.get("depth"), _is_qp_expr(expr)
+    )
     return _wval_doc(mu.w_valuation())
 
 
@@ -337,12 +310,10 @@ def _cmd_dirac(pr):
         depth = _int(pr.get("depth", 0), "--depth")
         degree = _frac(pr.get("degree", 4))
         _check_box(int(degree * p**depth) + 1)
-        out = dirac_q(p, _frac(pr["s"]), depth, prec, degree)
-        return {"measure": out.to_json(), "pretty": str(out)}
+        return _measure_doc(dirac_q(p, _frac(pr["s"]), depth, prec, degree))
     degree = _int(pr.get("degree", 16), "--degree")
     _check_box(degree)
-    out = dirac(_int(pr["a"], "--a"), degree, prec, p=p)
-    return {"measure": out.to_json(), "pretty": str(out)}
+    return _measure_doc(dirac(_int(pr["a"], "--a"), degree, prec, p=p))
 
 
 def _cmd_teich(pr):
@@ -351,8 +322,7 @@ def _cmd_teich(pr):
     x = _parse_perfseries(p, str(pr["x"]))
     if "degree" in pr:
         x = PerfSeries(p, x.depth, _frac(pr["degree"]), dict(x.coeffs))
-    out = teichmuller(x, digits)
-    return {"measure": out.to_json(), "pretty": str(out)}
+    return _measure_doc(teichmuller(x, digits))
 
 
 def _cmd_mucan(pr):
@@ -362,8 +332,7 @@ def _cmd_mucan(pr):
     depth = _int(pr.get("depth", stage), "--depth")
     degree = _frac(pr.get("degree", 2))
     _check_box(int(degree * p**depth) + 1)
-    out = canonical_measure(p, stage, depth, prec, degree)
-    return {"measure": out.to_json(), "pretty": str(out)}
+    return _measure_doc(canonical_measure(p, stage, depth, prec, degree))
 
 
 def _cmd_fourier(pr):
@@ -383,10 +352,8 @@ def _cmd_fourier(pr):
         ]
         out = forward_transform_diracs(p, combo, qs, prec)
     else:
-        degree = _frac(pr.get("degree", 4))
-        depth = pr.get("depth")
-        mu = _parse_qp_measure(p, str(pr["mu"]), prec, degree, depth)
-        out = forward_transform(mu)
+        degree, depth = pr.get("degree", 4), pr.get("depth")
+        out = forward_transform(_parse_measure(p, str(pr["mu"]), prec, degree, depth, True))
     return {
         "coefficients": [
             {"q": q.to_json(), "value": v.to_json()}
@@ -485,41 +452,32 @@ def _cmd_idealcheck(pr):
     return doc
 
 
-_HANDLERS = {
-    "mahler": _cmd_mahler,
-    "integrate": _cmd_integrate,
-    "convolve": _cmd_convolve,
-    "ball": _cmd_ball,
-    "wval": _cmd_wval,
-    "dirac": _cmd_dirac,
-    "teich": _cmd_teich,
-    "mucan": _cmd_mucan,
-    "fourier": _cmd_fourier,
-    "orthocheck": _cmd_orthocheck,
-    "idealcheck": _cmd_idealcheck,
+# name -> (handler, flags besides --p); the parser, JobSpec.validate and run
+# all read this one table
+_COMMANDS = {
+    "mahler": (_cmd_mahler, ("samples", "prec")),
+    "integrate": (_cmd_integrate, ("f", "mu", "prec", "degree", "depth")),
+    "convolve": (_cmd_convolve, ("mu1", "mu2", "prec", "degree", "depth")),
+    "ball": (_cmd_ball, ("mu", "a", "h", "prec", "degree")),
+    "wval": (_cmd_wval, ("mu", "prec", "degree", "depth")),
+    "dirac": (_cmd_dirac, ("a", "s", "prec", "degree", "depth")),
+    "teich": (_cmd_teich, ("x", "digits", "degree")),
+    "mucan": (_cmd_mucan, ("stage", "prec", "depth", "degree")),
+    "fourier": (_cmd_fourier, ("mu", "combo", "qmax", "qdepth", "prec", "degree", "depth")),
+    "orthocheck": (_cmd_orthocheck, ("mode", "imax", "qmax", "qdepth", "prec")),
+    "idealcheck": (_cmd_idealcheck, ("N", "scan")),
 }
 
 
 def run(job: JobSpec) -> dict:
-    """Execute a fully specified job; identical jobs give identical output."""
-    job.validate()
-    params = dict(job.params)
-    if job.in_path:
-        with open(job.in_path) as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
-            raise ParseError("--in document must be a JSON object")
-        unknown = set(loaded) - _KNOWN_KEYS[job.command]
-        if unknown:
-            raise ParseError(f"unknown key(s) in --in document: {sorted(unknown)}")
-        for k, v in loaded.items():
-            params.setdefault(k, v)
-    job2 = JobSpec(job.command, params, None, job.out_path, job.fmt)
-    job2.validate()
+    """Execute a fully specified job; identical jobs give identical output.
+    Keys of the ``--in`` document fill in the parameters the job lacks."""
+    params = {**_load_doc(job.in_path), **job.params} if job.in_path else dict(job.params)
+    JobSpec(job.command, params, fmt=job.fmt).validate()
     params["p"] = _int(params.get("p"), "--p")
     if not is_prime(params["p"]):
         raise PreconditionError(f"p = {params['p']} is not prime")
-    return _HANDLERS[job.command](params)
+    return _COMMANDS[job.command][0](params)
 
 
 def _render(doc: dict, fmt: str) -> str:
@@ -542,26 +500,11 @@ def _build_parser():
     )
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-    specs = {
-        "mahler": ["--samples"],
-        "integrate": ["--f", "--mu"],
-        "convolve": ["--mu1", "--mu2"],
-        "ball": ["--mu", "--a", "--h"],
-        "wval": ["--mu"],
-        "dirac": ["--a", "--s"],
-        "teich": ["--x", "--digits"],
-        "mucan": ["--stage"],
-        "fourier": ["--mu", "--combo", "--qmax", "--qdepth"],
-        "orthocheck": ["--mode", "--imax", "--qmax", "--qdepth"],
-        "idealcheck": ["--N", "--scan"],
-    }
-    for cmd, extra in specs.items():
+    for cmd, (_, flags) in _COMMANDS.items():
         sp = sub.add_parser(cmd)
         sp.add_argument("--p", required=True)
-        for flag in extra:
-            sp.add_argument(flag)
-        for flag in ("--prec", "--degree", "--depth", "--seed"):
-            sp.add_argument(flag)
+        for flag in flags:
+            sp.add_argument(f"--{flag}")
         sp.add_argument("--format", default="json", choices=["json", "pretty"])
         sp.add_argument("--in", dest="in_path")
         sp.add_argument("--out", dest="out_path")
@@ -569,13 +512,11 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
-    ns = ap.parse_args(argv)
-    params = {}
-    for key, val in vars(ns).items():
-        if key in ("command", "format", "in_path", "out_path", "seed") or val is None:
-            continue
-        params[key] = val
+    ns = _build_parser().parse_args(argv)
+    params = {
+        key: val for key, val in vars(ns).items()
+        if key not in ("command", "format", "in_path", "out_path") and val is not None
+    }
     job = JobSpec(
         ns.command, params, in_path=ns.in_path, out_path=ns.out_path, fmt=ns.format
     )
@@ -586,8 +527,7 @@ def main(argv=None) -> int:
         return e.exit_code
     text = _render(doc, job.fmt)
     if job.out_path:
-        with open(job.out_path, "w") as fh:
-            fh.write(text)
+        Path(job.out_path).write_text(text)
     else:
         sys.stdout.write(text)
     return 0

@@ -22,6 +22,7 @@ import math
 from . import _series
 from .errors import (
     BoxExhausted,
+    ParseError,
     PrecisionExhausted,
     PreconditionError,
     PrimeMismatch,
@@ -327,10 +328,14 @@ class IwasawaElt:
 
     @classmethod
     def from_json(cls, doc):
-        return cls(
-            doc["p"], doc["prec"], doc["degree"], doc["coeffs"],
-            exact_tail=doc.get("exact_tail", False),
-        )
+        """The measure of a ``to_json`` document; a missing key, a non-integer
+        field or coefficient, or prec < 1 is a ParseError."""
+        p, degree = _series.json_int(doc, "p"), _series.json_int(doc, "degree")
+        prec = _series.json_int(doc, "prec", low=1)
+        coeffs = _series.json_field(doc, "coeffs")
+        if not isinstance(coeffs, list) or any(type(c) is not int for c in coeffs):
+            raise ParseError("coeffs must be a list of integers")
+        return cls(p, prec, degree, coeffs, exact_tail=doc.get("exact_tail", False))
 
 
 def _ball_residues(coeffs, r, mod):

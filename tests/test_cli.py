@@ -1,11 +1,13 @@
 import json
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from padic_fourier.cli import JobSpec, run
+from padic_fourier.cli import JobSpec, main, run
 from padic_fourier.errors import ParseError
 
 
@@ -192,3 +194,95 @@ def test_flag_values_map_to_documented_exit_codes(capsys, argv, code):
 
     assert main(argv) == code
     capsys.readouterr()
+
+
+ZP_DOC = {"p": 2, "prec": 4, "degree": 4, "coeffs": [1, 2, 3]}
+QP_DOC = {"p": 2, "prec": 6, "depth": 1, "degree": 4,
+          "terms": [{"q": {"num": 1, "logden": 1}, "coeff": 3}]}
+
+
+def _doc_arg(tmp_path, doc):
+    path = tmp_path / "mu.json"
+    path.write_text(json.dumps(doc))
+    return f"@{path}"
+
+
+class TestMeasureDocuments:
+    """Each ``--mu @file`` defect exits with its documented code, in process
+    and so without a traceback."""
+
+    def _main(self, capsys, argv):
+        code = main(argv)
+        capsys.readouterr()
+        return code
+
+    def _ball(self, capsys, tmp_path, doc, p="2"):
+        mu = _doc_arg(tmp_path, doc)
+        return self._main(capsys, ["ball", "--p", p, "--mu", mu, "--a", "0", "--h", "1"])
+
+    def test_zp_document_without_prec_exits_2(self, capsys, tmp_path):
+        doc = {k: v for k, v in ZP_DOC.items() if k != "prec"}
+        assert self._ball(capsys, tmp_path, doc) == 2
+
+    def test_zp_document_with_string_coefficients_exits_2(self, capsys, tmp_path):
+        assert self._ball(capsys, tmp_path, {**ZP_DOC, "coeffs": ["a", 1]}) == 2
+
+    def test_zp_document_with_fractional_prec_exits_2(self, capsys, tmp_path):
+        assert self._ball(capsys, tmp_path, {**ZP_DOC, "prec": 4.5}) == 2
+
+    def test_qp_document_with_integer_terms_exits_2(self, capsys, tmp_path):
+        mu = _doc_arg(tmp_path, {**QP_DOC, "terms": 5})
+        assert self._main(capsys, ["wval", "--p", "2", "--mu", mu]) == 2
+
+    def test_ball_on_qp_document_exits_2(self, capsys, tmp_path):
+        assert self._ball(capsys, tmp_path, QP_DOC) == 2
+
+    @pytest.mark.parametrize("doc", [ZP_DOC, QP_DOC], ids=["zp", "qp"])
+    def test_document_prime_other_than_p_exits_3(self, capsys, tmp_path, doc):
+        mu = _doc_arg(tmp_path, {**doc, "p": 3})
+        assert self._main(capsys, ["wval", "--p", "2", "--mu", mu]) == 3
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "bad-json"])
+    def test_unreadable_in_document_exits_2(self, capsys, tmp_path, content):
+        path = tmp_path / "job.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["mahler", "--p", "3", "--in", str(path)]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["wval", "--mu", "T", "--degree", str(10**12)],
+        ["convolve", "--mu1", "T", "--mu2", "T", "--degree", str(10**12)],
+        ["wval", "--mu", "DOC"],
+    ])
+    def test_huge_zp_degree_exits_3_before_it_is_built(self, tmp_path, args):
+        doc = _doc_arg(tmp_path, {**ZP_DOC, "degree": 10**12})
+        args = [doc if a == "DOC" else a for a in args]
+        out = run_cli([args[0], "--p", "2", *args[1:]], timeout=10)
+        assert out.returncode == 3
+        assert "PADIC_FOURIER_MAX_BOX" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["teich", "--p", "2", "--x", "t", "--prec", "3"],
+        ["mahler", "--p", "3", "--samples", "1,1,1", "--degree", "5"],
+        ["orthocheck", "--p", "2", "--imax", "2", "--seed", "1"],
+    ])
+    def test_flag_the_command_does_not_take_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_readme_cli_examples_run(capsys):
+    """Every line of the ``sh`` block under ``## CLI`` in the README exits 0."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.strip()]
+    assert lines
+    failed = {line: code for line in lines if (code := main(shlex.split(line)[1:])) != 0}
+    capsys.readouterr()
+    assert not failed

@@ -439,6 +439,45 @@ def test_ainf_from_json_rejects_bad_degree(degree):
         AinfElt.from_json(doc)
 
 
+MISSING = object()
+
+
+@pytest.mark.parametrize("cls, key, value", [
+    (IwasawaElt, "prec", MISSING),
+    (IwasawaElt, "coeffs", MISSING),
+    (IwasawaElt, "prec", 4.5),
+    (IwasawaElt, "prec", 0),
+    (IwasawaElt, "p", True),
+    (IwasawaElt, "degree", "4"),
+    (IwasawaElt, "coeffs", ["a", 1]),
+    (IwasawaElt, "coeffs", [1, True]),
+    (IwasawaElt, "coeffs", 5),
+    (AinfElt, "prec", MISSING),
+    (AinfElt, "degree", MISSING),
+    (AinfElt, "prec", 4.5),
+    (AinfElt, "prec", -1),
+    (AinfElt, "depth", 1.0),
+    (AinfElt, "shift", "1"),
+    (AinfElt, "terms", 5),
+    (AinfElt, "terms", [{"q": {"num": 1, "logden": 0}}]),
+    (AinfElt, "terms", [{"q": 1, "coeff": 1}]),
+    (AinfElt, "terms", [{"q": {"num": 0.5}, "coeff": 1}]),
+    (AinfElt, "terms", [{"q": {"num": 1, "logden": 0}, "coeff": "1"}]),
+    (AinfElt, "terms", [7]),
+])
+def test_from_json_rejects_malformed_documents(cls, key, value):
+    if cls is IwasawaElt:
+        doc = {"p": 2, "prec": 4, "degree": 4, "coeffs": [1, 2, 3]}
+    else:
+        doc = qp_doc({"num": 1, "logden": 1})
+    if value is MISSING:
+        del doc[key]
+    else:
+        doc[key] = value
+    with pytest.raises(ParseError):
+        cls.from_json(doc)
+
+
 @pytest.mark.parametrize("argv", [
     ["wval", "--p", "2", "--mu", "Tt^3/2"],
     ["integrate", "--p", "2", "--f", "binom:3/2@depth1", "--mu", "Tt^3/2", "--prec", "8"],
