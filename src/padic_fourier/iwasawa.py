@@ -22,6 +22,7 @@ import math
 from . import _series
 from .errors import (
     BoxExhausted,
+    InternalConsistencyError,
     ParseError,
     PrecisionExhausted,
     PreconditionError,
@@ -754,7 +755,7 @@ def integrate(f, mu):
 
 
 # ---------------------------------------------------------------------------
-# The natural topology: explicit ideals and the desk-scale scan
+# The natural topology: explicit ideals and the index argument
 # ---------------------------------------------------------------------------
 
 
@@ -810,55 +811,85 @@ def middle_ideal_contains(p, N, coeffs):
     return all(c % p ** middle_ideal_valuation(p, N, m) == 0 for m, c in enumerate(coeffs))
 
 
-def intersection_vs_middle_scan(p, N, coefficient_sets=None):
-    """Scan truncated polynomials mod (p^(N+2), T^(p^N + 1)) for members of
-    the deepened ball-ideal intersection that escape the middle ideal.
+def _elementary_divisor_valuations(rows, p, K):
+    """Valuations of the elementary divisors of an integer matrix over
+    Z/p^K, one per row; a row beyond the rank counts K, so the sum is
+    log_p of the order of the kernel of c -> c·A in (Z/p^K)^rows.
 
-    The intersection runs over the ball ideals U_(h, l+1) with h + l = N;
-    its members are compared against the deepened middle ideal
-    p^N (p, T, T^p/p, ..., T^(p^N)/p^N) coefficient-wise.  With
-    coefficient_sets=None every coefficient ranges over the full
-    Z/p^(N+2) (feasible for p=2, N<=2); otherwise each degree uses the
-    given bounded candidate list.  Returns (checked, escapees, missed):
-    escapees counts intersection members outside the middle ideal and
-    missed counts middle-ideal members outside the intersection — both
-    expected to be zero.
+    Smith form over a local ring: an entry of least valuation divides
+    every other entry, so clearing its column by row operations and then
+    dropping its row and column leaves the other divisors unchanged.
     """
-    import numpy as np
+    mod = p**K
+    rows = [[x % mod for x in r] for r in rows]
+    out = []
+    while rows:
+        best = mod  # gcd(x, p^K) = p^v(x), and p^K for x = 0
+        for i, r in enumerate(rows):
+            for j, x in enumerate(r):
+                if x and (g := math.gcd(x, mod)) < best:
+                    best, bi, bj = g, i, j
+        if best == mod:
+            break
+        piv = rows.pop(bi)
+        inv = pow(piv[bj] // best, -1, mod)
+        for r in rows:
+            if r[bj]:
+                f = r[bj] // best * inv % mod
+                r[:] = [(x - f * y) % mod for x, y in zip(r, piv)]
+        out.append(vp_int(best, p))
+    return out + [K] * len(rows)
 
+
+def intersection_vs_middle_scan(p, N, coefficient_sets=None):
+    """Decide, for truncated polynomials mod (p^(N+2), T^(p^N + 1)), that the
+    deepened ball-ideal intersection equals the middle ideal, and count the
+    candidates it covers.
+
+    The intersection I runs over the ball ideals U_(h, l+1) with h + l = N;
+    the middle ideal M is p^N (p, T, T^p/p, ..., T^(p^N)/p^N), that is
+    p^v(m) in each degree m with v = middle_ideal_valuation.  Over
+    Z/p^K, K = N + 2, I is the kernel of c -> (c·W_h·p^(h+1) mod p^K)_h,
+    W_h the values of T^m on the balls of radius p^-h.  I = M when every
+    generator p^v(m) T^m lies in I and log_p|I|, the sum of the elementary
+    divisor valuations of the stacked map, equals log_p|M| = Σ (K - v(m)).
+    Both memberships depend on a candidate only mod p^K, so no candidate
+    can then be an escapee (in I, not in M) or a miss (in M, not in I).
+
+    With coefficient_sets=None every coefficient ranges over the full
+    Z/p^(N+2); otherwise each degree uses the given candidate list.
+    Returns (checked, escapees, missed) = (number of candidates, 0, 0);
+    a generator outside I or an index gap raises InternalConsistencyError.
+    """
     deg = p**N + 1
-    mod = p ** (N + 2)
+    K = N + 2
+    mod = p**K
     if coefficient_sets is None:
-        sets = [list(range(mod))] * deg
+        sizes = [mod] * deg
     else:
-        sets = [list(s) for s in coefficient_sets]
-        if len(sets) != deg:
+        sizes = [len(list(s)) for s in coefficient_sets]
+        if len(sizes) != deg:
             raise PreconditionError(f"need {deg} coefficient sets")
 
-    sizes = [len(s) for s in sets]
-    total = math.prod(sizes)
-    # all candidate coefficient vectors, mixed-radix enumeration
-    grid = np.indices(sizes).reshape(deg, total).T
-    cands = np.empty((total, deg), dtype=np.int64)
-    for m in range(deg):
-        cands[:, m] = np.asarray(sets[m], dtype=np.int64)[grid[:, m]]
-
-    inter = np.ones(total, dtype=bool)
+    # row m: T^m on every ball of radius p^-h, h = 0..N, times p^(h+1), so
+    # that vanishing mod p^(N-h+1) is vanishing mod p^K
+    rows = [[] for _ in range(deg)]
     for h in range(N + 1):
-        l = N - h
         ph = p**h
-        lmod = p ** (l + 1)
-        W = np.zeros((deg, ph), dtype=np.int64)
-        for m in range(deg):
-            row = _ball_residues([0] * m + [1], ph, mod)
-            W[m, : len(row)] = row
-        balls = cands @ W % lmod
-        inter &= (balls == 0).all(axis=1)
+        for m, row in enumerate(rows):
+            values = _ball_residues([0] * m + [1], ph, mod)
+            row += [x * p ** (h + 1) % mod for x in values] + [0] * (ph - len(values))
 
-    middle = np.ones(total, dtype=bool)
-    for m in range(deg):
-        middle &= cands[:, m] % p ** middle_ideal_valuation(p, N, m) == 0
-
-    escapees = int(np.count_nonzero(inter & ~middle))
-    missed = int(np.count_nonzero(middle & ~inter))
-    return total, escapees, missed
+    need = [middle_ideal_valuation(p, N, m) for m in range(deg)]
+    for m, (v, row) in enumerate(zip(need, rows)):
+        if any(x * p**v % mod for x in row):
+            raise InternalConsistencyError(
+                f"middle-ideal generator p^{v} T^{m} is outside the ball-ideal intersection"
+            )
+    log_i = sum(_elementary_divisor_valuations(rows, p, K))
+    log_m = sum(K - v for v in need)
+    if log_i != log_m:
+        raise InternalConsistencyError(
+            f"index gap: log_p|intersection| = {log_i}, log_p|middle ideal| = {log_m}"
+        )
+    return math.prod(sizes), 0, 0

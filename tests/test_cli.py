@@ -154,6 +154,43 @@ class TestErrors:
         assert "PADIC_FOURIER_MAX_BOX" in out.stderr
         assert "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize("args, checked", [
+        (["--p", "2", "--N", "4", "--scan", "bounded"], 3**16 * 2),
+        (["--p", "3", "--N", "3", "--scan", "bounded"], 2**55),
+        (["--p", "2", "--N", "3", "--scan", "full"], 2**45),
+    ], ids=["p2-N4-bounded", "p3-N3-bounded", "p2-N3-full"])
+    def test_idealcheck_scan_beyond_enumeration(self, args, checked):
+        # enumerating these candidates needs 10.9 GiB, 7 EiB and 2.25 PiB
+        out = run_cli(["idealcheck", *args], timeout=10)
+        assert out.returncode == 0, out.stderr
+        doc = json.loads(out.stdout)
+        assert doc["scan_escapees"] == doc["scan_missed"] == 0
+        assert doc["scan_checked"] == checked
+
+    def test_idealcheck_unknown_scan_exits_2(self, capsys):
+        assert main(["idealcheck", "--p", "2", "--N", "1", "--scan", "bogus"]) == 2
+        assert "unknown scan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, missing", [
+        pytest.param(["mahler", "--p", "3"], "--samples", id="mahler"),
+        pytest.param(["integrate", "--p", "3", "--mu", "T"], "--f", id="integrate"),
+        pytest.param(["convolve", "--p", "3", "--mu1", "T"], "--mu2", id="convolve"),
+        pytest.param(["ball", "--p", "3", "--mu", "T"], "--a", id="ball"),
+        pytest.param(["wval", "--p", "3"], "--mu", id="wval"),
+        pytest.param(["dirac", "--p", "3", "--degree", "4"], "--a or --s", id="dirac"),
+        pytest.param(["teich", "--p", "2"], "--x", id="teich"),
+        pytest.param(["fourier", "--p", "2", "--qmax", "1"], "--combo or --mu", id="fourier"),
+        pytest.param(["idealcheck", "--p", "2"], "--N", id="idealcheck"),
+    ])
+    def test_required_flag_missing_exits_2(self, capsys, argv, missing):
+        assert main(argv) == 2
+        assert f"needs {missing}" in capsys.readouterr().err
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "missing-dir" / "x.json"
+        assert main(["wval", "--p", "2", "--mu", "T", "--out", str(out)]) == 2
+        assert "cannot write" in capsys.readouterr().err
+
     def test_unknown_command_rejected(self):
         with pytest.raises(ParseError):
             run(JobSpec("frobnicate", {}))
@@ -286,3 +323,9 @@ def test_readme_cli_examples_run(capsys):
     failed = {line: code for line in lines if (code := main(shlex.split(line)[1:])) != 0}
     capsys.readouterr()
     assert not failed
+
+
+def test_readme_cli_examples_run_without_numpy(capsys, monkeypatch):
+    """The library needs no numpy: with it blocked the README examples pass."""
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    test_readme_cli_examples_run(capsys)

@@ -1,10 +1,14 @@
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from padic_fourier import iwasawa
 from padic_fourier.errors import (
+    InternalConsistencyError,
     PrecisionExhausted,
     PreconditionError,
     UncertifiedTailError,
@@ -22,6 +26,7 @@ from padic_fourier.iwasawa import (
     mahler_coeffs_by_differences,
     mahler_coeffs_from_samples,
     middle_ideal_contains,
+    middle_ideal_valuation,
     ptadic_power_generators,
 )
 from padic_fourier.padic import LowerBound, PadicScalar, comb_int, vp_int
@@ -536,3 +541,112 @@ def test_ball_values_folded_once_per_radius():
         mu.ball_measure(0, 4)
     with pytest.raises(UncertifiedTailError):
         mu.ball_measure(0, 4)
+
+
+# ---------------------------------------------------------------------------
+# Oracle for the ball-ideal identity: enumerate every candidate
+# ---------------------------------------------------------------------------
+
+
+def scan_oracle(p, N, coefficient_sets=None):
+    """(checked, escapees, missed) by testing every candidate vector against
+    each ball ideal and the middle ideal; cost is the product of set sizes."""
+    deg = p**N + 1
+    mod = p ** (N + 2)
+    sets = [list(range(mod))] * deg if coefficient_sets is None else coefficient_sets
+    sizes = [len(s) for s in sets]
+    total = math.prod(sizes)
+    grid = np.indices(sizes).reshape(deg, total).T  # mixed-radix enumeration
+    cands = np.empty((total, deg), dtype=np.int64)
+    for m in range(deg):
+        cands[:, m] = np.asarray(sets[m], dtype=np.int64)[grid[:, m]]
+    inter = np.ones(total, dtype=bool)
+    for h in range(N + 1):
+        ph = p**h
+        W = np.array(
+            [[tpower_ball_oracle(m, a, ph) % mod for a in range(ph)] for m in range(deg)],
+            dtype=np.int64,
+        )
+        inter &= (cands @ W % p ** (N - h + 1) == 0).all(axis=1)
+    middle = np.ones(total, dtype=bool)
+    for m in range(deg):
+        middle &= cands[:, m] % p ** middle_ideal_valuation(p, N, m) == 0
+    return total, int(np.count_nonzero(inter & ~middle)), int(np.count_nonzero(middle & ~inter))
+
+
+def bounded_sets(p, N):
+    """The idealcheck --scan bounded sets: per degree 0 and the multiples of
+    p^(v-1) and p^v straddling the middle-ideal threshold v."""
+    mod = p ** (N + 2)
+    sets = []
+    for m in range(p**N + 1):
+        v = middle_ideal_valuation(p, N, m)
+        cand = {0, p**v % mod}
+        if v > 0:
+            cand |= {p ** (v - 1) % mod, p ** (v - 1) * (p - 1) % mod}
+        sets.append(sorted(cand))
+    return sets
+
+
+@pytest.mark.parametrize("p, N", [(2, 1), (2, 2), (3, 1)])
+def test_full_scan_matches_enumeration(p, N):
+    every = (p ** (N + 2)) ** (p**N + 1)
+    assert intersection_vs_middle_scan(p, N) == scan_oracle(p, N) == (every, 0, 0)
+
+
+@st.composite
+def candidate_sets(draw):
+    p, N = draw(st.sampled_from([(3, 2), (2, 3)]))
+    if draw(st.booleans()):
+        return p, N, bounded_sets(p, N)
+    mod = p ** (N + 2)
+    values = st.integers(-mod, 2 * mod - 1)  # both tests read a candidate mod p^(N+2)
+    return p, N, [draw(st.lists(values, min_size=1, max_size=3)) for _ in range(p**N + 1)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(candidate_sets())
+def test_candidate_scan_matches_enumeration(case):
+    p, N, sets = case
+    assert intersection_vs_middle_scan(p, N, sets) == scan_oracle(p, N, sets)
+
+
+@pytest.mark.parametrize("p, N, shifts, message", [
+    (2, 2, {0: 1}, "index gap"),
+    (2, 2, {2: -1}, "outside"),
+    (3, 2, {5: 1}, "index gap"),
+    (3, 2, {5: -1}, "outside"),
+    (2, 3, {8: 1}, "index gap"),
+    (2, 3, {3: 1, 5: -1}, "outside"),  # same index, different module
+])
+def test_valuation_mutant_is_caught(monkeypatch, p, N, shifts, message):
+    # a middle ideal one digit too small in a degree fails the index count;
+    # one digit too large has a generator outside the intersection
+    true_valuation = iwasawa.middle_ideal_valuation
+    monkeypatch.setattr(
+        iwasawa, "middle_ideal_valuation",
+        lambda p_, N_, m: true_valuation(p_, N_, m) + shifts.get(m, 0),
+    )
+    with pytest.raises(InternalConsistencyError, match=message):
+        intersection_vs_middle_scan(p, N)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([2, 3]),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.randoms(use_true_random=False),
+)
+def test_elementary_divisors_count_the_kernel(p, K, n_rows, n_cols, rnd):
+    # log_p of the kernel of c -> c·A over Z/p^K, by enumerating every c;
+    # entries are drawn as p^v·u so that pivots of every valuation occur
+    mod = p**K
+    A = [[p ** rnd.randrange(K + 1) * rnd.randrange(mod) % mod for _ in range(n_cols)]
+         for _ in range(n_rows)]
+    kernel = sum(
+        all(sum(x * r[j] for x, r in zip(c, A)) % mod == 0 for j in range(n_cols))
+        for c in itertools.product(range(mod), repeat=n_rows)
+    )
+    assert p ** sum(iwasawa._elementary_divisor_valuations(A, p, K)) == kernel
