@@ -294,6 +294,8 @@ def dirac_q(p, s, depth, prec, degree):
     degree = Fraction(degree)
     if degree <= 0:
         raise PreconditionError("degree bound must be positive")
+    if depth < 0:
+        raise PreconditionError(f"depth {depth} < 0")
     i_max = math.ceil(degree * p**depth) - 1
     if isinstance(s, PadicScalar):
         if s.p != p:

@@ -311,6 +311,8 @@ def canonical_measure(p, stage, depth, prec, degree):
     multiplicative representative of the mod-p logarithm, and every stage
     reduces to it mod p exactly.
     """
+    if stage < 0:
+        raise PreconditionError(f"stage {stage} < 0")
     if depth < stage:
         raise BoxExhausted(f"depth {depth} < stage {stage}")
     degree = Fraction(degree)

@@ -15,10 +15,10 @@ Exit codes: 0 success, 2 parse error, 3 precondition violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -50,13 +50,14 @@ from .padic import LowerBound, PadicScalar, SExponent, is_prime
 from .witt import PerfSeries, teichmuller
 
 
-@dataclass
 class JobSpec:
-    command: str
-    params: dict = field(default_factory=dict)
-    in_path: str | None = None
-    out_path: str | None = None
-    fmt: str = "json"
+    # a plain class keeps ``inspect`` out of every CLI start-up
+    def __init__(self, command, params=None, in_path=None, out_path=None, fmt="json"):
+        self.command = command
+        self.params = {} if params is None else params
+        self.in_path = in_path
+        self.out_path = out_path
+        self.fmt = fmt
 
     def validate(self):
         if self.command not in _COMMANDS:
@@ -132,6 +133,7 @@ def _parse_measure(p, expr, prec, degree, depth, qp):
     expr = expr.strip()
     if qp:
         degree = _frac(degree)
+        depth = None if depth is None else _int(depth, "--depth")
         mu = _parse_qp_measure(p, expr, prec, degree, depth)
         _check_box(int(degree * p**mu.depth) + 1)
     else:
@@ -376,18 +378,22 @@ def _cmd_orthocheck(pr):
         imax = _int(pr.get("imax", 30), "--imax")
         prec = _int(pr.get("prec", 20), "--prec")
         degree = imax + 2
-        for i in range(imax + 1):
+        ks = range(imax + 1)
+        _check_box(len(ks) ** 2)  # one integral per pair
+        for i in ks:
             f = MahlerFn.basis(p, i, prec)
-            for j in range(imax + 1):
+            for j in ks:
                 val = integrate(f, IwasawaElt.monomial(p, j, prec, degree))
                 if val != PadicScalar.from_int(p, 1 if i == j else 0, prec):
                     failures.append({"i": i, "j": j})
-        checked = (imax + 1) ** 2
     elif mode == "qp":
         qdepth = _int(pr.get("qdepth", 2), "--qdepth")
         qmax = _frac(pr.get("qmax", 4))
         prec = _int(pr.get("prec", 12), "--prec")
+        if qdepth < 0:
+            raise PreconditionError(f"qdepth {qdepth} < 0")
         ks = range(int(qmax * p**qdepth))
+        _check_box(len(ks) ** 2)
         for k1 in ks:
             f = UnifFn.basis(p, Fraction(k1, p**qdepth), prec)
             for k2 in ks:
@@ -395,23 +401,26 @@ def _cmd_orthocheck(pr):
                 val = integrate_unif(f, mu)
                 if val != PadicScalar.from_int(p, 1 if k1 == k2 else 0, prec):
                     failures.append({"q1": k1, "q2": k2})
-        checked = len(list(ks)) ** 2
     else:
         raise ParseError(f"unknown orthocheck mode {mode!r}")
     if failures:
         raise InternalConsistencyError(f"orthogonality failed at {failures[:5]}")
-    return {"mode": mode, "p": p, "checked": checked, "failures": 0, "pass": True}
+    return {"mode": mode, "p": p, "checked": len(ks) ** 2, "failures": 0, "pass": True}
 
 
 def _cmd_idealcheck(pr):
     p = pr["p"]
     N = _int(pr["N"], "--N")
+    if N < 0:
+        raise PreconditionError(f"N {N} < 0")
     scan = str(pr.get("scan", "bounded"))
     if scan not in ("off", "bounded", "full"):
         raise ParseError(f"unknown scan {scan!r}; expected off, bounded or full")
     prec = N + 3
     degree = p ** (N + 1) + 1
-    _check_box(degree)
+    # at most N + 2 membership tests, each a walk over the box, for each of
+    # the 2(p^N + 1) + N + 2 generators below
+    _check_box((2 * (p**N + 1) + N + 2) * (N + 2) * degree)
 
     def failures(gens, top, deepen=0):
         """Generators p^i T^m outside U_(h, l + deepen) for some h + l = top."""
@@ -500,18 +509,26 @@ def _render(doc: dict, fmt: str) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _build_parser():
+@functools.cache
+def _build_parser(command):
+    """The parser with the subcommand ``command`` alone, or with all of them
+    for None: no command, ``-h``, ``--version`` or an unknown name, whose
+    texts list every command.  ``main`` passes a table name or None, so a
+    process builds at most one parser per command; argparse keeps no state
+    between parses."""
     ap = argparse.ArgumentParser(
         prog="padic-fourier",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     ap.add_argument("--version", action="version", version=__version__)
-    sub = ap.add_subparsers(dest="command", required=True)
-    for cmd, (_, flags, _) in _COMMANDS.items():
+    # a lone subcommand still shows every name in the usage line
+    names = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = ap.add_subparsers(dest="command", required=True, metavar=names)
+    for cmd in _COMMANDS if command is None else (command,):
         sp = sub.add_parser(cmd)
         sp.add_argument("--p", required=True)
-        for flag in flags:
+        for flag in _COMMANDS[cmd][1]:
             sp.add_argument(f"--{flag}")
         sp.add_argument("--format", default="json", choices=["json", "pretty"])
         sp.add_argument("--in", dest="in_path")
@@ -520,7 +537,11 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    ns = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the top-level parser takes no valued options, so the first bare token
+    # names the command
+    command = next((a for a in argv if not a.startswith("-")), None)
+    ns = _build_parser(command if command in _COMMANDS else None).parse_args(argv)
     params = {
         key: val for key, val in vars(ns).items()
         if key not in ("command", "format", "in_path", "out_path") and val is not None

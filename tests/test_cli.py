@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import shlex
 import subprocess
 import sys
 import time
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from padic_fourier import cli
 from padic_fourier.cli import JobSpec, main, run
 from padic_fourier.errors import ParseError
 
@@ -191,6 +197,42 @@ class TestErrors:
         assert main(["wval", "--p", "2", "--mu", "T", "--out", str(out)]) == 2
         assert "cannot write" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["wval", "--mu", "MU"],
+        ["integrate", "--f", "binom:1", "--mu", "MU"],
+        ["convolve", "--mu1", "MU", "--mu2", "Tt"],
+        ["fourier", "--mu", "MU", "--degree", "2"],
+    ], ids=["wval", "integrate", "convolve", "fourier"])
+    def test_depth_flag_matches_inline_depth(self, capsys, argv):
+        def job(mu, *extra):
+            code = main([argv[0], "--p", "2", *(mu if a == "MU" else a for a in argv[1:]), *extra])
+            return code, capsys.readouterr().out
+
+        assert job("diracq:1/2", "--depth", "2") == job("diracq:1/2@depth2")
+        assert job("diracq:1/2", "--depth", "2")[0] == 0
+
+    def test_bad_depth_flag_exits_2(self, capsys):
+        assert main(["wval", "--p", "2", "--mu", "diracq:1/2", "--depth", "x"]) == 2
+        assert "bad --depth 'x'" in capsys.readouterr().err
+
+    def test_idealcheck_negative_N_exits_3(self, capsys):
+        assert main(["idealcheck", "--p", "2", "--N", "-1"]) == 3
+        assert "N -1 < 0" in capsys.readouterr().err
+        assert main(["idealcheck", "--p", "2", "--N", "0"]) == 0
+
+    @pytest.mark.parametrize("args", [
+        ["orthocheck", "--p", "2", "--imax", "2000"],
+        ["orthocheck", "--p", "2", "--mode", "qp", "--qdepth", "40", "--qmax", "2"],
+        ["idealcheck", "--p", "7", "--N", "3", "--scan", "off"],
+        ["idealcheck", "--p", "3", "--N", "5"],
+    ], ids=["orthocheck-zp", "orthocheck-qp", "idealcheck-p7-N3", "idealcheck-p3-N5"])
+    def test_check_commands_are_budgeted(self, args):
+        # each ran past 4 s (idealcheck) or 8 s (orthocheck) with no budget
+        out = run_cli(args, timeout=10)
+        assert out.returncode == 3
+        assert "PADIC_FOURIER_MAX_BOX" in out.stderr
+        assert "Traceback" not in out.stderr
+
     def test_unknown_command_rejected(self):
         with pytest.raises(ParseError):
             run(JobSpec("frobnicate", {}))
@@ -225,6 +267,9 @@ class TestErrors:
     (["fourier", "--p", "6", "--combo", "1@1/2"], 3),
     (["dirac", "--p", "3", "--a", "5", "--degree", "0"], 3),
     (["mahler", "--p", "3", "--samples", "1,1,1,0,0,0,0,0,0", "--prec", "2"], 0),
+    (["mucan", "--p", "2", "--stage", "-1", "--depth", "4"], 3),
+    (["dirac", "--p", "2", "--s", "1", "--depth", "-1"], 3),
+    (["orthocheck", "--p", "2", "--mode", "qp", "--qdepth", "-1"], 3),
 ])
 def test_flag_values_map_to_documented_exit_codes(capsys, argv, code):
     from padic_fourier.cli import main
@@ -329,3 +374,99 @@ def test_readme_cli_examples_run_without_numpy(capsys, monkeypatch):
     """The library needs no numpy: with it blocked the README examples pass."""
     monkeypatch.setitem(sys.modules, "numpy", None)
     test_readme_cli_examples_run(capsys)
+
+
+def _exit_code(call):
+    """``call()``'s exit code, argparse's ``SystemExit`` included."""
+    try:
+        return call()
+    except SystemExit as e:
+        return e.code
+
+
+class TestParsers:
+    """``main`` parses with a per-command parser built once per process."""
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_command_parser_prints_what_the_full_parser_prints(self, command):
+        def parse(parser, argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = _exit_code(lambda: vars(parser.parse_args(argv)))
+            return code, out.getvalue(), err.getvalue()
+
+        for argv in (
+            [command, "--p", "2", "--bogus", "1"], [command], [command, "--p"],
+            [command, "--p", "2", "--format", "x"], [command, "--p", "2", "extra"],
+            ["-h", command], [command, "-h"],
+        ):
+            assert parse(cli._build_parser(command), argv) == parse(
+                cli._build_parser(None), argv), argv
+
+    def test_cached_parsers_carry_no_state_between_jobs(self, capsys):
+        """A bad-flag call, a job, its pretty form and the job again,
+        interleaved with another command in one process, each print and exit
+        as the same argv alone in a fresh interpreter."""
+        job = ["wval", "--p", "2", "--mu", "Tt^3/2"]
+        other = ["ball", "--p", "3", "--mu", "dirac:5", "--a", "2", "--h", "1"]
+        for argv in (
+            ["wval", "--p", "2", "--mu", "T", "--bogus", "1"],
+            job, other, [*job, "--format", "pretty"], other, job,
+        ):
+            got = _exit_code(lambda: main(argv)), capsys.readouterr().out
+            fresh = run_cli(argv)
+            assert got == (fresh.returncode, fresh.stdout), argv
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["padic-fourier", "wval", "--p", "2", "--mu", "T"])
+        assert main() == 0
+        assert json.loads(capsys.readouterr().out) == {"w": {"num": 1, "den": 1}}
+
+    def test_import_loads_neither_inspect_nor_dataclasses(self):
+        # -S: no site hooks that might import them first
+        code = "import sys, padic_fourier.cli; print(sorted({'inspect', 'dataclasses'} & set(sys.modules)))"
+        out = subprocess.run([sys.executable, "-S", "-c", code],
+                             capture_output=True, text=True, check=True)
+        assert out.stdout == "[]\n"
+
+
+# the README grammar, malformed values and small integers
+_FUZZ_VALUES = [
+    *map(str, range(13)), "-1", "", "abc", "1/0", "@/nonexistent",
+    "T", "T^3", "dirac:5", "Tt", "Tt^3/2", "diracq:3/4@depth2", "binom:2",
+    "const:7", "binom:3/2@depth1", "t^1/2 + 2*t^3", "1@3/4", "1,1,1,0,0,0,0,0,0",
+    "zp", "qp", "off", "bounded", "full", "json", "pretty",
+]
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    flags = draw(st.lists(st.sampled_from(cli._COMMANDS[command][1]), unique=True))
+    value = st.sampled_from(_FUZZ_VALUES)
+    argv = [command, "--p", draw(value)]
+    for flag in flags + ["format"] * draw(st.booleans()):
+        argv += [f"--{flag}", draw(value)]
+    return argv
+
+
+# The deadline stays above the slowest job under a 4000-cell box, mucan at
+# p=11 stage 3 prec 12 degree 3 (about 14 s on a 2-CPU machine): mucan's box
+# counts cells, not the work per cell
+@settings(max_examples=200, deadline=timedelta(seconds=30))
+@given(argv=_argvs())
+@example(argv=["wval", "--p", "2", "--mu", "diracq:1/2", "--depth", "2"])
+@example(argv=["idealcheck", "--p", "2", "--N", "-1"])
+@example(argv=["mucan", "--p", "2", "--stage", "-1", "--depth", "4"])
+@example(argv=["dirac", "--p", "2", "--s", "1", "--depth", "-1"])
+@example(argv=["orthocheck", "--p", "2", "--mode", "qp", "--qdepth", "-1"])
+@example(argv=["idealcheck", "--p", "7", "--N", "3"])
+def test_fuzzed_argv_exits_with_a_documented_code(argv):
+    """Any argv from the grammar's vocabulary exits 0, 2, 3, 4 or 5 without an
+    escaping exception; in one process, so the cached parsers serve every job."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PADIC_FOURIER_MAX_BOX", "4000")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = _exit_code(lambda: main(argv))
+    assert code in (0, 2, 3, 4, 5), (argv, err.getvalue())
