@@ -31,13 +31,13 @@ from .errors import (
     PreconditionError,
     PrimeMismatch,
 )
+from .iwasawa import dirac
 from .padic import (
     LowerBound,
     PadicScalar,
     SExponent,
-    binomial_row_tracked,
+    _as_sexponent,
     is_prime,
-    vp_factorial,
     vp_int,
 )
 
@@ -87,7 +87,7 @@ class AinfElt:
     @classmethod
     def monomial(cls, p, q, prec, degree=None, coeff=1):
         """coeff * Tt^q for q in S."""
-        q = SExponent.from_fraction(p, q) if not isinstance(q, SExponent) else q
+        q = _as_sexponent(p, q)
         return cls(p, prec, q.logden, degree, {q.num: coeff})
 
     # -- plumbing ---------------------------------------------------------
@@ -287,16 +287,16 @@ class AinfElt:
 def dirac_q(p, s, depth, prec, degree):
     """The depth-m realization of the Dirac character at s in p^(-m) Z_p.
 
-    Expands (1 + Tt^(1/p^m))^(s p^m) term by term; s may be a Fraction
-    (embedded at the precision the expansion needs) or a PadicScalar,
-    in which case its precision must cover every binomial.
+    (1 + Tt^(1/p^m))^(s p^m) is the Z_p Dirac mass at s p^m on the 1/p^m
+    grid: ``iwasawa.dirac`` below degree·p^m, then T -> Tt^(1/p^m).  s may be
+    a Fraction (exact) or a PadicScalar, whose precision must then cover
+    every binomial.
     """
     degree = Fraction(degree)
     if degree <= 0:
         raise PreconditionError("degree bound must be positive")
     if depth < 0:
         raise PreconditionError(f"depth {depth} < 0")
-    i_max = math.ceil(degree * p**depth) - 1
     if isinstance(s, PadicScalar):
         if s.p != p:
             raise PrimeMismatch("scalar prime differs")
@@ -306,26 +306,12 @@ def dirac_q(p, s, depth, prec, degree):
             )
         a = s * PadicScalar.from_int(p, p**depth, s.prec + depth + 1)
     else:
-        s = Fraction(s)
-        a_frac = s * p**depth
-        if a_frac.denominator != 1:
-            raise PreconditionError(
-                f"depth {depth} insufficient for s = {s}"
-            )
-        a = PadicScalar.from_int(p, int(a_frac), prec + vp_factorial(i_max, p) + 1)
-    if a.shift < 0:
-        raise PreconditionError("s * p^depth is not integral")
-    need = prec + vp_factorial(i_max, p)
-    if a.abs_bound < need:
-        raise PrecisionExhausted(
-            f"need s*p^depth mod p^{need} for {i_max + 1} coefficients at O(p^{prec})"
-        )
-    X, M = a.integer_rep(), a.abs_bound
-    cs = {}
-    for i, val, unit, rel in binomial_row_tracked(p, X, M, i_max, prec):
-        if val < prec:
-            cs[i] = unit * p**val
-    return AinfElt(p, prec, depth, degree, cs)
+        a = Fraction(s) * p**depth
+        if a.denominator != 1:
+            raise PreconditionError(f"depth {depth} insufficient for s = {s}")
+        a = int(a)
+    mu = dirac(a, math.ceil(degree * p**depth), prec, p=p)
+    return AinfElt(p, prec, depth, degree, _series.sparse(mu.coeffs))
 
 
 def t_tilde_approx(p, n, stage, depth, prec, degree):

@@ -88,9 +88,18 @@ def max_box_cells():
 def _check_box(cells):
     cap = max_box_cells()
     if cells > cap:
-        raise PreconditionError(
-            f"box of {cells} cells exceeds PADIC_FOURIER_MAX_BOX={cap}"
-        )
+        size = cells if cells.bit_length() <= 64 else f"over 2^{cells.bit_length() - 1}"
+        raise PreconditionError(f"box of {size} cells exceeds PADIC_FOURIER_MAX_BOX={cap}")
+
+
+def _cells(p, k, scale=1):
+    """int(scale * p^k), a count the caller checks against the cap.  When k
+    alone puts it past the cap, it is refused before p^k is computed."""
+    scale, cap = Fraction(scale), max_box_cells()
+    # p^k >= 2^(k (bit_length(p) - 1)) and |scale| >= 1/denominator
+    if scale and k * (p.bit_length() - 1) > (cap * scale.denominator).bit_length():
+        raise PreconditionError(f"{p}^{k} cells exceed PADIC_FOURIER_MAX_BOX={cap}")
+    return int(scale * p**k) if scale else 0
 
 
 def _int(text, what, sep=None):
@@ -135,7 +144,7 @@ def _parse_measure(p, expr, prec, degree, depth, qp):
         degree = _frac(degree)
         depth = None if depth is None else _int(depth, "--depth")
         mu = _parse_qp_measure(p, expr, prec, degree, depth)
-        _check_box(int(degree * p**mu.depth) + 1)
+        _check_box(_cells(p, mu.depth, degree) + 1)
     else:
         mu = _parse_zp_measure(p, expr, prec, _int(degree, "--degree"))
     if mu.p != p:
@@ -177,7 +186,7 @@ def _parse_qp_measure(p, expr, prec, degree, depth):
             m = _int(dd, "depth")
         if m is None:
             raise ParseError("diracq needs @depthM or --depth")
-        _check_box(int(degree * p**m) + 1)
+        _check_box(_cells(p, m, degree) + 1)
         return dirac_q(p, _frac(body), m, prec, degree)
     raise ParseError(f"cannot parse Q_p measure {expr!r}")
 
@@ -317,7 +326,7 @@ def _cmd_dirac(pr):
     if "s" in pr:
         depth = _int(pr.get("depth", 0), "--depth")
         degree = _frac(pr.get("degree", 4))
-        _check_box(int(degree * p**depth) + 1)
+        _check_box(_cells(p, depth, degree) + 1)
         return _measure_doc(dirac_q(p, _frac(pr["s"]), depth, prec, degree))
     degree = _int(pr.get("degree", 16), "--degree")
     _check_box(degree)
@@ -339,7 +348,7 @@ def _cmd_mucan(pr):
     prec = _int(pr.get("prec", 4), "--prec")
     depth = _int(pr.get("depth", stage), "--depth")
     degree = _frac(pr.get("degree", 2))
-    _check_box(int(degree * p**depth) + 1)
+    _check_box(_cells(p, depth, degree) + 1)
     return _measure_doc(canonical_measure(p, stage, depth, prec, degree))
 
 
@@ -353,11 +362,9 @@ def _cmd_fourier(pr):
         for part in str(pr["combo"]).split(","):
             c, s = _int(part, "--combo term", "@")
             combo.append((c, _frac(s)))
-        _check_box((int(qmax * p**qdepth) + 1) * len(combo))
-        qs = [
-            SExponent(p, k, qdepth)
-            for k in range(int(qmax * p**qdepth) + 1)
-        ]
+        n = _cells(p, qdepth, qmax) + 1
+        _check_box(n * len(combo))
+        qs = [SExponent(p, k, qdepth) for k in range(n)]
         out = forward_transform_diracs(p, combo, qs, prec)
     else:
         degree, depth = pr.get("degree", 4), pr.get("depth")
@@ -392,7 +399,7 @@ def _cmd_orthocheck(pr):
         prec = _int(pr.get("prec", 12), "--prec")
         if qdepth < 0:
             raise PreconditionError(f"qdepth {qdepth} < 0")
-        ks = range(int(qmax * p**qdepth))
+        ks = range(_cells(p, qdepth, qmax))
         _check_box(len(ks) ** 2)
         for k1 in ks:
             f = UnifFn.basis(p, Fraction(k1, p**qdepth), prec)
@@ -417,10 +424,11 @@ def _cmd_idealcheck(pr):
     if scan not in ("off", "bounded", "full"):
         raise ParseError(f"unknown scan {scan!r}; expected off, bounded or full")
     prec = N + 3
-    degree = p ** (N + 1) + 1
+    pN = _cells(p, N)
+    degree = p * pN + 1
     # at most N + 2 membership tests, each a walk over the box, for each of
     # the 2(p^N + 1) + N + 2 generators below
-    _check_box((2 * (p**N + 1) + N + 2) * (N + 2) * degree)
+    _check_box((2 * (pN + 1) + N + 2) * (N + 2) * degree)
 
     def failures(gens, top, deepen=0):
         """Generators p^i T^m outside U_(h, l + deepen) for some h + l = top."""
@@ -448,7 +456,7 @@ def _cmd_idealcheck(pr):
         else:
             mod = p ** (N + 2)
             sets = []
-            for m in range(p**N + 1):
+            for m in range(pN + 1):
                 need = middle_ideal_valuation(p, N, m)
                 cand = {0, p**need % mod}
                 if need > 0:

@@ -26,6 +26,7 @@ from .errors import (
 from .padic import (
     PadicScalar,
     SExponent,
+    _as_sexponent,
     gen_binomial,
     is_prime,
     vp_int,
@@ -85,7 +86,7 @@ class UnifFn:
     @classmethod
     def basis(cls, p, q, prec):
         """The generalized binomial function x -> (x choose q)."""
-        q = SExponent.from_fraction(p, q) if not isinstance(q, SExponent) else q
+        q = _as_sexponent(p, q)
         return cls(p, prec, q.logden, {q.num: 1}, exact_tail=True)
 
     @classmethod
@@ -233,7 +234,7 @@ def forward_transform_diracs(p, combo, qs, prec) -> dict:
             s = PadicScalar.from_fraction(p, Fraction(s), prec + 24)
         points.append((c, s))
     for q in qs:
-        q = SExponent.from_fraction(p, q) if not isinstance(q, SExponent) else q
+        q = _as_sexponent(p, q)
         acc = PadicScalar.zero(p, prec)
         for c, s in points:
             acc = acc + gen_binomial(s, q, prec) * c

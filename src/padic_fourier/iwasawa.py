@@ -107,6 +107,8 @@ class IwasawaElt:
 
     @classmethod
     def monomial(cls, p, m, prec, degree, coeff=1):
+        if m < 0:
+            raise PreconditionError(f"T^{m}: exponents on Z_p are >= 0")
         if m >= degree:
             raise BoxExhausted(f"T^{m} does not fit below degree {degree}")
         return cls(p, prec, degree, _series.dense({m: coeff}, degree), exact_tail=True)
@@ -376,10 +378,7 @@ def dirac(a, degree, prec, p=None):
         raise PrecisionExhausted(
             f"need a mod p^{need} for degree {degree} at precision {prec}"
         )
-    X, M = a.integer_rep(), a.abs_bound
-    cs = []
-    for n, val, unit, rel in binomial_row_tracked(p, X, M, degree - 1, prec):
-        cs.append(unit * p**val if val < prec else 0)
+    cs = binomial_row_tracked(p, a.integer_rep(), a.abs_bound, degree - 1, prec)
     return IwasawaElt(p, prec, degree, cs, exact_tail=exact)
 
 
@@ -526,6 +525,8 @@ class MahlerFn:
     @classmethod
     def basis(cls, p, n, prec):
         """The binomial function x -> (x choose n)."""
+        if n < 0:
+            raise PreconditionError(f"binom(x, {n}): the index must be >= 0")
         return cls(p, prec, {n: 1}, n + 1, exact_tail=True)
 
     @classmethod
@@ -573,16 +574,8 @@ class MahlerFn:
         return [self._eval_at_int(a) for a in range(self.period)]
 
     def _eval_at_int(self, a):
-        mod = self.p**self.prec
-        total = 0
-        row = 1  # C(a, 0)
-        for n in range(0, min(a, self.tail_cert - 1) + 1):
-            if n > 0:
-                row = row * (a - n + 1) // n
-            c = self.coeffs.get(n)
-            if c:
-                total = (total + c * row) % mod
-        return total
+        row = binomial_row_tracked(self.p, a, self.prec, min(a, self.tail_cert - 1), self.prec)
+        return sum(self.coeffs.get(n, 0) * b for n, b in enumerate(row)) % self.p**self.prec
 
     def eval(self, x):
         """Evaluate the truncated Mahler sum at an integral point.
@@ -609,19 +602,12 @@ class MahlerFn:
                 )
             a = x.integer_rep() % self.period
             return PadicScalar(p, 0, self._eval_at_int(a), self.prec)
-        X, M = x.integer_rep(), x.abs_bound
-        mod = p**self.prec
-        total = 0
-        out_prec = self.prec
-        top = max(self.coeffs, default=0)
-        for n, val, unit, rel in binomial_row_tracked(p, X, M, top, self.prec):
-            c = self.coeffs.get(n)
-            if c:
-                out_prec = min(out_prec, val + rel, M - vp_factorial(n, p))
-                term = unit * p**val if val < self.prec else 0
-                total = (total + c * term) % mod
+        top = max(self.coeffs, default=0)  # C(x, n) costs v_p(n!) digits of x
+        out_prec = min(self.prec, x.abs_bound - vp_factorial(top, p)) if self.coeffs else self.prec
         if out_prec < 1:
             raise PrecisionExhausted("argument precision exhausted by binomials")
+        row = binomial_row_tracked(p, x.integer_rep(), x.abs_bound, top, self.prec)
+        total = sum(self.coeffs.get(n, 0) * b for n, b in enumerate(row))
         return PadicScalar(p, 0, total, self.prec).truncate(out_prec)
 
     def __eq__(self, other):

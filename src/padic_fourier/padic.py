@@ -359,9 +359,6 @@ class SExponent:
             return SExponent(self.p, self.num * self.p**k, self.logden)
         return SExponent(self.p, self.num, self.logden - k)
 
-    def _key(self):
-        return self.num * 1.0 / self.p**self.logden  # only for error text
-
     def __eq__(self, other):
         return (
             isinstance(other, SExponent)
@@ -408,73 +405,65 @@ class SExponent:
 
 
 def binomial_row_tracked(p: int, X: int, M: int, n_max: int, work: int):
-    """Yield (n, val, unit, rel) for C(x, n), n = 0..n_max, where x ≡ X mod p^M.
+    """Yield C(X, n) mod p^work for n = 0..n_max, for the integer X.
 
-    C(x, n) = p^val * u with u ≡ unit mod p^rel and rel = min(work, M - maxfv),
-    maxfv being the largest factor valuation met so far.  The absolute
-    precision of the n-th entry is val + rel.
-
-    The walk runs on X reduced mod p^(work + guard); a factor whose
-    valuation eats into the guard would leave its unit under-precise, so
-    those rare factors are recomputed from the unreduced X.
+    For x ≡ X mod p^M, entry n certifies C(x, n) mod p^min(work, M - v_p(n!)):
+    n!·C(x, n) is a polynomial in x with integer coefficients.  Each step
+    multiplies by X - n and divides by n + 1, the valuation kept apart
+    from a unit mod p^work.
     """
     if M <= 0:
         raise PrecisionExhausted("argument has no known digits")
     work = max(work, 1)
-    guard = 4
-    mod_w = p**work
-    mod_g = p ** (work + guard)
-    Xg = X % mod_g
-    val = 0
-    unit = 1
-    maxfv = 0
-    yield 0, 0, 1, min(work, M)
-    for j in range(n_max):
-        f_red = (Xg - j) % mod_g
-        if f_red == 0 or vp_int(f_red, p) > guard:
-            # the reduction cannot certify work digits of this factor's unit
-            f = X - j
-            if f == 0:
-                fv, fu = M, 1
-            else:
-                fv = min(vp_int(f, p), M)
-                fu = (f // p**fv) % mod_w
-        else:
-            fv = vp_int(f_red, p)
-            fu = (f_red // p**fv) % mod_w
-        maxfv = max(maxfv, fv)
-        val += fv
-        unit = unit * fu % mod_w
-        k = j + 1
-        kv = vp_int(k, p)
-        val -= kv
-        unit = unit * pow(k // p**kv % mod_w, -1, mod_w) % mod_w
-        yield k, val, unit, min(work, M - maxfv)
+    mod = p**work
+    val, unit = 0, 1
+    yield 1
+    for k in range(1, n_max + 1):
+        f = X - k + 1
+        if f == 0:  # C(X, n) = 0 for every n > X
+            yield from [0] * (n_max - k + 1)
+            return
+        fv, kv = vp_int(f, p), vp_int(k, p)
+        val += fv - kv
+        unit = unit * (f // p**fv) * pow(k // p**kv, -1, mod) % mod
+        yield unit * p**val % mod if val < work else 0
 
 
 def comb_tracked(p: int, X: int, M: int, n: int, work: int) -> PadicScalar:
     """C(x, n) as a PadicScalar, for x ≡ X mod p^M, at the provable precision.
 
-    The last entry of ``binomial_row_tracked`` in closed form (for n > p^M
-    it may certify fewer digits, never more).  Legendre counting gives the
-    valuation: p^t divides 1 + (n-1-r_t)//p^t of the factors x - j, with
-    r_t = X mod p^t, while r_t < n and t <= M.  The unit is the unit part
-    of X(X-1)...(X-n+1) over that of n!, each from at most log_p(n) + 1
+    Legendre counting gives the valuation: p^t divides 1 + (n-1-r_t)//p^t
+    of the factors x - j, with r_t = X mod p^t, while r_t < n and t <= M;
+    the unit is known mod p^min(work, M - t_max).  It is the unit part of
+    X(X-1)...(X-n+1) over that of n!, each from at most log_p(n) + 1
     levels of aligned blocks (``_unit_product``).  Cost: O(p log_p(n)^2)
-    block evaluations of degree <= work, not the walk's n steps.
+    block evaluations of degree <= work, not a walk's n steps.
     """
+    return next(_combs_tracked(p, X, M, [n], work))
+
+
+def _combs_tracked(p: int, X: int, M: int, ns, work: int):
+    """Yield comb_tracked(p, X, M, n, work) for each n of the ascending ``ns``;
+    the unit products grow from one n to the next, over the gap alone."""
     if M <= 0:
         raise PrecisionExhausted("argument has no known digits")
     X %= p**M
-    val, maxfv = -vp_factorial(n, p), 0
-    while maxfv < M and X % p ** (maxfv + 1) < n:
-        maxfv += 1
-        val += 1 + (n - 1 - X % p**maxfv) // p**maxfv
-    rel = min(max(work, 1), M - maxfv)
-    if rel <= 0:
-        return PadicScalar(p, val, 0, 0)
-    den = _unit_product(p, 1, n + 1, rel)  # unit part of n!
-    return PadicScalar(p, val, _unit_product(p, X - n + 1, X + 1, rel) * pow(den, -1, p**rel), rel)
+    w = max(work, 1)
+    mod = p**w
+    num, den, done = 1, 1, 0  # unit parts of X(X-1)...(X-done+1) and done!
+    for n in ns:
+        val, maxfv = -vp_factorial(n, p), 0
+        while maxfv < M and X % p ** (maxfv + 1) < n:
+            maxfv += 1
+            val += 1 + (n - 1 - X % p**maxfv) // p**maxfv
+        rel = min(w, M - maxfv)  # never grows with n: X >= n while rel > 0
+        if rel <= 0:
+            yield PadicScalar(p, val, 0, 0)
+            continue
+        num = num * _unit_product(p, X - n + 1, X - done + 1, w) % mod
+        den = den * _unit_product(p, done + 1, n + 1, w) % mod
+        done = n
+        yield PadicScalar(p, val, num * pow(den, -1, mod), rel)
 
 
 _BLOCK_POLYS = {}  # (p, w) -> [F_1, F_2, ...], grown on demand
@@ -657,31 +646,27 @@ def gen_binomial_approximants(x: PadicScalar, q, levels) -> list:
 
 
 def gen_binomial_profile(x: PadicScalar, logden: int, q_max, target_prec: int) -> dict:
-    """All (x choose j/p^logden) for 0 <= j/p^logden <= q_max, in one sweep.
+    """All (x choose j/p^logden) for 0 <= j/p^logden <= q_max, at one level.
 
-    Returns {j: PadicScalar}.  A single scaling level serves every exponent,
-    so the falling-factorial walk is shared.  Its cost is linear in the
-    largest scaled exponent; ``gen_binomial`` is cheaper for a few entries.
+    Returns {j: PadicScalar}.  The scaling level n that the largest exponent
+    needs serves every entry, C(p^n x, j p^(n - logden)) as ``comb_tracked``
+    gives it; the entries share its unit products, which grow by block
+    products over p^(n - logden) factors from one entry to the next.  So
+    the profile costs polynomial time in n per entry, where a walk took
+    about q_max p^n steps.
     """
     p = x.p
-    q_max = Fraction(q_max)
-    j_max = int(q_max * p**logden)
-    q_top = SExponent(p, max(j_max, 1), logden)
-    n = _level_for(x, q_top, target_prec)
-    n = max(n, logden)
-    step = p ** (n - logden)
-    K_max = j_max * step
-    M = x.abs_bound + n
-    X = x.unit * p ** (x.shift + n)
+    j_max = int(Fraction(q_max) * p**logden)
+    n = max(_level_for(x, SExponent(p, max(j_max, 1), logden), target_prec), logden)
+    X, M, step = x.unit * p ** (x.shift + n), x.abs_bound + n, p ** (n - logden)
     tail = 1 + n + x.val_floor()
     out = {}
-    for k, val, unit, rel in binomial_row_tracked(p, X, M, K_max, target_prec + 2):
-        if k % step == 0:
-            sc = PadicScalar(p, val, unit % (p**rel if rel > 0 else 1), max(rel, 0))
-            certified = min(sc.abs_bound, tail)
-            if certified < target_prec:
-                raise PrecisionExhausted(
-                    f"profile entry q={k // step}/p^{logden} certified only to O(p^{certified})"
-                )
-            out[k // step] = sc.truncate(certified)
+    ks = range(0, j_max * step + 1, step)
+    for j, sc in enumerate(_combs_tracked(p, X, M, ks, target_prec + 2)):
+        certified = min(sc.abs_bound, tail)
+        if certified < target_prec:
+            raise PrecisionExhausted(
+                f"profile entry q={j}/p^{logden} certified only to O(p^{certified})"
+            )
+        out[j] = sc.truncate(certified)
     return out

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from padic_fourier.ainf import (
     t_tilde_approx,
 )
 from padic_fourier.errors import BoxExhausted, PreconditionError
-from padic_fourier.padic import LowerBound, PadicScalar
+from padic_fourier.padic import LowerBound, PadicScalar, comb_int
 from padic_fourier.witt import PerfSeries
 
 
@@ -78,6 +79,21 @@ class TestDiracCharacter:
     def test_depth_insufficient(self):
         with pytest.raises(PreconditionError):
             dirac_q(3, Fraction(1, 9), 1, 4, 2)
+
+    @pytest.mark.parametrize("p, s, m, prec, degree", [
+        (2, Fraction(5, 8), 3, 12, 2),
+        (2, Fraction(-3, 4), 6, 10, Fraction(1, 2)),
+        (3, Fraction(7, 9), 2, 8, 3),
+        (5, Fraction(2), 1, 6, Fraction(7, 5)),
+        (3, Fraction(1, 3), 4, 5, 1),
+    ])
+    def test_coefficients_are_binomials(self, p, s, m, prec, degree):
+        """Tt^(i/p^m) carries C(s p^m, i) mod p^prec, for i/p^m < degree."""
+        a = int(s * p**m)
+        want = {i: comb_int(a, i) for i in range(math.ceil(degree * p**m))}
+        assert dirac_q(p, s, m, prec, degree) == AinfElt(p, prec, m, degree, want)
+        x = PadicScalar.from_fraction(p, s, prec + 40)
+        assert dirac_q(p, x, m, prec, degree) == AinfElt(p, prec, m, degree, want)
 
     def test_padic_scalar_point(self):
         p = 3

@@ -225,10 +225,25 @@ class TestErrors:
         ["orthocheck", "--p", "2", "--mode", "qp", "--qdepth", "40", "--qmax", "2"],
         ["idealcheck", "--p", "7", "--N", "3", "--scan", "off"],
         ["idealcheck", "--p", "3", "--N", "5"],
-    ], ids=["orthocheck-zp", "orthocheck-qp", "idealcheck-p7-N3", "idealcheck-p3-N5"])
+        ["dirac", "--p", "2", "--s", "1", "--depth", "15000"],
+        ["mucan", "--p", "2", "--stage", "1", "--depth", "100000000"],
+        ["wval", "--p", "2", "--mu", "diracq:1@depth100000000"],
+        ["fourier", "--p", "2", "--combo", "1@1/2", "--qdepth", "100000000"],
+        ["idealcheck", "--p", "3", "--N", "100000000"],
+        ["orthocheck", "--p", "3", "--mode", "qp", "--qdepth", "100000000"],
+        ["dirac", "--p", "2", "--s", "1", "--depth", "2", "--degree", "9" * 4300],
+    ], ids=["orthocheck-zp", "orthocheck-qp", "idealcheck-p7-N3", "idealcheck-p3-N5",
+            "dirac-depth-15000", "mucan-depth-1e8", "wval-diracq-depth-1e8",
+            "fourier-qdepth-1e8", "idealcheck-N-1e8", "orthocheck-qdepth-1e8",
+            "dirac-degree-4300-digits"])
     def test_check_commands_are_budgeted(self, args):
-        # each ran past 4 s (idealcheck) or 8 s (orthocheck) with no budget
+        # with no budget the first four ran past 4 s (idealcheck) or 8 s
+        # (orthocheck); the exponent checks refuse the next six before the
+        # power p^k, which ran for seconds or put more than 4300 digits into
+        # the error text, as the last one's cell count still would
+        start = time.monotonic()
         out = run_cli(args, timeout=10)
+        assert time.monotonic() - start < 5
         assert out.returncode == 3
         assert "PADIC_FOURIER_MAX_BOX" in out.stderr
         assert "Traceback" not in out.stderr
@@ -270,6 +285,9 @@ class TestErrors:
     (["mucan", "--p", "2", "--stage", "-1", "--depth", "4"], 3),
     (["dirac", "--p", "2", "--s", "1", "--depth", "-1"], 3),
     (["orthocheck", "--p", "2", "--mode", "qp", "--qdepth", "-1"], 3),
+    (["wval", "--p", "2", "--mu", "T^-1"], 3),
+    (["ball", "--p", "2", "--mu", "T^-1", "--a", "0", "--h", "0"], 3),
+    (["integrate", "--p", "2", "--f", "binom:-1", "--mu", "T"], 3),
 ])
 def test_flag_values_map_to_documented_exit_codes(capsys, argv, code):
     from padic_fourier.cli import main

@@ -73,6 +73,13 @@ class TestDiracAndConvolution:
         with pytest.raises(PrecisionExhausted):
             dirac(a, 16, 3, p=2)
 
+    def test_negative_exponents_are_refused(self):
+        # a negative index used to wrap round to T^(degree - 1)
+        with pytest.raises(PreconditionError):
+            IwasawaElt.monomial(2, -1, 8, 8)
+        with pytest.raises(PreconditionError):
+            MahlerFn.basis(2, -1, 8)
+
 
 class TestMahler:
     def test_constant_function(self):

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from padic_fourier.padic import (
     gen_binomial_profile,
     gen_binomial_valuation_bound,
     gen_binomial_valuation_floor,
+    vp_factorial,
     vp_int,
 )
 
@@ -296,6 +298,23 @@ class TestGenBinomial:
             q = SExponent(p, j, 2) if j else 0
             assert val == gen_binomial(x, Fraction(j, 4), 5)
 
+    @pytest.mark.parametrize("x, logden, q_max", [
+        (Fraction(1, 3), 1, 2),
+        (Fraction(7), 2, 1),
+        (Fraction(5, 9), 2, Fraction(4, 3)),
+    ])
+    def test_profile_at_prec_16_matches_single_calls_quickly(self, x, logden, q_max):
+        # a falling-factorial walk at the shared level takes ~3^16 steps here
+        p = 3
+        x = PadicScalar.from_fraction(p, x, 18)
+        start = time.monotonic()
+        prof = gen_binomial_profile(x, logden, q_max, 16)
+        assert time.monotonic() - start < 2
+        assert sorted(prof) == list(range(int(q_max * p**logden) + 1))
+        for j, val in prof.items():
+            single = gen_binomial(x, Fraction(j, p**logden), 16)
+            assert (val.shift, val.unit, val.prec) == (single.shift, single.unit, single.prec)
+
     def test_precision_exhausted_raised(self):
         x = PadicScalar.from_int(2, 3, 2)
         with pytest.raises(PrecisionExhausted):
@@ -333,10 +352,24 @@ class TestSExponent:
 
 
 def walk_comb(p, X, M, K, work):
-    """Oracle: the last entry of the falling-factorial walk, as comb_tracked
-    returns it."""
-    *_, (k, val, unit, rel) = binomial_row_tracked(p, X, M, K, work)
-    return PadicScalar(p, val, unit % p ** max(rel, 0), max(rel, 0))
+    """Oracle: C(x, K) for x ≡ X mod p^M by the falling-factorial walk, as
+    comb_tracked returns it.  Each factor x - j counts for valuation
+    min(v(X - j), M); the unit is known mod p^rel, rel = min(work, M - maxfv),
+    maxfv being the largest factor valuation met."""
+    if M <= 0:
+        raise PrecisionExhausted("argument has no known digits")
+    mod = p ** max(work, 1)
+    val, unit, maxfv = 0, 1, 0
+    for j in range(K):
+        f = X - j
+        fv = M if f == 0 else min(vp_int(f, p), M)
+        fu = 1 if f == 0 else f // p**fv
+        kv = vp_int(j + 1, p)
+        maxfv = max(maxfv, fv)
+        val += fv - kv
+        unit = unit * fu * pow((j + 1) // p**kv, -1, mod) % mod
+    rel = max(min(max(work, 1), M - maxfv), 0)
+    return PadicScalar(p, val, unit % p**rel, rel)
 
 
 def triple(s):
@@ -384,3 +417,34 @@ class TestCombTrackedOracle:
         walked = walk_comb(p, x.unit * p ** (x.shift + n), x.abs_bound + n, p ** (n - 2), 8)
         assert triple(gen_binomial(x, q, 6)) == triple(walked.truncate(6))
         assert triple(gen_binomial(x, q, prec).truncate(6)) == triple(walked.truncate(6))
+
+
+@st.composite
+def row_case(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    M = draw(st.integers(1, {2: 12, 3: 8, 5: 5, 7: 4}[p]))
+    X = draw(st.integers(-(p ** (M + 2)), p ** (M + 2)))
+    return p, X, M, draw(st.integers(0, 60)), draw(st.integers(0, 14)), draw(st.integers(-40, 40))
+
+
+class TestBinomialRow:
+    @settings(max_examples=200, deadline=None)
+    @given(row_case())
+    @example((2, 5, 3, 12, 4, 1))  # a zero factor at j = X, then a lift past it
+    @example((3, -7, 2, 20, 6, -3))  # a negative representative
+    @example((5, 0, 1, 0, 0, 9))  # one entry, work < 1
+    def test_entries_are_certified_for_every_lift(self, case):
+        """Entry n is C(X, n) mod p^work, and it is C(x, n) for every
+        x = X + t p^M mod p^min(work, M - v_p(n!))."""
+        p, X, M, n_max, work, t = case
+        row = list(binomial_row_tracked(p, X, M, n_max, work))
+        assert len(row) == n_max + 1
+        for n, r in enumerate(row):
+            assert r == comb_int(X, n) % p ** max(work, 1)
+            k = min(max(work, 1), M - vp_factorial(n, p))
+            if k > 0:
+                assert (r - comb_int(X + t * p**M, n)) % p**k == 0
+
+    def test_no_digits_raises(self):
+        with pytest.raises(PrecisionExhausted):
+            list(binomial_row_tracked(3, 5, 0, 2, 4))
