@@ -16,7 +16,7 @@ import operator
 from fractions import Fraction
 
 from .errors import ParseError, PreconditionError
-from .padic import SExponent
+from .padic import SExponent, json_field, json_int
 
 
 def degree_min(a, b):
@@ -229,27 +229,9 @@ def decode_terms(p, depth, terms):
         raise ParseError(f"terms must be a list, not {type(terms).__name__}")
     cs = {}
     for term in terms:
-        q = json_field(term, "q")
-        q = SExponent(p, json_int(q, "num"), json_int(q, "logden"))
+        q = SExponent.from_json(p, json_field(term, "q"))
         if q.logden > depth:
             raise ParseError(f"exponent {q} is off the 1/{p}^{depth} grid")
         cs[q.num * p ** (depth - q.logden)] = json_int(term, "coeff")
     return cs
 
-
-def json_field(doc, key):
-    """``doc[key]`` of a JSON object; a missing key, or a ``doc`` that is no
-    object, is a ParseError."""
-    if not isinstance(doc, dict) or key not in doc:
-        raise ParseError(f"missing {key!r} in a JSON document")
-    return doc[key]
-
-
-def json_int(doc, key, low=None):
-    """``doc[key]`` as an integer of at least ``low``; a missing key, a bool,
-    any other non-integer or a smaller value is a ParseError."""
-    value = json_field(doc, key)
-    if type(value) is not int or (low is not None and value < low):
-        need = "an integer" if low is None else f"an integer >= {low}"
-        raise ParseError(f"bad {key} {value!r}: need {need}")
-    return value

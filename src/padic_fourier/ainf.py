@@ -38,6 +38,8 @@ from .padic import (
     SExponent,
     _as_sexponent,
     is_prime,
+    json_field,
+    json_int,
     vp_int,
 )
 
@@ -71,8 +73,16 @@ class AinfElt:
         object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "coeffs", cs)
 
+    @classmethod
+    def _new(cls, p, prec, depth, degree, coeffs, shift=0):
+        """An element of ``cls`` by the box rule of ``__init__``, whatever
+        arguments ``cls``'s own constructor takes: every result is built here."""
+        elt = object.__new__(cls)
+        AinfElt.__init__(elt, p, prec, depth, degree, coeffs, shift)
+        return elt
+
     def __setattr__(self, name, value):
-        raise AttributeError("AinfElt is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     # -- constructors ---------------------------------------------------
 
@@ -97,7 +107,7 @@ class AinfElt:
         if depth < self.depth:
             raise PreconditionError("cannot coarsen the exponent grid")
         f = self.p ** (depth - self.depth)
-        elt = object.__new__(AinfElt)
+        elt = object.__new__(type(self))
         object.__setattr__(elt, "p", self.p)
         object.__setattr__(elt, "prec", self.prec)
         object.__setattr__(elt, "depth", depth)
@@ -107,8 +117,8 @@ class AinfElt:
         return elt
 
     def _pair(self, other):
-        if not isinstance(other, AinfElt):
-            raise PreconditionError("expected an AinfElt")
+        if type(other) is not type(self):
+            raise PreconditionError(f"expected a {type(self).__name__}")
         if self.p != other.p:
             raise PrimeMismatch(f"p={self.p} vs p={other.p}")
         m = max(self.depth, other.depth)
@@ -133,7 +143,7 @@ class AinfElt:
         if degree is not None and self.degree is not None and Fraction(degree) > self.degree:
             raise PrecisionExhausted("cannot grow the degree bound")
         degree = self.degree if degree is None else degree
-        return AinfElt(self.p, prec, self.depth, degree, dict(self.coeffs), shift=self.shift)
+        return self._new(self.p, prec, self.depth, degree, self.coeffs, self.shift)
 
     def items_sexp(self):
         """Stored terms as (SExponent, coefficient) pairs, ascending."""
@@ -146,50 +156,52 @@ class AinfElt:
 
     def __add__(self, other):
         if isinstance(other, int):
-            other = AinfElt.one(self.p, self.prec) * other
+            other = self._new(self.p, self.prec, 0, None, {0: other})
         ca, cb, depth, s, prec, degree = self._align(other)
         if prec < 1:
             raise PrecisionExhausted("shift alignment exhausts the precision")
         for k, c in cb.items():
             ca[k] = ca.get(k, 0) + c
-        return AinfElt(self.p, prec, depth, degree, ca, shift=s)
+        return self._new(self.p, prec, depth, degree, ca, s)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AinfElt(
-            self.p, self.prec, self.depth, self.degree,
-            {k: -c for k, c in self.coeffs.items()}, shift=self.shift,
-        )
+        return self._mul(-1)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = AinfElt.one(self.p, self.prec) * other
         return self + (-other)
 
     def __rsub__(self, other):
         return -(self - other)
 
-    def __mul__(self, other):
+    def _mul(self, other):
+        """The product behind every series type's own ``__mul__``."""
         if isinstance(other, int):
-            return AinfElt(
+            return self._new(
                 self.p, self.prec, self.depth, self.degree,
-                {k: c * other for k, c in self.coeffs.items()}, shift=self.shift,
+                {k: c * other for k, c in self.coeffs.items()}, self.shift,
             )
         a, b = self._pair(other)
         degree = _series.degree_min(a.degree, b.degree)
         cs = _series.mul(a.coeffs, b.coeffs, _series.key_bound(self.p, a.depth, degree))
-        return AinfElt(
-            self.p, min(a.prec, b.prec), a.depth, degree, cs, shift=a.shift + b.shift
-        )
+        return self._new(self.p, min(a.prec, b.prec), a.depth, degree, cs, a.shift + b.shift)
+
+    def __mul__(self, other):
+        return self._mul(other)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        return _series.power(self, k, AinfElt.one(self.p, self.prec, self.degree))
+        return _series.power(self, k, self._new(self.p, self.prec, 0, self.degree, {0: 1}))
+
+    def _scaled(self, k):
+        """The monomial substitution q -> p^k q, k in Z, in ``self``'s type."""
+        depth, degree, cs = _series.scale(self.p, self.depth, self.degree, self.coeffs, k)
+        return self._new(self.p, self.prec, depth, degree, cs, self.shift)
 
     def __eq__(self, other):
-        if not isinstance(other, AinfElt):
+        if type(other) is not type(self):
             return NotImplemented
         if self.p != other.p:
             return False
@@ -199,7 +211,7 @@ class AinfElt:
         )
 
     def __hash__(self):
-        raise TypeError("AinfElt equality is box-relative; not hashable")
+        raise TypeError(f"{type(self).__name__} equality is box-relative; not hashable")
 
     # -- valuation and reduction -------------------------------------------
 
@@ -231,10 +243,7 @@ class AinfElt:
             return PerfSeries(self.p, 0, self.degree, {})
         if self.shift < 0:
             raise PreconditionError("element has denominators; not reducible mod p")
-        return PerfSeries(
-            self.p, self.depth, self.degree,
-            {k: c % self.p for k, c in self.coeffs.items()},
-        )
+        return PerfSeries(self.p, self.depth, self.degree, self.coeffs)
 
     # -- presentation --------------------------------------------------------
 
@@ -274,14 +283,15 @@ class AinfElt:
 
     @classmethod
     def from_json(cls, doc):
-        """The measure of a ``to_json`` document; a missing key, a non-integer
-        field or coefficient, or prec < 1 is a ParseError."""
-        p, depth = _series.json_int(doc, "p"), _series.json_int(doc, "depth")
-        prec = _series.json_int(doc, "prec", low=1)
-        degree = _series.decode_degree(p, _series.json_field(doc, "degree"))
-        cs = _series.decode_terms(p, depth, _series.json_field(doc, "terms"))
-        shift = _series.json_int(doc, "shift") if "shift" in doc else 0
-        return cls(p, prec, depth, degree, cs, shift=shift)
+        """The measure of a ``to_json`` document, an AinfElt whatever ``cls``;
+        a missing key, a non-integer field or coefficient, or prec < 1 is a
+        ParseError."""
+        p, depth = json_int(doc, "p"), json_int(doc, "depth")
+        prec = json_int(doc, "prec", low=1)
+        degree = _series.decode_degree(p, json_field(doc, "degree"))
+        cs = _series.decode_terms(p, depth, json_field(doc, "terms"))
+        shift = json_int(doc, "shift") if "shift" in doc else 0
+        return AinfElt(p, prec, depth, degree, cs, shift=shift)
 
 
 def dirac_q(p, s, depth, prec, degree):
@@ -336,9 +346,7 @@ def rescale_pushforward(x):
     In series coordinates this is the monomial substitution Tt^q -> Tt^(pq),
     lowering the working depth by one (depth-0 keys simply scale by p).
     """
-    return AinfElt(
-        x.p, x.prec, *_series.scale(x.p, x.depth, x.degree, x.coeffs, 1), shift=x.shift
-    )
+    return x._scaled(1)
 
 
 def reduce_mod_p(x):

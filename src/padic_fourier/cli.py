@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import __version__, _series
+from . import __version__
 from .ainf import AinfElt, dirac_q
 from .artin_hasse import canonical_measure
 from .errors import (
@@ -46,7 +46,7 @@ from .iwasawa import (
     middle_ideal_valuation,
     ptadic_power_generators,
 )
-from .padic import LowerBound, PadicScalar, SExponent, is_prime
+from .padic import LowerBound, PadicScalar, SExponent, is_prime, json_int
 from .witt import PerfSeries, teichmuller
 
 
@@ -155,7 +155,7 @@ def _parse_measure(p, expr, prec, degree, depth, qp):
 def _parse_zp_measure(p, expr, prec, degree):
     if expr.startswith("@"):
         doc = _load_doc(expr[1:])
-        _check_box(_series.json_int(doc, "degree"))
+        _check_box(json_int(doc, "degree"))
         return IwasawaElt.from_json(doc)
     _check_box(degree)
     if expr == "1":

@@ -19,6 +19,7 @@ from fractions import Fraction
 from . import _series
 from .ainf import AinfElt
 from .errors import (
+    ParseError,
     PreconditionError,
     PrimeMismatch,
     UncertifiedTailError,
@@ -29,6 +30,9 @@ from .padic import (
     _as_sexponent,
     gen_binomial,
     is_prime,
+    json_field,
+    json_flag,
+    json_int,
     vp_int,
 )
 
@@ -151,16 +155,21 @@ class UnifFn:
 
     @classmethod
     def from_json(cls, doc):
-        p = doc["p"]
-        depth = doc["depth"]
-        cs = _series.decode_terms(p, depth, doc["terms"])
+        """The function of a ``to_json`` document; a missing key, a non-integer
+        field, a decay certificate that is not a list, an ``exact_tail`` that
+        is not a bool, or prec < 1 is a ParseError."""
+        p, depth = json_int(doc, "p"), json_int(doc, "depth")
+        cs = _series.decode_terms(p, depth, json_field(doc, "terms"))
+        cert = doc.get("decay_cert", [])
+        if not isinstance(cert, list):
+            raise ParseError(f"decay_cert must be a list, not {type(cert).__name__}")
         cert = [
-            (SExponent.from_json(p, e["q_ge"]).as_fraction(), e["val_floor"])
-            for e in doc.get("decay_cert", [])
+            (SExponent.from_json(p, json_field(e, "q_ge")).as_fraction(), json_int(e, "val_floor"))
+            for e in cert
         ]
         return cls(
-            p, doc["prec"], depth, cs,
-            decay_cert=cert or None, exact_tail=doc.get("exact_tail", False),
+            p, json_int(doc, "prec", low=1), depth, cs,
+            decay_cert=cert or None, exact_tail=json_flag(doc, "exact_tail"),
         )
 
 

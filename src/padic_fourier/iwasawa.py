@@ -34,6 +34,9 @@ from .padic import (
     PadicScalar,
     binomial_row_tracked,
     is_prime,
+    json_field,
+    json_flag,
+    json_int,
     vp_factorial,
     vp_int,
 )
@@ -333,12 +336,12 @@ class IwasawaElt:
     def from_json(cls, doc):
         """The measure of a ``to_json`` document; a missing key, a non-integer
         field or coefficient, or prec < 1 is a ParseError."""
-        p, degree = _series.json_int(doc, "p"), _series.json_int(doc, "degree")
-        prec = _series.json_int(doc, "prec", low=1)
-        coeffs = _series.json_field(doc, "coeffs")
+        p, degree = json_int(doc, "p"), json_int(doc, "degree")
+        prec = json_int(doc, "prec", low=1)
+        coeffs = json_field(doc, "coeffs")
         if not isinstance(coeffs, list) or any(type(c) is not int for c in coeffs):
             raise ParseError("coeffs must be a list of integers")
-        return cls(p, prec, degree, coeffs, exact_tail=doc.get("exact_tail", False))
+        return cls(p, prec, degree, coeffs, exact_tail=json_flag(doc, "exact_tail"))
 
 
 def _ball_residues(coeffs, r, mod):

@@ -14,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import (
+    ParseError,
     PrecisionExhausted,
     PreconditionError,
     PrimeMismatch,
@@ -85,6 +86,33 @@ def comb_int(a: int, n: int) -> int:
     for j in range(2, n + 1):
         den *= j
     return num // den
+
+
+def json_field(doc, key):
+    """``doc[key]`` of a JSON object; a missing key, or a ``doc`` that is no
+    object, is a ParseError."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ParseError(f"missing {key!r} in a JSON document")
+    return doc[key]
+
+
+def json_int(doc, key, low=None):
+    """``doc[key]`` as an integer of at least ``low``; a missing key, a bool,
+    any other non-integer or a smaller value is a ParseError."""
+    value = json_field(doc, key)
+    if type(value) is not int or (low is not None and value < low):
+        need = "an integer" if low is None else f"an integer >= {low}"
+        raise ParseError(f"bad {key} {value!r}: need {need}")
+    return value
+
+
+def json_flag(doc, key):
+    """``doc[key]`` of a JSON object as a bool, False when absent; any value
+    but a JSON true or false is a ParseError."""
+    value = doc.get(key, False)
+    if type(value) is not bool:
+        raise ParseError(f"bad {key} {value!r}: need true or false")
+    return value
 
 
 class LowerBound:
@@ -299,7 +327,9 @@ class PadicScalar:
 
     @classmethod
     def from_json(cls, doc: dict) -> "PadicScalar":
-        return cls(doc["p"], doc["shift"], doc["unit"], doc["prec"])
+        """The scalar of a ``to_json`` document; a missing key or a field that
+        is not an integer is a ParseError."""
+        return cls(*(json_int(doc, key) for key in ("p", "shift", "unit", "prec")))
 
 
 class SExponent:
@@ -396,7 +426,9 @@ class SExponent:
 
     @classmethod
     def from_json(cls, p: int, doc: dict) -> "SExponent":
-        return cls(p, doc["num"], doc["logden"])
+        """The exponent of a ``to_json`` document; a missing key or a field
+        that is not an integer is a ParseError."""
+        return cls(p, json_int(doc, "num"), json_int(doc, "logden"))
 
 
 # ---------------------------------------------------------------------------
@@ -473,10 +505,12 @@ def _block_poly(p: int, w: int, k: int) -> list:
     """F_k(y) = ∏_{u < p^k, p ∤ u} (y + u) mod (p^w, y^⌈w/k⌉), 1 <= k < w, as
     a coefficient list.  It is evaluated only at points of valuation >= k,
     where the dropped terms vanish mod p^w; F_k = ∏_{t<p} F_(k-1)(y + t p^(k-1))."""
+    table = _BLOCK_POLYS.get((p, w), [])
+    if k <= len(table):
+        return table[k - 1]
     from . import _series
 
     mod = p**w
-    table = _BLOCK_POLYS.get((p, w), [])
     while len(table) < k:
         j = len(table) + 1
         if j == 1:

@@ -17,15 +17,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import _series
 from .ainf import AinfElt
-from .errors import (
-    BoxExhausted,
-    InternalConsistencyError,
-    PreconditionError,
-    PrimeMismatch,
-)
-from .padic import SExponent, is_prime
+from .errors import BoxExhausted, InternalConsistencyError, PreconditionError
+from .padic import SExponent
 
 __all__ = [
     "PerfSeries",
@@ -36,25 +30,14 @@ __all__ = [
 ]
 
 
-class PerfSeries:
-    """An element of F_p[t^(1/p^infinity)] truncated below exponent ``degree``."""
+class PerfSeries(AinfElt):
+    """An element of F_p[t^(1/p^infinity)] truncated below exponent ``degree``:
+    an AinfElt known mod p^1 with shift 0, whose arithmetic and box it shares."""
 
-    __slots__ = ("p", "depth", "degree", "coeffs")
+    __slots__ = ()
 
     def __init__(self, p, depth, degree, coeffs):
-        if not is_prime(p):
-            raise PreconditionError(f"p = {p} is not prime")
-        if depth < 0:
-            raise PreconditionError("depth must be >= 0")
-        degree = None if degree is None else Fraction(degree)
-        depth, cs = _series.truncate(p, depth, degree, coeffs, p)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", cs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PerfSeries is immutable")
+        AinfElt.__init__(self, p, 1, depth, degree, coeffs)
 
     # -- constructors ------------------------------------------------------
 
@@ -71,71 +54,20 @@ class PerfSeries:
         q = SExponent.from_fraction(p, q)
         return cls(p, q.logden, degree, {q.num: coeff})
 
-    # -- plumbing -----------------------------------------------------------
-
-    def with_depth(self, depth):
-        """Lossless re-expression on a finer grid (kept at that depth)."""
-        if depth < self.depth:
-            raise PreconditionError("cannot coarsen the exponent grid")
-        f = self.p ** (depth - self.depth)
-        elt = object.__new__(PerfSeries)
-        object.__setattr__(elt, "p", self.p)
-        object.__setattr__(elt, "depth", depth)
-        object.__setattr__(elt, "degree", self.degree)
-        object.__setattr__(elt, "coeffs", _series.regrid(self.coeffs, f))
-        return elt
-
-    def _pair(self, other):
-        if not isinstance(other, PerfSeries):
-            raise PreconditionError("expected a PerfSeries")
-        if self.p != other.p:
-            raise PrimeMismatch(f"p={self.p} vs p={other.p}")
-        m = max(self.depth, other.depth)
-        return self.with_depth(m), other.with_depth(m)
-
     # -- F_p-algebra operations ----------------------------------------------
 
-    def __add__(self, other):
-        a, b = self._pair(other)
-        cs = dict(a.coeffs)
-        for k, c in b.coeffs.items():
-            cs[k] = cs.get(k, 0) + c
-        return PerfSeries(self.p, a.depth, _series.degree_min(a.degree, b.degree), cs)
-
-    def __neg__(self):
-        return PerfSeries(
-            self.p, self.depth, self.degree,
-            {k: -c for k, c in self.coeffs.items()},
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            return PerfSeries(
-                self.p, self.depth, self.degree,
-                {k: c * other for k, c in self.coeffs.items()},
-            )
-        a, b = self._pair(other)
-        degree = _series.degree_min(a.degree, b.degree)
-        cs = _series.mul(a.coeffs, b.coeffs, _series.key_bound(self.p, a.depth, degree))
-        return PerfSeries(self.p, a.depth, degree, cs)
+        return self._mul(other)
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        return _series.power(self, k, PerfSeries.one(self.p, self.degree))
-
     def frobenius(self, k=1):
         """x -> x^(p^k), exact: scales every exponent by p^k."""
-        p = self.p
-        return PerfSeries(p, *_series.scale(p, self.depth, self.degree, self.coeffs, k))
+        return self._scaled(k)
 
     def frobenius_inverse(self, k=1):
         """The exact p^k-th root: scales every exponent by p^-k."""
-        p = self.p
-        return PerfSeries(p, *_series.scale(p, self.depth, self.degree, self.coeffs, -k))
+        return self._scaled(-k)
 
     def t_adic_valuation(self):
         """min of the exponents (None for the zero series)."""
@@ -150,21 +82,7 @@ class PerfSeries:
         any lift works for the Teichmüller limit, this one is the
         deterministic convention.
         """
-        return AinfElt(self.p, prec, self.depth, self.degree, dict(self.coeffs))
-
-    def __eq__(self, other):
-        if not isinstance(other, PerfSeries):
-            return NotImplemented
-        if self.p != other.p:
-            return False
-        a, b = self._pair(other)
-        degree = _series.degree_min(a.degree, b.degree)
-        return _series.equal(
-            a.coeffs, b.coeffs, _series.key_bound(self.p, a.depth, degree), self.p
-        )
-
-    def __hash__(self):
-        raise TypeError("PerfSeries equality is box-relative; not hashable")
+        return AinfElt(self.p, prec, self.depth, self.degree, self.coeffs)
 
     def __repr__(self):
         return (
@@ -188,12 +106,9 @@ class PerfSeries:
         return f"{body}  (mod {self.p}, q>={dstr})"
 
     def to_json(self):
-        return {
-            "p": self.p,
-            "depth": self.depth,
-            "degree": _series.encode_degree(self.p, self.degree),
-            "terms": _series.encode_terms(self.p, self.depth, self.coeffs),
-        }
+        doc = AinfElt.to_json(self)
+        del doc["prec"]  # always 1
+        return doc
 
 
 class WittElt:

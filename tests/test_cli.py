@@ -334,6 +334,13 @@ class TestMeasureDocuments:
         mu = _doc_arg(tmp_path, {**QP_DOC, "terms": 5})
         assert self._main(capsys, ["wval", "--p", "2", "--mu", mu]) == 2
 
+    @pytest.mark.parametrize("tail, code", [("false", 2), (1, 2), (False, 4), (True, 0)])
+    def test_exact_tail_must_be_a_json_bool(self, capsys, tmp_path, tail, code):
+        doc = {"p": 2, "prec": 8, "degree": 4, "coeffs": [1, 2, 3, 5], "exact_tail": tail}
+        mu = _doc_arg(tmp_path, doc)
+        argv = ["ball", "--p", "2", "--mu", mu, "--a", "1", "--h", "3"]
+        assert self._main(capsys, argv) == code
+
     def test_ball_on_qp_document_exits_2(self, capsys, tmp_path):
         assert self._ball(capsys, tmp_path, QP_DOC) == 2
 

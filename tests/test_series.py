@@ -5,6 +5,8 @@ keys: a series is a map from exponent (a Fraction, an int or an (i, j)
 pair) to coefficient, and the product visits every pair of terms.
 """
 
+import copy
+import functools
 import json
 import operator
 import subprocess
@@ -19,6 +21,7 @@ from padic_fourier.ainf import AinfElt
 from padic_fourier.errors import ParseError, PreconditionError
 from padic_fourier.fourier import UnifFn
 from padic_fourier.iwasawa import BivariateSeries, IwasawaElt
+from padic_fourier.padic import PadicScalar, SExponent
 from padic_fourier.witt import PerfSeries
 
 PRIMES = st.sampled_from([2, 3, 5])
@@ -441,6 +444,16 @@ def test_ainf_from_json_rejects_bad_degree(degree):
 
 MISSING = object()
 
+# a well-formed document for each JSON loader, corrupted one key per row below
+BASE_DOCS = {
+    IwasawaElt: {"p": 2, "prec": 4, "degree": 4, "coeffs": [1, 2, 3]},
+    AinfElt: qp_doc({"num": 1, "logden": 1}),
+    UnifFn: {**qp_doc({"num": 1, "logden": 1}),
+             "decay_cert": [{"q_ge": {"num": 2, "logden": 0}, "val_floor": 3}]},
+    PadicScalar: {"p": 2, "shift": 1, "unit": 3, "prec": 4},
+    SExponent: {"num": 3, "logden": 1},
+}
+
 
 @pytest.mark.parametrize("cls, key, value", [
     (IwasawaElt, "prec", MISSING),
@@ -464,18 +477,37 @@ MISSING = object()
     (AinfElt, "terms", [{"q": {"num": 0.5}, "coeff": 1}]),
     (AinfElt, "terms", [{"q": {"num": 1, "logden": 0}, "coeff": "1"}]),
     (AinfElt, "terms", [7]),
+    (IwasawaElt, "exact_tail", "false"),
+    (IwasawaElt, "exact_tail", 1),
+    (UnifFn, "prec", MISSING),
+    (UnifFn, "terms", MISSING),
+    (UnifFn, "prec", 0),
+    (UnifFn, "depth", 0.5),
+    (UnifFn, "exact_tail", "false"),
+    (UnifFn, "exact_tail", None),
+    (UnifFn, "decay_cert", 5),
+    (UnifFn, "decay_cert", [7]),
+    (UnifFn, "decay_cert", [{"q_ge": {"num": 2}, "val_floor": 3}]),
+    (UnifFn, "decay_cert", [{"q_ge": {"num": 2, "logden": 0}, "val_floor": "3"}]),
+    (PadicScalar, "unit", MISSING),
+    (PadicScalar, "unit", "x"),
+    (PadicScalar, "shift", 0.5),
+    (PadicScalar, "prec", True),
+    (PadicScalar, "p", None),
+    (SExponent, "num", MISSING),
+    (SExponent, "logden", 1.5),
+    (SExponent, "num", "3"),
 ])
 def test_from_json_rejects_malformed_documents(cls, key, value):
-    if cls is IwasawaElt:
-        doc = {"p": 2, "prec": 4, "degree": 4, "coeffs": [1, 2, 3]}
-    else:
-        doc = qp_doc({"num": 1, "logden": 1})
+    load = functools.partial(SExponent.from_json, 2) if cls is SExponent else cls.from_json
+    load(copy.deepcopy(BASE_DOCS[cls]))  # the uncorrupted document loads
+    doc = copy.deepcopy(BASE_DOCS[cls])
     if value is MISSING:
         del doc[key]
     else:
         doc[key] = value
     with pytest.raises(ParseError):
-        cls.from_json(doc)
+        load(doc)
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -43,6 +44,54 @@ class TestPerfSeries:
         x = PerfSeries(3, 1, None, {2: 1, 7: 2})
         assert x.t_adic_valuation() == Fraction(2, 3)
         assert PerfSeries.zero(3).t_adic_valuation() is None
+
+
+class TestPerfSeriesIsAinfEltModP:
+    """PerfSeries shares AinfElt's box and arithmetic: every result keeps the
+    type and the box (prec 1, shift 0), and the two types never mix."""
+
+    x = PerfSeries(3, 1, 4, {1: 2, 4: 1})
+    y = PerfSeries(3, 0, None, {0: 1, 2: 2})
+
+    @pytest.mark.parametrize("op", [
+        lambda x, y: x + y, lambda x, y: x - y, lambda x, y: -x, lambda x, y: x * y,
+        lambda x, y: x * 5, lambda x, y: 5 * x, lambda x, y: x**3, lambda x, y: x - 1,
+        lambda x, y: 1 - x, lambda x, y: x.with_depth(3), lambda x, y: x.frobenius(2),
+        lambda x, y: x.frobenius(-2), lambda x, y: x.frobenius_inverse(1),
+        lambda x, y: x.resize(degree=2),
+    ])
+    def test_results_are_perf_series_mod_p(self, op):
+        r = op(self.x, self.y)
+        assert type(r) is PerfSeries
+        assert (r.prec, r.shift) == (1, 0)
+        assert all(0 < c < 3 for c in r.coeffs.values())
+
+    def test_values(self):
+        x, y = self.x, self.y
+        assert x * 5 == x * 2 == x + x
+        assert x - x == PerfSeries.zero(3) and -x == x * 2
+        assert x.frobenius(-2) == x.frobenius_inverse(2)
+        assert (x * y).frobenius() == x.frobenius() * y.frobenius()
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    def test_mixing_with_ainf_elt_is_refused(self, op):
+        a = self.x.lift(1)  # the same coefficients as an AinfElt
+        with pytest.raises(PreconditionError):
+            op(self.x, a)
+        with pytest.raises(PreconditionError):
+            op(a, self.x)
+        assert not self.x == a and not a == self.x and self.x != a
+
+    def test_inherited_classmethods_take_ainf_elt_arguments(self):
+        inherited = {
+            name for name, v in vars(AinfElt).items() if isinstance(v, classmethod)
+        } - set(vars(PerfSeries))
+        assert inherited == {"_new", "from_json"}
+        a = AinfElt(3, 1, 1, 4, {1: 2, 4: 1})
+        loaded = PerfSeries.from_json(a.to_json())  # an AinfElt document
+        assert type(loaded) is AinfElt and loaded == a
+        built = PerfSeries._new(3, 1, 1, 4, {1: 2, 4: 1})
+        assert type(built) is PerfSeries and built == self.x
 
 
 class TestTeichmuller:
