@@ -37,6 +37,7 @@ from .iwasawa import (
     IwasawaElt,
     MahlerFn,
     ball_ideal_equal_generators,
+    ball_ideal_failures,
     ball_ideal_middle_generators,
     dirac,
     integrate,
@@ -100,6 +101,18 @@ def _cells(p, k, scale=1):
     if scale and k * (p.bit_length() - 1) > (cap * scale.denominator).bit_length():
         raise PreconditionError(f"{p}^{k} cells exceed PADIC_FOURIER_MAX_BOX={cap}")
     return int(scale * p**k) if scale else 0
+
+
+def _prec(pr, default):
+    """The --prec flag of the parameters ``pr``, or ``default`` when absent.
+    A residue mod p^prec takes under prec·bit_length(p) bits; more bits than
+    the cap is refused before p^prec is computed."""
+    if "prec" not in pr:
+        return default
+    prec, cap = _int(pr["prec"], "--prec"), max_box_cells()
+    if prec * pr["p"].bit_length() > cap:
+        raise PreconditionError(f"--prec {prec} exceeds PADIC_FOURIER_MAX_BOX={cap} bits")
+    return prec
 
 
 def _int(text, what, sep=None):
@@ -267,7 +280,7 @@ def _wval_doc(w):
 def _cmd_mahler(pr):
     p = pr["p"]
     samples = [_int(s, "sample") for s in str(pr["samples"]).split(",") if s != ""]
-    prec = _int(pr["prec"], "--prec") if "prec" in pr else None
+    prec = _prec(pr, None)
     f = mahler_coeffs_from_samples(p, samples, prec=prec)
     coeffs = [f.coeffs.get(n, 0) for n in range(len(samples))]
     oracle = mahler_coeffs_by_differences(p, samples, f.prec)
@@ -282,7 +295,7 @@ def _cmd_mahler(pr):
 
 def _cmd_integrate(pr):
     p = pr["p"]
-    prec = _int(pr.get("prec", 12), "--prec")
+    prec = _prec(pr, 12)
     f, mu_expr = _parse_function(p, str(pr["f"]), prec), str(pr["mu"])
     qp = isinstance(f, UnifFn) or _is_qp_expr(mu_expr)
     mu = _parse_measure(p, mu_expr, prec, pr.get("degree", 16), pr.get("depth"), qp)
@@ -294,7 +307,7 @@ def _cmd_integrate(pr):
 
 def _cmd_convolve(pr):
     p = pr["p"]
-    prec = _int(pr.get("prec", 8), "--prec")
+    prec = _prec(pr, 8)
     exprs = str(pr["mu1"]), str(pr["mu2"])
     qp = any(map(_is_qp_expr, exprs))
     m1, m2 = (
@@ -306,14 +319,14 @@ def _cmd_convolve(pr):
 
 def _cmd_ball(pr):
     p = pr["p"]
-    prec = _int(pr.get("prec", 8), "--prec")
+    prec = _prec(pr, 8)
     mu = _parse_measure(p, str(pr["mu"]), prec, pr.get("degree", 16), None, False)
     return _scalar_doc(mu.ball_measure(_int(pr["a"], "--a"), _int(pr["h"], "--h")))
 
 
 def _cmd_wval(pr):
     expr = str(pr["mu"])
-    prec = _int(pr.get("prec", 8), "--prec")
+    prec = _prec(pr, 8)
     mu = _parse_measure(
         pr["p"], expr, prec, pr.get("degree", 16), pr.get("depth"), _is_qp_expr(expr)
     )
@@ -322,7 +335,7 @@ def _cmd_wval(pr):
 
 def _cmd_dirac(pr):
     p = pr["p"]
-    prec = _int(pr.get("prec", 8), "--prec")
+    prec = _prec(pr, 8)
     if "s" in pr:
         depth = _int(pr.get("depth", 0), "--depth")
         degree = _frac(pr.get("degree", 4))
@@ -345,7 +358,7 @@ def _cmd_teich(pr):
 def _cmd_mucan(pr):
     p = pr["p"]
     stage = _int(pr.get("stage", 1), "--stage")
-    prec = _int(pr.get("prec", 4), "--prec")
+    prec = _prec(pr, 4)
     depth = _int(pr.get("depth", stage), "--depth")
     degree = _frac(pr.get("degree", 2))
     _check_box(_cells(p, depth, degree) + 1)
@@ -354,7 +367,7 @@ def _cmd_mucan(pr):
 
 def _cmd_fourier(pr):
     p = pr["p"]
-    prec = _int(pr.get("prec", 8), "--prec")
+    prec = _prec(pr, 8)
     if "combo" in pr:
         qdepth = _int(pr.get("qdepth", 1), "--qdepth")
         qmax = _frac(pr.get("qmax", 2))
@@ -383,7 +396,7 @@ def _cmd_orthocheck(pr):
     failures = []
     if mode == "zp":
         imax = _int(pr.get("imax", 30), "--imax")
-        prec = _int(pr.get("prec", 20), "--prec")
+        prec = _prec(pr, 20)
         degree = imax + 2
         ks = range(imax + 1)
         _check_box(len(ks) ** 2)  # one integral per pair
@@ -396,7 +409,7 @@ def _cmd_orthocheck(pr):
     elif mode == "qp":
         qdepth = _int(pr.get("qdepth", 2), "--qdepth")
         qmax = _frac(pr.get("qmax", 4))
-        prec = _int(pr.get("prec", 12), "--prec")
+        prec = _prec(pr, 12)
         if qdepth < 0:
             raise PreconditionError(f"qdepth {qdepth} < 0")
         ks = range(_cells(p, qdepth, qmax))
@@ -426,23 +439,16 @@ def _cmd_idealcheck(pr):
     prec = N + 3
     pN = _cells(p, N)
     degree = p * pN + 1
-    # at most N + 2 membership tests, each a walk over the box, for each of
-    # the 2(p^N + 1) + N + 2 generators below
+    # the cap counts a membership test for each of the 2(p^N + 1) + N + 2
+    # generators below at each of N + 2 radii, over the p^(N+1) + 1 degrees
+    # of their box; the monomial ball table behind those tests costs
+    # (p^N + 1)·Σ_(h <= N+1) p^h per generator list, within that count
     _check_box((2 * (pN + 1) + N + 2) * (N + 2) * degree)
-
-    def failures(gens, top, deepen=0):
-        """Generators p^i T^m outside U_(h, l + deepen) for some h + l = top."""
-        out = []
-        for i, m in gens:
-            mu = IwasawaElt.monomial(p, m, prec, degree, coeff=p**i)
-            for h in range(top + 1):
-                if not mu.natural_ideal_membership(h, top - h + deepen)[0]:
-                    out.append({"gen": [i, m], "h": h, "l": top - h})
-        return out
-
-    gen_fail = failures(ptadic_power_generators(p, N), N + 1)
-    equal_fail = failures(ball_ideal_equal_generators(p, N), N + 1)
-    middle_fail = failures(ball_ideal_middle_generators(p, N), N, deepen=1)
+    gen_fail = ball_ideal_failures(p, ptadic_power_generators(p, N), N + 1, prec)
+    equal_fail = ball_ideal_failures(p, ball_ideal_equal_generators(p, N), N + 1, prec)
+    middle_fail = ball_ideal_failures(
+        p, ball_ideal_middle_generators(p, N), N, prec, deepen=1
+    )
     doc = {
         "p": p,
         "N": N,

@@ -13,6 +13,15 @@ gives every ball of a radius (Washington, Cyclotomic Fields, §7.1).
 Degree truncation is converted into p-adic precision through the
 containment of T^(p^(h+l)) in the ideal of measures taking values in
 p^(l+1) Z_p on all balls of radius p^(-h).
+
+The ball ideals themselves are read from the monomial ball table
+(``_tpower_ball_rows``): the values of T^m on the balls of radius p^-h
+for m = 0..M, built one radius at a time with one cyclic difference pass
+per row, since T^(m+1) = T^m·(S - 1).  ``ball_ideal_failures`` keeps the
+least valuation of each row to decide which generators p^i T^m leave
+their ball ideals, and ``intersection_vs_middle_scan`` stacks the rows
+into the ball-value map whose Smith form (Cohen, A Course in
+Computational Algebraic Number Theory, §2.4) counts the intersection.
 """
 
 from __future__ import annotations
@@ -55,6 +64,7 @@ __all__ = [
     "ball_measure",
     "w_valuation",
     "natural_ideal_membership",
+    "ball_ideal_failures",
     "coproduct",
     "ptadic_power_generators",
     "ball_ideal_equal_generators",
@@ -800,6 +810,58 @@ def middle_ideal_contains(p, N, coeffs):
     return all(c % p ** middle_ideal_valuation(p, N, m) == 0 for m, c in enumerate(coeffs))
 
 
+def _tpower_ball_rows(p, h, top, mod):
+    """The monomial ball table at radius p^-h: row m, for m = 0..top, lists
+    T^m(a + p^h Z_p) mod ``mod`` for a = 0..p^h - 1.
+
+    In Z_p[Z/p^h] = Z_p[S]/(S^(p^h) - 1), T = S - 1, so row m + 1 is one
+    cyclic difference pass over row m: O(top·p^h) for the radius, where
+    folding each T^m on its own costs O(m·p^h).  Row m equals
+    ``_ball_residues`` of the monomial T^m, padded with zeros to p^h.
+    """
+    row = [1] + [0] * (p**h - 1)
+    yield row
+    for _ in range(top):
+        row = [(x - y) % mod for x, y in zip(row[-1:] + row[:-1], row)]
+        yield row
+
+
+def ball_ideal_failures(p, gens, top, prec, deepen=0):
+    """The generators p^i T^m, given as pairs (i, m) and known mod p^prec,
+    that leave a ball ideal U_(h, top - h + deepen), h = 0..top, as a list
+    of (i, m, h, top - h) in the order of ``gens`` and then h.
+
+    One pass over the monomial ball table per radius keeps v, the least
+    valuation of row m, since p^i T^m takes values in p^l Z_p on every ball
+    when min(prec, i + v) >= l.  A zero residue only certifies valuation
+    prec, so an l above prec is undecided (UncertifiedTailError) when every
+    residue of the generator vanishes, and fails otherwise.  That is
+    ``natural_ideal_membership``'s rule, which lets ball 0 decide: h = 0
+    comes first with the largest l, and there T^m, m >= 1, vanishes.
+    """
+    if any(m < 0 for _, m in gens):
+        raise PreconditionError("exponents on Z_p are >= 0")
+    mod = p**prec
+    top_m = max((m for _, m in gens), default=0)
+    least = [
+        [vp_int(math.gcd(mod, *row), p) for row in _tpower_ball_rows(p, h, top_m, mod)]
+        for h in range(top + 1)
+    ]
+    out = []
+    for i, m in gens:
+        for h in range(top + 1):
+            l, v = top - h, least[h][m]
+            if min(prec, i + v) >= l + deepen:
+                continue
+            if l + deepen > prec and i + v >= prec:
+                raise UncertifiedTailError(
+                    f"p^{i} T^{m} on the balls of radius p^-{h} only certified "
+                    f"to O(p^{prec}) < {l + deepen}"
+                )
+            out.append((i, m, h, l))
+    return out
+
+
 def _elementary_divisor_valuations(rows, p, K):
     """Valuations of the elementary divisors of an integer matrix over
     Z/p^K, one per row; a row beyond the rank counts K, so the sum is
@@ -808,24 +870,29 @@ def _elementary_divisor_valuations(rows, p, K):
     Smith form over a local ring: an entry of least valuation divides
     every other entry, so clearing its column by row operations and then
     dropping its row and column leaves the other divisors unchanged.
+    Each row keeps p^(its least valuation), renewed when elimination
+    rewrites the row, so a pivot search reads one number per row.
     """
     mod = p**K
     rows = [[x % mod for x in r] for r in rows]
+    least = [math.gcd(mod, *r) for r in rows]  # p^K for a zero row
     out = []
     while rows:
-        best = mod  # gcd(x, p^K) = p^v(x), and p^K for x = 0
-        for i, r in enumerate(rows):
-            for j, x in enumerate(r):
-                if x and (g := math.gcd(x, mod)) < best:
-                    best, bi, bj = g, i, j
+        best = min(least)
         if best == mod:
             break
+        bi = least.index(best)
         piv = rows.pop(bi)
+        del least[bi]
+        bj = next(j for j, x in enumerate(piv) if x % (best * p))
         inv = pow(piv[bj] // best, -1, mod)
-        for r in rows:
+        support = [(j, y) for j, y in enumerate(piv) if y]  # ball rows are sparse
+        for k, r in enumerate(rows):
             if r[bj]:
                 f = r[bj] // best * inv % mod
-                r[:] = [(x - f * y) % mod for x, y in zip(r, piv)]
+                for j, y in support:
+                    r[j] = (r[j] - f * y) % mod
+                least[k] = math.gcd(mod, *r)
         out.append(vp_int(best, p))
     return out + [K] * len(rows)
 
@@ -864,14 +931,13 @@ def intersection_vs_middle_scan(p, N, coefficient_sets=None):
     # that vanishing mod p^(N-h+1) is vanishing mod p^K
     rows = [[] for _ in range(deg)]
     for h in range(N + 1):
-        ph = p**h
-        for m, row in enumerate(rows):
-            values = _ball_residues([0] * m + [1], ph, mod)
-            row += [x * p ** (h + 1) % mod for x in values] + [0] * (ph - len(values))
+        scale = p ** (h + 1)
+        for row, values in zip(rows, _tpower_ball_rows(p, h, deg - 1, mod // scale)):
+            row += [x * scale for x in values]
 
     need = [middle_ideal_valuation(p, N, m) for m in range(deg)]
     for m, (v, row) in enumerate(zip(need, rows)):
-        if any(x * p**v % mod for x in row):
+        if math.gcd(mod, *row) * p**v % mod:
             raise InternalConsistencyError(
                 f"middle-ideal generator p^{v} T^{m} is outside the ball-ideal intersection"
             )

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import _series
 from .ainf import AinfElt
 from .errors import BoxExhausted, InternalConsistencyError, PreconditionError
-from .padic import SExponent
+from .padic import SExponent, json_field, json_int
 
 __all__ = [
     "PerfSeries",
@@ -109,6 +110,14 @@ class PerfSeries(AinfElt):
         doc = AinfElt.to_json(self)
         del doc["prec"]  # always 1
         return doc
+
+    @classmethod
+    def from_json(cls, doc):
+        """The series of a ``to_json`` document, which carries no prec; a
+        missing key or a malformed field is a ParseError."""
+        p, depth = json_int(doc, "p"), json_int(doc, "depth")
+        degree = _series.decode_degree(p, json_field(doc, "degree"))
+        return cls(p, depth, degree, _series.decode_terms(p, depth, json_field(doc, "terms")))
 
 
 class WittElt:

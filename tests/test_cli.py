@@ -17,6 +17,22 @@ from padic_fourier.cli import JobSpec, main, run
 from padic_fourier.errors import ParseError
 
 
+# one job per --prec site of the CLI, with its required flags
+_PREC_JOBS = [
+    ["mahler", "--samples", "1,2,3"],
+    ["integrate", "--f", "binom:1", "--mu", "T"],
+    ["convolve", "--mu1", "T", "--mu2", "T"],
+    ["ball", "--mu", "T", "--a", "0", "--h", "1"],
+    ["wval", "--mu", "T"],
+    ["dirac", "--a", "1"],
+    ["dirac", "--s", "1/3", "--depth", "1"],
+    ["mucan"],
+    ["fourier", "--combo", "1@1/3"],
+    ["orthocheck"],
+    ["orthocheck", "--mode", "qp"],
+]
+
+
 def run_cli(args, env=None, timeout=None):
     import os
 
@@ -173,6 +189,16 @@ class TestErrors:
         assert doc["scan_escapees"] == doc["scan_missed"] == 0
         assert doc["scan_checked"] == checked
 
+    @pytest.mark.parametrize("p, N", [(2, 7), (5, 3)])
+    def test_largest_idealcheck_under_the_default_cap_runs(self, p, N):
+        # the default cap refuses N + 1; at N the monomial ball table and the
+        # row-tracked Smith form finish well inside the timeout
+        env = {"PADIC_FOURIER_MAX_BOX": "1000000"}
+        out = run_cli(["idealcheck", "--p", str(p), "--N", str(N)], env=env, timeout=10)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["pass"] is True
+        assert main(["idealcheck", "--p", str(p), "--N", str(N + 1), "--scan", "off"]) == 3
+
     def test_idealcheck_unknown_scan_exits_2(self, capsys):
         assert main(["idealcheck", "--p", "2", "--N", "1", "--scan", "bogus"]) == 2
         assert "unknown scan" in capsys.readouterr().err
@@ -232,21 +258,29 @@ class TestErrors:
         ["idealcheck", "--p", "3", "--N", "100000000"],
         ["orthocheck", "--p", "3", "--mode", "qp", "--qdepth", "100000000"],
         ["dirac", "--p", "2", "--s", "1", "--depth", "2", "--degree", "9" * 4300],
+        *([job[0], "--p", "3", *job[1:], "--prec", "100000000"] for job in _PREC_JOBS),
     ], ids=["orthocheck-zp", "orthocheck-qp", "idealcheck-p7-N3", "idealcheck-p3-N5",
             "dirac-depth-15000", "mucan-depth-1e8", "wval-diracq-depth-1e8",
             "fourier-qdepth-1e8", "idealcheck-N-1e8", "orthocheck-qdepth-1e8",
-            "dirac-degree-4300-digits"])
+            "dirac-degree-4300-digits",
+            *("-".join(a.lstrip("-") for a in job[:2]) + "-prec-1e8" for job in _PREC_JOBS)])
     def test_check_commands_are_budgeted(self, args):
         # with no budget the first four ran past 4 s (idealcheck) or 8 s
         # (orthocheck); the exponent checks refuse the next six before the
         # power p^k, which ran for seconds or put more than 4300 digits into
-        # the error text, as the last one's cell count still would
+        # the error text, as the 4300-digit degree's cell count still would;
+        # of the --prec jobs, wval and integrate ran past a 10 s timeout
+        # computing p^prec
         start = time.monotonic()
         out = run_cli(args, timeout=10)
         assert time.monotonic() - start < 5
         assert out.returncode == 3
         assert "PADIC_FOURIER_MAX_BOX" in out.stderr
         assert "Traceback" not in out.stderr
+
+    def test_prec_jobs_cover_every_command_with_prec(self):
+        assert {argv[0] for argv in _PREC_JOBS} == {
+            c for c, (_, flags, _) in cli._COMMANDS.items() if "prec" in flags}
 
     def test_unknown_command_rejected(self):
         with pytest.raises(ParseError):
@@ -486,6 +520,8 @@ def _argvs(draw):
 @example(argv=["dirac", "--p", "2", "--s", "1", "--depth", "-1"])
 @example(argv=["orthocheck", "--p", "2", "--mode", "qp", "--qdepth", "-1"])
 @example(argv=["idealcheck", "--p", "7", "--N", "3"])
+@example(argv=["wval", "--p", "3", "--mu", "T", "--prec", "100000000"])
+@example(argv=["integrate", "--p", "3", "--f", "binom:1", "--mu", "T", "--prec", "30000000"])
 def test_fuzzed_argv_exits_with_a_documented_code(argv):
     """Any argv from the grammar's vocabulary exits 0, 2, 3, 4 or 5 without an
     escaping exception; in one process, so the cached parsers serve every job."""

@@ -18,6 +18,7 @@ from padic_fourier.iwasawa import (
     IwasawaElt,
     MahlerFn,
     ball_ideal_equal_generators,
+    ball_ideal_failures,
     ball_ideal_middle_generators,
     convolve,
     dirac,
@@ -657,3 +658,164 @@ def test_elementary_divisors_count_the_kernel(p, K, n_rows, n_cols, rnd):
         for c in itertools.product(range(mod), repeat=n_rows)
     )
     assert p ** sum(iwasawa._elementary_divisor_valuations(A, p, K)) == kernel
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the monomial ball table: the per-monomial fold, the
+# per-generator membership loop and the whole-matrix pivot search
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(0, 4),
+    st.integers(0, 80),
+    st.integers(1, 6),
+)
+@example(2, 0, 5, 1)  # h = 0: the total mass, 0 from T^1 on
+@example(3, 2, 30, 2)  # m past p^h: the fold wraps around
+def test_ball_table_rows_are_folded_monomials(p, h, top, k):
+    h = min(h, 3) if p == 5 else h
+    mod, ph = p**k, p**h
+    rows = list(iwasawa._tpower_ball_rows(p, h, top, mod))
+    assert len(rows) == top + 1
+    for m, row in enumerate(rows):
+        values = iwasawa._ball_residues([0] * m + [1], ph, mod)
+        assert row == values + [0] * (ph - len(values)), m
+
+
+def membership_loop(p, gens, top, prec, degree, deepen=0):
+    """The (i, m, h, top - h) that ball_ideal_failures lists, by folding each
+    generator p^i T^m on its own in a box of ``degree`` and testing each
+    radius with natural_ideal_membership."""
+    out = []
+    for i, m in gens:
+        mu = IwasawaElt.monomial(p, m, prec, degree, coeff=p**i)
+        for h in range(top + 1):
+            if not mu.natural_ideal_membership(h, top - h + deepen)[0]:
+                out.append((i, m, h, top - h))
+    return out
+
+
+def idealcheck_lists(p, N):
+    """The three (generators, top, deepen) checks of idealcheck."""
+    return [
+        (ptadic_power_generators(p, N), N + 1, 0),
+        (ball_ideal_equal_generators(p, N), N + 1, 0),
+        (ball_ideal_middle_generators(p, N), N, 1),
+    ]
+
+
+@pytest.mark.parametrize("p, N", [(2, 0), (2, 1), (2, 3), (3, 1), (3, 2), (5, 1)])
+def test_ball_ideal_failures_match_the_membership_loop(p, N):
+    # idealcheck's own lists pass; each with one power of p taken from every
+    # generator fails, at the same (generator, radius) pairs as the loop
+    degree = p ** (N + 1) + 1
+    for gens, top, deepen in idealcheck_lists(p, N):
+        assert ball_ideal_failures(p, gens, top, N + 3, deepen) == []
+        assert membership_loop(p, gens, top, N + 3, degree, deepen) == []
+        weaker = [(i - 1, m) for i, m in gens if i > 0]
+        want = membership_loop(p, weaker, top, N + 3, degree, deepen)
+        assert want and ball_ideal_failures(p, weaker, top, N + 3, deepen) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]),
+    st.integers(0, 2),
+    st.integers(1, 6),
+    st.randoms(use_true_random=False),
+)
+def test_perturbed_ball_ideal_failures_match_the_membership_loop(pN, which, prec, rnd):
+    # generators drop out, lose a power of p or move a degree, at any
+    # precision; where l exceeds prec a zero residue decides nothing and
+    # both raise
+    p, N = pN
+    gens, top, deepen = idealcheck_lists(p, N)[which]
+    gens = [
+        (max(0, i - rnd.randrange(2)), max(0, m + rnd.choice((-1, 0, 0, 1))))
+        for i, m in gens if rnd.random() < 0.7
+    ]
+    degree = p ** (N + 1) + 1
+    try:
+        want = membership_loop(p, gens, top, prec, degree, deepen)
+    except UncertifiedTailError:
+        with pytest.raises(UncertifiedTailError):
+            ball_ideal_failures(p, gens, top, prec, deepen)
+        return
+    assert ball_ideal_failures(p, gens, top, prec, deepen) == want
+
+
+def test_ball_ideal_failures_refuse_negative_exponents():
+    with pytest.raises(PreconditionError):
+        ball_ideal_failures(2, [(0, -1)], 1, 4)
+
+
+def elementary_divisors_by_matrix_search(rows, p, K):
+    """_elementary_divisor_valuations with each pivot found by a search over
+    the whole matrix for the first entry of least valuation."""
+    mod = p**K
+    rows = [[x % mod for x in r] for r in rows]
+    out = []
+    while rows:
+        best = mod
+        for i, r in enumerate(rows):
+            for j, x in enumerate(r):
+                if x and (g := math.gcd(x, mod)) < best:
+                    best, bi, bj = g, i, j
+        if best == mod:
+            break
+        piv = rows.pop(bi)
+        inv = pow(piv[bj] // best, -1, mod)
+        for r in rows:
+            if r[bj]:
+                f = r[bj] // best * inv % mod
+                r[:] = [(x - f * y) % mod for x, y in zip(r, piv)]
+        out.append(vp_int(best, p))
+    return out + [K] * len(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(1, 4),
+    st.integers(1, 9),
+    st.integers(1, 6),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.randoms(use_true_random=False),
+)
+@example(2, 3, 4, 2, 2, 2, random.Random(0))  # more rows than columns
+def test_row_tracked_pivots_match_the_matrix_search(p, K, n_rows, n_cols, zeros, repeats, rnd):
+    mod = p**K
+    A = [[p ** rnd.randrange(K + 1) * rnd.randrange(-mod, mod) for _ in range(n_cols)]
+         for _ in range(n_rows)]
+    A += [[0] * n_cols for _ in range(zeros)] + [list(rnd.choice(A)) for _ in range(repeats)]
+    rnd.shuffle(A)
+    want = elementary_divisors_by_matrix_search([r[:] for r in A], p, K)
+    assert iwasawa._elementary_divisor_valuations(A, p, K) == want
+
+
+def test_scan_matrix_is_the_stacked_ball_table():
+    # the scan's rows are T^m's ball values times p^(h+1) mod p^(N+2),
+    # radius after radius, as folded one monomial at a time
+    p, N = 3, 2
+    K, deg = N + 2, p**N + 1
+    seen = {}
+    true_divisors = iwasawa._elementary_divisor_valuations
+
+    def spy(rows, p_, K_):
+        seen["rows"] = [r[:] for r in rows]
+        return true_divisors(rows, p_, K_)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(iwasawa, "_elementary_divisor_valuations", spy)
+        intersection_vs_middle_scan(p, N)
+    want = [[] for _ in range(deg)]
+    for h in range(N + 1):
+        for m, row in enumerate(want):
+            values = iwasawa._ball_residues([0] * m + [1], p**h, p**K)
+            values += [0] * (p**h - len(values))
+            row += [x * p ** (h + 1) % p**K for x in values]
+    assert seen["rows"] == want

@@ -1,11 +1,13 @@
+import json
 import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from padic_fourier.ainf import AinfElt
-from padic_fourier.errors import PreconditionError
+from padic_fourier.errors import ParseError, PreconditionError
 from padic_fourier.padic import LowerBound
 from padic_fourier.witt import (
     PerfSeries,
@@ -86,12 +88,55 @@ class TestPerfSeriesIsAinfEltModP:
         inherited = {
             name for name, v in vars(AinfElt).items() if isinstance(v, classmethod)
         } - set(vars(PerfSeries))
-        assert inherited == {"_new", "from_json"}
-        a = AinfElt(3, 1, 1, 4, {1: 2, 4: 1})
-        loaded = PerfSeries.from_json(a.to_json())  # an AinfElt document
-        assert type(loaded) is AinfElt and loaded == a
+        assert inherited == {"_new"}  # from_json reads the prec-less document
         built = PerfSeries._new(3, 1, 1, 4, {1: 2, 4: 1})
         assert type(built) is PerfSeries and built == self.x
+
+
+class TestPerfSeriesJson:
+    def test_document_without_prec_reads_back(self):
+        x = PerfSeries(3, 1, 4, {1: 2})
+        doc = x.to_json()
+        assert "prec" not in doc
+        loaded = PerfSeries.from_json(doc)
+        assert type(loaded) is PerfSeries and loaded == x and loaded.to_json() == doc
+
+    def test_ainf_elt_loader_still_needs_prec(self):
+        with pytest.raises(ParseError, match="missing 'prec'"):
+            AinfElt.from_json(PerfSeries(3, 1, 4, {1: 2}).to_json())
+
+    @pytest.mark.parametrize("doc", [
+        {"depth": 0, "degree": None, "terms": []},
+        {"p": 2, "depth": 0, "degree": None, "terms": 5},
+        {"p": 2, "depth": 0, "degree": None, "terms": [{"q": {"num": 1, "logden": 1},
+                                                        "coeff": 1}]},
+        [1, 2],
+    ], ids=["no-p", "terms-not-a-list", "off-grid", "not-an-object"])
+    def test_malformed_document_is_a_parse_error(self, doc):
+        with pytest.raises(ParseError):
+            PerfSeries.from_json(doc)
+
+
+@st.composite
+def perf_series(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    depth = draw(st.integers(0, 3))
+    degree = draw(st.one_of(
+        st.none(),
+        st.builds(Fraction, st.integers(1, 40), st.sampled_from([p**k for k in range(4)])),
+    ))
+    cs = draw(st.dictionaries(st.integers(0, 60), st.integers(-20, 20), max_size=6))
+    return PerfSeries(p, depth, degree, cs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(perf_series())
+def test_perf_series_json_round_trip(x):
+    doc = x.to_json()
+    loaded = PerfSeries.from_json(json.loads(json.dumps(doc)))
+    assert type(loaded) is PerfSeries
+    assert loaded == x and loaded.to_json() == doc
+    assert (loaded.depth, loaded.degree, loaded.coeffs) == (x.depth, x.degree, x.coeffs)
 
 
 class TestTeichmuller:
