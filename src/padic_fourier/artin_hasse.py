@@ -54,10 +54,6 @@ def _mul_sparse(a, b, d, mod):
     return out if mod is None else {k: r for k, c in out.items() if (r := c % mod)}
 
 
-def _mul_trunc(a, b, d):
-    return _series.dense(_series.mul(_series.sparse(a), _series.sparse(b), d), d)
-
-
 def _residue(c, mod):
     """A p-integral rational itself (mod None) or its residue mod ``mod``."""
     return c if mod is None else c.numerator * pow(c.denominator, -1, mod) % mod
@@ -68,7 +64,7 @@ class PIntegralSeries:
 
     __slots__ = ("p", "degree", "coeffs")
 
-    def __init__(self, p, degree, coeffs, check=True):
+    def __init__(self, p, degree, coeffs):
         if not is_prime(p):
             raise PreconditionError(f"p = {p} is not prime")
         if degree < 1:
@@ -76,12 +72,11 @@ class PIntegralSeries:
         cs = tuple(Fraction(c) for c in coeffs[:degree]) + (Fraction(0),) * max(
             0, degree - len(coeffs)
         )
-        if check:
-            for n, c in enumerate(cs):
-                if c.denominator % p == 0:
-                    raise InternalConsistencyError(
-                        f"coefficient of T^{n} = {c} is not p-integral"
-                    )
+        for n, c in enumerate(cs):
+            if c.denominator % p == 0:
+                raise InternalConsistencyError(
+                    f"coefficient of T^{n} = {c} is not p-integral"
+                )
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", cs)
@@ -91,27 +86,17 @@ class PIntegralSeries:
 
     def __add__(self, other):
         d = min(self.degree, other.degree)
-        return PIntegralSeries(
-            self.p, d,
-            [self.coeffs[n] + other.coeffs[n] for n in range(d)], check=False,
-        )
+        return PIntegralSeries(self.p, d, [self.coeffs[n] + other.coeffs[n] for n in range(d)])
 
     def __sub__(self, other):
-        d = min(self.degree, other.degree)
-        return PIntegralSeries(
-            self.p, d,
-            [self.coeffs[n] - other.coeffs[n] for n in range(d)], check=False,
-        )
+        return self + other * -1
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return PIntegralSeries(
-                self.p, self.degree, [c * other for c in self.coeffs], check=False
-            )
+            return PIntegralSeries(self.p, self.degree, [c * other for c in self.coeffs])
         d = min(self.degree, other.degree)
-        return PIntegralSeries(
-            self.p, d, _mul_trunc(self.coeffs, other.coeffs, d), check=False
-        )
+        cs = _series.mul(_series.sparse(self.coeffs), _series.sparse(other.coeffs), d)
+        return PIntegralSeries(self.p, d, _series.dense(cs, d))
 
     __rmul__ = __mul__
 
@@ -120,18 +105,13 @@ class PIntegralSeries:
         if inner.coeffs[0] != 0:
             raise PreconditionError("composition needs a zero constant term")
         d = min(self.degree, inner.degree)
-        out = [self.coeffs[d - 1]] + [Fraction(0)] * (d - 1)
-        for n in range(d - 2, -1, -1):  # Horner
-            out = _mul_trunc(out, inner.coeffs, d)
-            out[0] += self.coeffs[n]
-        return PIntegralSeries(self.p, d, out, check=False)
+        return _series.substitute(
+            self.coeffs[:d], inner, PIntegralSeries(self.p, d, []), PIntegralSeries(self.p, d, [1])
+        )
 
     def assert_p_integral(self):
-        for n, c in enumerate(self.coeffs):
-            if c.denominator % self.p == 0:
-                raise InternalConsistencyError(
-                    f"coefficient of T^{n} = {c} is not p-integral"
-                )
+        """The series itself: its constructor refuses a coefficient that is
+        not p-integral, so every instance is."""
         return self
 
     def residues(self, prec):

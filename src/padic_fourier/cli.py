@@ -109,10 +109,27 @@ def _prec(pr, default):
     the cap is refused before p^prec is computed."""
     if "prec" not in pr:
         return default
-    prec, cap = _int(pr["prec"], "--prec"), max_box_cells()
-    if prec * pr["p"].bit_length() > cap:
-        raise PreconditionError(f"--prec {prec} exceeds PADIC_FOURIER_MAX_BOX={cap} bits")
+    return _prec_bits(pr["p"], _int(pr["prec"], "--prec"), "--prec")
+
+
+def _prec_bits(p, prec, what):
+    """``prec``, refused when residues mod p^prec take more bits than the cap."""
+    cap = max_box_cells()
+    if prec * p.bit_length() > cap:
+        raise PreconditionError(f"{what} {prec} exceeds PADIC_FOURIER_MAX_BOX={cap} bits")
     return prec
+
+
+def _load_measure_doc(path, degree=None):
+    """The measure document at ``path``, budgeted before a constructor runs:
+    its "prec" by the --prec rule and, for a Q_p document (``degree`` the
+    --degree bound), its "depth" by the cells of degree·p^depth + 1."""
+    doc = _load_doc(path)
+    p = json_int(doc, "p")
+    _prec_bits(p, json_int(doc, "prec"), 'document "prec"')
+    if degree is not None:  # a negative depth is left for the constructor to refuse
+        _check_box(_cells(p, max(json_int(doc, "depth"), 0), degree) + 1)
+    return doc
 
 
 def _int(text, what, sep=None):
@@ -155,6 +172,8 @@ def _parse_measure(p, expr, prec, degree, depth, qp):
     expr = expr.strip()
     if qp:
         degree = _frac(degree)
+        if degree <= 0:  # before a document's depth is counted against it
+            raise PreconditionError("degree bound must be positive")
         depth = None if depth is None else _int(depth, "--depth")
         mu = _parse_qp_measure(p, expr, prec, degree, depth)
         _check_box(_cells(p, mu.depth, degree) + 1)
@@ -167,7 +186,7 @@ def _parse_measure(p, expr, prec, degree, depth, qp):
 
 def _parse_zp_measure(p, expr, prec, degree):
     if expr.startswith("@"):
-        doc = _load_doc(expr[1:])
+        doc = _load_measure_doc(expr[1:])
         _check_box(json_int(doc, "degree"))
         return IwasawaElt.from_json(doc)
     _check_box(degree)
@@ -184,7 +203,7 @@ def _parse_zp_measure(p, expr, prec, degree):
 
 def _parse_qp_measure(p, expr, prec, degree, depth):
     if expr.startswith("@"):
-        return AinfElt.from_json(_load_doc(expr[1:]))
+        return AinfElt.from_json(_load_measure_doc(expr[1:], degree))
     if expr == "1":
         return AinfElt.one(p, prec, degree)
     if expr == "Tt":
@@ -436,25 +455,26 @@ def _cmd_idealcheck(pr):
     scan = str(pr.get("scan", "bounded"))
     if scan not in ("off", "bounded", "full"):
         raise ParseError(f"unknown scan {scan!r}; expected off, bounded or full")
-    prec = N + 3
     pN = _cells(p, N)
     degree = p * pN + 1
     # the cap counts a membership test for each of the 2(p^N + 1) + N + 2
     # generators below at each of N + 2 radii, over the p^(N+1) + 1 degrees
-    # of their box; the monomial ball table behind those tests costs
-    # (p^N + 1)·Σ_(h <= N+1) p^h per generator list, within that count
+    # of their box; the rows behind those tests, T^m for m <= p^N on the
+    # radii h <= N, cost (p^N + 1)·Σ_(h <= N) p^h once, within that count
     _check_box((2 * (pN + 1) + N + 2) * (N + 2) * degree)
-    gen_fail = ball_ideal_failures(p, ptadic_power_generators(p, N), N + 1, prec)
-    equal_fail = ball_ideal_failures(p, ball_ideal_equal_generators(p, N), N + 1, prec)
-    middle_fail = ball_ideal_failures(
-        p, ball_ideal_middle_generators(p, N), N, prec, deepen=1
+    lists = (
+        ptadic_power_generators(p, N),
+        ball_ideal_equal_generators(p, N),
+        ball_ideal_middle_generators(p, N),
     )
+    failed = set(ball_ideal_failures(p, N, [g for gens in lists for g in gens]))
+    gen_pass, equal_pass, middle_pass = (failed.isdisjoint(gens) for gens in lists)
     doc = {
         "p": p,
         "N": N,
-        "power_generators_pass": not gen_fail,
-        "equal_list_pass": not equal_fail,
-        "middle_generators_pass": not middle_fail,
+        "power_generators_pass": gen_pass,
+        "equal_list_pass": equal_pass,
+        "middle_generators_pass": middle_pass,
     }
     if scan != "off":
         if scan == "full":
@@ -473,7 +493,7 @@ def _cmd_idealcheck(pr):
         doc["scan_checked"] = checked
         doc["scan_escapees"] = escapees
         doc["scan_missed"] = missed
-    if gen_fail or equal_fail or middle_fail:
+    if failed:
         raise InternalConsistencyError(f"ideal membership failures: {doc}")
     doc["pass"] = True
     return doc

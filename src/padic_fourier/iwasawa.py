@@ -14,14 +14,16 @@ Degree truncation is converted into p-adic precision through the
 containment of T^(p^(h+l)) in the ideal of measures taking values in
 p^(l+1) Z_p on all balls of radius p^(-h).
 
-The ball ideals themselves are read from the monomial ball table
-(``_tpower_ball_rows``): the values of T^m on the balls of radius p^-h
-for m = 0..M, built one radius at a time with one cyclic difference pass
-per row, since T^(m+1) = T^m·(S - 1).  ``ball_ideal_failures`` keeps the
-least valuation of each row to decide which generators p^i T^m leave
-their ball ideals, and ``intersection_vs_middle_scan`` stacks the rows
-into the ball-value map whose Smith form (Cohen, A Course in
-Computational Algebraic Number Theory, §2.4) counts the intersection.
+The ball ideals themselves are read from one row build (``_ball_rows``):
+row m holds the values of T^m on the balls of radius p^-h, h = 0..N,
+taken mod p^(N+1-h) and scaled by p^(h+1) into Z/p^(N+2), one cyclic
+difference pass per row since T^(m+1) = T^m·(S - 1).  One rule reads
+it: p^i T^m lies in every U_(h, N+1-h) exactly when p^i·gcd(p^(N+2),
+row m) vanishes mod p^(N+2).  ``ball_ideal_failures`` applies the rule
+to generator lists, and ``intersection_vs_middle_scan`` applies it to the
+middle generators and stacks the rows into the ball-value map whose Smith
+form (Cohen, A Course in Computational Algebraic Number Theory, §2.4)
+counts the intersection.
 """
 
 from __future__ import annotations
@@ -628,11 +630,8 @@ class MahlerFn:
             return NotImplemented
         if self.p != other.p:
             return False
-        prec = min(self.prec, other.prec)
-        mod = self.p**prec
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(
-            (self.coeffs.get(n, 0) - other.coeffs.get(n, 0)) % mod == 0 for n in keys
+        return _series.equal(
+            self.coeffs, other.coeffs, None, self.p ** min(self.prec, other.prec)
         )
 
     def __hash__(self):
@@ -810,56 +809,40 @@ def middle_ideal_contains(p, N, coeffs):
     return all(c % p ** middle_ideal_valuation(p, N, m) == 0 for m, c in enumerate(coeffs))
 
 
-def _tpower_ball_rows(p, h, top, mod):
-    """The monomial ball table at radius p^-h: row m, for m = 0..top, lists
-    T^m(a + p^h Z_p) mod ``mod`` for a = 0..p^h - 1.
+def _ball_rows(p, N, top):
+    """The ball-value rows of T^m, m = 0..top, over Z/p^(N+2).
 
-    In Z_p[Z/p^h] = Z_p[S]/(S^(p^h) - 1), T = S - 1, so row m + 1 is one
-    cyclic difference pass over row m: O(top·p^h) for the radius, where
-    folding each T^m on its own costs O(m·p^h).  Row m equals
-    ``_ball_residues`` of the monomial T^m, padded with zeros to p^h.
+    Row m lists T^m on the balls of radius p^-h, h = 0..N, taken mod
+    p^(N+1-h) and multiplied by p^(h+1), so that vanishing mod p^(N+1-h)
+    is vanishing mod p^(N+2).  In Z_p[Z/p^h] = Z_p[S]/(S^(p^h) - 1),
+    T = S - 1, so the values of T^(m+1) are one cyclic difference pass
+    over those of T^m: O(top·p^h) per radius, where folding each T^m on
+    its own costs O(m·p^h).
     """
-    row = [1] + [0] * (p**h - 1)
-    yield row
-    for _ in range(top):
-        row = [(x - y) % mod for x, y in zip(row[-1:] + row[:-1], row)]
-        yield row
+    rows = [[] for _ in range(top + 1)]
+    for h in range(N + 1):
+        scale, mod = p ** (h + 1), p ** (N + 1 - h)
+        values = [1] + [0] * (p**h - 1)
+        for row in rows:
+            row += [x * scale for x in values]
+            values = [(x - y) % mod for x, y in zip(values[-1:] + values[:-1], values)]
+    return rows
 
 
-def ball_ideal_failures(p, gens, top, prec, deepen=0):
-    """The generators p^i T^m, given as pairs (i, m) and known mod p^prec,
-    that leave a ball ideal U_(h, top - h + deepen), h = 0..top, as a list
-    of (i, m, h, top - h) in the order of ``gens`` and then h.
+def ball_ideal_failures(p, N, gens):
+    """The generators p^i T^m, given as pairs (i, m), that leave some ball
+    ideal U_(h, N+1-h), h = 0..N, in the order of ``gens``.
 
-    One pass over the monomial ball table per radius keeps v, the least
-    valuation of row m, since p^i T^m takes values in p^l Z_p on every ball
-    when min(prec, i + v) >= l.  A zero residue only certifies valuation
-    prec, so an l above prec is undecided (UncertifiedTailError) when every
-    residue of the generator vanishes, and fails otherwise.  That is
-    ``natural_ideal_membership``'s rule, which lets ball 0 decide: h = 0
-    comes first with the largest l, and there T^m, m >= 1, vanishes.
+    p^i T^m lies in every one of them exactly when p^i·gcd(p^(N+2), row m)
+    vanishes mod p^(N+2), row m of ``_ball_rows``: the radius h part of
+    the row then has valuation at least N + 2 - i, that is, T^m takes
+    values in p^(N+1-h-i) Z_p on every ball of radius p^-h.
     """
     if any(m < 0 for _, m in gens):
         raise PreconditionError("exponents on Z_p are >= 0")
-    mod = p**prec
-    top_m = max((m for _, m in gens), default=0)
-    least = [
-        [vp_int(math.gcd(mod, *row), p) for row in _tpower_ball_rows(p, h, top_m, mod)]
-        for h in range(top + 1)
-    ]
-    out = []
-    for i, m in gens:
-        for h in range(top + 1):
-            l, v = top - h, least[h][m]
-            if min(prec, i + v) >= l + deepen:
-                continue
-            if l + deepen > prec and i + v >= prec:
-                raise UncertifiedTailError(
-                    f"p^{i} T^{m} on the balls of radius p^-{h} only certified "
-                    f"to O(p^{prec}) < {l + deepen}"
-                )
-            out.append((i, m, h, l))
-    return out
+    mod = p ** (N + 2)
+    rows = _ball_rows(p, N, max((m for _, m in gens), default=0))
+    return [(i, m) for i, m in gens if p**i * math.gcd(mod, *rows[m]) % mod]
 
 
 def _elementary_divisor_valuations(rows, p, K):
@@ -905,8 +888,8 @@ def intersection_vs_middle_scan(p, N, coefficient_sets=None):
     The intersection I runs over the ball ideals U_(h, l+1) with h + l = N;
     the middle ideal M is p^N (p, T, T^p/p, ..., T^(p^N)/p^N), that is
     p^v(m) in each degree m with v = middle_ideal_valuation.  Over
-    Z/p^K, K = N + 2, I is the kernel of c -> (c·W_h·p^(h+1) mod p^K)_h,
-    W_h the values of T^m on the balls of radius p^-h.  I = M when every
+    Z/p^K, K = N + 2, I is the kernel of c -> c·W mod p^K, W the rows of
+    ``_ball_rows`` for m = 0..p^N.  I = M when every
     generator p^v(m) T^m lies in I and log_p|I|, the sum of the elementary
     divisor valuations of the stacked map, equals log_p|M| = Σ (K - v(m)).
     Both memberships depend on a candidate only mod p^K, so no candidate
@@ -927,17 +910,10 @@ def intersection_vs_middle_scan(p, N, coefficient_sets=None):
         if len(sizes) != deg:
             raise PreconditionError(f"need {deg} coefficient sets")
 
-    # row m: T^m on every ball of radius p^-h, h = 0..N, times p^(h+1), so
-    # that vanishing mod p^(N-h+1) is vanishing mod p^K
-    rows = [[] for _ in range(deg)]
-    for h in range(N + 1):
-        scale = p ** (h + 1)
-        for row, values in zip(rows, _tpower_ball_rows(p, h, deg - 1, mod // scale)):
-            row += [x * scale for x in values]
-
+    rows = _ball_rows(p, N, deg - 1)
     need = [middle_ideal_valuation(p, N, m) for m in range(deg)]
     for m, (v, row) in enumerate(zip(need, rows)):
-        if math.gcd(mod, *row) * p**v % mod:
+        if p**v * math.gcd(mod, *row) % mod:
             raise InternalConsistencyError(
                 f"middle-ideal generator p^{v} T^{m} is outside the ball-ideal intersection"
             )

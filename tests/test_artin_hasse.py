@@ -77,6 +77,8 @@ class TestSeries:
     def test_non_integral_detected(self):
         with pytest.raises(InternalConsistencyError):
             PIntegralSeries(2, 3, [1, Fraction(1, 2)])
+        with pytest.raises(InternalConsistencyError):  # arithmetic builds through the check
+            PIntegralSeries(2, 3, [1, 1]) * Fraction(1, 2)
 
     def test_reduce_mod_p(self):
         L = artin_hasse_log(2, 6)

@@ -199,6 +199,25 @@ class TestErrors:
         assert json.loads(out.stdout)["pass"] is True
         assert main(["idealcheck", "--p", str(p), "--N", str(N + 1), "--scan", "off"]) == 3
 
+    @pytest.mark.parametrize("p, N, scan, checked", [
+        (2, 6, "off", None),
+        (3, 3, "off", None),
+        (2, 2, "full", 1048576),
+        (3, 2, "bounded", 524288),
+        (2, 7, "bounded", 23580369155477166343041745722825037331356423184551682218193922),
+    ])
+    def test_idealcheck_documents_are_pinned(self, capsys, p, N, scan, checked):
+        # every generator list passes against the one ball-ideal intersection,
+        # and the scan counts its candidates by the index argument
+        assert main(["idealcheck", "--p", str(p), "--N", str(N), "--scan", scan]) == 0
+        want = {
+            "p": p, "N": N, "power_generators_pass": True, "equal_list_pass": True,
+            "middle_generators_pass": True, "pass": True,
+        }
+        if checked is not None:
+            want.update(scan_checked=checked, scan_escapees=0, scan_missed=0)
+        assert json.loads(capsys.readouterr().out) == want
+
     def test_idealcheck_unknown_scan_exits_2(self, capsys):
         assert main(["idealcheck", "--p", "2", "--N", "1", "--scan", "bogus"]) == 2
         assert "unknown scan" in capsys.readouterr().err
@@ -382,6 +401,24 @@ class TestMeasureDocuments:
     def test_document_prime_other_than_p_exits_3(self, capsys, tmp_path, doc):
         mu = _doc_arg(tmp_path, {**doc, "p": 3})
         assert self._main(capsys, ["wval", "--p", "2", "--mu", mu]) == 3
+
+    @pytest.mark.parametrize("p, doc, extra", [
+        ("3", {"p": 3, "prec": 10**8, "degree": 4, "coeffs": [0, 1]}, []),
+        ("3", {**QP_DOC, "p": 3, "prec": 10**8}, []),
+        ("2", {**QP_DOC, "depth": 10**8}, []),
+        ("2", {**QP_DOC, "depth": 10**8, "terms": []}, ["--degree", "0"]),
+    ], ids=["zp-prec-1e8", "qp-prec-1e8", "qp-depth-1e8", "qp-depth-1e8-degree-0"])
+    def test_document_prec_and_depth_are_budgeted(self, tmp_path, p, doc, extra):
+        # a document's "prec" follows the --prec bit rule and a Q_p
+        # document's "depth" the cells of degree·p^depth + 1, both before its
+        # constructor runs; the first three ran past an 8 s timeout
+        # computing p^prec or regridding the terms, and a non-positive Q_p
+        # --degree, which would count no cells, is refused first
+        start = time.monotonic()
+        out = run_cli(["wval", "--p", p, "--mu", _doc_arg(tmp_path, doc), *extra], timeout=10)
+        assert time.monotonic() - start < 5
+        assert out.returncode == 3, out.stderr
+        assert "Traceback" not in out.stderr
 
 
 class TestCommandTable:
