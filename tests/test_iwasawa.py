@@ -670,7 +670,7 @@ def test_elementary_divisors_count_the_kernel(p, K, n_rows, n_cols, rnd):
 @given(st.sampled_from([2, 3, 5]), st.integers(0, 3), st.integers(0, 80))
 @example(2, 0, 5)  # N = 0: the total mass alone, 0 from T^1 on
 @example(3, 2, 30)  # m past p^h: the fold wraps around
-def test_ball_rows_are_folded_monomials(p, N, top):
+def test_ball_table_rows_are_folded_monomials(p, N, top):
     # row m is T^m folded on its own at each radius p^-h, h = 0..N, taken
     # mod p^(N+1-h) and scaled by p^(h+1)
     N = min(N, 2) if p == 5 else N
@@ -781,3 +781,27 @@ def test_row_tracked_pivots_match_the_matrix_search(p, K, n_rows, n_cols, zeros,
     rnd.shuffle(A)
     want = elementary_divisors_by_matrix_search([r[:] for r in A], p, K)
     assert iwasawa._elementary_divisor_valuations(A, p, K) == want
+
+
+def test_scan_matrix_is_the_stacked_ball_table():
+    # the scan's rows are T^m's ball values times p^(h+1) mod p^(N+2),
+    # radius after radius, as folded one monomial at a time
+    p, N = 3, 2
+    K, deg = N + 2, p**N + 1
+    seen = {}
+    true_divisors = iwasawa._elementary_divisor_valuations
+
+    def spy(rows, p_, K_):
+        seen["rows"] = [r[:] for r in rows]
+        return true_divisors(rows, p_, K_)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(iwasawa, "_elementary_divisor_valuations", spy)
+        intersection_vs_middle_scan(p, N)
+    want = [[] for _ in range(deg)]
+    for h in range(N + 1):
+        for m, row in enumerate(want):
+            values = iwasawa._ball_residues([0] * m + [1], p**h, p**K)
+            values += [0] * (p**h - len(values))
+            row += [x * p ** (h + 1) % p**K for x in values]
+    assert seen["rows"] == want
