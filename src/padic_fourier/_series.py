@@ -46,10 +46,30 @@ def truncate(p, depth, degree, coeffs, mod):
         c %= mod
         if c:
             out[k] = c
-    while depth > 0 and all(k % p == 0 for k in out):
-        out = {k // p: c for k, c in out.items()}
-        depth -= 1
+    if depth:
+        g = math.gcd(*out)  # 0 when no key, or key 0 alone, is left
+        shift = _valuation(g, p, depth) if g else depth
+        if shift:
+            step = p**shift
+            out = {k // step: c for k, c in out.items()}
+            depth -= shift
     return depth, out
+
+
+def _valuation(n, p, cap):
+    """min(cap, v_p(n)) for n > 0 in O(log cap) divisions: strip
+    p, p^2, p^4, ... while they divide, then the same powers back down."""
+    v, steps = 0, [(p, 1)]
+    while True:
+        q, e = steps[-1]
+        if v + e > cap or n % q:
+            break
+        n, v = n // q, v + e
+        steps.append((q * q, 2 * e))
+    for q, e in reversed(steps[:-1]):
+        if v + e <= cap and n % q == 0:
+            n, v = n // q, v + e
+    return v
 
 
 def regrid(coeffs, factor):
@@ -90,9 +110,11 @@ def mul(a, b, bound):
     that factor and packing from about 6); else use Kronecker substitution:
     pack each operand into one int, a w-byte slot per key (room for any
     coefficient of the product and a sign bit), take one Karatsuba bigint
-    product and unpack the slots below the bound.  Cost: about min(pairs,
-    Karatsuba on (span_a + span_b) · w bytes).  ``Fraction``s are scaled by
-    a common denominator.
+    product and unpack the slots below the bound.  The low slots are cut
+    off by a mask, & (2^(8wn) - 1), equal to % 2^(8wn) for every integer:
+    CPython masks in linear time but takes % as a long division, quadratic
+    in the size.  Cost: about min(pairs, Karatsuba on (span_a + span_b) · w
+    bytes).  ``Fraction``s are scaled by a common denominator.
     """
     if not a or not b:
         return {}
@@ -126,7 +148,7 @@ def mul(a, b, bound):
     x = _pack(a, span_a, w, half)
     prod = x * x if same else x * _pack(b, span_b, w, half)
     # balanced digits: with half added, slot i holds c_i + half, no borrows
-    low = (prod + _biases(n, w, half)) % (1 << 8 * w * n)
+    low = (prod + _biases(n, w, half)) & ((1 << 8 * w * n) - 1)
     raw = low.to_bytes(w * n, "little")
     cs = [int.from_bytes(raw[i:i + w], "little") - half for i in range(0, w * n, w)]
     if den_a is None and den_b is None:

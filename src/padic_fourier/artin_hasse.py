@@ -182,16 +182,23 @@ def _log_newton(p, degree, prec=None):
     """Coefficients of L mod T^degree: exact over Q if prec is None, else
     integers right mod p^prec.
 
-    Newton's method on G(L) = Σ_i L^(p^i)/p^i - log(1+T), the settled
-    degree s doubling each round.  Every sum is scaled by p^guard, the
-    largest power of p below degree, so p^(guard-i) and p^guard·log(1+T)
-    are p-integral.  Mod p^prec the scaled sums are taken mod
-    p^(prec+guard), as L^(p^i) mod p^(prec+i) depends only on L mod
-    p^prec, and the scaled residual must be divisible by p^guard.  The
-    inverse g of G'(L) = Σ L^(p^i - 1), which has constant term 1, is
-    carried across rounds: L moves only at orders >= s, so g, right mod
-    T^(s/2), stays right for the new L, and one step g <- g(2 - G'g) makes
-    it right mod T^(d-s), all that the update G/G' mod T^d needs.
+    Newton's method on G(L) = Σ_i L^(p^i)/p^i - log(1+T).  The rounds are
+    scheduled top-down: halving ``degree`` with ceil down to 2 lists the
+    round degrees, run upward, so each round goes from a settled degree s
+    to d with s = ceil(d/2) and the last one ends at ``degree`` (257 runs
+    3, 5, 9, ..., 257, not a round at 512 for one coefficient).  Every sum
+    is scaled by p^guard, the largest power of p below degree, so
+    p^(guard-i) and p^guard·log(1+T) are p-integral.  Mod p^prec, level i
+    takes L^(p^i) mod p^(prec+i), which depends only on L mod p^prec, so
+    each scaled term p^(guard-i)·L^(p^i), and the scaled residual with
+    them, is right mod p^(prec+guard); the residual must be divisible by
+    p^guard.  The inverse g of G'(L) = Σ L^(p^i - 1), which has constant
+    term 1, is carried across rounds: L moves only at orders >= s, so g,
+    right mod T^ceil(s/2) from the last round, stays right for the new L,
+    and one step g <- g(2 - G'g) truncated at T^s makes it right mod T^s;
+    so L^(p^i - 1) is taken mod (p^prec, T^s) only.  The residual G
+    vanishes mod T^s and its zero terms are dropped, so the update
+    G/G' mod T^d reads g mod T^(d-s) only, and d - s <= s.
     """
     guard = 0
     while p ** (guard + 1) < degree:
@@ -201,25 +208,28 @@ def _log_newton(p, degree, prec=None):
     slog = {  # p^guard · log(1+T)
         n: _residue(Fraction((-1) ** (n + 1) * scale, n), mod) for n in range(1, degree)
     }
+    rounds, d = [], degree
+    while d > 2:
+        rounds.append(d)
+        d = -(-d // 2)
     L, g, s = {1: 1}, {0: 1}, 2
-    while s < degree:
-        d = min(2 * s, degree)
-        mul = functools.partial(_mul_sparse, d=d, mod=mod)
+    for d in reversed(rounds):
         H = {n: -c for n, c in slog.items() if n < d}  # p^guard · G(L)
         Gp = {}  # G'(L)
-        P, Q, i = L, {0: 1}, 0  # L^(p^i), L^(p^i - 1)
+        P, Q, i = L, {0: 1}, 0  # L^(p^i) mod p^(prec+i), L^(p^i - 1) mod (p^prec, T^s)
         while p**i < d:
             if i:
+                mul = functools.partial(_mul_sparse, d=d, mod=pmod and p ** (prec + i))
                 R = _series.power(P, p - 1, {0: 1}, mul)
-                P, Q = mul(R, P), mul(R, Q)
+                P, Q = mul(R, P), _mul_sparse(R, Q, s, pmod)
             for k, c in P.items():
                 H[k] = H.get(k, 0) + scale // p**i * c
             for k, c in Q.items():
                 Gp[k] = Gp.get(k, 0) + c
             i += 1
-        r = {k: -c for k, c in _mul_sparse(Gp, g, d - s, pmod).items()}
+        r = {k: -c for k, c in _mul_sparse(Gp, g, s, pmod).items()}
         r[0] = r.get(0, 0) + 2
-        g = _mul_sparse(g, r, d - s, pmod)
+        g = _mul_sparse(g, r, s, pmod)
         G = {}
         for k, c in H.items():
             c = Fraction(c, scale)
@@ -227,7 +237,8 @@ def _log_newton(p, degree, prec=None):
                 raise InternalConsistencyError(
                     "scaled Newton residual not divisible by the guard power"
                 )
-            G[k] = _residue(c, pmod)
+            if c := _residue(c, pmod):
+                G[k] = c
         for k, c in _mul_sparse(G, g, d, pmod).items():
             L[k] = L.get(k, 0) - c
         s = d

@@ -200,6 +200,22 @@ def test_log_mod_matches_exact_series(p, degree):
         assert artin_hasse_log_mod(p, degree, prec) == tuple(exact.residues(prec))
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_log_mod_matches_exact_series_at_every_degree(p):
+    """Every round schedule up to 80: d = 2s with s odd (6, 10, 14, ...), where
+    the inverse step needs g mod T^s, and d = 2^k + 1, one past a doubling."""
+    for degree in range(2, 81):
+        exact = artin_hasse_log(p, degree)
+        for prec in (1, 4, 9):
+            expect = tuple(exact.residues(prec))
+            assert artin_hasse_log_mod(p, degree, prec) == expect, (degree, prec)
+
+
+def test_log_mod_inverts_exp_one_past_a_power_of_two():
+    """The Horner check below at 2^9 + 1, whose last round settles 257 -> 513."""
+    test_log_mod_inverts_exp_mod_p_n(2, 2**9 + 1, 12)
+
+
 @pytest.mark.parametrize("p, degree, prec", [
     (2, 113, 10), (2, 257, 12), (2, 321, 8), (3, 217, 6), (5, 176, 6), (7, 65, 5),
 ])

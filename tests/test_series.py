@@ -9,8 +9,10 @@ import copy
 import functools
 import json
 import operator
+import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -112,6 +114,75 @@ def test_kernel_product_matches_schoolbook(case):
     a, b, bound = case
     expect = schoolbook(a, b, lambda k: bound is None or k < bound)
     assert nonzero(_series.mul(a, b, bound)) == nonzero(expect)
+
+
+def dense_operand(rng, kind, n):
+    """n consecutive nonzero terms of either sign from a random key: the
+    packed path."""
+    lo = rng.randrange(0, 50)
+    magnitude = {
+        "int": lambda: rng.randrange(1, 2**20),
+        "wide": lambda: rng.randrange(2**64, 2**90),
+        "fraction": lambda: Fraction(rng.randrange(1, 50), rng.randrange(1, 12)),
+    }[kind]
+    return {lo + k: rng.choice([-1, 1]) * magnitude() for k in range(n)}
+
+
+@pytest.mark.parametrize("bound", ["none", "mid", "past"])
+@pytest.mark.parametrize("same", [False, True])
+@pytest.mark.parametrize("kind", ["int", "wide", "fraction"])
+def test_kernel_wide_packed_product_matches_schoolbook(kind, same, bound):
+    # multi-KiB packed integers: the unpack keeps every slot, sign and carry
+    rng = random.Random(f"{kind}-{same}-{bound}")
+    sizes = (300, 330) if kind == "fraction" else (300, 600)
+    a = dense_operand(rng, kind, rng.randrange(*sizes))
+    b = a if same else dense_operand(rng, kind, rng.randrange(*sizes))
+    lo, hi = min(a) + min(b), max(a) + max(b)
+    bound = {"none": None, "mid": (lo + hi) // 2, "past": hi + 1}[bound]
+    expect = schoolbook(a, b, lambda k: bound is None or k < bound)
+    assert nonzero(_series.mul(a, b, bound)) == nonzero(expect)
+
+
+def truncate_oracle(p, depth, degree, coeffs, mod):
+    """The box rule with the grid coarsened one power of p per pass."""
+    bound = _series.key_bound(p, depth, degree)
+    out = {k: c % mod for k, c in coeffs.items() if (bound is None or k < bound) and c % mod}
+    while depth > 0 and all(k % p == 0 for k in out):
+        out = {k // p: c for k, c in out.items()}
+        depth -= 1
+    return depth, out
+
+
+@st.composite
+def truncate_cases(draw):
+    p = draw(PRIMES)
+    depth = draw(st.integers(0, 12))
+    degree = draw(st.one_of(st.none(), st.builds(Fraction, st.integers(1, 40), st.integers(1, 4))))
+    shared = p ** draw(st.integers(0, 14))  # a power of p that every key may share
+    keys = st.builds(operator.mul, st.integers(0, 30), st.just(shared))
+    coeffs = draw(st.dictionaries(keys, st.integers(-50, 50), max_size=6))
+    return p, depth, degree, coeffs, p ** draw(st.integers(1, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(truncate_cases())
+@example((2, 5, None, {}, 4))  # empty: depth 0
+@example((3, 4, None, {0: 1}, 9))  # key 0 alone: depth 0
+@example((2, 3, None, {8: 1, 0: 5}, 4))  # coarsens by more than the depth
+@example((5, 6, Fraction(1), {25: 5, 50: 1}, 5))  # a residue vanishes
+def test_truncate_matches_one_pass_per_power(case):
+    assert _series.truncate(*case) == truncate_oracle(*case)
+
+
+@pytest.mark.parametrize("p, depth, coeffs", [
+    (2, 10**7, {}),
+    (3, 40000, {3**40000: 1}),
+])
+def test_deep_grid_constructs_in_one_step(p, depth, coeffs):
+    start = time.monotonic()
+    x = AinfElt(p, 4, depth, 4, coeffs)
+    assert time.monotonic() - start < 0.5
+    assert x.depth == 0 and x.coeffs == {k // p**depth: c for k, c in coeffs.items()}
 
 
 def test_kernel_square_of_wide_sparse_series():
