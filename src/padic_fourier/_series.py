@@ -16,7 +16,7 @@ import operator
 from fractions import Fraction
 
 from .errors import ParseError, PreconditionError
-from .padic import SExponent, json_field, json_int
+from .padic import SExponent, json_field, json_int, vp_int
 
 
 def degree_min(a, b):
@@ -48,28 +48,12 @@ def truncate(p, depth, degree, coeffs, mod):
             out[k] = c
     if depth:
         g = math.gcd(*out)  # 0 when no key, or key 0 alone, is left
-        shift = _valuation(g, p, depth) if g else depth
+        shift = min(vp_int(g, p), depth) if g else depth
         if shift:
             step = p**shift
             out = {k // step: c for k, c in out.items()}
             depth -= shift
     return depth, out
-
-
-def _valuation(n, p, cap):
-    """min(cap, v_p(n)) for n > 0 in O(log cap) divisions: strip
-    p, p^2, p^4, ... while they divide, then the same powers back down."""
-    v, steps = 0, [(p, 1)]
-    while True:
-        q, e = steps[-1]
-        if v + e > cap or n % q:
-            break
-        n, v = n // q, v + e
-        steps.append((q * q, 2 * e))
-    for q, e in reversed(steps[:-1]):
-        if v + e <= cap and n % q == 0:
-            n, v = n // q, v + e
-    return v
 
 
 def regrid(coeffs, factor):

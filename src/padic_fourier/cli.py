@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 parse error, 3 precondition violation,
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
@@ -412,19 +411,14 @@ def _cmd_fourier(pr):
 def _cmd_orthocheck(pr):
     p = pr["p"]
     mode = str(pr.get("mode", "zp"))
-    failures = []
     if mode == "zp":
         imax = _int(pr.get("imax", 30), "--imax")
         prec = _prec(pr, 20)
-        degree = imax + 2
         ks = range(imax + 1)
         _check_box(len(ks) ** 2)  # one integral per pair
-        for i in ks:
-            f = MahlerFn.basis(p, i, prec)
-            for j in ks:
-                val = integrate(f, IwasawaElt.monomial(p, j, prec, degree))
-                if val != PadicScalar.from_int(p, 1 if i == j else 0, prec):
-                    failures.append({"i": i, "j": j})
+        fns = [MahlerFn.basis(p, i, prec) for i in ks]
+        mus = [IwasawaElt.monomial(p, j, prec, imax + 2) for j in ks]
+        integral, keys = integrate, ("i", "j")
     elif mode == "qp":
         qdepth = _int(pr.get("qdepth", 2), "--qdepth")
         qmax = _frac(pr.get("qmax", 4))
@@ -433,15 +427,20 @@ def _cmd_orthocheck(pr):
             raise PreconditionError(f"qdepth {qdepth} < 0")
         ks = range(_cells(p, qdepth, qmax))
         _check_box(len(ks) ** 2)
-        for k1 in ks:
-            f = UnifFn.basis(p, Fraction(k1, p**qdepth), prec)
-            for k2 in ks:
-                mu = AinfElt.monomial(p, Fraction(k2, p**qdepth), prec, degree=qmax)
-                val = integrate_unif(f, mu)
-                if val != PadicScalar.from_int(p, 1 if k1 == k2 else 0, prec):
-                    failures.append({"q1": k1, "q2": k2})
+        fns = [UnifFn.basis(p, Fraction(k, p**qdepth), prec) for k in ks]
+        mus = [AinfElt.monomial(p, Fraction(k, p**qdepth), prec, degree=qmax) for k in ks]
+        integral, keys = integrate_unif, ("q1", "q2")
     else:
         raise ParseError(f"unknown orthocheck mode {mode!r}")
+    # the expected values 0 and 1, built only when some pair needs them: an
+    # empty box takes any --prec, where a scalar refuses a negative one
+    expect = [PadicScalar.from_int(p, c, prec) for c in (0, 1)] if ks else []
+    failures = [
+        {keys[0]: i, keys[1]: j}
+        for i, f in enumerate(fns)
+        for j, mu in enumerate(mus)
+        if integral(f, mu) != expect[i == j]
+    ]
     if failures:
         raise InternalConsistencyError(f"orthogonality failed at {failures[:5]}")
     return {"mode": mode, "p": p, "checked": len(ks) ** 2, "failures": 0, "pass": True}
@@ -547,9 +546,14 @@ def _render(doc: dict, fmt: str) -> str:
 def _build_parser(command):
     """The parser with the subcommand ``command`` alone, or with all of them
     for None: no command, ``-h``, ``--version`` or an unknown name, whose
-    texts list every command.  ``main`` passes a table name or None, so a
-    process builds at most one parser per command; argparse keeps no state
-    between parses."""
+    texts list every command.  ``_parsed_job`` passes a table name or None,
+    so a process builds at most one parser per command; argparse keeps no
+    state between parses.  It reads every argv that ``_plain_job`` declines
+    and is the only source of usage, help and error texts.  argparse, and
+    the gettext and locale it loads, are imported on the first call, so a
+    plain job imports none of them."""
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="padic-fourier",
         description=__doc__,
@@ -570,8 +574,31 @@ def _build_parser(command):
     return ap
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+def _plain_job(argv):
+    """The JobSpec of ``argv`` of the shape ``COMMAND (--FLAG VALUE)...``,
+    read from the command table, or None for any other argv.  Each flag is
+    one the command takes, or p, format, in or out, given once and spelled
+    out; no value starts with "-"; --p is given and --format, if given, is
+    json or pretty.  The parser reads such an argv to the same job."""
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    known = {"p", "format", "in", "out", *_COMMANDS[argv[0]][1]}
+    opts = {}
+    for flag, val in zip(argv[1::2], argv[2::2]):
+        name = flag[2:]
+        if flag[:2] != "--" or name not in known or name in opts or val[:1] == "-":
+            return None
+        opts[name] = val
+    fmt = opts.pop("format", "json")
+    if "p" not in opts or fmt not in ("json", "pretty"):
+        return None
+    in_path, out_path = opts.pop("in", None), opts.pop("out", None)
+    return JobSpec(argv[0], opts, in_path=in_path, out_path=out_path, fmt=fmt)
+
+
+def _parsed_job(argv):
+    """The JobSpec argparse reads from ``argv``; on help, --version or a
+    usage error it prints its text and raises SystemExit."""
     # the top-level parser takes no valued options, so the first bare token
     # names the command
     command = next((a for a in argv if not a.startswith("-")), None)
@@ -580,9 +607,15 @@ def main(argv=None) -> int:
         key: val for key, val in vars(ns).items()
         if key not in ("command", "format", "in_path", "out_path") and val is not None
     }
-    job = JobSpec(
-        ns.command, params, in_path=ns.in_path, out_path=ns.out_path, fmt=ns.format
-    )
+    return JobSpec(ns.command, params, in_path=ns.in_path, out_path=ns.out_path, fmt=ns.format)
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # a plain argv is read from the command table; help, --version,
+    # abbreviations, "=" forms, values starting with "-", repeats and every
+    # usage error go to argparse, which reads a plain argv the same way
+    job = _plain_job(argv) or _parsed_job(argv)
     try:
         doc = run(job)
     except PadicFourierError as e:

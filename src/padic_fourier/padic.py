@@ -52,13 +52,33 @@ def is_prime(n: int) -> bool:
 
 
 def vp_int(n: int, p: int) -> int:
-    """p-adic valuation of a nonzero integer."""
+    """p-adic valuation of a nonzero integer.  Up to eight factors p are
+    stripped one at a time, the cheapest way for the small valuations of
+    the scalar hot path; past them p, p^2, p^4, ... are stripped while they
+    divide, then the same powers back down, so a valuation v costs
+    O(log v) divisions."""
     if n == 0:
         raise ValueError("valuation of 0 is unbounded")
     v = 0
     while n % p == 0:
         n //= p
         v += 1
+        if v == 8:
+            break
+    else:
+        return v
+    qs, e = [p], 1
+    while n % qs[-1] == 0:
+        n //= qs[-1]
+        v += e
+        e += e
+        qs.append(qs[-1] * qs[-1])
+    # what is left of v is below e
+    for q in reversed(qs[:-1]):
+        e >>= 1
+        if n % q == 0:
+            n //= q
+            v += e
     return v
 
 
@@ -342,9 +362,10 @@ class SExponent:
             raise PreconditionError("S-exponents are nonnegative")
         if num == 0:
             logden = 0
-        while logden > 0 and num % p == 0:
-            num //= p
-            logden -= 1
+        elif logden and num % p == 0:
+            strip = min(vp_int(num, p), logden)
+            num //= p**strip
+            logden -= strip
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "logden", logden)

@@ -4,6 +4,7 @@ import json
 import shlex
 import subprocess
 import sys
+import tempfile
 import time
 from datetime import timedelta
 from pathlib import Path
@@ -568,3 +569,106 @@ def test_fuzzed_argv_exits_with_a_documented_code(argv):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = _exit_code(lambda: main(argv))
     assert code in (0, 2, 3, 4, 5), (argv, err.getvalue())
+
+
+# values for the parser-agreement test: the fuzz vocabulary plus values
+# argparse reads as options or as negative numbers
+_PARITY_VALUES = [*_FUZZ_VALUES, "-2", "-3/2", "-", "--", "-x", "--p"]
+
+
+@st.composite
+def _parity_argvs(draw):
+    """An argv near the plain shape: flags of the command, with some
+    abbreviated, in the "--flag=value" form, without a value, repeated or
+    unknown, stray tokens, -h and --version, and now and then a token
+    before the command or no command at all."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    names = ["p", "format", "in", "out", *cli._COMMANDS[command][1]]
+    # --in and --out name files in {dir}, a fresh directory per example
+    values = {
+        "p": ["2", "3", "-2"], "format": ["json", "pretty", "x"],
+        "in": ["{dir}/in.json", "{dir}/none.json"],
+        "out": ["{dir}/out.json", "{dir}/none/out.json"],
+    }
+    argv = [command]
+    if draw(st.booleans()):  # --p and distinct flags, mostly of the plain shape
+        for name in ["p", *draw(st.lists(st.sampled_from(names[1:]), unique=True))]:
+            argv += [f"--{name}", draw(st.sampled_from(values.get(name, _FUZZ_VALUES)))]
+        return argv
+    if draw(st.integers(0, 3)):
+        argv += ["--p", draw(st.sampled_from(values["p"]))]
+    for _ in range(draw(st.integers(0, 4))):
+        name = draw(st.sampled_from(names))
+        value = draw(st.sampled_from(values.get(name, _PARITY_VALUES)))
+        form = draw(st.sampled_from(
+            ["pair"] * 12 + ["abbrev", "eq", "bare", "stray", "help", "unknown"]
+        ))
+        if form == "pair":
+            argv += [f"--{name}", value]
+        elif form == "abbrev":
+            argv += [f"--{name[:draw(st.integers(1, len(name)))]}", value]
+        elif form == "eq":
+            argv.append(f"--{name}={value}")
+        elif form == "bare":
+            argv.append(f"--{name}")
+        elif form == "stray":
+            argv.append(value)
+        elif form == "help":
+            argv.append(draw(st.sampled_from(["-h", "--help", "--version"])))
+        else:
+            argv += ["--bogus", value]
+    if draw(st.integers(0, 9)) == 0:
+        argv = argv[1:] if draw(st.booleans()) else ["-h", *argv]
+    return argv
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=30))
+@given(argv=_parity_argvs())
+@example(argv=["ball", "--p", "3", "--mu", "dirac:5", "--a", "2", "--h", "1"])
+@example(argv=["wval", "--p", "2", "--mu", "T", "--format", "pretty", "--out", "{dir}/out.json"])
+@example(argv=["integrate", "--p", "3", "--f", "binom:2", "--mu", "T", "--in", "{dir}/in.json"])
+@example(argv=["dirac", "--p", "2", "--a", "-1"])
+@example(argv=["wval", "--p", "2", "--mu", "T", "--p", "3"])
+@example(argv=["wval", "--p=2", "--mu", "T"])
+@example(argv=["wval", "--p", "2", "--m", "T"])
+@example(argv=["wval", "--p", "2", "--mu", "T", "--format", "x"])
+@example(argv=["wval", "--p", "2", "--mu", "T", "-h"])
+@example(argv=["mahler", "--p", "2", "--samples", ""])
+def test_plain_argv_reads_as_argparse_reads_it(argv):
+    """Where ``_plain_job`` reads an argv, argparse reads the same job; and
+    ``main`` exits and prints as it does with argparse alone."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [a.replace("{dir}", tmp) for a in argv]
+        (Path(tmp) / "in.json").write_text('{"prec": "4", "mu": "T^2"}')
+        out_file = Path(tmp) / "out.json"
+
+        def call():
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = _exit_code(lambda: main(argv))
+            written = out_file.read_text() if out_file.exists() else None
+            out_file.unlink(missing_ok=True)
+            return code, out.getvalue(), err.getvalue(), written
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("PADIC_FOURIER_MAX_BOX", "400")
+            mp.chdir(tmp)  # where a stray --out lands
+            job = cli._plain_job(argv)
+            if job is not None:
+                assert vars(job) == vars(cli._parsed_job(argv))
+            got = call()
+            mp.setattr(cli, "_plain_job", lambda argv: None)
+            assert got == call(), argv
+
+
+def test_readme_job_never_imports_argparse():
+    """A fresh process that runs a README job from argv loads no argparse."""
+    code = (
+        "import sys, padic_fourier.cli as cli\n"
+        "assert cli.main(['fourier', '--p', '2', '--combo', '1@3/4', '--qdepth', '2',"
+        " '--qmax', '1']) == 0\n"
+        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)), file=sys.stderr)\n"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True, check=True)
+    assert out.stderr == "[]\n"

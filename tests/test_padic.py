@@ -99,6 +99,42 @@ class TestScalarBasics:
         assert PadicScalar.from_json(x.to_json()) == x
 
 
+def _vp_one_division_at_a_time(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+@settings(max_examples=300)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 101]),
+    unit=st.integers(-10**6, 10**6).filter(bool),
+    v=st.integers(0, 300),
+)
+@example(p=2, unit=1, v=0)
+@example(p=3, unit=-9, v=63)
+@example(p=5, unit=1, v=8)
+def test_vp_int_matches_one_division_at_a_time(p, unit, v):
+    n = unit * p**v
+    assert vp_int(n, p) == _vp_one_division_at_a_time(n, p)
+
+
+def test_large_valuation_scalar_builds_fast():
+    start = time.monotonic()
+    x = PadicScalar(2, 0, 2**100000, 100001)
+    assert time.monotonic() - start < 0.1
+    assert (x.shift, x.unit, x.prec) == (100000, 1, 1)
+
+
+def test_deep_exponent_reduces_fast():
+    start = time.monotonic()
+    q = SExponent(3, 2 * 3**40000, 30000)
+    assert time.monotonic() - start < 0.1
+    assert (q.num, q.logden) == (2 * 3**10000, 0)
+
+
 scalar_st = st.builds(
     PadicScalar,
     st.sampled_from(PRIMES),
