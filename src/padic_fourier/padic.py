@@ -52,29 +52,27 @@ def is_prime(n: int) -> bool:
 
 
 def vp_int(n: int, p: int) -> int:
-    """p-adic valuation of a nonzero integer.  Up to eight factors p are
-    stripped one at a time, the cheapest way for the small valuations of
-    the scalar hot path; past them p, p^2, p^4, ... are stripped while they
-    divide, then the same powers back down, so a valuation v costs
-    O(log v) divisions."""
+    """p-adic valuation of a nonzero integer in O(log v) divisions: after
+    one p, strip p, p^2, p^4, ... while they divide, then the same powers
+    back down.  A p below 2 is refused: 0 divides nothing, and 1 and -1
+    divide every n, so the strip would never end."""
     if n == 0:
         raise ValueError("valuation of 0 is unbounded")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-        if v == 8:
-            break
-    else:
-        return v
-    qs, e = [p], 1
-    while n % qs[-1] == 0:
-        n //= qs[-1]
+    if p < 2:
+        raise PreconditionError(f"p = {p} is not prime")
+    if n % p:
+        return 0
+    n //= p
+    v, q, e, qs = 1, p, 1, []
+    while n % q == 0:
+        n //= q
         v += e
+        qs.append(q)
+        q *= q
         e += e
-        qs.append(qs[-1] * qs[-1])
     # what is left of v is below e
-    for q in reversed(qs[:-1]):
+    while qs:
+        q = qs.pop()
         e >>= 1
         if n % q == 0:
             n //= q
@@ -362,10 +360,12 @@ class SExponent:
             raise PreconditionError("S-exponents are nonnegative")
         if num == 0:
             logden = 0
-        elif logden and num % p == 0:
+        elif logden:
+            # vp_int refuses a p below 2 before it divides by it
             strip = min(vp_int(num, p), logden)
-            num //= p**strip
-            logden -= strip
+            if strip:
+                num //= p**strip
+                logden -= strip
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "logden", logden)

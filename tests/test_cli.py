@@ -403,6 +403,18 @@ class TestMeasureDocuments:
         mu = _doc_arg(tmp_path, {**doc, "p": 3})
         assert self._main(capsys, ["wval", "--p", "2", "--mu", mu]) == 3
 
+    @pytest.mark.parametrize("cmd", ["fourier", "wval"])
+    @pytest.mark.parametrize("p", [1, -1, 0])
+    def test_document_prime_below_2_exits_3(self, tmp_path, cmd, p):
+        # the exponent of a term is reduced before the constructor checks
+        # the prime; with p = 1 that reduction once ran without end
+        doc = {"p": p, "prec": 1, "depth": 1, "degree": None,
+               "terms": [{"q": {"num": 1, "logden": 1}, "coeff": 1}]}
+        out = run_cli([cmd, "--p", "2", "--mu", _doc_arg(tmp_path, doc)], timeout=10)
+        assert out.returncode == 3, out.stderr
+        assert f"p = {p} is not prime" in out.stderr
+        assert "Traceback" not in out.stderr
+
     @pytest.mark.parametrize("p, doc, extra", [
         ("3", {"p": 3, "prec": 10**8, "degree": 4, "coeffs": [0, 1]}, []),
         ("3", {**QP_DOC, "p": 3, "prec": 10**8}, []),

@@ -121,6 +121,19 @@ def test_vp_int_matches_one_division_at_a_time(p, unit, v):
     assert vp_int(n, p) == _vp_one_division_at_a_time(n, p)
 
 
+@pytest.mark.parametrize("p", [1, -1, 0, -2])
+def test_vp_int_refuses_p_below_2(p):
+    # p = 1 or -1 divides every integer, so the strip would never end
+    with pytest.raises(PreconditionError, match=f"p = {p} is not prime"):
+        vp_int(12, p)
+
+
+@pytest.mark.parametrize("p", [1, -1, 0])
+def test_exponent_with_p_below_2_is_refused(p):
+    with pytest.raises(PreconditionError):
+        SExponent(p, 1, 1)
+
+
 def test_large_valuation_scalar_builds_fast():
     start = time.monotonic()
     x = PadicScalar(2, 0, 2**100000, 100001)
