@@ -94,7 +94,8 @@ def mul(a, b, bound):
     that factor and packing from about 6); else use Kronecker substitution:
     pack each operand into one int, a w-byte slot per key (room for any
     coefficient of the product and a sign bit), take one Karatsuba bigint
-    product and unpack the slots below the bound.  The low slots are cut
+    product and unpack the slots below the bound (``_pack``, ``_unpack``,
+    shared with the packed passes of ``iwasawa``).  The low slots are cut
     off by a mask, & (2^(8wn) - 1), equal to % 2^(8wn) for every integer:
     CPython masks in linear time but takes % as a long division, quadratic
     in the size.  Cost: about min(pairs, Karatsuba on (span_a + span_b) · w
@@ -129,12 +130,9 @@ def mul(a, b, bound):
         return {}
     w = (top.bit_length() + 8) // 8  # slot bytes, with a sign bit
     half = 1 << (8 * w - 1)
-    x = _pack(a, span_a, w, half)
-    prod = x * x if same else x * _pack(b, span_b, w, half)
-    # balanced digits: with half added, slot i holds c_i + half, no borrows
-    low = (prod + _biases(n, w, half)) & ((1 << 8 * w * n) - 1)
-    raw = low.to_bytes(w * n, "little")
-    cs = [int.from_bytes(raw[i:i + w], "little") - half for i in range(0, w * n, w)]
+    x = _pack(dense(a, span_a), w, half)
+    prod = x * x if same else x * _pack(dense(b, span_b), w, half)
+    cs = _unpack(prod, n, w, half)
     if den_a is None and den_b is None:
         return {offset + i: c for i, c in enumerate(cs) if c}
     den = (den_a or 1) * (den_b or 1)
@@ -154,15 +152,19 @@ def _biases(span, w, half):
     return int.from_bytes(half.to_bytes(w, "little") * span, "little")
 
 
-def _pack(cs, span, w, half):
-    """Σ cs[k] · 2^(8 w k) over 0 <= k < span, |cs[k]| < half: each slot is
-    packed as the bytes of cs[k] + half, and the biases are taken off once."""
-    mid = half.to_bytes(w, "little")
-    raw = b"".join([
-        mid if (c := cs.get(k)) is None else (c + half).to_bytes(w, "little")
-        for k in range(span)
-    ])
-    return int.from_bytes(raw, "little") - _biases(span, w, half)
+def _pack(values, w, half):
+    """Σ values[k] · 2^(8 w k), |values[k]| < half: each slot is packed as
+    the bytes of values[k] + half, and the biases are taken off once."""
+    raw = b"".join([(c + half).to_bytes(w, "little") for c in values])
+    return int.from_bytes(raw, "little") - _biases(len(values), w, half)
+
+
+def _unpack(x, n, w, half):
+    """The low n slots of x as balanced digits, each in [-half, half): with
+    the biases added, slot k holds its digit + half and nothing borrows."""
+    low = (x + _biases(n, w, half)) & ((1 << 8 * w * n) - 1)
+    raw = low.to_bytes(w * n, "little")
+    return [int.from_bytes(raw[i:i + w], "little") - half for i in range(0, w * n, w)]
 
 
 def power(x, k, one, mul=operator.mul):

@@ -9,7 +9,10 @@ and the pairing with a continuous function f = Σ c_n (x choose n)
 Ball values come from the quotient Z_p[[T]]/((1+T)^(p^h) - 1), which is
 Z_p[Z/p^h]: substitute T = S - 1 and fold the exponents of S mod p^h;
 the coefficient of S^a is the value on a + p^h Z_p, so one Horner pass
-gives every ball of a radius (Washington, Cyclotomic Fields, §7.1).
+gives every ball of a radius (Washington, Cyclotomic Fields, §7.1).  The
+pass, and the iterated differences of the Mahler solve, run on one
+integer with a slot per power of S (per sample), packed as in
+``_series.mul``.
 Degree truncation is converted into p-adic precision through the
 containment of T^(p^(h+l)) in the ideal of measures taking values in
 p^(l+1) Z_p on all balls of radius p^(-h).
@@ -248,7 +251,7 @@ class IwasawaElt:
             raise PreconditionError("need 0 <= a < p^h")
         vals, out_prec = self._ball_values(h)
         total = vals[a] if a < len(vals) else 0
-        return PadicScalar(self.p, 0, total, self.prec).truncate(out_prec)
+        return PadicScalar(self.p, 0, total, out_prec)
 
     def w_valuation(self):
         """w(Σ a_n T^n) = min_n v_p(a_n) + n, or a lower-bound marker.
@@ -356,20 +359,54 @@ class IwasawaElt:
         return cls(p, prec, degree, coeffs, exact_tail=json_flag(doc, "exact_tail"))
 
 
+def _slots(mod):
+    """(w, half, period) of a pass that packs residues mod ``mod`` into one
+    int, a slot of W = 8w >= bits + 64 bits each: from residues, a slot
+    that at most doubles and gains a residue per step stays below half =
+    2^(W-1) for period = W - bits - 2 >= 62 steps."""
+    bits = (mod - 1).bit_length()
+    w = (bits + 71) // 8
+    return w, 1 << (8 * w - 1), 8 * w - bits - 2
+
+
 def _ball_residues(coeffs, r, mod):
     """Σ_m c_m (S-1)^m in (Z/mod)[S]/(S^n - 1), n = min(r, len(coeffs)).
 
-    Horner from the top nonzero coefficient; multiplying by S - 1 is one
-    cyclic difference pass.  For r = p^h entry a is the value on
-    a + p^h Z_p (and 0 for a >= n, as no power of S reaches it).
+    Horner from the top nonzero coefficient on one integer x, packed like
+    ``_series.mul``: slot a of W bits holds the coefficient of S^a.  With
+    S = 2^W, S^n = 1 holds mod 2^(Wn) - 1, so multiplying by S - 1 is
+    x·2^W - x and folding the high slots onto the low ones.  A step at
+    most doubles each slot and adds c_m < mod, so the slots are brought
+    back to residues (unpack, %, repack) every ``period`` steps.  For
+    r = p^h entry a is the value on a + p^h Z_p (and 0 for a >= n, as no
+    power of S reaches it).
     """
     n = min(r, len(coeffs))
     top = max((m for m, c in enumerate(coeffs) if c), default=-1)
-    out = [0] * n
+    w, half, period = _slots(mod)
+    W = 8 * w
+    Wn = W * n
+    ones = (1 << Wn) - 1
+    biases = _series._biases(n, w, half)
+    cnt = min(n, top + 1)  # (S-1)^m has degree m: past top a slot stays 0
+
+    def residues(x):
+        # x ≡ Σ s_a 2^(Wa) mod 2^(Wn) - 1, |s_a| < half - 1: fold x + biases
+        # into [0, 2^(Wn) - 1], where its slots read s_a + half
+        x += biases
+        x = (x & ones) + (x >> Wn)
+        x = (x & ones) + (x >> Wn)
+        low = _series._unpack(x - biases, cnt, w, half)
+        return [c % mod for c in low] + [0] * (n - cnt)
+
+    x, left = 0, period
     for m in range(top, -1, -1):
-        out = [(out[a - 1] - out[a]) % mod for a in range(n)]
-        out[0] = (out[0] + coeffs[m]) % mod
-    return out
+        if not left:
+            x, left = _series._pack(residues(x), w, half), period
+        x = (x << W) - x + coeffs[m] % mod
+        x = (x & ones) + (x >> Wn)
+        left -= 1
+    return residues(x)
 
 
 def dirac(a, degree, prec, p=None):
@@ -571,10 +608,11 @@ class MahlerFn:
         if k == 0:
             return self
         if self.period is not None:
-            vals = self.values_on_period()
-            m = len(vals)
+            # each pass is reduced mod p^N: the Mahler solve reduces mod p^N
+            # or a lower power anyway, and unreduced passes grow with k
+            vals, mod = self.values_on_period(), self.p**self.prec
             for _ in range(k):
-                vals = [(vals[(i + 1) % m] - vals[i]) for i in range(m)]
+                vals = [(x - y) % mod for x, y in zip(vals[1:] + vals[:1], vals)]
             return mahler_coeffs_from_samples(self.p, vals, prec=self.prec)
         cs = {n - k: c for n, c in self.coeffs.items() if n >= k}
         return MahlerFn(
@@ -623,7 +661,7 @@ class MahlerFn:
             raise PrecisionExhausted("argument precision exhausted by binomials")
         row = binomial_row_tracked(p, x.integer_rep(), x.abs_bound, top, self.prec)
         total = sum(self.coeffs.get(n, 0) * b for n, b in enumerate(row))
-        return PadicScalar(p, 0, total, self.prec).truncate(out_prec)
+        return PadicScalar(p, 0, total, out_prec)
 
     def __eq__(self, other):
         if not isinstance(other, MahlerFn):
@@ -664,7 +702,8 @@ def mahler_coeffs_from_samples(p, values, prec=None):
     promised constant on residue classes mod p^M.  The coefficients are
     the iterated differences c_n = (Δ^n f)(0), exact mod p^(M+1) (or the
     samples' precision if lower).  Coefficients beyond index p^M - 1 are
-    not extrapolated.
+    not extrapolated.  The differences run on one packed integer
+    (``_differences_at_zero``), as the ball fold does.
     """
     m = len(values)
     M = 0
@@ -683,13 +722,34 @@ def mahler_coeffs_from_samples(p, values, prec=None):
         (v.residue(out_prec) if isinstance(v, PadicScalar) else v % mod)
         for v in values
     ]
-    coeffs = []
-    while vals:
-        coeffs.append(vals[0])
-        vals = [(vals[i + 1] - vals[i]) % mod for i in range(len(vals) - 1)]
-    return MahlerFn(
-        p, out_prec, dict(enumerate(coeffs)), m, exact_tail=False, period=m
-    )
+    coeffs = dict(enumerate(_differences_at_zero(vals, mod)))
+    return MahlerFn(p, out_prec, coeffs, m, exact_tail=False, period=m)
+
+
+def _differences_at_zero(values, mod):
+    """[(Δ^n f)(0) mod ``mod`` for n < len(values)], f(i) = values[i] in
+    [0, mod), Δf(x) = f(x+1) - f(x).
+
+    One integer z packed like ``_series.mul``, slot i holding f(i) + half
+    so that no slot borrows: (Δ^n f)(0) is the low slot less half, and Δ
+    is z >> W - z plus the biases.  A pass at most doubles each slot, so
+    the slots are brought back to residues every ``period`` passes, as in
+    ``_ball_residues``.
+    """
+    m, (w, half, period) = len(values), _slots(mod)
+    W = 8 * w
+    low, biases = (1 << W) - 1, _series._biases(m, w, half)
+    z, left, out = _series._pack(values, w, half) + biases, period, []
+    for n in range(m):
+        if not left:  # the low m - n slots hold Δ^n f; the rest are dropped
+            z = _series._pack(
+                [c % mod for c in _series._unpack(z - biases, m - n, w, half)], w, half
+            ) + biases
+            left = period
+        out.append(((z & low) - half) % mod)
+        z = (z >> W) - z + biases
+        left -= 1
+    return out
 
 
 def mahler_coeffs_by_differences(p, values, prec):
@@ -749,7 +809,7 @@ def integrate(f, mu):
         raise UncertifiedTailError(
             "neither the degree bound nor the tail certificate covers the pairing"
         )
-    return PadicScalar(p, 0, total, prec).truncate(out_prec)
+    return PadicScalar(p, 0, total, out_prec)
 
 
 # ---------------------------------------------------------------------------

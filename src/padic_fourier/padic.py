@@ -318,14 +318,21 @@ class PadicScalar:
         return PadicScalar(self.p, self.shift, self.unit, abs_bound - self.shift)
 
     def __eq__(self, other):
-        """Equality at the coarsest common precision."""
+        """Equality at the coarsest common precision: the difference, taken
+        on the grid p^s of the lower shift, vanishes mod p^(bound - s).  An
+        int is exact at shift 0, so the bound is this scalar's own."""
+        p = self.p
         if isinstance(other, int):
-            other = self._coerce(other)
-        if not isinstance(other, PadicScalar):
+            shift, unit, bound = 0, other, self.abs_bound
+        elif isinstance(other, PadicScalar):
+            if p != other.p:
+                return False
+            shift, unit, bound = other.shift, other.unit, min(self.abs_bound, other.abs_bound)
+        else:
             return NotImplemented
-        if self.p != other.p:
-            return False
-        return (self - other).is_zero()
+        s = min(self.shift, shift)
+        diff = self.unit * p ** (self.shift - s) - unit * p ** (shift - s)
+        return diff % p ** (bound - s) == 0
 
     def __hash__(self):
         raise TypeError("PadicScalar equality is precision-relative; not hashable")

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -549,6 +550,184 @@ def test_ball_values_folded_once_per_radius():
         mu.ball_measure(0, 4)
     with pytest.raises(UncertifiedTailError):
         mu.ball_measure(0, 4)
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the packed passes: the list Horner fold and the list iterated
+# differences, checked past the slots' reduction period
+# ---------------------------------------------------------------------------
+
+
+def horner_fold_oracle(coeffs, r, mod):
+    """Σ_m c_m (S-1)^m in (Z/mod)[S]/(S^n - 1), n = min(r, len(coeffs)), by
+    Horner from the top nonzero coefficient, one cyclic difference pass
+    over a list per coefficient."""
+    n = min(r, len(coeffs))
+    top = max((m for m, c in enumerate(coeffs) if c), default=-1)
+    out = [0] * n
+    for m in range(top, -1, -1):
+        out = [(out[a - 1] - out[a]) % mod for a in range(n)]
+        out[0] = (out[0] + coeffs[m]) % mod
+    return out
+
+
+def differences_oracle(values, mod):
+    """[(Δ^n f)(0) mod ``mod``] by differencing a list until it is empty."""
+    vals = [v % mod for v in values]
+    out = []
+    while vals:
+        out.append(vals[0])
+        vals = [(vals[i + 1] - vals[i]) % mod for i in range(len(vals) - 1)]
+    return out
+
+
+@st.composite
+def slot_moduli(draw):
+    """(p, mod = p^prec) with bits(mod) small, or at 60-66 or 120-130 bits,
+    where the slots of a packed pass change width."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    lo, hi = draw(st.sampled_from([(1, 20), (60, 66), (120, 130)]))
+    precs = [k for k in range(1, 200) if lo <= (p**k - 1).bit_length() <= hi]
+    return p, p ** draw(st.sampled_from(precs))
+
+
+def coefficient_list(rnd, kind, n, mod):
+    """n coefficients: dense residues, a few signed huge terms, or zeros."""
+    if kind == "dense":
+        return [rnd.randrange(mod) for _ in range(n)]
+    out = [0] * n
+    if kind == "sparse" and n:
+        for _ in range(rnd.randrange(1, 4)):
+            out[rnd.randrange(n)] = rnd.choice([-1, 1]) * rnd.randrange(10**80)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    slot_moduli(),
+    st.integers(0, 700),
+    st.integers(0, 6),
+    st.sampled_from(["dense", "sparse", "zero"]),
+    st.randoms(use_true_random=False),
+)
+@example((2, 2**8), 700, 6, "dense", random.Random(0))  # ~11 reduction periods
+@example((3, 3**40), 700, 6, "dense", random.Random(1))  # 64 bits: 16-byte slots
+@example((7, 7**22), 300, 3, "sparse", random.Random(2))
+@example((2, 2**5), 0, 0, "zero", random.Random(3))  # no coefficient at all
+def test_packed_ball_fold_matches_the_list_fold(pmod, degree, h, kind, rnd):
+    p, mod = pmod
+    while p**h > 729:
+        h -= 1
+    coeffs = coefficient_list(rnd, kind, degree, mod)
+    want = horner_fold_oracle(coeffs, p**h, mod)
+    assert iwasawa._ball_residues(coeffs, p**h, mod) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    slot_moduli(),
+    st.sampled_from([1, 2, 9, 64, 243, 256]),
+    st.sampled_from(["dense", "sparse", "zero"]),
+    st.randoms(use_true_random=False),
+)
+@example((2, 2**62), 256, "dense", random.Random(0))
+@example((3, 3**80), 243, "dense", random.Random(1))
+def test_packed_differences_match_the_list_differences(pmod, m, kind, rnd):
+    _, mod = pmod
+    values = [v % mod for v in coefficient_list(rnd, kind, m, mod)]
+    assert iwasawa._differences_at_zero(values, mod) == differences_oracle(values, mod)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(3, 5), (2, 8)]),
+    st.one_of(st.none(), st.integers(1, 12)),
+    st.randoms(use_true_random=False),
+)
+def test_mahler_solve_on_signed_huge_samples(pM, prec, rnd):
+    # 243 and 256 samples: past the reduction period of the packed passes
+    p, M = pM
+    values = [
+        rnd.choice([rnd.randrange(-(10**60), 10**60), rnd.randrange(-2, 2)])
+        for _ in range(p**M)
+    ]
+    f = mahler_coeffs_from_samples(p, values, prec=prec)
+    got = [f.coeffs.get(n, 0) for n in range(p**M)]
+    assert got == differences_oracle(values, p**f.prec)
+
+
+def cyclic_difference_loop(f, k):
+    """finite_difference on a periodic function: k cyclic passes on
+    unreduced integers, then the Mahler solve."""
+    vals = f.values_on_period()
+    m = len(vals)
+    for _ in range(k):
+        vals = [(vals[(i + 1) % m] - vals[i]) for i in range(m)]
+    return mahler_coeffs_from_samples(f.p, vals, prec=f.prec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(2, 3), (3, 2), (5, 1), (2, 5)]),
+    st.integers(1, 300),
+    st.integers(1, 9),
+    st.randoms(use_true_random=False),
+)
+def test_periodic_finite_difference_matches_unreduced_loop(pM, k, prec, rnd):
+    p, M = pM
+    f = mahler_coeffs_from_samples(p, [rnd.randrange(-999, 999) for _ in range(p**M)], prec)
+    assert f.finite_difference(k).to_json() == cyclic_difference_loop(f, k).to_json()
+
+
+def test_periodic_finite_difference_is_linear_in_k():
+    # unreduced passes grow by a bit each: k = 10^5 took 3 s, now 0.14 s
+    f = mahler_coeffs_from_samples(2, list(range(32)), prec=6)
+    assert f.finite_difference(1500).to_json() == cyclic_difference_loop(f, 1500).to_json()
+    start = time.monotonic()
+    f.finite_difference(100000)
+    assert time.monotonic() - start < 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(-(10**30), 10**30),
+    st.integers(0, 12),
+    st.integers(0, 12),
+)
+def test_single_build_equals_build_then_truncate(p, total, prec, cut):
+    # integrate, ball_measure and MahlerFn.eval build their result once at
+    # the certified precision; so did the truncated build they replace
+    cut = min(cut, prec)
+    want = PadicScalar(p, 0, total, prec).truncate(cut)
+    assert PadicScalar(p, 0, total, cut).to_json() == want.to_json()
+
+
+@settings(max_examples=100, deadline=None)
+@given(zp_measures(), st.randoms(use_true_random=False), st.booleans())
+def test_integrate_and_eval_match_build_then_truncate(mu, rnd, periodic):
+    p = mu.p
+    if periodic:
+        f = mahler_coeffs_from_samples(p, [rnd.randrange(p**9) for _ in range(p**2)])
+    else:
+        cs = {n: rnd.randrange(-(p**9), p**9) for n in rnd.sample(range(12), 3)}
+        f = MahlerFn(p, rnd.randrange(1, 9), cs, 12, exact_tail=rnd.random() < 0.5)
+    try:
+        got = integrate(f, mu)
+    except UncertifiedTailError:
+        got = None
+    if got is not None:
+        total = sum(c * mu.coeffs[n] for n, c in f.coeffs.items() if n < mu.degree)
+        want = PadicScalar(p, 0, total, min(f.prec, mu.prec)).truncate(got.abs_bound)
+        assert got.to_json() == want.to_json()
+    x = rnd.randrange(-(10**6), 10**6)
+    got = f.eval(x)
+    if f.period is None:
+        total = sum(c * comb_int(x, n) for n, c in f.coeffs.items())
+    else:
+        total = sum(c * comb_int(x % f.period, n) for n, c in f.coeffs.items())
+    want = PadicScalar(p, 0, total, f.prec).truncate(got.abs_bound)
+    assert got.to_json() == want.to_json()
 
 
 # ---------------------------------------------------------------------------

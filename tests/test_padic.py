@@ -157,6 +157,53 @@ scalar_st = st.builds(
 )
 
 
+@st.composite
+def equality_operands(draw):
+    """(a, b): a scalar and a scalar of mixed shift and precision 0-12 (a
+    truncated zero at precision 0), an int, or a scalar over another
+    prime; b is often a's value moved by a multiple of a power of p."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+
+    def scalar(q=p):
+        prec = draw(st.integers(0, 12))
+        unit = draw(st.integers(-(q**12), q**12))
+        return PadicScalar(q, draw(st.integers(-6, 6)), unit, prec)
+
+    a = scalar()
+    kind = draw(st.sampled_from(["scalar", "near", "int", "near int", "prime"]))
+    k, r = draw(st.integers(0, 16)), draw(st.integers(-(p**3), p**3))
+    if kind == "scalar":
+        b = scalar()
+    elif kind == "near":  # a's digits on a's grid, moved by r p^(shift + k)
+        b = PadicScalar(p, a.shift, a.unit + r * p**k, draw(st.integers(0, 12)))
+    elif kind == "int":
+        b = draw(st.integers(-(p**14), p**14))
+    elif kind == "near int":
+        b = a.unit * p ** max(a.shift, 0) + r * p**k
+    else:
+        b = scalar(draw(st.sampled_from([q for q in (2, 3, 5, 7) if q != p])))
+    return a, b
+
+
+@settings(max_examples=600, deadline=None)
+@given(equality_operands())
+@example((PadicScalar(3, -2, 9, 3), 1))  # negative shift against an int
+@example((PadicScalar(2, 5, 0, 0), 64))  # a truncated zero
+@example((PadicScalar(2, 0, 1, 3), PadicScalar(3, 0, 1, 3)))  # prime mismatch
+def test_equality_is_a_zero_difference(ab):
+    # == compares on a common grid without building a - b; it must agree
+    # with the difference scalar, and != with its negation
+    a, b = ab
+    if isinstance(b, PadicScalar) and b.p != a.p:
+        assert (a == b) is False and (b == a) is False and (a != b) is True
+        with pytest.raises(PrimeMismatch):
+            a - b
+        return
+    want = (a - b).is_zero()
+    assert (a == b) is want and (b == a) is want
+    assert (a != b) is (not want) and (b != a) is (not want)
+
+
 def same_prime(a, b, c):
     return a.p == b.p == c.p
 
