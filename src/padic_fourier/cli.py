@@ -393,8 +393,10 @@ def _cmd_fourier(pr):
         for part in str(pr["combo"]).split(","):
             c, s = _int(part, "--combo term", "@")
             combo.append((c, _frac(s)))
-        n = _cells(p, qdepth, qmax) + 1
-        _check_box(n * len(combo))
+        n, bits = _cells(p, qdepth, qmax) + 1, prec * p.bit_length()
+        # one binomial per exponent and term, its block products costing
+        # about bits^2·log(bits): 4-5 times as much per doubling of --prec
+        _check_box(n * len(combo) * max(1, bits * bits * bits.bit_length() // 640))
         qs = [SExponent(p, k, qdepth) for k in range(n)]
         out = forward_transform_diracs(p, combo, qs, prec)
     else:

@@ -753,15 +753,15 @@ def _differences_at_zero(values, mod):
 
 
 def mahler_coeffs_by_differences(p, values, prec):
-    """Independent oracle: c_n = Σ_i (-1)^(n-i) C(n, i) f(i), n < len(values)."""
+    """Independent oracle: c_n = Σ_i (-1)^(n-i) C(n, i) f(i), n < len(values).
+    Row n of signed binomials mod p^prec comes from row n - 1 by Pascal's
+    rule, so each term is a product of two residues, not of an m-bit C(n, i)."""
     mod = p**prec
-    out = []
-    for n in range(len(values)):
-        acc, c = 0, 1
-        for i in range(n + 1):
-            acc += (-1) ** (n - i) * c * values[i]
-            c = c * (n - i) // (i + 1)  # C(n, i + 1)
-        out.append(acc % mod)
+    values = [v % mod for v in values]
+    out, row = [], [1]
+    for _ in values:
+        out.append(sum(map(int.__mul__, row, values)) % mod)
+        row = [(b - a) % mod for a, b in zip(row + [0], [0] + row)]
     return out
 
 

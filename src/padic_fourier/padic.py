@@ -496,8 +496,11 @@ def comb_tracked(p: int, X: int, M: int, n: int, work: int) -> PadicScalar:
     of the factors x - j, with r_t = X mod p^t, while r_t < n and t <= M;
     the unit is known mod p^min(work, M - t_max).  It is the unit part of
     X(X-1)...(X-n+1) over that of n!, each from at most log_p(n) + 1
-    levels of aligned blocks (``_unit_product``).  Cost: O(p log_p(n)^2)
-    block evaluations of degree <= work, not a walk's n steps.
+    levels of aligned blocks (``_unit_product``).  Cost: with p^e dividing
+    X and n, the blocks on level j have size >= p^(e-j), so the levels
+    j <= e - work take Wilson signs alone and each other level takes
+    O(p log_p(n/p^e)) block evaluations of degree <= work, not a walk's n
+    steps; gen_binomial's C(p^s x, p^s q) has e >= s.
     """
     return next(_combs_tracked(p, X, M, [n], work))
 
@@ -566,18 +569,21 @@ def _taylor_shift(c: list, s: int, mod: int) -> list:
 def _unit_product(p: int, lo: int, hi: int, w: int) -> int:
     """Unit part of ∏_{lo <= m < hi} m mod p^w, for 1 <= lo.
 
-    Each level multiplies the integers prime to p in [lo, hi), covered by
-    aligned blocks [a, a + p^k), p^k | a, each F_k(a), or ±1 by generalized
-    Wilson when k >= w; the multiples of p, divided by p, form the next level.
+    Each level multiplies the integers prime to p in [a, b), covered by
+    aligned blocks [c, c + p^k), p^k | c, each F_k(c), or ±1 by generalized
+    Wilson when k >= w.  [a, b) is [lo, hi) with an end ≡ 1 mod p moved down
+    by one: that adds or drops a multiple of p, which no block multiplies
+    in, and aligns the cover to the ends' high powers of p.  The multiples
+    of p in the unmoved [lo, hi), divided by p, form the next level.
     """
     mod = p**w
     out = 1
     while lo < hi:
-        a = lo
-        while a < hi:
-            k = 0
-            while a % p ** (k + 1) == 0 and a + p ** (k + 1) <= hi:
-                k += 1
+        a, b = lo - (lo % p == 1), hi - (hi % p == 1)
+        while a < b:
+            k, pk = 0, 1
+            while a % (pk * p) == 0 and a + pk * p <= b:
+                k, pk = k + 1, pk * p
             if k >= w:
                 out = out if p == 2 and k >= 3 else -out
             elif k:
@@ -587,7 +593,7 @@ def _unit_product(p: int, lo: int, hi: int, w: int) -> int:
                 out = out * r % mod
             elif a % p:
                 out = out * a % mod
-            a += p**k
+            a += pk
         lo, hi = -(-lo // p), -(-hi // p)
     return out % mod
 

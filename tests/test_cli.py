@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from padic_fourier import cli
 from padic_fourier.cli import JobSpec, main, run
-from padic_fourier.errors import ParseError
+from padic_fourier.errors import ParseError, PreconditionError
 
 
 # one job per --prec site of the CLI, with its required flags
@@ -160,6 +160,31 @@ class TestErrors:
         assert out.returncode == 3
         assert "PADIC_FOURIER_MAX_BOX" in out.stderr
         assert "Traceback" not in out.stderr
+
+    def test_fourier_combo_precision_is_budgeted(self):
+        # 800,000 bits pass the --prec rule, but the block products of the
+        # binomials would run for hours: the work count refuses them first
+        start = time.monotonic()
+        out = run_cli(["fourier", "--p", "2", "--combo", "1@1/2", "--prec", "400000"], timeout=10)
+        assert time.monotonic() - start < 5
+        assert out.returncode == 3
+        assert "PADIC_FOURIER_MAX_BOX" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("prec, admitted", [(1600, True), (1800, False)])
+    def test_fourier_combo_work_count_at_the_default_cap(self, monkeypatch, prec, admitted):
+        # one p=2 point: the count is checked before the transform runs, so
+        # a stub stands in for it
+        calls = []
+        monkeypatch.setenv("PADIC_FOURIER_MAX_BOX", "1000000")
+        monkeypatch.setattr(cli, "forward_transform_diracs", lambda *a: calls.append(a) or {})
+        job = JobSpec("fourier", {"p": 2, "combo": "1@1/2", "prec": prec})
+        if admitted:
+            assert run(job) == {"coefficients": []} and len(calls) == 1
+        else:
+            with pytest.raises(PreconditionError, match="PADIC_FOURIER_MAX_BOX"):
+                run(job)
+            assert not calls
 
     @pytest.mark.parametrize("args", [
         ["integrate", "--f", "binom:1", "--mu", "diracq:1/2@depth24"],

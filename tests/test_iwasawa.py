@@ -538,6 +538,40 @@ def test_mahler_oracle_matches_explicit_binomial_sum(p, m):
     assert mahler_coeffs_by_differences(p, values, 6) == want
 
 
+def exact_binomial_sum_oracle(p, values, prec):
+    """Oracle: c_n = Σ_i (-1)^(n-i) C(n, i) f(i) over exact integers, reduced
+    mod p^prec once per n; its sums grow to about len(values) bits."""
+    mod = p**prec
+    out = []
+    for n in range(len(values)):
+        acc, c = 0, 1
+        for i in range(n + 1):
+            acc += (-1) ** (n - i) * c * values[i]
+            c = c * (n - i) // (i + 1)  # C(n, i + 1)
+        out.append(acc % mod)
+    return out
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from([(3, 5), (2, 8), (2, 0), (7, 1)]),
+    st.integers(0, 12),
+    st.randoms(use_true_random=False),
+)
+@example((2, 8), 12, random.Random(0))
+@example((3, 5), 0, random.Random(1))  # mod p^0: every coefficient is 0
+def test_modular_binomial_rows_match_exact_binomial_sums(pM, prec, rnd):
+    # 243 and 256 samples, signed and far wider than p^prec
+    p, M = pM
+    values = [
+        rnd.choice([rnd.randrange(-(10**60), 10**60), rnd.randrange(-2, 2)])
+        for _ in range(p**M)
+    ]
+    assert mahler_coeffs_by_differences(p, values, prec) == exact_binomial_sum_oracle(
+        p, values, prec
+    )
+
+
 def test_ball_values_folded_once_per_radius():
     mu = IwasawaElt(3, 5, 30, [(4 * n + 1) % 243 for n in range(30)])
     first = [mu.ball_measure(a, 2).to_json() for a in range(9)]

@@ -21,6 +21,8 @@ from padic_fourier.padic import (
     gen_binomial_valuation_floor,
     vp_factorial,
     vp_int,
+    _block_poly,
+    _unit_product,
 )
 
 PRIMES = [2, 3, 5]
@@ -513,6 +515,82 @@ class TestCombTrackedOracle:
         walked = walk_comb(p, x.unit * p ** (x.shift + n), x.abs_bound + n, p ** (n - 2), 8)
         assert triple(gen_binomial(x, q, 6)) == triple(walked.truncate(6))
         assert triple(gen_binomial(x, q, prec).truncate(6)) == triple(walked.truncate(6))
+
+
+def plain_unit_product(p, lo, hi, w):
+    """Oracle: the unit parts of lo, ..., hi - 1, multiplied one by one mod p^w."""
+    mod, out = p**w, 1
+    for m in range(lo, hi):
+        out = out * (m // p ** vp_int(m, p)) % mod
+    return out
+
+
+def greedy_unit_product_oracle(p, lo, hi, w):
+    """Oracle: the unit product by the greedy block cover, which starts each
+    level at lo itself.  From an end ≡ 1 mod p it meets blocks of every size
+    p, p², ... on every level, so it is slow but shares no end rule with
+    ``_unit_product``."""
+    mod = p**w
+    out = 1
+    while lo < hi:
+        a = lo
+        while a < hi:
+            k = 0
+            while a % p ** (k + 1) == 0 and a + p ** (k + 1) <= hi:
+                k += 1
+            if k >= w:
+                out = out if p == 2 and k >= 3 else -out
+            elif k:
+                r, y = 0, a % mod
+                for c in reversed(_block_poly(p, w, k)):
+                    r = (r * y + c) % mod
+                out = out * r % mod
+            elif a % p:
+                out = out * a % mod
+            a += p**k
+        lo, hi = -(-lo // p), -(-hi // p)
+    return out % mod
+
+
+@st.composite
+def unit_product_case(draw, top_exp, span, max_w):
+    """(p, lo, hi, w) with 1 <= lo <= hi <= lo + span.  Each end is drawn at
+    random or next to a multiple of p^e, e <= top_exp: ≡ 0, 1 or p - 1 mod p.
+    Small w makes blocks with k >= w (the Wilson sign) common."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+
+    def near_power(m):
+        e = draw(st.integers(0, top_exp))
+        return m - m % p**e + draw(st.sampled_from([0, 1, -1]))
+
+    lo = draw(st.integers(1, p**top_exp))
+    lo = max(1, near_power(lo) if draw(st.booleans()) else lo)
+    hi = lo + draw(st.integers(0, min(span, p**top_exp)))
+    hi = max(lo, near_power(hi) if draw(st.booleans()) else hi)
+    return p, lo, hi, draw(st.one_of(st.integers(1, 3), st.integers(1, max_w)))
+
+
+class TestUnitProduct:
+    @settings(max_examples=400, deadline=None)
+    @given(unit_product_case(top_exp=12, span=3000, max_w=20))
+    @example((2, 1, 1, 5))  # lo == hi
+    @example((3, 28, 28, 2))  # lo == hi ≡ 1 mod p
+    @example((2, 1, 2**10 + 1, 2))  # p = 2, blocks k >= w = 2 and k >= 3: signs -1, +1
+    @example((2, 2**9 + 1, 2**11 + 1, 3))  # p = 2, k >= 3 = w, both ends ≡ 1
+    @example((3, 1, 3**6 + 1, 2))  # p = 3, Wilson sign -1
+    @example((7, 7**4 - 1, 2 * 7**4 + 1, 1))  # ends ≡ p - 1 and ≡ 1, w = 1
+    @example((5, 5**5, 2 * 5**5, 9))  # ends at multiples of a high power of p
+    def test_matches_plain_product(self, case):
+        assert _unit_product(*case) == plain_unit_product(*case)
+
+    @settings(max_examples=300, deadline=None)
+    @given(unit_product_case(top_exp=12, span=7**12, max_w=60))
+    @example((2, 1, 2**12 + 1, 60))  # the den side [1, n + 1) at n = p^12
+    @example((3, 3**12 - 3**7 + 1, 3**12 + 1, 40))  # the num side [X - n + 1, X + 1)
+    @example((2, 2**11 + 1, 2**12 + 1, 3))  # p = 2, blocks k >= 3 = w
+    @example((7, 1, 7**12 + 1, 1))  # every block k >= w = 1
+    def test_matches_greedy_cover(self, case):
+        assert _unit_product(*case) == greedy_unit_product_oracle(*case)
 
 
 @st.composite
