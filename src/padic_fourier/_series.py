@@ -139,6 +139,25 @@ def mul(a, b, bound):
     return {offset + i: Fraction(c, den) for i, c in enumerate(cs) if c}
 
 
+def mul_mod(a, b, n, m):
+    """The low n slots, mod m, of the product of dense lists of nonnegative
+    ints, a list of length n: ``mul`` past each operand's leading zeros,
+    packed with no bias (half = 0), a square once.  Slots are sized from
+    max(a)·max(b)·min(len), not m: operands may exceed m."""
+    lo_a = next((k for k, c in enumerate(a) if c), n)
+    lo_b = lo_a if a is b else next((k for k, c in enumerate(b) if c), n)
+    offset = lo_a + lo_b
+    if offset >= n:
+        return [0] * n
+    same, a = a is b, a[lo_a:n - lo_b]
+    b = a if same else b[lo_b:n - lo_a]
+    w = (max(a) * max(b) * min(len(a), len(b))).bit_length() + 7 >> 3
+    x = _pack(a, w, 0)
+    k = min(n - offset, len(a) + len(b) - 1)
+    cs = _unpack(x * x if same else x * _pack(b, w, 0), k, w, 0)
+    return [0] * offset + [c % m for c in cs] + [0] * (n - offset - k)
+
+
 def _integral(cs):
     """(None, cs) for int coefficients, else (their lcm den, cs · den)."""
     if all(type(c) is int for c in cs.values()):
@@ -153,8 +172,9 @@ def _biases(span, w, half):
 
 
 def _pack(values, w, half):
-    """Σ values[k] · 2^(8 w k), |values[k]| < half: each slot is packed as
-    the bytes of values[k] + half, and the biases are taken off once."""
+    """Σ values[k] · 2^(8 w k), -half <= values[k] < half (0 <= values[k] <
+    2^(8w) for half = 0): each slot is packed as the bytes of values[k] +
+    half, and the biases are taken off once."""
     raw = b"".join([(c + half).to_bytes(w, "little") for c in values])
     return int.from_bytes(raw, "little") - _biases(len(values), w, half)
 
@@ -220,12 +240,18 @@ def decode_degree(p, doc):
         raise ParseError(f"bad degree {doc!r}: need an S-exponent, an integer or null")
 
 
+def exponents(p, depth, coeffs):
+    """(num, logden, coeff) of each term in ascending key order, where key k
+    on the 1/p^depth grid is the exponent num/p^logden in lowest terms."""
+    pows = [p**v for v in range(depth + 1)]
+    for k in sorted(coeffs):
+        v = 0 if k % p else min(vp_int(k, p), depth) if k else depth
+        yield k // pows[v], depth - v, coeffs[k]
+
+
 def encode_terms(p, depth, coeffs):
     """JSON terms ``[{"q", "coeff"}, ...]`` in ascending exponent order."""
-    return [
-        {"q": SExponent(p, k, depth).to_json(), "coeff": c}
-        for k, c in sorted(coeffs.items())
-    ]
+    return [{"q": {"num": n, "logden": e}, "coeff": c} for n, e, c in exponents(p, depth, coeffs)]
 
 
 def decode_terms(p, depth, terms):

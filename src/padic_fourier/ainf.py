@@ -147,10 +147,8 @@ class AinfElt:
 
     def items_sexp(self):
         """Stored terms as (SExponent, coefficient) pairs, ascending."""
-        return [
-            (SExponent(self.p, k, self.depth), c)
-            for k, c in sorted(self.coeffs.items())
-        ]
+        terms = _series.exponents(self.p, self.depth, self.coeffs)
+        return [(SExponent(self.p, n, e), c) for n, e, c in terms]
 
     # -- arithmetic -------------------------------------------------------
 
@@ -255,16 +253,11 @@ class AinfElt:
 
     def __str__(self):
         parts = []
-        for q, c in self.items_sexp():
-            if self.shift:
-                c_str = f"{self.p}^{self.shift}·{c}"
-            else:
-                c_str = str(c)
-            if q.num == 0:
-                parts.append(c_str)
-            else:
-                mono = f"Tt^{q}" if (q.logden or q.num != 1) else "Tt"
-                parts.append(mono if c == 1 and not self.shift else f"{c_str}·{mono}")
+        for n, e, c in _series.exponents(self.p, self.depth, self.coeffs):
+            c_str = f"{self.p}^{self.shift}·{c}" if self.shift else str(c)
+            mono = f"Tt^{n}/{self.p**e}" if e else "Tt" if n == 1 else f"Tt^{n}"
+            term = mono if c == 1 and not self.shift else f"{c_str}·{mono}"
+            parts.append(c_str if n == 0 else term)
         body = " + ".join(parts) if parts else "0"
         dstr = "inf" if self.degree is None else str(self.degree)
         return f"{body} + O({self.p}^{self.shift + self.prec}, q>={dstr})"

@@ -48,15 +48,9 @@ __all__ = [
 # -- truncated series helpers (coefficient lists, index = degree) -----------
 
 
-def _mul_sparse(a, b, d, mod):
-    """Truncated product of coefficient maps, reduced mod ``mod`` unless None."""
-    out = _series.mul(a, b, d)
-    return out if mod is None else {k: r for k, c in out.items() if (r := c % mod)}
-
-
-def _residue(c, mod):
-    """A p-integral rational itself (mod None) or its residue mod ``mod``."""
-    return c if mod is None else c.numerator * pow(c.denominator, -1, mod) % mod
+def _residue(num, den, mod):
+    """num/den, den prime to p: a Fraction (mod None) or its residue mod ``mod``."""
+    return Fraction(num, den) if mod is None else num * pow(den, -1, mod) % mod
 
 
 class PIntegralSeries:
@@ -95,8 +89,7 @@ class PIntegralSeries:
         if isinstance(other, (int, Fraction)):
             return PIntegralSeries(self.p, self.degree, [c * other for c in self.coeffs])
         d = min(self.degree, other.degree)
-        cs = _series.mul(_series.sparse(self.coeffs), _series.sparse(other.coeffs), d)
-        return PIntegralSeries(self.p, d, _series.dense(cs, d))
+        return PIntegralSeries(self.p, d, _mul_exact(self.coeffs, other.coeffs, d))
 
     __rmul__ = __mul__
 
@@ -116,7 +109,7 @@ class PIntegralSeries:
 
     def residues(self, prec):
         """Coefficients as residues mod p^prec."""
-        return [_residue(c, self.p**prec) for c in self.coeffs]
+        return [_residue(c.numerator, c.denominator, self.p**prec) for c in self.coeffs]
 
     def reduce_mod_p(self, depth=0):
         """The mod-p reduction as a polynomial in t (on a depth-grid)."""
@@ -178,71 +171,76 @@ def artin_hasse_exp(p: int, degree: int) -> PIntegralSeries:
     return PIntegralSeries(p, degree, e)
 
 
-def _log_newton(p, degree, prec=None):
-    """Coefficients of L mod T^degree: exact over Q if prec is None, else
-    integers right mod p^prec.
+def _mul_exact(a, b, n, m=None):
+    """Truncated product of two rational coefficient lists, exact (m None)."""
+    return _series.dense(_series.mul(_series.sparse(a), _series.sparse(b), n), n)
 
-    Newton's method on G(L) = Σ_i L^(p^i)/p^i - log(1+T).  The rounds are
-    scheduled top-down: halving ``degree`` with ceil down to 2 lists the
-    round degrees, run upward, so each round goes from a settled degree s
-    to d with s = ceil(d/2) and the last one ends at ``degree`` (257 runs
-    3, 5, 9, ..., 257, not a round at 512 for one coefficient).  Every sum
-    is scaled by p^guard, the largest power of p below degree, so
-    p^(guard-i) and p^guard·log(1+T) are p-integral.  Mod p^prec, level i
-    takes L^(p^i) mod p^(prec+i), which depends only on L mod p^prec, so
-    each scaled term p^(guard-i)·L^(p^i), and the scaled residual with
-    them, is right mod p^(prec+guard); the residual must be divisible by
-    p^guard.  The inverse g of G'(L) = Σ L^(p^i - 1), which has constant
-    term 1, is carried across rounds: L moves only at orders >= s, so g,
-    right mod T^ceil(s/2) from the last round, stays right for the new L,
-    and one step g <- g(2 - G'g) truncated at T^s makes it right mod T^s;
-    so L^(p^i - 1) is taken mod (p^prec, T^s) only.  The residual G
-    vanishes mod T^s and its zero terms are dropped, so the update
-    G/G' mod T^d reads g mod T^(d-s) only, and d - s <= s.
+
+def _mod(cs, m):
+    """The list ``cs`` reduced mod ``m``, or ``cs`` itself for m None."""
+    return cs if m is None else [c % m for c in cs]
+
+
+def _log_newton(p, degree, prec=None):
+    """Coefficients of L mod T^degree as a tuple: exact over Q if prec is
+    None, else residues mod p^prec.
+
+    Newton's method on G(L) = Σ_i L^(p^i)/p^i - log(1+T) over coefficient
+    lists; the two solves differ only in their product, ``_mul_exact`` or
+    ``_series.mul_mod``, and their reduction, none or mod p^(prec+i).  The
+    round degrees are ``degree`` halved with ceil down to 2, run upward, so
+    each round goes from a settled degree s = ceil(d/2) to d (257 runs 3,
+    5, 9, ..., 257).  Sums are scaled by p^guard, the largest power of p
+    below degree, so p^(guard-i) and p^guard·log(1+T) are p-integral.  Mod
+    p^prec, level i takes L^(p^i) mod p^(prec+i), which depends only on L
+    mod p^prec, so each scaled term p^(guard-i)·L^(p^i), and the scaled
+    residual with them, is right mod p^(prec+guard); the residual must be
+    divisible by p^guard.  The inverse g of G'(L) = Σ L^(p^i - 1) is
+    carried across rounds: L moves only at orders >= s, so g, right mod
+    T^ceil(s/2), stays right, and one step g <- g(2 - G'g) mod T^s makes
+    it right mod T^s; so L^(p^i - 1) is taken mod (p^prec, T^s) only.  The
+    residual vanishes mod T^s and the product drops leading zeros, so
+    G/G' mod T^d reads g mod T^(d-s) only.
     """
     guard = 0
     while p ** (guard + 1) < degree:
         guard += 1
     scale = p**guard
-    mod, pmod = (None, None) if prec is None else (p ** (prec + guard), p**prec)
-    slog = {  # p^guard · log(1+T)
-        n: _residue(Fraction((-1) ** (n + 1) * scale, n), mod) for n in range(1, degree)
-    }
+    mul = _mul_exact if prec is None else _series.mul_mod
+    mods = [None if prec is None else p ** (prec + i) for i in range(guard + 1)]
+    pmod = mods[0]
+    slog = [0] + [  # -p^guard·log(1+T): n/k is prime to p for k = gcd(n, p^guard)
+        _residue((-1) ** n * scale // (k := math.gcd(n, scale)), n // k, mods[guard])
+        for n in range(1, degree)
+    ]
     rounds, d = [], degree
     while d > 2:
         rounds.append(d)
         d = -(-d // 2)
-    L, g, s = {1: 1}, {0: 1}, 2
+    L, g, s = [0, 1], [1, 0], 2
     for d in reversed(rounds):
-        H = {n: -c for n, c in slog.items() if n < d}  # p^guard · G(L)
-        Gp = {}  # G'(L)
-        P, Q, i = L, {0: 1}, 0  # L^(p^i) mod p^(prec+i), L^(p^i - 1) mod (p^prec, T^s)
+        L += [0] * (d - len(L))
+        H, Gp = slog[:d], [1] + [0] * (s - 1)  # p^guard · G(L), G'(L)
+        P, Q, i = L, Gp, 0  # L^(p^i) mod p^(prec+i), L^(p^i - 1) mod (p^prec, T^s)
         while p**i < d:
             if i:
-                mul = functools.partial(_mul_sparse, d=d, mod=pmod and p ** (prec + i))
-                R = _series.power(P, p - 1, {0: 1}, mul)
-                P, Q = mul(R, P), _mul_sparse(R, Q, s, pmod)
-            for k, c in P.items():
-                H[k] = H.get(k, 0) + scale // p**i * c
-            for k, c in Q.items():
-                Gp[k] = Gp.get(k, 0) + c
+                step = functools.partial(mul, n=d, m=mods[i])
+                R = _series.power(P, p - 2, P, step)  # P^(p-1)
+                P, Q = step(R, P), _mod(R[:s], pmod) if i == 1 else mul(R, Q, s, pmod)
+                Gp = [x + y for x, y in zip(Gp, Q)]
+            H = [h + scale // p**i * c for h, c in zip(H, P)]
             i += 1
-        r = {k: -c for k, c in _mul_sparse(Gp, g, s, pmod).items()}
-        r[0] = r.get(0, 0) + 2
-        g = _mul_sparse(g, r, s, pmod)
-        G = {}
-        for k, c in H.items():
-            c = Fraction(c, scale)
-            if c.denominator % p == 0:
-                raise InternalConsistencyError(
-                    "scaled Newton residual not divisible by the guard power"
-                )
-            if c := _residue(c, pmod):
-                G[k] = c
-        for k, c in _mul_sparse(G, g, d, pmod).items():
-            L[k] = L.get(k, 0) - c
+        r = _mod([-c for c in mul(Gp, g, s, pmod)], pmod)
+        r[0] += 2
+        g = mul(g, r, s, pmod)
+        if any(c.numerator % scale for c in H):  # H/scale is not p-integral
+            raise InternalConsistencyError(
+                "scaled Newton residual not divisible by the guard power"
+            )
+        G = [_residue(c.numerator // scale, c.denominator, pmod) for c in H]
+        L = _mod([x - y for x, y in zip(L, mul(G, g, d, pmod))], pmod)
         s = d
-    return tuple(L.get(n, 0) for n in range(degree))
+    return tuple((L + [0] * degree)[:degree])
 
 
 @functools.lru_cache(maxsize=None)
@@ -258,7 +256,7 @@ def artin_hasse_log_mod(p: int, degree: int, prec: int) -> tuple:
     solve as ``artin_hasse_log`` run over scaled integers."""
     if prec < 1:
         raise PreconditionError(f"precision must be >= 1, got {prec}")
-    return tuple(c % p**prec for c in _log_newton(p, degree, prec))
+    return _log_newton(p, degree, prec)
 
 
 def _apply_residues(coeffs, x: AinfElt) -> AinfElt:

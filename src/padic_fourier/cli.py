@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import __version__
@@ -46,7 +47,7 @@ from .iwasawa import (
     middle_ideal_valuation,
     ptadic_power_generators,
 )
-from .padic import LowerBound, PadicScalar, SExponent, is_prime, json_int
+from .padic import LowerBound, PadicScalar, SExponent, is_prime, json_int, vp_int
 from .witt import PerfSeries, teichmuller
 
 
@@ -247,19 +248,15 @@ def _parse_function(p, expr, prec):
 
 
 def _parse_perfseries(p, expr):
+    """The mod-p series ``expr``, summed on its deepest grid in one pass."""
     expr = expr.replace(" ", "")
     if expr.startswith("@"):
         raise ParseError("PerfSeries JSON input is not supported inline; use terms")
-    out = PerfSeries.zero(p)
-    if not expr:
-        return out
+    terms = []
     for term in expr.split("+"):
         if not term:
             continue
-        coeff = 1
-        body = term
-        if "*" in term:
-            coeff, body = _int(term, "term", "*")
+        coeff, body = _int(term, "term", "*") if "*" in term else (1, term)
         if body == "1":
             q = Fraction(0)
         elif body == "t":
@@ -271,8 +268,13 @@ def _parse_perfseries(p, expr):
                 coeff, q = int(body), Fraction(0)
             except ValueError:
                 raise ParseError(f"bad term {term!r}")
-        out = out + PerfSeries.monomial(p, q, coeff=coeff)
-    return out
+        terms.append((SExponent.from_fraction(p, q), coeff))
+    depth = max((q.logden for q, _ in terms), default=0)
+    cs = {}
+    for q, c in terms:
+        k = q.num * p ** (depth - q.logden)
+        cs[k] = cs.get(k, 0) + c
+    return PerfSeries(p, depth, None, cs)
 
 
 def _scalar_doc(x: PadicScalar):
@@ -395,8 +397,11 @@ def _cmd_fourier(pr):
             combo.append((c, _frac(s)))
         n, bits = _cells(p, qdepth, qmax) + 1, prec * p.bit_length()
         # one binomial per exponent and term, its block products costing
-        # about bits^2·log(bits): 4-5 times as much per doubling of --prec
-        _check_box(n * len(combo) * max(1, bits * bits * bits.bit_length() // 640))
+        # about bits^2·log(bits): 4-5 times as much per doubling of --prec;
+        # a point whose denominator is not a power of p has ends of random
+        # digits, (p-1)/2 blocks of each size per level: timed at 4-16 times
+        units = sum(p ** vp_int(s.denominator, p) != s.denominator for _, s in combo)
+        _check_box(n * (len(combo) + 15 * units) * max(1, bits * bits * bits.bit_length() // 640))
         qs = [SExponent(p, k, qdepth) for k in range(n)]
         out = forward_transform_diracs(p, combo, qs, prec)
     else:
@@ -541,7 +546,25 @@ def _render(doc: dict, fmt: str) -> str:
             for k in sorted(doc):
                 lines.append(f"{k}: {json.dumps(doc[k], sort_keys=True)}")
         return "\n".join(lines) + "\n"
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return _json(doc, "\n") + "\n"
+
+
+def _json(x, nl):
+    """json.dumps(x, sort_keys=True, indent=2) at the indent ``nl``, a newline
+    and the spaces, in one pass: that call skips the C encoder when indenting."""
+    t = type(x)
+    if t is str:
+        return _quote(x)
+    if t is int:
+        return int.__repr__(x)
+    if x and (t is list or t is tuple):
+        inner = nl + "  "
+        return "[" + ",".join([inner + _json(v, inner) for v in x]) + nl + "]"
+    if x and t is dict and all(type(k) is str for k in x):
+        inner = nl + "  "
+        items = [f"{inner}{_quote(k)}: {_json(x[k], inner)}" for k in sorted(x)]
+        return "{" + ",".join(items) + nl + "}"
+    return json.dumps(x, sort_keys=True, indent=2).replace("\n", nl)
 
 
 @functools.cache

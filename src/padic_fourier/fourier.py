@@ -97,11 +97,7 @@ class UnifFn:
     def constant(cls, p, value, prec):
         return cls(p, prec, 0, {0: value}, exact_tail=True)
 
-    def items_sexp(self):
-        return [
-            (SExponent(self.p, k, self.depth), c)
-            for k, c in sorted(self.coeffs.items())
-        ]
+    items_sexp = AinfElt.items_sexp
 
     def decay_floor_beyond(self, q0):
         """Certified valuation floor of all omitted b_q with q >= q0."""

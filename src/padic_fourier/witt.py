@@ -93,15 +93,9 @@ class PerfSeries(AinfElt):
 
     def __str__(self):
         parts = []
-        den = self.p**self.depth
-        for k in sorted(self.coeffs):
-            c = self.coeffs[k]
-            q = Fraction(k, den)
-            if q == 0:
-                parts.append(str(c))
-            else:
-                mono = "t" if q == 1 else f"t^{q}"
-                parts.append(mono if c == 1 else f"{c}·{mono}")
+        for n, e, c in _series.exponents(self.p, self.depth, self.coeffs):
+            mono = f"t^{n}/{self.p**e}" if e else "t" if n == 1 else f"t^{n}"
+            parts.append(str(c) if n == 0 else mono if c == 1 else f"{c}·{mono}")
         body = " + ".join(parts) if parts else "0"
         dstr = "inf" if self.degree is None else str(self.degree)
         return f"{body}  (mod {self.p}, q>={dstr})"

@@ -1,11 +1,16 @@
+import functools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from padic_fourier import _series
 
 from padic_fourier.ainf import AinfElt, dirac_q
 from padic_fourier.artin_hasse import (
     PIntegralSeries,
+    _log_newton,
     apply_series,
     artin_hasse_exp,
     artin_hasse_log,
@@ -36,6 +41,89 @@ def exp_oracle(terms, degree):
         for i, a in enumerate(power):
             out[i] += a / fact
     return out
+
+
+def dict_log_newton_oracle(p, degree, prec=None):
+    """L mod T^degree by the same Newton rounds over coefficient maps: exact
+    over Q if prec is None, else residues mod p^prec.  Every product is the
+    kernel's ``_series.mul``, reduced by a dict comprehension."""
+
+    def residue(c, mod):
+        return c if mod is None else c.numerator * pow(c.denominator, -1, mod) % mod
+
+    def mul_sparse(a, b, d, mod):
+        out = _series.mul(a, b, d)
+        return out if mod is None else {k: r for k, c in out.items() if (r := c % mod)}
+
+    guard = 0
+    while p ** (guard + 1) < degree:
+        guard += 1
+    scale = p**guard
+    mod, pmod = (None, None) if prec is None else (p ** (prec + guard), p**prec)
+    slog = {n: residue(Fraction((-1) ** (n + 1) * scale, n), mod) for n in range(1, degree)}
+    rounds, d = [], degree
+    while d > 2:
+        rounds.append(d)
+        d = -(-d // 2)
+    L, g, s = {1: 1}, {0: 1}, 2
+    for d in reversed(rounds):
+        H = {n: -c for n, c in slog.items() if n < d}
+        Gp = {}
+        P, Q, i = L, {0: 1}, 0
+        while p**i < d:
+            if i:
+                mul = functools.partial(mul_sparse, d=d, mod=pmod and p ** (prec + i))
+                R = _series.power(P, p - 1, {0: 1}, mul)
+                P, Q = mul(R, P), mul_sparse(R, Q, s, pmod)
+            for k, c in P.items():
+                H[k] = H.get(k, 0) + scale // p**i * c
+            for k, c in Q.items():
+                Gp[k] = Gp.get(k, 0) + c
+            i += 1
+        r = {k: -c for k, c in mul_sparse(Gp, g, s, pmod).items()}
+        r[0] = r.get(0, 0) + 2
+        g = mul_sparse(g, r, s, pmod)
+        G = {}
+        for k, c in H.items():
+            c = Fraction(c, scale)
+            assert c.denominator % p, "scaled Newton residual not divisible by the guard power"
+            if c := residue(c, pmod):
+                G[k] = c
+        for k, c in mul_sparse(G, g, d, pmod).items():
+            L[k] = L.get(k, 0) - c
+        s = d
+    return tuple(L.get(n, 0) if prec is None else L.get(n, 0) % pmod for n in range(degree))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 11]), st.integers(0, 400), st.integers(1, 16))
+@example(2, 180, 16)  # slots sized from the modulus overflowed here
+@example(11, 400, 16)
+@example(2, 257, 1)
+def test_dense_log_newton_matches_dict_oracle(p, degree, prec):
+    assert artin_hasse_log_mod(p, degree, prec) == dict_log_newton_oracle(p, degree, prec)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+@pytest.mark.parametrize("degree", [1, 2, 3, 12, 40])
+def test_exact_log_newton_matches_dict_oracle(p, degree):
+    assert _log_newton(p, degree) == dict_log_newton_oracle(p, degree)
+
+
+def test_log_newton_refuses_a_residual_off_the_guard_power(monkeypatch):
+    # one unit added to the top slot of every product: at level i >= 1 it
+    # adds p^(guard - i) to the scaled residual, which p^guard then leaves
+    # with a denominator
+    product = _series.mul_mod
+
+    def corrupt(a, b, n, m):
+        out = product(a, b, n, m)
+        out[-1] += 1
+        return out
+
+    monkeypatch.setattr(_series, "mul_mod", corrupt)
+    with pytest.raises(InternalConsistencyError, match="guard power"):
+        _log_newton(2, 20, 6)
 
 
 class TestSeries:

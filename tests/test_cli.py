@@ -7,6 +7,7 @@ import sys
 import tempfile
 import time
 from datetime import timedelta
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 
 from padic_fourier import cli
 from padic_fourier.cli import JobSpec, main, run
-from padic_fourier.errors import ParseError, PreconditionError
+from padic_fourier.errors import PadicFourierError, ParseError, PreconditionError
+from padic_fourier.witt import PerfSeries
 
 
 # one job per --prec site of the CLI, with its required flags
@@ -166,6 +168,21 @@ class TestErrors:
         # binomials would run for hours: the work count refuses them first
         start = time.monotonic()
         out = run_cli(["fourier", "--p", "2", "--combo", "1@1/2", "--prec", "400000"], timeout=10)
+        assert time.monotonic() - start < 5
+        assert out.returncode == 3
+        assert "PADIC_FOURIER_MAX_BOX" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["fourier", "--p", "2", "--combo", "1@3/7", "--prec", "1600"],
+        ["fourier", "--p", "7", "--combo", "1@2/3", "--prec", "400"],
+    ], ids=["p2-point-3_7-prec1600", "p7-point-2_3-prec400"])
+    def test_fourier_combo_unit_points_are_budgeted(self, argv):
+        # a point whose denominator is not a power of p meets blocks of every
+        # size on every level: these ran 36.8 s and 16.8 s under a count that
+        # priced them as aligned points
+        start = time.monotonic()
+        out = run_cli(argv, timeout=10)
         assert time.monotonic() - start < 5
         assert out.returncode == 3
         assert "PADIC_FOURIER_MAX_BOX" in out.stderr
@@ -709,3 +726,116 @@ def test_readme_job_never_imports_argparse():
     out = subprocess.run([sys.executable, "-S", "-c", code],
                          capture_output=True, text=True, check=True)
     assert out.stderr == "[]\n"
+
+
+def perfseries_fold_oracle(p, expr):
+    """``teich --x`` read one monomial at a time: each sum rebuilds the
+    series, so it is quadratic in the number of terms."""
+    expr = expr.replace(" ", "")
+    out = PerfSeries.zero(p)
+    for term in expr.split("+") if expr else ():
+        if not term:
+            continue
+        coeff, body = 1, term
+        if "*" in term:
+            coeff, body = cli._int(term, "term", "*")
+        if body == "1":
+            q = Fraction(0)
+        elif body == "t":
+            q = Fraction(1)
+        elif body.startswith("t^"):
+            q = cli._frac(body[2:])
+        else:
+            try:
+                coeff, q = int(body), Fraction(0)
+            except ValueError:
+                raise ParseError(f"bad term {term!r}")
+        out = out + PerfSeries.monomial(p, q, coeff=coeff)
+    return out
+
+
+@st.composite
+def _perfseries_exprs(draw):
+    """(p, expr): terms drawn from a small pool of exponents on mixed grids,
+    so exponents repeat and coefficients may sum to 0 mod p; constants, bare
+    t and explicit coefficients, spaces and empty terms."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    pool = draw(st.lists(
+        st.tuples(st.integers(0, 3 * p**2), st.integers(0, 3)), min_size=1, max_size=5,
+    ))
+    terms = []
+    for _ in range(draw(st.integers(0, 12))):
+        num, logden = draw(st.sampled_from(pool))
+        body = draw(st.sampled_from(["1", "t", f"t^{num}", f"t^{num}/{p**logden}"]))
+        coeff = draw(st.one_of(st.none(), st.integers(-2 * p, 2 * p)))
+        if coeff is None:
+            terms.append(body)
+        elif body == "1" and draw(st.booleans()):
+            terms.append(str(coeff))
+        else:
+            terms.append(f"{coeff}*{body}")
+    sep = draw(st.sampled_from(["+", " + ", "++"]))
+    return p, sep.join(terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_perfseries_exprs())
+@example((2, ""))
+@example((3, "t + 2*t"))  # a sum that is 0 mod p
+@example((2, "t^1/2 + t^3/8 + 1 + t^2/4"))  # mixed grids, kept on the coarsest
+@example((5, "3 + 2 + t^5/5"))  # repeated constants; t^5/5 is t
+def test_perfseries_parse_matches_monomial_fold(case):
+    p, expr = case
+    got, want = cli._parse_perfseries(p, expr), perfseries_fold_oracle(p, expr)
+    assert (got.depth, got.degree, got.coeffs) == (want.depth, want.degree, want.coeffs)
+    assert str(got) == str(want) and got.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("p, expr", [
+    (2, "t^1/3"), (2, "t + t^-1"), (3, "x"), (3, "2*t + 1*"), (2, "@doc.json"),
+])
+def test_perfseries_parse_fails_as_the_fold_does(p, expr):
+    with pytest.raises(PadicFourierError) as got:
+        cli._parse_perfseries(p, expr)
+    if expr.startswith("@"):
+        return
+    with pytest.raises(PadicFourierError) as want:
+        perfseries_fold_oracle(p, expr)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+def test_perfseries_parse_is_linear_in_the_terms():
+    # 4000 terms on one grid: the monomial fold, which rebuilt the series
+    # per term, took 0.77 s at 2000 terms, and 4000 take four times that
+    expr = " + ".join(f"{1 + i % 2}*t^{i}/9" for i in range(1, 4001))
+    start = time.perf_counter()
+    x = cli._parse_perfseries(3, expr)
+    assert time.perf_counter() - start < 0.5
+    assert len(x.coeffs) == 4000
+
+
+# non-ASCII, escaped and control characters, and a character outside the BMP
+_JSON_TEXT = st.text(max_size=6) | st.sampled_from(
+    ["", "é", "\\", '"', "\n\t\x00\x1f", "\u2028", "\U0001f600"]
+)
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), _JSON_TEXT,
+    st.integers(), st.integers(-(10**1000), 10**1000),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_JSON_TEXT, children, max_size=4),
+    ),
+    max_leaves=30,
+))
+@example({"a": {1: [2, {"b": ()}]}, "c": [], "": {}})  # an int key: json.dumps renders it
+@example({"terms": [{"q": {"num": 1, "logden": 2}, "coeff": -(2**200)}], "pretty": "Tt^1/4"})
+def test_render_matches_indented_json_dumps(doc):
+    assert cli._render(doc, "json") == json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -116,6 +116,58 @@ def test_kernel_product_matches_schoolbook(case):
     assert nonzero(_series.mul(a, b, bound)) == nonzero(expect)
 
 
+@st.composite
+def residue_lists(draw):
+    """A dense list of nonnegative integers: leading zero slots (an offset),
+    then entries small or far above the modulus, then trailing zeros."""
+    body = st.lists(st.one_of(st.integers(0, 9), st.integers(0, 2**90)), max_size=40)
+    return [0] * draw(st.integers(0, 12)) + draw(body) + [0] * draw(st.integers(0, 4))
+
+
+@st.composite
+def mul_mod_cases(draw):
+    a = draw(residue_lists())
+    b = a if draw(st.booleans()) else draw(residue_lists())
+    n = draw(st.integers(0, len(a) + len(b) + 3))  # below and past the span
+    m = draw(st.sampled_from([2, 3**5, 2**20, 2**64, 7**40]))
+    return a, b, n, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(mul_mod_cases())
+@example(([0, 0, 5], [0, 0, 0, 7], 6, 3))  # offset 5 below n = 6
+@example(([0, 0, 5], [0, 0, 0, 7], 5, 3))  # offset at n: all zero
+@example(([2**80] * 30, [2**80] * 30, 59, 2**64))  # a wide square past m
+@example(([], [1], 3, 5))
+def test_mul_mod_matches_reduced_kernel_product(case):
+    a, b, n, m = case
+    expect = _series.mul(_series.sparse(a), _series.sparse(b), n)
+    got = _series.mul_mod(a, b, n, m)
+    assert got == [expect.get(k, 0) % m for k in range(n)]
+
+
+@st.composite
+def exponent_maps(draw):
+    """(p, depth, coeffs) with keys u·p^j around the grid's depth, key 0 too."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    depth = draw(st.integers(0, 6))
+    keys = st.builds(lambda u, j: u * p**j, st.integers(0, 50), st.integers(0, depth + 2))
+    return p, depth, draw(st.dictionaries(keys, st.integers(-9, 9), max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(exponent_maps())
+@example((2, 3, {0: 1, 8: 2, 12: 3, 5: 4}))
+@example((3, 0, {0: 5, 9: 1}))
+def test_exponents_split_keys_as_sexponent_does(case):
+    p, depth, coeffs = case
+    expect = [
+        (SExponent(p, k, depth).num, SExponent(p, k, depth).logden, c)
+        for k, c in sorted(coeffs.items())
+    ]
+    assert list(_series.exponents(p, depth, coeffs)) == expect
+
+
 def dense_operand(rng, kind, n):
     """n consecutive nonzero terms of either sign from a random key: the
     packed path."""
