@@ -6,13 +6,17 @@ coefficients modulo p^N and keys below an exclusive key bound, where a
 bound of None means exact finite support.  Terms outside the box are
 forgotten, never an error.  Products leave sums unreduced: reduction is
 the job of each series type's constructor.  Dense products are one bigint
-multiply (Kronecker substitution), sparse ones a pair loop: see ``mul``.
+multiply (Kronecker substitution), sparse ones a pair loop: see ``mul``;
+``mul_mod`` and ``compose_mod`` work on dense lists of residues mod m.
+Packed slots of up to 8 bytes are moved as machine words (``_pack``,
+``_unpack``), wider ones slot by slot.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from array import array
 from fractions import Fraction
 
 from .errors import ParseError, PreconditionError
@@ -158,6 +162,49 @@ def mul_mod(a, b, n, m):
     return [0] * offset + [c % m for c in cs] + [0] * (n - offset - k)
 
 
+def compose_mod(coeffs, x, n, m):
+    """Σ coeffs[k] · x^k mod (m, T^n) as a dense list of n residues, x a
+    coefficient map of ints (keys >= n are dropped).
+
+    Ascending powers of x on one packed int, w-byte slots with no bias: a
+    step is one bigint product by the packed x, a mask to the slots left,
+    and c_k times the power added to the running sum.  The power keeps its
+    low zero slots off (x^k starts at k·min(x)), and the loop stops at the
+    first power that is empty mod m: every later one is empty too.  From
+    residues below 2^b, a step multiplies a slot bound by at most A = Σ x
+    < 2^a, so ``period`` steps keep the sum below 2^(2b + a·period + 2) <=
+    2^(8w); the power and the sum are brought back to residues at every
+    period boundary.  w is one machine word when that leaves period >= 1,
+    else the least width with period = 1.
+    """
+    x = {k: r for k, c in x.items() if k < n and (r := c % m)}
+    if not coeffs:
+        return [0] * n
+    lo = min(x, default=n)
+    b, a = (m - 1).bit_length(), max(sum(x.values()).bit_length(), 1)
+    w = max(8, (2 * b + a + 9) // 8)
+    W = 8 * w
+    period = (W - 2 * b - 2) // a
+    X = _pack(dense({k - lo: c for k, c in x.items()}, max(x, default=lo) - lo + 1), w, 0)
+    total, power, off, left = coeffs[0] % m, 1, 0, period
+    for c in coeffs[1:]:
+        off += lo
+        if off >= n:
+            break
+        power = (power * X) & ((1 << W * (n - off)) - 1)
+        if not power:
+            break
+        if c % m:
+            total += (c % m * power) << W * off
+        left -= 1
+        if not left:
+            power, left = _reduce(power, n - off, w, 0, m), period
+            total = _reduce(total, n, w, 0, m)
+            if not power:
+                break
+    return [c % m for c in _unpack(total, n, w, 0)]
+
+
 def _integral(cs):
     """(None, cs) for int coefficients, else (their lcm den, cs · den)."""
     if all(type(c) is int for c in cs.values()):
@@ -171,20 +218,67 @@ def _biases(span, w, half):
     return int.from_bytes(half.to_bytes(w, "little") * span, "little")
 
 
+# Byte j of a slot sits at offset _AT[j] of a native 8-byte word; on a
+# little-endian host an 8-byte slot is a word as it stands (_NATIVE).
+_WORD = array("Q", [int.from_bytes(bytes(range(8)), "little")]).tobytes()
+_AT = [_WORD.index(j) for j in range(8)]
+_NATIVE = _WORD == bytes(range(8))
+_SIGN_FILL = bytes(128) + b"\xff" * 128  # top byte of a slot -> its sign byte
+
+
 def _pack(values, w, half):
-    """Σ values[k] · 2^(8 w k), -half <= values[k] < half (0 <= values[k] <
-    2^(8w) for half = 0): each slot is packed as the bytes of values[k] +
-    half, and the biases are taken off once."""
-    raw = b"".join([(c + half).to_bytes(w, "little") for c in values])
-    return int.from_bytes(raw, "little") - _biases(len(values), w, half)
+    """Σ values[k] · 2^(8 w k) for w-byte slots, half = 2^(8w-1) for values
+    in [-half, half) or 0 for values in [0, 2^(8w)).  For w <= 8 the values
+    become machine words, whose low w byte planes are gathered into the
+    slots; a signed slot reads c + 2^(8w) for c < 0, so each slot with its
+    top bit set gives back 2^(8w) at the next slot: x - 2·(x & biases).
+    Wider slots are packed one by one as the bytes of values[k] + half."""
+    n = len(values)
+    if w > 8:
+        raw = b"".join([(c + half).to_bytes(w, "little") for c in values])
+        return int.from_bytes(raw, "little") - _biases(n, w, half)
+    words = array("q" if half else "Q", values).tobytes()
+    if w < 8 or not _NATIVE:
+        raw = bytearray(w * n)
+        for j in range(w):
+            raw[j::w] = words[_AT[j]::8]
+        words = raw
+    x = int.from_bytes(words, "little")
+    return x - ((x & _biases(n, w, half)) << 1) if half else x
 
 
 def _unpack(x, n, w, half):
     """The low n slots of x as balanced digits, each in [-half, half): with
-    the biases added, slot k holds its digit + half and nothing borrows."""
-    low = (x + _biases(n, w, half)) & ((1 << 8 * w * n) - 1)
-    raw = low.to_bytes(w * n, "little")
-    return [int.from_bytes(raw[i:i + w], "little") - half for i in range(0, w * n, w)]
+    the biases added, slot k holds its digit + half and nothing borrows,
+    and flipping the top bit leaves the digit in w-byte two's complement.
+    For w <= 8 the w byte planes are scattered into machine words (the
+    sign byte repeated above a signed slot) and read at C speed."""
+    mask = (1 << 8 * w * n) - 1
+    if w > 8:
+        raw = ((x + _biases(n, w, half)) & mask).to_bytes(w * n, "little")
+        return [int.from_bytes(raw[i:i + w], "little") - half for i in range(0, w * n, w)]
+    if half:
+        biases = _biases(n, w, half)
+        x = ((x + biases) & mask) ^ biases
+    else:
+        x &= mask
+    raw = x.to_bytes(w * n, "little")
+    if w < 8 or not _NATIVE:
+        buf = bytearray(8 * n)
+        for j in range(w):
+            buf[_AT[j]::8] = raw[j::w]
+        if half and w < 8:
+            sign = raw[w - 1::w].translate(_SIGN_FILL)
+            for j in range(w, 8):
+                buf[_AT[j]::8] = sign
+        raw = buf
+    return memoryview(raw).cast("q" if half else "Q").tolist()
+
+
+def _reduce(x, n, w, half, mod):
+    """The low n slots of x, balanced digits, brought to residues mod
+    ``mod`` and packed again; the slots above them are cut off."""
+    return _pack([c % mod for c in _unpack(x, n, w, half)], w, half)
 
 
 def power(x, k, one, mul=operator.mul):

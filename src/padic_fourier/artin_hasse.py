@@ -228,7 +228,8 @@ def _log_newton(p, degree, prec=None):
                 R = _series.power(P, p - 2, P, step)  # P^(p-1)
                 P, Q = step(R, P), _mod(R[:s], pmod) if i == 1 else mul(R, Q, s, pmod)
                 Gp = [x + y for x, y in zip(Gp, Q)]
-            H = [h + scale // p**i * c for h, c in zip(H, P)]
+            f = scale // p**i
+            H = [h + f * c for h, c in zip(H, P)]
             i += 1
         r = _mod([-c for c in mul(Gp, g, s, pmod)], pmod)
         r[0] += 2
@@ -237,7 +238,10 @@ def _log_newton(p, degree, prec=None):
             raise InternalConsistencyError(
                 "scaled Newton residual not divisible by the guard power"
             )
-        G = [_residue(c.numerator // scale, c.denominator, pmod) for c in H]
+        if pmod is None:
+            G = [Fraction(c.numerator // scale, c.denominator) for c in H]
+        else:
+            G = [c // scale % pmod for c in H]
         L = _mod([x - y for x, y in zip(L, mul(G, g, d, pmod))], pmod)
         s = d
     return tuple((L + [0] * degree)[:degree])
@@ -257,13 +261,6 @@ def artin_hasse_log_mod(p: int, degree: int, prec: int) -> tuple:
     if prec < 1:
         raise PreconditionError(f"precision must be >= 1, got {prec}")
     return _log_newton(p, degree, prec)
-
-
-def _apply_residues(coeffs, x: AinfElt) -> AinfElt:
-    """Substitute a measure into a list of residues mod p^x.prec."""
-    return _series.substitute(
-        coeffs, x, AinfElt.zero(x.p, x.prec, x.degree), AinfElt.one(x.p, x.prec, x.degree)
-    )
 
 
 def _terms_needed(prec, degree, w):
@@ -288,7 +285,9 @@ def apply_series(series: PIntegralSeries, x: AinfElt) -> AinfElt:
         raise BoxExhausted(
             f"series known to degree {series.degree}, substitution needs {need}"
         )
-    return _apply_residues(series.residues(x.prec)[:need], x)
+    n, m = _series.key_bound(x.p, x.depth, x.degree), x.p**x.prec
+    cs = _series.compose_mod(series.residues(x.prec)[:need], x.coeffs, n, m)
+    return AinfElt(x.p, x.prec, x.depth, x.degree, _series.sparse(cs))
 
 
 def canonical_measure(p, stage, depth, prec, degree):
@@ -298,25 +297,28 @@ def canonical_measure(p, stage, depth, prec, degree):
     it is the basis monomial Tt^(1/p^n) and the logarithm series is placed
     directly on the exponent grid.  Successive stages converge in w to the
     multiplicative representative of the mod-p logarithm, and every stage
-    reduces to it mod p exactly.
+    reduces to it mod p exactly.  The work runs on dense lists of residues
+    on T_n's grid: L(T_n) by ``_series.compose_mod``, its p^n-th power by
+    ``_series.mul_mod``; the one ``AinfElt`` is the result.
     """
     if stage < 0:
         raise PreconditionError(f"stage {stage} < 0")
     if depth < stage:
         raise BoxExhausted(f"depth {depth} < stage {stage}")
-    degree = Fraction(degree)
+    degree, m = Fraction(degree), p**prec
+    if degree <= 0:
+        raise PreconditionError("degree bound must be positive")
     if depth == stage:
-        k_max = math.ceil(degree * p**stage)
-        L = artin_hasse_log_mod(p, k_max + 1, prec)
-        inner = AinfElt(
-            p, prec, stage, degree,
-            {k: c for k, c in enumerate(L) if k > 0},
-        )
+        n = _series.key_bound(p, stage, degree)
+        inner = [0, *artin_hasse_log_mod(p, n + 1, prec)[1:n]]
     else:
         tn = dirac_q(p, Fraction(1, p**stage), depth, prec, degree) - 1
         L = artin_hasse_log_mod(p, _terms_needed(prec, degree, tn.w_floor()), prec)
-        inner = _apply_residues(L, tn)
-    return inner ** (p**stage)
+        depth, n = tn.depth, _series.key_bound(p, tn.depth, degree)
+        inner = _series.compose_mod(L, tn.coeffs, n, m)
+    step = functools.partial(_series.mul_mod, n=n, m=m)
+    cs = _series.power(inner, p**stage, [1] + [0] * (n - 1), step)
+    return AinfElt(p, prec, depth, degree, _series.sparse(cs))
 
 
 def pi_element(p, depth, prec, degree):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -113,10 +114,19 @@ def _prec(pr, default):
 
 
 def _prec_bits(p, prec, what):
-    """``prec``, refused when residues mod p^prec take more bits than the cap."""
+    """``prec``, refused when residues mod p^prec take more bits than the
+    cap, or more decimal digits than CPython's integer string limit (when
+    set), past which the result could not be written out."""
     cap = max_box_cells()
     if prec * p.bit_length() > cap:
         raise PreconditionError(f"{what} {prec} exceeds PADIC_FOURIER_MAX_BOX={cap} bits")
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # p^prec has floor(prec·log10(p)) + 1 decimal digits; p < 2 is refused later
+    if digits and p > 1 and prec * math.log10(p) >= digits:
+        raise PreconditionError(
+            f"{what} {prec} gives residues of more than {digits} decimal digits, "
+            "the integer string limit"
+        )
     return prec
 
 

@@ -361,11 +361,13 @@ class IwasawaElt:
 
 def _slots(mod):
     """(w, half, period) of a pass that packs residues mod ``mod`` into one
-    int, a slot of W = 8w >= bits + 64 bits each: from residues, a slot
-    that at most doubles and gains a residue per step stays below half =
-    2^(W-1) for period = W - bits - 2 >= 62 steps."""
+    int, a slot of W = 8w bits each: one machine word (W = 64) when the
+    residues fit in 40 bits, so that ``_series._unpack`` reads the slots as
+    words, else W >= bits + 64.  From residues, a slot that at most doubles
+    and gains a residue per step stays below half = 2^(W-1) for period =
+    W - bits - 2 >= 22 steps."""
     bits = (mod - 1).bit_length()
-    w = (bits + 71) // 8
+    w = 8 if bits <= 40 else (bits + 71) // 8
     return w, 1 << (8 * w - 1), 8 * w - bits - 2
 
 
@@ -377,7 +379,7 @@ def _ball_residues(coeffs, r, mod):
     S = 2^W, S^n = 1 holds mod 2^(Wn) - 1, so multiplying by S - 1 is
     x·2^W - x and folding the high slots onto the low ones.  A step at
     most doubles each slot and adds c_m < mod, so the slots are brought
-    back to residues (unpack, %, repack) every ``period`` steps.  For
+    back to residues (``_series._reduce``) every ``period`` steps.  For
     r = p^h entry a is the value on a + p^h Z_p (and 0 for a >= n, as no
     power of S reaches it).
     """
@@ -390,23 +392,21 @@ def _ball_residues(coeffs, r, mod):
     biases = _series._biases(n, w, half)
     cnt = min(n, top + 1)  # (S-1)^m has degree m: past top a slot stays 0
 
-    def residues(x):
+    def fold(x):
         # x ≡ Σ s_a 2^(Wa) mod 2^(Wn) - 1, |s_a| < half - 1: fold x + biases
         # into [0, 2^(Wn) - 1], where its slots read s_a + half
         x += biases
         x = (x & ones) + (x >> Wn)
-        x = (x & ones) + (x >> Wn)
-        low = _series._unpack(x - biases, cnt, w, half)
-        return [c % mod for c in low] + [0] * (n - cnt)
+        return (x & ones) + (x >> Wn) - biases
 
     x, left = 0, period
     for m in range(top, -1, -1):
         if not left:
-            x, left = _series._pack(residues(x), w, half), period
+            x, left = _series._reduce(fold(x), cnt, w, half, mod), period
         x = (x << W) - x + coeffs[m] % mod
         x = (x & ones) + (x >> Wn)
         left -= 1
-    return residues(x)
+    return [c % mod for c in _series._unpack(fold(x), cnt, w, half)] + [0] * (n - cnt)
 
 
 def dirac(a, degree, prec, p=None):
@@ -742,10 +742,7 @@ def _differences_at_zero(values, mod):
     z, left, out = _series._pack(values, w, half) + biases, period, []
     for n in range(m):
         if not left:  # the low m - n slots hold Δ^n f; the rest are dropped
-            z = _series._pack(
-                [c % mod for c in _series._unpack(z - biases, m - n, w, half)], w, half
-            ) + biases
-            left = period
+            z, left = _series._reduce(z - biases, m - n, w, half, mod) + biases, period
         out.append(((z & low) - half) % mod)
         z = (z >> W) - z + biases
         left -= 1

@@ -1,4 +1,5 @@
 import functools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from padic_fourier.ainf import AinfElt, dirac_q
 from padic_fourier.artin_hasse import (
     PIntegralSeries,
     _log_newton,
+    _terms_needed,
     apply_series,
     artin_hasse_exp,
     artin_hasse_log,
@@ -124,6 +126,94 @@ def test_log_newton_refuses_a_residual_off_the_guard_power(monkeypatch):
     monkeypatch.setattr(_series, "mul_mod", corrupt)
     with pytest.raises(InternalConsistencyError, match="guard power"):
         _log_newton(2, 20, 6)
+
+
+def substitute_oracle(coeffs, x):
+    """Σ coeffs[k] · x^k by ascending powers, each an ``AinfElt`` product,
+    sum and box rule: the element-level substitution."""
+    zero, one = AinfElt.zero(x.p, x.prec, x.degree), AinfElt.one(x.p, x.prec, x.degree)
+    return _series.substitute(coeffs, x, zero, one)
+
+
+def canonical_measure_oracle(p, stage, depth, prec, degree):
+    """L(T_n)^(p^n) composed over ``AinfElt`` (``substitute_oracle``) and
+    raised by ``AinfElt.__pow__``; at depth == stage, L is placed on the
+    grid as an ``AinfElt``."""
+    degree = Fraction(degree)
+    if depth == stage:
+        k_max = math.ceil(degree * p**stage)
+        L = artin_hasse_log_mod(p, k_max + 1, prec)
+        inner = AinfElt(p, prec, stage, degree, {k: c for k, c in enumerate(L) if k > 0})
+    else:
+        tn = dirac_q(p, Fraction(1, p**stage), depth, prec, degree) - 1
+        L = artin_hasse_log_mod(p, _terms_needed(prec, degree, tn.w_floor()), prec)
+        inner = substitute_oracle(L, tn)
+    return inner ** (p**stage)
+
+
+@st.composite
+def compose_cases(draw):
+    """(p, prec, depth, degree, x, coeffs): x a coefficient map on the
+    1/p^depth grid with keys up to past the box and coefficients of either
+    sign past p^prec, its constant term kept, dropped or a multiple of p."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    prec, depth = draw(st.integers(1, 16)), draw(st.integers(0, 2))
+    n = draw(st.integers(1, 160))
+    m = p**prec
+    coeff = st.one_of(st.integers(-3 * m, 3 * m), st.sampled_from([m - 1, m, -1, 1]))
+    x = draw(st.dictionaries(st.integers(0, n + 4), coeff, max_size=6))
+    constant = draw(st.sampled_from(["keep", "drop", "p"]))
+    if constant == "drop":
+        x.pop(0, None)
+    elif constant == "p":
+        x[0] = p * draw(coeff)
+    return p, prec, depth, Fraction(n, p**depth), x, draw(st.lists(coeff, max_size=40))
+
+
+@settings(max_examples=150, deadline=None)
+@given(compose_cases())
+@example((3, 13, 0, Fraction(8), {1: 2**20 - 1}, [3**13 - 1] * 6))  # period 1, tight
+@example((3, 13, 1, Fraction(8, 3), {0: 2**20 - 1}, [3**13 - 1] * 9))  # no shift
+@example((11, 16, 0, Fraction(40), {1: 11**16 - 2, 2: -1, 3: 7}, [5] * 30))  # wide
+@example((5, 6, 0, Fraction(30), {1: 5, 2: 10, 3: 10, 4: 5, 5: 1}, [1] * 30))
+@example((2, 4, 0, Fraction(5), {0: 2, 7: 1}, []))  # no coefficient
+@example((7, 3, 0, Fraction(4), {4: 1, 9: 3}, [1, 2, 3]))  # every key past the box
+@example((2, 1, 0, Fraction(3), {1: 2}, [1, 1, 1]))  # x empty mod m
+def test_compose_mod_matches_the_element_substitution(case):
+    p, prec, depth, degree, x, coeffs = case
+    n, m = _series.key_bound(p, depth, degree), p**prec
+    got = _series.compose_mod(coeffs, x, n, m)
+    assert len(got) == n and all(0 <= c < m for c in got)
+    want = substitute_oracle(coeffs, AinfElt(p, prec, depth, degree, x))
+    assert AinfElt(p, prec, depth, degree, _series.sparse(got)).to_json() == want.to_json()
+
+
+@st.composite
+def canonical_cases(draw):
+    """(p, stage, depth, prec, degree) with depth >= stage and a box of at
+    most a few hundred grid keys."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    top = {2: 6, 3: 4, 5: 3, 7: 2}[p]
+    depth = draw(st.integers(0, top))
+    stage = draw(st.integers(0, depth))
+    cells = max(1, 300 // p**depth)
+    degree = Fraction(draw(st.integers(1, cells * p**depth)), p ** draw(st.integers(0, depth)))
+    return p, stage, depth, draw(st.integers(1, 14)), min(degree, cells)
+
+
+@settings(max_examples=60, deadline=None)
+@given(canonical_cases())
+@example((2, 0, 0, 12, Fraction(40)))  # stage 0, depth == stage
+@example((2, 0, 3, 8, Fraction(6)))  # stage 0 below the depth
+@example((2, 4, 6, 12, Fraction(4)))
+@example((3, 3, 3, 6, Fraction(2)))  # depth == stage
+@example((5, 2, 3, 6, Fraction(1)))
+@example((7, 1, 2, 14, Fraction(3, 7)))
+def test_canonical_measure_matches_the_element_oracle(case):
+    mu = canonical_measure(*case)
+    want = canonical_measure_oracle(*case)
+    assert mu.to_json() == want.to_json()
+    assert str(mu) == str(want)
 
 
 class TestSeries:

@@ -164,10 +164,12 @@ class TestErrors:
         assert "Traceback" not in out.stderr
 
     def test_fourier_combo_precision_is_budgeted(self):
-        # 800,000 bits pass the --prec rule, but the block products of the
-        # binomials would run for hours: the work count refuses them first
+        # 800,000 bits pass the --prec bit rule, but the block products of
+        # the binomials would run for hours: the work count refuses them
+        # first (with no integer string limit, which refuses them as well)
         start = time.monotonic()
-        out = run_cli(["fourier", "--p", "2", "--combo", "1@1/2", "--prec", "400000"], timeout=10)
+        out = run_cli(["fourier", "--p", "2", "--combo", "1@1/2", "--prec", "400000"],
+                      env={"PYTHONINTMAXSTRDIGITS": "0"}, timeout=10)
         assert time.monotonic() - start < 5
         assert out.returncode == 3
         assert "PADIC_FOURIER_MAX_BOX" in out.stderr
@@ -474,6 +476,30 @@ class TestMeasureDocuments:
         assert time.monotonic() - start < 5
         assert out.returncode == 3, out.stderr
         assert "Traceback" not in out.stderr
+
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no integer string limit in this interpreter")
+    @pytest.mark.parametrize("args, code", [
+        (["dirac", "--p", "2", "--a", "-1", "--degree", "4", "--prec", "14000"], 0),
+        (["dirac", "--p", "2", "--a", "-1", "--degree", "4", "--prec", "15000"], 3),
+        (["wval", "--p", "2", "--mu", "DOC"], 3),
+    ], ids=["prec-14000", "prec-15000", "document-prec-15000"])
+    def test_prec_past_the_integer_string_limit_exits_3(self, tmp_path, args, code):
+        # 2^15000 - 1 has 4516 decimal digits, past CPython's default limit
+        # of 4300, and writing such a residue out ended in a ValueError
+        # traceback (exit 1); 2^14000 - 1 has 4215 and is still written
+        doc = _doc_arg(tmp_path, {"p": 2, "prec": 15000, "degree": 4, "coeffs": [0, 1]})
+        args = [doc if a == "DOC" else a for a in args]
+        out = run_cli(args, env={"PYTHONINTMAXSTRDIGITS": "4300"}, timeout=30)
+        assert out.returncode == code, out.stderr
+        assert "Traceback" not in out.stderr
+        if code:
+            assert "4300 decimal digits" in out.stderr
+
+    def test_no_integer_string_limit_leaves_prec_to_the_bit_cap(self, monkeypatch):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
+        assert cli._prec_bits(2, 15000, "--prec") == 15000
 
 
 class TestCommandTable:

@@ -195,6 +195,77 @@ def test_kernel_wide_packed_product_matches_schoolbook(kind, same, bound):
     assert nonzero(_series.mul(a, b, bound)) == nonzero(expect)
 
 
+def slice_pack(values, w, half):
+    """The slot-by-slot packer: the bytes of each values[k] + half, joined."""
+    raw = b"".join([(c + half).to_bytes(w, "little") for c in values])
+    return int.from_bytes(raw, "little") - _series._biases(len(values), w, half)
+
+
+def slice_unpack(x, n, w, half):
+    """The slot-by-slot reader: a bytes slice of x + biases per slot."""
+    low = (x + _series._biases(n, w, half)) & ((1 << 8 * w * n) - 1)
+    raw = low.to_bytes(w * n, "little")
+    return [int.from_bytes(raw[i:i + w], "little") - half for i in range(0, w * n, w)]
+
+
+@st.composite
+def slot_cases(draw):
+    """(values, w, half, garbage): n <= 64 slot values of w bytes, often at
+    an end of the range, and an integer to add above the n slots."""
+    w = draw(st.integers(1, 17))
+    half = draw(st.sampled_from([0, 1 << (8 * w - 1)]))
+    lo, hi = (-half, half - 1) if half else (0, (1 << 8 * w) - 1)
+    value = st.one_of(st.sampled_from([lo, lo + 1, hi - 1, hi, 0]), st.integers(lo, hi))
+    values = draw(st.lists(value, max_size=64))
+    garbage = draw(st.one_of(st.just(0), st.integers(-(2**200), 2**200)))
+    return values, w, half, garbage
+
+
+@settings(max_examples=400, deadline=None)
+@given(slot_cases(), st.booleans())
+@example(([-(2**63), 2**63 - 1, -1, 0], 8, 2**63, -1), False)
+@example(([2**64 - 1] * 3, 8, 0, 2**200), True)
+@example(([-128, 127, -1], 1, 128, -(2**90)), True)
+@example(([2**135 - 1, -(2**135)], 17, 2**135, 5), False)
+@example(([], 3, 0, 7), False)
+def test_pack_and_unpack_match_the_slice_oracle(case, negate):
+    values, w, half, garbage = case
+    x = slice_pack(values, w, half)
+    assert _series._pack(values, w, half) == x
+    n = len(values)
+    y = x + (garbage << 8 * w * n)  # a negative garbage makes y negative too
+    assert _series._unpack(y, n, w, half) == slice_unpack(y, n, w, half) == values
+    # any integer, not only a packed one, reads as the slice oracle reads it
+    z = -y if negate else y
+    assert _series._unpack(z, n, w, half) == slice_unpack(z, n, w, half)
+    # the byte-order shortcut off: 8-byte slots go through the plane scatter
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_series, "_NATIVE", False)
+        assert _series._pack(values, w, half) == x
+        assert _series._unpack(z, n, w, half) == slice_unpack(z, n, w, half)
+
+
+@pytest.mark.parametrize("native", [True, False])
+@pytest.mark.parametrize("half", [False, True])
+@pytest.mark.parametrize("w", range(1, 9))
+def test_pack_and_unpack_4096_slots(monkeypatch, w, half, native):
+    rng = random.Random(f"{w}-{half}")
+    half = 1 << (8 * w - 1) if half else 0
+    lo, hi = (-half, half - 1) if half else (0, (1 << 8 * w) - 1)
+    values = [rng.choice([lo, hi, rng.randint(lo, hi)]) for _ in range(4096)]
+    monkeypatch.setattr(_series, "_NATIVE", native and _series._NATIVE)
+    x = _series._pack(values, w, half)
+    assert x == slice_pack(values, w, half)
+    y = x - (rng.randrange(2**100) << 8 * w * 4096)
+    assert _series._unpack(y, 4096, w, half) == values
+
+
+def test_word_byte_offsets_follow_the_host_byte_order():
+    little = sys.byteorder == "little"
+    assert _series._AT == (list(range(8)) if little else list(range(7, -1, -1)))
+    assert _series._NATIVE is little
+
+
 def truncate_oracle(p, depth, degree, coeffs, mod):
     """The box rule with the grid coarsened one power of p per pass."""
     bound = _series.key_bound(p, depth, degree)
