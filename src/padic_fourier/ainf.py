@@ -33,6 +33,7 @@ from .errors import (
 )
 from .iwasawa import dirac
 from .padic import (
+    Immutable,
     LowerBound,
     PadicScalar,
     SExponent,
@@ -52,7 +53,7 @@ __all__ = [
     "w_valuation_S",
 ]
 
-class AinfElt:
+class AinfElt(Immutable):
     """A uniform measure on Q_p as a truncated S-series."""
 
     __slots__ = ("p", "prec", "depth", "degree", "shift", "coeffs")
@@ -80,9 +81,6 @@ class AinfElt:
         elt = object.__new__(cls)
         AinfElt.__init__(elt, p, prec, depth, degree, coeffs, shift)
         return elt
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     # -- constructors ---------------------------------------------------
 

@@ -31,7 +31,7 @@ from .errors import (
     InternalConsistencyError,
     PreconditionError,
 )
-from .padic import is_prime
+from .padic import Immutable, is_prime
 from .witt import PerfSeries
 
 __all__ = [
@@ -53,7 +53,7 @@ def _residue(num, den, mod):
     return Fraction(num, den) if mod is None else num * pow(den, -1, mod) % mod
 
 
-class PIntegralSeries:
+class PIntegralSeries(Immutable):
     """A truncated power series over Q with p-integral coefficients."""
 
     __slots__ = ("p", "degree", "coeffs")
@@ -74,9 +74,6 @@ class PIntegralSeries:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", cs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PIntegralSeries is immutable")
 
     def __add__(self, other):
         d = min(self.degree, other.degree)

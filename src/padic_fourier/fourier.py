@@ -25,6 +25,7 @@ from .errors import (
     UncertifiedTailError,
 )
 from .padic import (
+    Immutable,
     PadicScalar,
     SExponent,
     _as_sexponent,
@@ -48,7 +49,7 @@ __all__ = [
 _INF = math.inf
 
 
-class UnifFn:
+class UnifFn(Immutable):
     """A uniformly continuous function Q_p -> Z_p via basis coefficients.
 
     coeffs maps integer keys k to residues mod p^prec of b_q at
@@ -83,9 +84,6 @@ class UnifFn:
         object.__setattr__(self, "coeffs", cs)
         object.__setattr__(self, "decay_cert", decay_cert)
         object.__setattr__(self, "exact_tail", bool(exact_tail))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UnifFn is immutable")
 
     @classmethod
     def basis(cls, p, q, prec):

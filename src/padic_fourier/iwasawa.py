@@ -44,6 +44,7 @@ from .errors import (
     UncertifiedTailError,
 )
 from .padic import (
+    Immutable,
     LowerBound,
     PadicScalar,
     binomial_row_tracked,
@@ -82,7 +83,7 @@ __all__ = [
 _INF = math.inf
 
 
-class IwasawaElt:
+class IwasawaElt(Immutable):
     """A measure on Z_p as a series in T, known mod the box (p^N, T^d).
 
     ``exact_tail`` records that every coefficient from degree d on is
@@ -94,11 +95,7 @@ class IwasawaElt:
     __slots__ = ("p", "prec", "degree", "coeffs", "exact_tail", "_balls")
 
     def __init__(self, p, prec, degree, coeffs, exact_tail=False):
-        if not is_prime(p):
-            raise PreconditionError(f"p = {p} is not prime")
-        if prec < 1 or degree < 1:
-            raise PreconditionError("box needs prec >= 1 and degree >= 1")
-        mod = p**prec
+        mod = _box(p, prec, degree)
         cs = [0] * degree
         for n, c in enumerate(coeffs):
             if n >= degree:
@@ -109,9 +106,6 @@ class IwasawaElt:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "exact_tail", bool(exact_tail))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IwasawaElt is immutable")
 
     # -- constructors --------------------------------------------------
 
@@ -133,22 +127,16 @@ class IwasawaElt:
 
     # -- box plumbing ----------------------------------------------------
 
-    def _common_box(self, other):
-        if not isinstance(other, IwasawaElt):
-            raise PreconditionError("expected an IwasawaElt")
-        if self.p != other.p:
-            raise PrimeMismatch(f"p={self.p} vs p={other.p}")
-        return min(self.prec, other.prec), min(self.degree, other.degree)
-
     def resize(self, prec=None, degree=None):
-        """Shrink the box (never a gain of information)."""
+        """Shrink the box (never a gain of information); an exact tail may
+        grow the degree, and stays exact only if no nonzero term is cut."""
         prec = self.prec if prec is None else prec
         degree = self.degree if degree is None else degree
         if prec > self.prec or (degree > self.degree and not self.exact_tail):
             raise PrecisionExhausted("cannot grow a truncation box")
         return IwasawaElt(
             self.p, prec, degree, self.coeffs[:degree],
-            exact_tail=self.exact_tail,
+            exact_tail=self.exact_tail and not any(self.coeffs[degree:]),
         )
 
     def poly_degree(self):
@@ -161,7 +149,7 @@ class IwasawaElt:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        prec, degree = self._common_box(other)
+        prec, degree = _common_box(self, other)
         cs = [self.coeffs[n] + other.coeffs[n] for n in range(degree)]
         return IwasawaElt(
             self.p, prec, degree, cs,
@@ -184,14 +172,14 @@ class IwasawaElt:
                 self.p, self.prec, self.degree,
                 [c * other for c in self.coeffs], exact_tail=self.exact_tail,
             )
-        prec, degree = self._common_box(other)
-        cs = _series.mul(_series.sparse(self.coeffs), _series.sparse(other.coeffs), degree)
+        prec, degree = _common_box(self, other)
+        cs = _series.mul_mod(self.coeffs, other.coeffs, degree, self.p**prec)
         exact = (
             self.exact_tail
             and other.exact_tail
             and self.poly_degree() + other.poly_degree() < degree
         )
-        return IwasawaElt(self.p, prec, degree, _series.dense(cs, degree), exact_tail=exact)
+        return IwasawaElt(self.p, prec, degree, cs, exact_tail=exact)
 
     __rmul__ = __mul__
 
@@ -203,7 +191,7 @@ class IwasawaElt:
             return NotImplemented
         if self.p != other.p:
             return False
-        prec, degree = self._common_box(other)
+        prec, degree = _common_box(self, other)
         return _series.equal(
             _series.sparse(self.coeffs), _series.sparse(other.coeffs), degree, self.p**prec
         )
@@ -307,15 +295,15 @@ class IwasawaElt:
         The certified output region is the triangle i + j < degree: the
         unknown input coefficients a_n (n >= d) map to images supported
         on total degree >= d, so a square bidegree box would have an
-        uncertified corner.
+        uncertified corner.  The box is taken through ``resize``, so a
+        larger degree is refused unless the tail is exact.  One packed
+        substitution on the keys of ``BivariateSeries``: T⊗1, 1⊗T and T⊗T
+        are the keys d + 1, d and 2d + 1, and the box is the key bound d².
         """
-        d = self.degree if degree is None else degree
-        return _series.substitute(
-            self.coeffs[:d],
-            BivariateSeries(self.p, self.prec, d, {(1, 0): 1, (0, 1): 1, (1, 1): 1}),
-            BivariateSeries(self.p, self.prec, d, {}),
-            BivariateSeries(self.p, self.prec, d, {(0, 0): 1}),
-        )
+        mu = self.resize(degree=degree)
+        d, mod = mu.degree, self.p**self.prec
+        cs = _series.compose_mod(mu.coeffs, {d: 1, d + 1: 1, 2 * d + 1: 1}, d * d, mod)
+        return BivariateSeries._unkeyed(self.p, self.prec, d, _series.sparse(cs))
 
     # -- presentation -----------------------------------------------------
 
@@ -357,6 +345,24 @@ class IwasawaElt:
         if not isinstance(coeffs, list) or any(type(c) is not int for c in coeffs):
             raise ParseError("coeffs must be a list of integers")
         return cls(p, prec, degree, coeffs, exact_tail=json_flag(doc, "exact_tail"))
+
+
+def _box(p, prec, degree):
+    """p^prec, once the box (p^prec, degree) of a Z_p series is checked."""
+    if not is_prime(p):
+        raise PreconditionError(f"p = {p} is not prime")
+    if prec < 1 or degree < 1:
+        raise PreconditionError("box needs prec >= 1 and degree >= 1")
+    return p**prec
+
+
+def _common_box(a, b):
+    """(prec, degree) of the box two series of ``a``'s type share."""
+    if not isinstance(b, type(a)):
+        raise PreconditionError(f"expected an {type(a).__name__}")
+    if a.p != b.p:
+        raise PrimeMismatch(f"p={a.p} vs p={b.p}")
+    return min(a.prec, b.prec), min(a.degree, b.degree)
 
 
 def _slots(mod):
@@ -455,7 +461,7 @@ def coproduct(mu, degree=None):
     return mu.coproduct(degree)
 
 
-class BivariateSeries:
+class BivariateSeries(Immutable):
     """Minimal truncated series in T1, T2 over Z/p^N, total degree < d.
 
     Products and equality go through the one-variable kernel on the key
@@ -466,7 +472,7 @@ class BivariateSeries:
     __slots__ = ("p", "prec", "degree", "coeffs")
 
     def __init__(self, p, prec, degree, coeffs):
-        mod = p**prec
+        mod = _box(p, prec, degree)
         cs = {}
         for (i, j), c in coeffs.items():
             if i + j < degree:
@@ -478,50 +484,32 @@ class BivariateSeries:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", cs)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BivariateSeries is immutable")
-
     def _keyed(self, d):
         return {(i + j) * d + i: c for (i, j), c in self.coeffs.items() if i + j < d}
 
     @classmethod
+    def _unkeyed(cls, p, prec, d, keyed):
+        """The series of a coefficient map on the keys (i+j)·d + i."""
+        return cls(p, prec, d, {(k % d, k // d - k % d): c for k, c in keyed.items()})
+
+    @classmethod
     def tensor(cls, mu, nu):
         """The product measure mu ⊗ nu on Z_p x Z_p."""
-        if mu.p != nu.p:
-            raise PrimeMismatch("tensor factors over different primes")
-        prec = min(mu.prec, nu.prec)
-        degree = min(mu.degree, nu.degree)
+        prec, degree = _common_box(mu, nu)
         left = cls(mu.p, prec, degree, {(i, 0): c for i, c in enumerate(mu.coeffs)})
         right = cls(mu.p, prec, degree, {(0, j): c for j, c in enumerate(nu.coeffs)})
         return left * right
 
-    def __add__(self, other):
-        cs = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            cs[k] = cs.get(k, 0) + c
-        return BivariateSeries(
-            self.p, min(self.prec, other.prec), min(self.degree, other.degree), cs
-        )
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            return BivariateSeries(
-                self.p, self.prec, self.degree,
-                {k: c * other for k, c in self.coeffs.items()},
-            )
-        prec = min(self.prec, other.prec)
-        d = min(self.degree, other.degree)
-        cs = {}
-        for k, c in _series.mul(self._keyed(d), other._keyed(d), d * d).items():
-            s, i = divmod(k, d)
-            cs[(i, s - i)] = c
-        return BivariateSeries(self.p, prec, d, cs)
-
-    __rmul__ = __mul__
+        prec, d = _common_box(self, other)
+        cs = _series.mul(self._keyed(d), other._keyed(d), d * d)
+        return self._unkeyed(self.p, prec, d, cs)
 
     def __eq__(self, other):
         if not isinstance(other, BivariateSeries):
             return NotImplemented
+        if self.p != other.p:
+            return False
         d = min(self.degree, other.degree)
         return _series.equal(
             self._keyed(d), other._keyed(d), None, self.p ** min(self.prec, other.prec)
@@ -539,7 +527,7 @@ class BivariateSeries:
 # ---------------------------------------------------------------------------
 
 
-class MahlerFn:
+class MahlerFn(Immutable):
     """A continuous function Z_p -> Z_p mod p^N via its Mahler coefficients.
 
     coeffs maps n to the residue of the n-th coefficient; indices below
@@ -570,9 +558,6 @@ class MahlerFn:
         object.__setattr__(self, "tail_cert", tail_cert)
         object.__setattr__(self, "exact_tail", bool(exact_tail))
         object.__setattr__(self, "period", period)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MahlerFn is immutable")
 
     @classmethod
     def basis(cls, p, n, prec):

@@ -133,6 +133,16 @@ def json_flag(doc, key):
     return value
 
 
+class Immutable:
+    """Base of the value types: an instance refuses assignment, so a
+    constructor sets its slots through ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 class LowerBound:
     """Marker for a quantity only known to be ``>= bound``.
 
@@ -155,7 +165,7 @@ class LowerBound:
         return f">= {self.bound}"
 
 
-class PadicScalar:
+class PadicScalar(Immutable):
     """An element of Q_p known to absolute precision O(p^(shift+prec)).
 
     Normal form: either ``unit`` is coprime to p (so the valuation is
@@ -182,9 +192,6 @@ class PadicScalar:
         object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "prec", prec)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PadicScalar is immutable")
 
     # -- constructors -------------------------------------------------
 
@@ -301,12 +308,6 @@ class PadicScalar:
 
     __rmul__ = __mul__
 
-    def invert(self) -> "PadicScalar":
-        if self.unit == 0:
-            raise PreconditionError("cannot invert a truncated zero")
-        mod = self.p**self.prec
-        return PadicScalar(self.p, -self.shift, pow(self.unit, -1, mod), self.prec)
-
     def truncate(self, abs_bound: int) -> "PadicScalar":
         """Forget digits: reduce the absolute precision to ``abs_bound``."""
         if abs_bound > self.abs_bound:
@@ -357,7 +358,7 @@ class PadicScalar:
         return cls(*(json_int(doc, key) for key in ("p", "shift", "unit", "prec")))
 
 
-class SExponent:
+class SExponent(Immutable):
     """An exponent q = num / p^logden in S = Z[1/p] ∩ R_{>=0}, in lowest terms."""
 
     __slots__ = ("p", "num", "logden")
@@ -376,9 +377,6 @@ class SExponent:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "logden", logden)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SExponent is immutable")
 
     @classmethod
     def from_fraction(cls, p: int, value) -> "SExponent":
@@ -410,12 +408,6 @@ class SExponent:
             m - other.logden
         )
         return SExponent(self.p, num, m)
-
-    def scale_by_p(self, k: int = 1) -> "SExponent":
-        """Multiply by p^k (k may be negative; result must stay in S)."""
-        if k >= 0:
-            return SExponent(self.p, self.num * self.p**k, self.logden)
-        return SExponent(self.p, self.num, self.logden - k)
 
     def __eq__(self, other):
         return (

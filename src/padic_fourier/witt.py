@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import _series
 from .ainf import AinfElt
 from .errors import BoxExhausted, InternalConsistencyError, PreconditionError
-from .padic import SExponent, json_field, json_int
+from .padic import Immutable, SExponent, json_field, json_int
 
 __all__ = [
     "PerfSeries",
@@ -114,7 +114,7 @@ class PerfSeries(AinfElt):
         return cls(p, depth, degree, _series.decode_terms(p, depth, json_field(doc, "terms")))
 
 
-class WittElt:
+class WittElt(Immutable):
     """A strict p-ring element by its Teichmüller digits Σ p^i [x_i]."""
 
     __slots__ = ("p", "digits")
@@ -126,9 +126,6 @@ class WittElt:
                 raise PreconditionError("digits must be PerfSeries over the same p")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "digits", digits)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WittElt is immutable")
 
     def __eq__(self, other):
         if not isinstance(other, WittElt):

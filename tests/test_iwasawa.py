@@ -12,6 +12,7 @@ from padic_fourier.errors import (
     InternalConsistencyError,
     PrecisionExhausted,
     PreconditionError,
+    PrimeMismatch,
     UncertifiedTailError,
 )
 from padic_fourier.iwasawa import (
@@ -393,6 +394,75 @@ class TestCoproduct:
             for j in range(d):
                 cs[(i, j)] = math.comb(a, i) * math.comb(a, j)
         assert mu.coproduct() == BivariateSeries(p, N, d, cs)
+
+
+def coproduct_oracle(coeffs, mod, d):
+    """(i, j) -> Σ a_n · n!/((n-i)! (n-j)! (i+j-n)!) over max(i, j) <= n <= i+j,
+    for i + j < d, mod ``mod``: T^n maps to (T1 + T2 + T1 T2)^n, whose
+    term T1^i T2^j takes n - j factors T1, n - i factors T2 and i + j - n
+    factors T1 T2.  Nonzero residues only, keyed like ``BivariateSeries``."""
+    f = math.factorial
+    out = {}
+    for i, j in itertools.product(range(d), repeat=2):
+        if i + j < d:
+            c = sum(
+                a * f(n) // (f(n - i) * f(n - j) * f(i + j - n))
+                for n, a in enumerate(coeffs) if max(i, j) <= n <= i + j
+            ) % mod
+            if c:
+                out[(i, j)] = c
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7]), st.integers(1, 4), st.integers(1, 12),
+    st.lists(st.integers(-(10**4), 10**4), max_size=14), st.booleans(), st.integers(0, 4),
+)
+@example(2, 3, 1, [5, 1], False, 0)  # d = 1: the constant term alone
+@example(3, 2, 1, [4], True, 3)  # d = 1 grown through an exact tail
+def test_coproduct_matches_the_multinomial_expansion(p, prec, d, coeffs, exact, grow):
+    """A non-exact tail is cut to a smaller degree, an exact one grown."""
+    mu = IwasawaElt(p, prec, d, coeffs, exact_tail=exact)
+    out = d + grow if exact else max(d - grow, 1)
+    delta = mu.coproduct(degree=out)
+    assert (delta.p, delta.prec, delta.degree) == (p, prec, out)
+    assert delta.coeffs == coproduct_oracle(mu.coeffs, p**prec, out)
+
+
+class TestCoproductBox:
+    def test_a_larger_degree_needs_an_exact_tail(self):
+        with pytest.raises(PrecisionExhausted):
+            IwasawaElt(7, 4, 3, [1, 5, 10]).coproduct(degree=8)
+
+    def test_an_exact_tail_grows_with_zeros(self):
+        delta = IwasawaElt(7, 4, 3, [1, 5, 10], exact_tail=True).coproduct(degree=8)
+        assert delta.degree == 8
+        assert delta == IwasawaElt(7, 4, 8, [1, 5, 10], exact_tail=True).coproduct()
+        assert delta != dirac(5, 8, 4, p=7).coproduct()
+
+    def test_a_cut_exact_tail_is_no_longer_exact(self):
+        mu = dirac(5, 8, 4, p=7)
+        assert mu.resize(degree=6).exact_tail  # C(5, n) = 0 from n = 6 on
+        cut = mu.resize(degree=3)
+        assert not cut.exact_tail
+        with pytest.raises(PrecisionExhausted):
+            cut.coproduct(degree=8)
+
+
+class TestBivariateBox:
+    @pytest.mark.parametrize("p, prec, degree", [(4, 2, 3), (2, 0, 3), (2, 2, 0)])
+    def test_a_bad_box_is_refused(self, p, prec, degree):
+        with pytest.raises(PreconditionError):
+            BivariateSeries(p, prec, degree, {(0, 0): 1})
+
+    def test_a_product_across_primes_is_refused(self):
+        with pytest.raises(PrimeMismatch):
+            BivariateSeries(2, 3, 3, {(1, 0): 1}) * BivariateSeries(3, 3, 3, {(1, 0): 1})
+
+    def test_series_over_different_primes_are_unequal(self):
+        cs = {(1, 0): 1, (0, 1): 2}
+        assert (BivariateSeries(2, 3, 3, cs) == BivariateSeries(3, 3, 3, cs)) is False
 
 
 class TestJsonAndStr:

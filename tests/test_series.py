@@ -20,11 +20,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from padic_fourier import _series
 from padic_fourier.ainf import AinfElt
+from padic_fourier.artin_hasse import PIntegralSeries
 from padic_fourier.errors import ParseError, PreconditionError
 from padic_fourier.fourier import UnifFn
-from padic_fourier.iwasawa import BivariateSeries, IwasawaElt
+from padic_fourier.iwasawa import BivariateSeries, IwasawaElt, MahlerFn
 from padic_fourier.padic import PadicScalar, SExponent
-from padic_fourier.witt import PerfSeries
+from padic_fourier.witt import PerfSeries, WittElt
 
 PRIMES = st.sampled_from([2, 3, 5])
 
@@ -559,6 +560,29 @@ def test_bivariate_equality_matches_box_oracle(pair, noise):
     twin_cs[(x.degree, 0)] = 1  # outside the box
     twin = BivariateSeries(x.p, x.prec + 1, x.degree + 1, twin_cs)
     assert x == twin and twin == x
+
+
+# -- immutability ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("value", [
+    PadicScalar(2, 0, 1, 3),
+    SExponent(2, 3, 1),
+    IwasawaElt.one(2, 3, 3),
+    BivariateSeries(2, 3, 3, {(1, 0): 1}),
+    MahlerFn.basis(2, 1, 3),
+    AinfElt.one(2, 3),
+    PerfSeries(2, 0, None, {1: 1}),
+    PIntegralSeries(2, 3, [1, 1]),
+    UnifFn(2, 3, 0, {0: 1}, exact_tail=True),
+    WittElt(2, [PerfSeries(2, 0, None, {0: 1})]),
+], ids=lambda value: type(value).__name__)
+@pytest.mark.parametrize("name", ["p", "extra"])
+def test_value_types_refuse_assignment(value, name):
+    before = value.p
+    with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+        setattr(value, name, 7)
+    assert value.p == before and not hasattr(value, "extra")
 
 
 # -- JSON terms on the 1/p^depth grid ----------------------------------------
