@@ -561,7 +561,9 @@ def _render(doc: dict, fmt: str) -> str:
 
 def _json(x, nl):
     """json.dumps(x, sort_keys=True, indent=2) at the indent ``nl``, a newline
-    and the spaces, in one pass: that call skips the C encoder when indenting."""
+    and the spaces, in one pass: that call skips the C encoder when indenting.
+    A list of ints is one join, and a list of records of one shape is one
+    template formatted once; any other list is walked item by item."""
     t = type(x)
     if t is str:
         return _quote(x)
@@ -569,12 +571,50 @@ def _json(x, nl):
         return int.__repr__(x)
     if x and (t is list or t is tuple):
         inner = nl + "  "
+        if all(type(v) is int for v in x):
+            return "[" + inner + ("," + inner).join(map(int.__repr__, x)) + nl + "]"
+        shape, leaves = _shape(x[0]), []
+        if shape and all(_leaves(r, shape, leaves) for r in x):
+            row = inner + _template(shape, inner)
+            return "[" + ",".join([row] * len(x)) % tuple(leaves) + nl + "]"
         return "[" + ",".join([inner + _json(v, inner) for v in x]) + nl + "]"
     if x and t is dict and all(type(k) is str for k in x):
         inner = nl + "  "
         items = [f"{inner}{_quote(k)}: {_json(x[k], inner)}" for k in sorted(x)]
         return "{" + ",".join(items) + nl + "}"
     return json.dumps(x, sort_keys=True, indent=2).replace("\n", nl)
+
+
+def _shape(x):
+    """The sorted (key, subshape) pairs of a record: a non-empty dict with
+    str keys whose values are ints (subshape None) or records; else None."""
+    if type(x) is not dict or not x or any(type(k) is not str for k in x):
+        return None
+    shape = [(k, None if type(x[k]) is int else _shape(x[k])) for k in sorted(x)]
+    return shape if all(sub or type(x[k]) is int for k, sub in shape) else None
+
+
+def _leaves(r, shape, out):
+    """Whether ``r`` is a record of ``shape`` (a bool is no int leaf: JSON
+    writes true or false), its leaves appended to ``out`` in key order."""
+    if type(r) is not dict or len(r) != len(shape):
+        return False
+    for k, sub in shape:
+        v = r.get(k)
+        if sub is None and type(v) is int:
+            out.append(v)
+        elif sub is None or not _leaves(v, sub, out):
+            return False
+    return True
+
+
+def _template(shape, nl):
+    """The %-template of a record of ``shape`` at the indent ``nl``."""
+    inner = nl + "  "
+    return "{" + ",".join([
+        f"{inner}{_quote(k).replace('%', '%%')}: " + ("%s" if sub is None else _template(sub, inner))
+        for k, sub in shape
+    ]) + nl + "}"
 
 
 @functools.cache

@@ -89,23 +89,20 @@ class IwasawaElt(Immutable):
     ``exact_tail`` records that every coefficient from degree d on is
     exactly zero (true for Dirac masses of small integers and for
     monomials); it sharpens ball-value certificates but is never
-    required.
+    required.  Coefficients from degree d on are forgotten, and the tail
+    stays exact only if each of them is zero mod p^N.
     """
 
     __slots__ = ("p", "prec", "degree", "coeffs", "exact_tail", "_balls")
 
     def __init__(self, p, prec, degree, coeffs, exact_tail=False):
         mod = _box(p, prec, degree)
-        cs = [0] * degree
-        for n, c in enumerate(coeffs):
-            if n >= degree:
-                break  # outside the box: forgotten, not an error
-            cs[n] = c % mod
+        cs = [c % mod for c in coeffs]
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "prec", prec)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "exact_tail", bool(exact_tail))
+        object.__setattr__(self, "coeffs", tuple(cs[:degree]) + (0,) * (degree - len(cs)))
+        object.__setattr__(self, "exact_tail", bool(exact_tail) and not any(cs[degree:]))
 
     # -- constructors --------------------------------------------------
 
@@ -134,10 +131,7 @@ class IwasawaElt(Immutable):
         degree = self.degree if degree is None else degree
         if prec > self.prec or (degree > self.degree and not self.exact_tail):
             raise PrecisionExhausted("cannot grow a truncation box")
-        return IwasawaElt(
-            self.p, prec, degree, self.coeffs[:degree],
-            exact_tail=self.exact_tail and not any(self.coeffs[degree:]),
-        )
+        return IwasawaElt(self.p, prec, degree, self.coeffs, exact_tail=self.exact_tail)
 
     def poly_degree(self):
         """Largest stored index with a nonzero residue (-1 for zero)."""
@@ -338,13 +332,18 @@ class IwasawaElt(Immutable):
     @classmethod
     def from_json(cls, doc):
         """The measure of a ``to_json`` document; a missing key, a non-integer
-        field or coefficient, or prec < 1 is a ParseError."""
+        field or coefficient, prec < 1, or an exact tail over a coefficient
+        past the degree that is nonzero mod p^prec is a ParseError."""
         p, degree = json_int(doc, "p"), json_int(doc, "degree")
         prec = json_int(doc, "prec", low=1)
         coeffs = json_field(doc, "coeffs")
         if not isinstance(coeffs, list) or any(type(c) is not int for c in coeffs):
             raise ParseError("coeffs must be a list of integers")
-        return cls(p, prec, degree, coeffs, exact_tail=json_flag(doc, "exact_tail"))
+        exact = json_flag(doc, "exact_tail")
+        mu = cls(p, prec, degree, coeffs, exact_tail=exact)
+        if exact and not mu.exact_tail:
+            raise ParseError(f"exact_tail with a nonzero coefficient past degree {degree}")
+        return mu
 
 
 def _box(p, prec, degree):
@@ -475,6 +474,8 @@ class BivariateSeries(Immutable):
         mod = _box(p, prec, degree)
         cs = {}
         for (i, j), c in coeffs.items():
+            if i < 0 or j < 0:
+                raise PreconditionError(f"T1^{i}·T2^{j}: exponents are >= 0")
             if i + j < degree:
                 c %= mod
                 if c:

@@ -11,6 +11,7 @@ exponents in S = Z[1/p] ∩ R_{>=0}, obtained as the limit of
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .errors import (
@@ -36,19 +37,29 @@ __all__ = [
 ]
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+@functools.cache
 def is_prime(n: int) -> bool:
+    """Whether n is prime, decided exactly: a prime of _MR_BASES divides n,
+    or n is a strong probable prime to each of them, which no composite
+    below _MR_BOUND is (Sorenson and Webster, 2015).  A larger n is refused
+    with a PreconditionError."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_BOUND:
+        raise PreconditionError(f"p = {n}: primality is decided only below {_MR_BOUND}")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s · d with d odd
+    d = (n - 1) >> s
+    return all(
+        pow(b, d, n) == 1 or any(pow(b, d << r, n) == n - 1 for r in range(s))
+        for b in _MR_BASES
+    )
 
 
 def vp_int(n: int, p: int) -> int:

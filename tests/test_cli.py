@@ -439,6 +439,21 @@ class TestMeasureDocuments:
         argv = ["ball", "--p", "2", "--mu", mu, "--a", "1", "--h", "3"]
         assert self._main(capsys, argv) == code
 
+    @pytest.mark.parametrize("args", [
+        ["wval", "--mu", "DOC"],
+        ["ball", "--mu", "DOC", "--a", "0", "--h", "1"],
+        ["convolve", "--mu1", "DOC", "--mu2", "T"],
+    ], ids=["wval", "ball", "convolve"])
+    def test_exact_tail_over_a_cut_coefficient_exits_2(self, capsys, tmp_path, args):
+        # C(5, 3..5) lie past degree 3, so the tail is not exactly zero
+        doc = {"p": 7, "prec": 4, "degree": 3, "coeffs": [1, 5, 10, 10, 5, 1], "exact_tail": True}
+        mu = _doc_arg(tmp_path, doc)
+        argv = [args[0], "--p", "7", *(mu if a == "DOC" else a for a in args[1:])]
+        assert self._main(capsys, argv) == 2
+        doc["coeffs"] = [1, 5, 10, 0, 7**4]  # zero residues may be cut
+        _doc_arg(tmp_path, doc)
+        assert self._main(capsys, argv) == 0
+
     def test_ball_on_qp_document_exits_2(self, capsys, tmp_path):
         assert self._ball(capsys, tmp_path, QP_DOC) == 2
 
@@ -500,6 +515,23 @@ class TestMeasureDocuments:
     def test_no_integer_string_limit_leaves_prec_to_the_bit_cap(self, monkeypatch):
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
         assert cli._prec_bits(2, 15000, "--prec") == 15000
+
+
+class TestLargePrimes:
+    def test_a_61_bit_prime_runs_in_a_fresh_interpreter(self):
+        # trial division took minutes to accept p = 2^61 - 1
+        start = time.monotonic()
+        argv = ["integrate", "--p", str(2**61 - 1), "--f", "binom:2", "--mu", "T^2"]
+        out = run_cli(argv, timeout=60)
+        assert time.monotonic() - start < 5
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["value"]["unit"] == 1
+
+    @pytest.mark.parametrize("p", [3317044064679887385961981, 10**30 + 57])
+    def test_a_p_past_the_primality_bound_exits_3(self, capsys, p):
+        argv = ["integrate", "--p", str(p), "--f", "binom:2", "--mu", "T^2", "--prec", "2"]
+        assert main(argv) == 3
+        assert "primality is decided only below" in capsys.readouterr().err
 
 
 class TestCommandTable:
@@ -864,4 +896,54 @@ _JSON_LEAVES = st.one_of(
 @example({"a": {1: [2, {"b": ()}]}, "c": [], "": {}})  # an int key: json.dumps renders it
 @example({"terms": [{"q": {"num": 1, "logden": 2}, "coeff": -(2**200)}], "pretty": "Tt^1/4"})
 def test_render_matches_indented_json_dumps(doc):
+    assert cli._render(doc, "json") == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# Record lists: a shape is a str-keyed tree whose leaves (None) are ints.
+_RECORD_KEYS = st.text(max_size=3) | st.sampled_from(["%", "%s", "%(q)d", "{", "é", "\U0001f600"])
+_RECORD_SHAPES = st.recursive(
+    st.none(), lambda sub: st.dictionaries(_RECORD_KEYS, sub, min_size=1, max_size=4),
+    max_leaves=8,
+).filter(lambda shape: shape is not None)
+_ODD_LEAVES = st.sampled_from([True, False, "7", None, 1.5, {}, [1, 2], []])
+
+
+def _records_of(shape):
+    leaf = st.integers() | st.integers(-(2**200), 2**200)
+    return st.fixed_dictionaries({
+        k: leaf if sub is None else _records_of(sub) for k, sub in shape.items()
+    })
+
+
+@st.composite
+def _record_lists(draw):
+    """1-40 records of one shape, then at most one record changed: a key
+    missing, added or renamed, or a leaf that is no int."""
+    records = draw(st.lists(_records_of(draw(_RECORD_SHAPES)), min_size=1, max_size=40))
+    change = draw(st.sampled_from(["none", "missing", "extra", "renamed", "leaf"]))
+    if change != "none":
+        node = draw(st.sampled_from(records))
+        while draw(st.booleans()) and any(type(v) is dict for v in node.values()):
+            node = draw(st.sampled_from([v for v in node.values() if type(v) is dict]))
+        key = draw(st.sampled_from(sorted(node)))
+        new = draw(_RECORD_KEYS.filter(lambda k: k not in node))
+        if change == "missing":
+            del node[key]
+        elif change == "extra":
+            node[new] = draw(st.integers())
+        elif change == "renamed":
+            node[new] = node.pop(key)
+        else:
+            node[key] = draw(_ODD_LEAVES)
+    return {"measure": {"terms": records, "p": 2}, "pretty": "x"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_record_lists())
+@example({"terms": [{"%s": 1, "{x}": {"é": 2, "%%": -3}}, {"%s": 4, "{x}": {"é": 5, "%%": 6}}]})
+@example({"terms": [{"q": {"num": 2**70, "logden": -1}, "coeff": -(2**65)}] * 3})
+@example({"terms": [{"a": 1, "b": 2}, {"a": 3, "b": 4}, {"a": 5, "b": True}]})
+@example({"terms": [{"a": 1, "q": {"b": 2}}, {"a": 3, "q": {"b": 4, "c": 5}}]})
+@example({"coeffs": [1, 2, True, 4], "more": [[3, -(2**64)], []]})
+def test_record_lists_render_like_json_dumps(doc):
     assert cli._render(doc, "json") == json.dumps(doc, sort_keys=True, indent=2) + "\n"

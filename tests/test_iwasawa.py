@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from padic_fourier import iwasawa
 from padic_fourier.errors import (
     InternalConsistencyError,
+    ParseError,
     PrecisionExhausted,
     PreconditionError,
     PrimeMismatch,
@@ -422,9 +423,11 @@ def coproduct_oracle(coeffs, mod, d):
 @example(2, 3, 1, [5, 1], False, 0)  # d = 1: the constant term alone
 @example(3, 2, 1, [4], True, 3)  # d = 1 grown through an exact tail
 def test_coproduct_matches_the_multinomial_expansion(p, prec, d, coeffs, exact, grow):
-    """A non-exact tail is cut to a smaller degree, an exact one grown."""
+    """A non-exact tail is cut to a smaller degree, an exact one grown; a
+    tail stays exact only if every coefficient cut from it is zero."""
     mu = IwasawaElt(p, prec, d, coeffs, exact_tail=exact)
-    out = d + grow if exact else max(d - grow, 1)
+    assert mu.exact_tail == (exact and not any(c % p**prec for c in coeffs[d:]))
+    out = d + grow if mu.exact_tail else max(d - grow, 1)
     delta = mu.coproduct(degree=out)
     assert (delta.p, delta.prec, delta.degree) == (p, prec, out)
     assert delta.coeffs == coproduct_oracle(mu.coeffs, p**prec, out)
@@ -463,6 +466,41 @@ class TestBivariateBox:
     def test_series_over_different_primes_are_unequal(self):
         cs = {(1, 0): 1, (0, 1): 2}
         assert (BivariateSeries(2, 3, 3, cs) == BivariateSeries(3, 3, 3, cs)) is False
+
+    @pytest.mark.parametrize("key", [(-1, 1), (1, -1), (-2, -1)])
+    def test_a_negative_exponent_is_refused(self, key):
+        # the key (i+j)·d + i would mislabel it: (T1^-1·T2)^2 came out as T1·T2^-2
+        with pytest.raises(PreconditionError):
+            BivariateSeries(2, 3, 3, {key: 1})
+
+
+class TestExactTailCut:
+    """A tail stays exact only if every coefficient cut from it is zero."""
+
+    def test_constructor_drops_exactness_over_a_nonzero_cut(self):
+        mu = IwasawaElt(7, 4, 3, [1, 5, 10, 10, 5, 1], exact_tail=True)
+        assert mu.coeffs == (1, 5, 10) and not mu.exact_tail
+        with pytest.raises(PrecisionExhausted):
+            mu.resize(degree=6)
+
+    def test_constructor_keeps_exactness_over_zero_residues(self):
+        mu = IwasawaElt(7, 4, 3, [1, 5, 10, 0, 7**4, -(7**5)], exact_tail=True)
+        assert mu.exact_tail
+        assert mu.resize(degree=6).coeffs == (1, 5, 10, 0, 0, 0)
+
+    def test_resize_follows_the_same_rule(self):
+        mu = IwasawaElt(7, 4, 6, [1, 5, 10, 10, 5, 1], exact_tail=True)
+        assert mu.exact_tail
+        assert not mu.resize(degree=3).exact_tail
+        assert mu.resize(degree=8).exact_tail
+        assert IwasawaElt(7, 4, 6, [1, 5, 7**2], exact_tail=True).resize(prec=2, degree=2).exact_tail
+
+    def test_from_json_refuses_an_exact_tail_over_a_nonzero_cut(self):
+        doc = {"p": 7, "prec": 4, "degree": 3, "coeffs": [1, 5, 10, 10, 5, 1], "exact_tail": True}
+        with pytest.raises(ParseError):
+            IwasawaElt.from_json(doc)
+        assert not IwasawaElt.from_json({**doc, "exact_tail": False}).exact_tail
+        assert IwasawaElt.from_json({**doc, "coeffs": [1, 5, 10, 0, 7**4]}).exact_tail
 
 
 class TestJsonAndStr:

@@ -19,6 +19,7 @@ from padic_fourier.padic import (
     gen_binomial_profile,
     gen_binomial_valuation_bound,
     gen_binomial_valuation_floor,
+    is_prime,
     vp_factorial,
     vp_int,
     _block_poly,
@@ -70,6 +71,27 @@ class TestScalarBasics:
     def test_nonprime_rejected(self):
         with pytest.raises(PreconditionError):
             PadicScalar.from_int(6, 1, 3)
+
+
+class TestIsPrime:
+    def test_agrees_with_trial_division(self):
+        for n in range(-3, 10**5):
+            assert is_prime(n) == (n > 1 and all(n % f for f in range(2, math.isqrt(n) + 1)))
+
+    @pytest.mark.parametrize("n", [3215031751, 3825123056546413051, 318665857834031151167461])
+    def test_strong_pseudoprimes_are_composite(self, n):
+        # strong pseudoprimes to every prime base up to 7, 23 and 37
+        assert not is_prime(n)
+
+    @pytest.mark.parametrize("n", [2**61 - 1, 10**9 + 7, 2**31 - 1])
+    def test_large_primes_are_prime(self, n):
+        assert is_prime(n)
+
+    def test_no_answer_past_the_bound(self):
+        # a strong pseudoprime to the 13 bases, which would pass as prime
+        with pytest.raises(PreconditionError):
+            is_prime(3317044064679887385961981)
+        assert not is_prime(2 * 3317044064679887385961981)  # a base divides it
 
     def test_from_fraction(self):
         x = PadicScalar.from_fraction(3, Fraction(1, 3), 4)
