@@ -72,27 +72,6 @@ class TestScalarBasics:
         with pytest.raises(PreconditionError):
             PadicScalar.from_int(6, 1, 3)
 
-
-class TestIsPrime:
-    def test_agrees_with_trial_division(self):
-        for n in range(-3, 10**5):
-            assert is_prime(n) == (n > 1 and all(n % f for f in range(2, math.isqrt(n) + 1)))
-
-    @pytest.mark.parametrize("n", [3215031751, 3825123056546413051, 318665857834031151167461])
-    def test_strong_pseudoprimes_are_composite(self, n):
-        # strong pseudoprimes to every prime base up to 7, 23 and 37
-        assert not is_prime(n)
-
-    @pytest.mark.parametrize("n", [2**61 - 1, 10**9 + 7, 2**31 - 1])
-    def test_large_primes_are_prime(self, n):
-        assert is_prime(n)
-
-    def test_no_answer_past_the_bound(self):
-        # a strong pseudoprime to the 13 bases, which would pass as prime
-        with pytest.raises(PreconditionError):
-            is_prime(3317044064679887385961981)
-        assert not is_prime(2 * 3317044064679887385961981)  # a base divides it
-
     def test_from_fraction(self):
         x = PadicScalar.from_fraction(3, Fraction(1, 3), 4)
         assert x.shift == -1 and x.unit == 1
@@ -121,6 +100,27 @@ class TestIsPrime:
     def test_json_round_trip(self):
         x = PadicScalar(3, -1, 7, 5)
         assert PadicScalar.from_json(x.to_json()) == x
+
+
+class TestIsPrime:
+    def test_agrees_with_trial_division(self):
+        for n in range(-3, 10**5):
+            assert is_prime(n) == (n > 1 and all(n % f for f in range(2, math.isqrt(n) + 1)))
+
+    @pytest.mark.parametrize("n", [3215031751, 3825123056546413051, 318665857834031151167461])
+    def test_strong_pseudoprimes_are_composite(self, n):
+        # strong pseudoprimes to every prime base up to 7, 23 and 37
+        assert not is_prime(n)
+
+    @pytest.mark.parametrize("n", [2**61 - 1, 10**9 + 7, 2**31 - 1])
+    def test_large_primes_are_prime(self, n):
+        assert is_prime(n)
+
+    def test_no_answer_past_the_bound(self):
+        # a strong pseudoprime to the 13 bases, which would pass as prime
+        with pytest.raises(PreconditionError):
+            is_prime(3317044064679887385961981)
+        assert not is_prime(2 * 3317044064679887385961981)  # a base divides it
 
 
 def _vp_one_division_at_a_time(n, p):
