@@ -7,13 +7,15 @@ bound of None means exact finite support.  Terms outside the box are
 forgotten, never an error.  Products leave sums unreduced: reduction is
 the job of each series type's constructor.  Dense products are one bigint
 multiply (Kronecker substitution), sparse ones a pair loop: see ``mul``;
-``mul_mod`` and ``compose_mod`` work on dense lists of residues mod m.
-Packed slots of up to 8 bytes are moved as machine words (``_pack``,
-``_unpack``), wider ones slot by slot.
+``mul_mod`` and ``compose_mod`` work on dense lists of residues mod m, and
+``ball_residues`` and ``differences_at_zero`` run the ball fold and Mahler
+differences of ``iwasawa``.  Only this module knows the packed layout: a
+slot of any width moves as machine-word byte planes (``_pack``, ``_unpack``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from array import array
@@ -98,12 +100,11 @@ def mul(a, b, bound):
     that factor and packing from about 6); else use Kronecker substitution:
     pack each operand into one int, a w-byte slot per key (room for any
     coefficient of the product and a sign bit), take one Karatsuba bigint
-    product and unpack the slots below the bound (``_pack``, ``_unpack``,
-    shared with the packed passes of ``iwasawa``).  The low slots are cut
-    off by a mask, & (2^(8wn) - 1), equal to % 2^(8wn) for every integer:
-    CPython masks in linear time but takes % as a long division, quadratic
-    in the size.  Cost: about min(pairs, Karatsuba on (span_a + span_b) · w
-    bytes).  ``Fraction``s are scaled by a common denominator.
+    product and unpack the slots below the bound (``_pack``, ``_unpack``),
+    cut off by a mask, & (2^(8wn) - 1): equal to % 2^(8wn) for every int,
+    but linear, where CPython takes % as a long division.  Cost: about
+    min(pairs, Karatsuba on (span_a + span_b) · w bytes).  ``Fraction``s
+    are scaled by a common denominator.
     """
     if not a or not b:
         return {}
@@ -205,6 +206,74 @@ def compose_mod(coeffs, x, n, m):
     return [c % m for c in _unpack(total, n, w, 0)]
 
 
+def _slots(mod):
+    """(w, half, period) of a pass on residues mod ``mod``, packed into W = 8w
+    bit slots: W = 64 when the residues fit in 40 bits, else W >= bits + 64.
+    From residues, a slot that at most doubles and gains a residue per step
+    stays below half = 2^(W-1) for period = W - bits - 2 >= 22 steps."""
+    bits = (mod - 1).bit_length()
+    w = 8 if bits <= 40 else (bits + 71) // 8
+    return w, 1 << (8 * w - 1), 8 * w - bits - 2
+
+
+def ball_residues(coeffs, r, mod):
+    """Σ_m c_m (S-1)^m in (Z/mod)[S]/(S^n - 1), n = min(r, len(coeffs)).
+
+    Horner from the top nonzero coefficient on one integer x, packed like
+    ``mul``: slot a of W bits holds the coefficient of S^a.  With S = 2^W,
+    S^n = 1 holds mod 2^(Wn) - 1, so multiplying by S - 1 is x·2^W - x and
+    folding the high slots onto the low ones.  A step at most doubles each
+    slot and adds c_m < mod, so the slots are brought back to residues
+    (``_reduce``) every ``period`` steps.  For r = p^h entry a is the value
+    on a + p^h Z_p (and 0 for a >= n, as no power of S reaches it).
+    """
+    n = min(r, len(coeffs))
+    top = max((m for m, c in enumerate(coeffs) if c), default=-1)
+    w, half, period = _slots(mod)
+    W, Wn = 8 * w, 8 * w * n
+    ones = (1 << Wn) - 1
+    biases = _biases(n, w, half)
+    cnt = min(n, top + 1)  # (S-1)^m has degree m: past top a slot stays 0
+
+    def fold(x):
+        # x ≡ Σ s_a 2^(Wa) mod 2^(Wn) - 1, |s_a| < half - 1: fold x + biases
+        # into [0, 2^(Wn) - 1], where its slots read s_a + half
+        x += biases
+        x = (x & ones) + (x >> Wn)
+        return (x & ones) + (x >> Wn) - biases
+
+    x, left = 0, period
+    for m in range(top, -1, -1):
+        if not left:
+            x, left = _reduce(fold(x), cnt, w, half, mod), period
+        x = (x << W) - x + coeffs[m] % mod
+        x = (x & ones) + (x >> Wn)
+        left -= 1
+    return [c % mod for c in _unpack(fold(x), cnt, w, half)] + [0] * (n - cnt)
+
+
+def differences_at_zero(values, mod):
+    """[(Δ^n f)(0) mod ``mod`` for n < len(values)], f(i) = values[i] in
+    [0, mod), Δf(x) = f(x+1) - f(x).
+
+    One integer z packed like ``mul``, slot i holding f(i) + half so that
+    no slot borrows: (Δ^n f)(0) is the low slot less half, and Δ is z >> W
+    - z plus the biases.  A pass at most doubles each slot, so the slots
+    are brought back to residues every ``period`` passes.
+    """
+    m, (w, half, period) = len(values), _slots(mod)
+    W, biases = 8 * w, _biases(m, w, half)
+    low = (1 << W) - 1
+    z, left, out = _pack(values, w, half) + biases, period, []
+    for n in range(m):
+        if not left:  # the low m - n slots hold Δ^n f; the rest are dropped
+            z, left = _reduce(z - biases, m - n, w, half, mod) + biases, period
+        out.append(((z & low) - half) % mod)
+        z = (z >> W) - z + biases
+        left -= 1
+    return out
+
+
 def _integral(cs):
     """(None, cs) for int coefficients, else (their lcm den, cs · den)."""
     if all(type(c) is int for c in cs.values()):
@@ -218,61 +287,66 @@ def _biases(span, w, half):
     return int.from_bytes(half.to_bytes(w, "little") * span, "little")
 
 
-# Byte j of a slot sits at offset _AT[j] of a native 8-byte word; on a
+# Byte j of a plane sits at offset _AT[j] of a native 8-byte word; on a
 # little-endian host an 8-byte slot is a word as it stands (_NATIVE).
 _WORD = array("Q", [int.from_bytes(bytes(range(8)), "little")]).tobytes()
 _AT = [_WORD.index(j) for j in range(8)]
 _NATIVE = _WORD == bytes(range(8))
 _SIGN_FILL = bytes(128) + b"\xff" * 128  # top byte of a slot -> its sign byte
+_LOW = (1 << 64) - 1
+
+
+@functools.lru_cache(maxsize=64)  # few widths recur; rare huge ones do not pile up
+def _planes(w, half):
+    """(shift, top, code, pairs, fill) per plane of a w-byte slot, top last:
+    its bits from shift up as words of type code, signed on a signed top
+    plane; (slot byte, word offset) pairs; the word offsets to sign-fill."""
+    return [(8 * i, i + 8 >= w, "q" if half and i + 8 >= w else "Q",
+             [(i + j, _AT[j]) for j in range(min(8, w - i))],
+             [_AT[j] for j in range(w - i, 8)] if half else []) for i in range(0, w, 8)]
 
 
 def _pack(values, w, half):
     """Σ values[k] · 2^(8 w k) for w-byte slots, half = 2^(8w-1) for values
-    in [-half, half) or 0 for values in [0, 2^(8w)).  For w <= 8 the values
-    become machine words, whose low w byte planes are gathered into the
-    slots; a signed slot reads c + 2^(8w) for c < 0, so each slot with its
-    top bit set gives back 2^(8w) at the next slot: x - 2·(x & biases).
-    Wider slots are packed one by one as the bytes of values[k] + half."""
-    n = len(values)
-    if w > 8:
-        raw = b"".join([(c + half).to_bytes(w, "little") for c in values])
-        return int.from_bytes(raw, "little") - _biases(n, w, half)
-    words = array("q" if half else "Q", values).tobytes()
-    if w < 8 or not _NATIVE:
-        raw = bytearray(w * n)
-        for j in range(w):
-            raw[j::w] = words[_AT[j]::8]
-        words = raw
-    x = int.from_bytes(words, "little")
-    return x - ((x & _biases(n, w, half)) << 1) if half else x
+    in [-half, half) or 0 for values in [0, 2^(8w)).  Plane i gathers the
+    words v >> 64i mod 2^64 (v >> 64i on a top plane, signed if half), so a
+    negative v reads v + 2^(8w) in its slot, which x - 2·(x & biases) takes back."""
+    if w == 8 and _NATIVE:
+        raw = array("q" if half else "Q", values).tobytes()
+    else:
+        raw = bytearray(w * len(values))
+        for shift, top, code, pairs, _ in _planes(w, half):
+            plane = [c >> shift for c in values] if shift else values
+            words = array(code, plane if top else [c & _LOW for c in plane]).tobytes()
+            for at, word_at in pairs:
+                raw[at::w] = words[word_at::8]
+    x = int.from_bytes(raw, "little")
+    return x - ((x & _biases(len(values), w, half)) << 1) if half else x
 
 
 def _unpack(x, n, w, half):
     """The low n slots of x as balanced digits, each in [-half, half): with
     the biases added, slot k holds its digit + half and nothing borrows,
     and flipping the top bit leaves the digit in w-byte two's complement.
-    For w <= 8 the w byte planes are scattered into machine words (the
-    sign byte repeated above a signed slot) and read at C speed."""
-    mask = (1 << 8 * w * n) - 1
-    if w > 8:
-        raw = ((x + _biases(n, w, half)) & mask).to_bytes(w * n, "little")
-        return [int.from_bytes(raw[i:i + w], "little") - half for i in range(0, w * n, w)]
-    if half:
-        biases = _biases(n, w, half)
-        x = ((x + biases) & mask) ^ biases
-    else:
-        x &= mask
+    Each plane is scattered into machine words, read at C speed and joined
+    as (hi << 64) | lo."""
+    mask, biases = (1 << 8 * w * n) - 1, _biases(n, w, half) if half else 0
+    x = ((x + biases) & mask) ^ biases if half else x & mask
     raw = x.to_bytes(w * n, "little")
-    if w < 8 or not _NATIVE:
+    if w == 8 and _NATIVE:
+        return memoryview(raw).cast("q" if half else "Q").tolist()
+    out = None
+    for _, _, code, pairs, fill in reversed(_planes(w, half)):
         buf = bytearray(8 * n)
-        for j in range(w):
-            buf[_AT[j]::8] = raw[j::w]
-        if half and w < 8:
+        for at, word_at in pairs:
+            buf[word_at::8] = raw[at::w]
+        if fill:  # the sign byte, repeated above a signed top plane's bytes
             sign = raw[w - 1::w].translate(_SIGN_FILL)
-            for j in range(w, 8):
-                buf[_AT[j]::8] = sign
-        raw = buf
-    return memoryview(raw).cast("q" if half else "Q").tolist()
+            for word_at in fill:
+                buf[word_at::8] = sign
+        plane = memoryview(buf).cast(code).tolist()
+        out = plane if out is None else [hi << 64 | lo for hi, lo in zip(out, plane)]
+    return out
 
 
 def _reduce(x, n, w, half, mod):

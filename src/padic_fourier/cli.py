@@ -144,7 +144,10 @@ def _load_measure_doc(path, degree=None):
 
 def _int(text, what, sep=None):
     """An integer flag value, or with ``sep`` the pair (int, rest) of a term
-    ``c<sep>rest`` such as a --combo term; a bad value is a ParseError."""
+    ``c<sep>rest`` such as a --combo term; a bad value is a ParseError.  A
+    value is a str (argv) or, from an --in document, an int but no bool."""
+    if type(text) not in (str, int):
+        raise ParseError(f"bad {what} {text!r}")
     try:
         if sep is None:
             return int(text)
@@ -167,6 +170,10 @@ def _load_doc(path):
 
 
 def _frac(text) -> Fraction:
+    """A rational flag value ``n`` or ``n/d``, a str or an int as ``_int``
+    takes it; anything else is a ParseError."""
+    if type(text) not in (str, int):
+        raise ParseError(f"bad rational {text!r}")
     try:
         if "/" in str(text):
             num, den = str(text).split("/", 1)

@@ -10,9 +10,8 @@ Ball values come from the quotient Z_p[[T]]/((1+T)^(p^h) - 1), which is
 Z_p[Z/p^h]: substitute T = S - 1 and fold the exponents of S mod p^h;
 the coefficient of S^a is the value on a + p^h Z_p, so one Horner pass
 gives every ball of a radius (Washington, Cyclotomic Fields, §7.1).  The
-pass, and the iterated differences of the Mahler solve, run on one
-integer with a slot per power of S (per sample), packed as in
-``_series.mul``.
+pass and the Mahler solve's differences run in ``_series``, packed one
+slot per power of S (per sample), every width moved as word planes.
 Degree truncation is converted into p-adic precision through the
 containment of T^(p^(h+l)) in the ideal of measures taking values in
 p^(l+1) Z_p on all balls of radius p^(-h).
@@ -224,7 +223,7 @@ class IwasawaElt(Immutable):
         if not hasattr(self, "_balls"):
             object.__setattr__(self, "_balls", {})
         if h not in self._balls:
-            self._balls[h] = _ball_residues(self.coeffs, self.p**h, self.p**self.prec)
+            self._balls[h] = _series.ball_residues(self.coeffs, self.p**h, self.p**self.prec)
         return self._balls[h], out_prec
 
     def ball_measure(self, a, h):
@@ -362,56 +361,6 @@ def _common_box(a, b):
     if a.p != b.p:
         raise PrimeMismatch(f"p={a.p} vs p={b.p}")
     return min(a.prec, b.prec), min(a.degree, b.degree)
-
-
-def _slots(mod):
-    """(w, half, period) of a pass that packs residues mod ``mod`` into one
-    int, a slot of W = 8w bits each: one machine word (W = 64) when the
-    residues fit in 40 bits, so that ``_series._unpack`` reads the slots as
-    words, else W >= bits + 64.  From residues, a slot that at most doubles
-    and gains a residue per step stays below half = 2^(W-1) for period =
-    W - bits - 2 >= 22 steps."""
-    bits = (mod - 1).bit_length()
-    w = 8 if bits <= 40 else (bits + 71) // 8
-    return w, 1 << (8 * w - 1), 8 * w - bits - 2
-
-
-def _ball_residues(coeffs, r, mod):
-    """Σ_m c_m (S-1)^m in (Z/mod)[S]/(S^n - 1), n = min(r, len(coeffs)).
-
-    Horner from the top nonzero coefficient on one integer x, packed like
-    ``_series.mul``: slot a of W bits holds the coefficient of S^a.  With
-    S = 2^W, S^n = 1 holds mod 2^(Wn) - 1, so multiplying by S - 1 is
-    x·2^W - x and folding the high slots onto the low ones.  A step at
-    most doubles each slot and adds c_m < mod, so the slots are brought
-    back to residues (``_series._reduce``) every ``period`` steps.  For
-    r = p^h entry a is the value on a + p^h Z_p (and 0 for a >= n, as no
-    power of S reaches it).
-    """
-    n = min(r, len(coeffs))
-    top = max((m for m, c in enumerate(coeffs) if c), default=-1)
-    w, half, period = _slots(mod)
-    W = 8 * w
-    Wn = W * n
-    ones = (1 << Wn) - 1
-    biases = _series._biases(n, w, half)
-    cnt = min(n, top + 1)  # (S-1)^m has degree m: past top a slot stays 0
-
-    def fold(x):
-        # x ≡ Σ s_a 2^(Wa) mod 2^(Wn) - 1, |s_a| < half - 1: fold x + biases
-        # into [0, 2^(Wn) - 1], where its slots read s_a + half
-        x += biases
-        x = (x & ones) + (x >> Wn)
-        return (x & ones) + (x >> Wn) - biases
-
-    x, left = 0, period
-    for m in range(top, -1, -1):
-        if not left:
-            x, left = _series._reduce(fold(x), cnt, w, half, mod), period
-        x = (x << W) - x + coeffs[m] % mod
-        x = (x & ones) + (x >> Wn)
-        left -= 1
-    return [c % mod for c in _series._unpack(fold(x), cnt, w, half)] + [0] * (n - cnt)
 
 
 def dirac(a, degree, prec, p=None):
@@ -689,7 +638,7 @@ def mahler_coeffs_from_samples(p, values, prec=None):
     the iterated differences c_n = (Δ^n f)(0), exact mod p^(M+1) (or the
     samples' precision if lower).  Coefficients beyond index p^M - 1 are
     not extrapolated.  The differences run on one packed integer
-    (``_differences_at_zero``), as the ball fold does.
+    (``_series.differences_at_zero``), as the ball fold does.
     """
     m = len(values)
     M = 0
@@ -708,31 +657,8 @@ def mahler_coeffs_from_samples(p, values, prec=None):
         (v.residue(out_prec) if isinstance(v, PadicScalar) else v % mod)
         for v in values
     ]
-    coeffs = dict(enumerate(_differences_at_zero(vals, mod)))
+    coeffs = dict(enumerate(_series.differences_at_zero(vals, mod)))
     return MahlerFn(p, out_prec, coeffs, m, exact_tail=False, period=m)
-
-
-def _differences_at_zero(values, mod):
-    """[(Δ^n f)(0) mod ``mod`` for n < len(values)], f(i) = values[i] in
-    [0, mod), Δf(x) = f(x+1) - f(x).
-
-    One integer z packed like ``_series.mul``, slot i holding f(i) + half
-    so that no slot borrows: (Δ^n f)(0) is the low slot less half, and Δ
-    is z >> W - z plus the biases.  A pass at most doubles each slot, so
-    the slots are brought back to residues every ``period`` passes, as in
-    ``_ball_residues``.
-    """
-    m, (w, half, period) = len(values), _slots(mod)
-    W = 8 * w
-    low, biases = (1 << W) - 1, _series._biases(m, w, half)
-    z, left, out = _series._pack(values, w, half) + biases, period, []
-    for n in range(m):
-        if not left:  # the low m - n slots hold Δ^n f; the rest are dropped
-            z, left = _series._reduce(z - biases, m - n, w, half, mod) + biases, period
-        out.append(((z & low) - half) % mod)
-        z = (z >> W) - z + biases
-        left -= 1
-    return out
 
 
 def mahler_coeffs_by_differences(p, values, prec):

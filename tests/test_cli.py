@@ -394,6 +394,21 @@ def test_flag_values_map_to_documented_exit_codes(capsys, argv, code):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, doc", [
+    (["wval", "--p", "2", "--mu", "Tt"], {"degree": None}),
+    (["dirac", "--p", "2", "--depth", "1"], {"s": [1]}),
+    (["integrate", "--p", "3", "--f", "binom:2", "--mu", "T^2"], {"prec": 7.9}),
+    (["idealcheck", "--p", "2"], {"N": True}),
+], ids=["null-degree", "list-s", "float-prec", "bool-N"])
+def test_in_values_of_a_wrong_json_type_exit_2(capsys, tmp_path, argv, doc):
+    # a flag value from --in is a str or an int but no bool: the first two
+    # ended in a TypeError traceback, the last two ran as prec 7 and N = 1
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    assert main([*argv, "--in", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: bad ")
+
+
 ZP_DOC = {"p": 2, "prec": 4, "degree": 4, "coeffs": [1, 2, 3]}
 QP_DOC = {"p": 2, "prec": 6, "depth": 1, "degree": 4,
           "terms": [{"q": {"num": 1, "logden": 1}, "coeff": 3}]}
@@ -660,8 +675,8 @@ def _argvs(draw):
 
 
 # The deadline stays above the slowest job under a 4000-cell box, mucan at
-# p=11 stage 3 prec 12 degree 3 (about 14 s on a 2-CPU machine): mucan's box
-# counts cells, not the work per cell
+# p=11 stage 3 prec 12 degree 3 (1.0-1.4 s in process on a 2-CPU machine):
+# mucan's box counts cells, not the work per cell
 @settings(max_examples=200, deadline=timedelta(seconds=30))
 @given(argv=_argvs())
 @example(argv=["wval", "--p", "2", "--mu", "diracq:1/2", "--depth", "2"])
@@ -681,6 +696,117 @@ def test_fuzzed_argv_exits_with_a_documented_code(argv):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = _exit_code(lambda: main(argv))
     assert code in (0, 2, 3, 4, 5), (argv, err.getvalue())
+
+
+# a JSON value of each type a document may hold where a flag or field goes
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.integers(-3, 12),
+    st.sampled_from([10**9, 2**70, -(2**70), 10**400]), st.sampled_from(_FUZZ_VALUES),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.sampled_from(["num", "logden", "q"]), st.integers(-1, 3), max_size=2),
+)
+_HUGE = st.sampled_from([0, -1, 10**9, 2**70])
+_SMALL_INT = st.one_of(st.integers(-1, 12), st.integers(0, 12).map(str))
+# values of the flags' own kinds, in JSON
+_FLAG_VALUES = {
+    **dict.fromkeys(["mu", "mu1", "mu2"], st.sampled_from(
+        ["@{mu}"] * 6 + ["T", "T^3", "dirac:5", "1", "Tt", "Tt^3/2", "diracq:3/4@depth2"])),
+    **dict.fromkeys(["prec", "degree", "depth", "stage", "N", "qdepth", "imax", "digits", "a", "h"],
+                    _SMALL_INT),
+    **dict.fromkeys(["s", "qmax"], st.sampled_from(["1/3", "3/4", "2", 1, 2])),
+    "f": st.sampled_from(["binom:2", "const:7", "binom:3/2@depth1", "binom:1/2"]),
+    "samples": st.sampled_from(["1,1,1,0,0,0,0,0,0", "1,2", "5,1,4,2"]),
+    "combo": st.sampled_from(["1@3/4", "2@1/2,1@1/3", "1@1"]),
+    "x": st.sampled_from(["t^1/2 + 2*t^3", "t", "1"]),
+    "mode": st.sampled_from(["zp", "qp"]),
+    "scan": st.sampled_from(["off", "bounded", "full"]),
+}
+
+
+def _spoil(draw, doc):
+    """``doc`` with at most one value made a huge integer or a JSON value of
+    any type, or one key left out."""
+    if doc and draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(doc)))
+        how = draw(st.sampled_from(["huge", "any", "missing"]))
+        if how == "missing":
+            del doc[key]
+        else:
+            doc[key] = draw(_HUGE if how == "huge" else _JSON_VALUES)
+    return doc
+
+
+@st.composite
+def _measure_json(draw, p):
+    """A Z_p or Q_p measure document: its prime mostly ``p``, else another or
+    one <= 1; off-grid exponents, coefficients past the degree under an
+    exact tail, and one field spoilt now and then."""
+    doc = {"p": draw(st.sampled_from([p, p, p, 2, 3, 1, 0, -1, 4])),
+           "prec": draw(st.integers(1, 12))}
+    if draw(st.booleans()):
+        doc["degree"] = draw(st.integers(1, 10))
+        doc["coeffs"] = draw(st.lists(st.integers(-50, 50), max_size=14))
+        doc["exact_tail"] = draw(st.booleans())
+    else:
+        doc["depth"] = draw(st.integers(0, 3))
+        exponent = st.fixed_dictionaries({"num": st.integers(0, 40), "logden": st.integers(0, 5)})
+        doc["degree"] = draw(st.one_of(st.none(), st.integers(1, 8), exponent))
+        term = st.fixed_dictionaries({"q": exponent, "coeff": st.integers(-50, 50)})
+        doc["terms"] = draw(st.lists(term, max_size=6))
+    return _spoil(draw, doc)
+
+
+@st.composite
+def _in_jobs(draw):
+    """(argv, --in document, measure document): one command's flags, its
+    required ones among them, given in the --in document; a measure flag
+    often names the measure document as @file (written as {mu})."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    _, flags, required = cli._COMMANDS[command]
+    names = [draw(st.sampled_from(need.split("|"))) for need in required]
+    names += draw(st.lists(st.sampled_from(["p", *flags]), unique=True))
+    doc = {name: draw(_FLAG_VALUES.get(name, st.sampled_from(_FUZZ_VALUES))) for name in names}
+    doc = _spoil(draw, doc)
+    if not draw(st.integers(0, 19)):
+        doc = draw(_JSON_VALUES)  # an --in document that is no JSON object
+    p = draw(st.sampled_from([2, 3, 5, 7, 1]))
+    argv = [command, "--p", str(p), "--in", "{in}"]
+    return argv, doc, draw(_measure_json(p))
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=30))
+@given(_in_jobs())
+@example((["wval", "--p", "2", "--mu", "Tt", "--in", "{in}"], {"degree": None}, {}))
+@example((["dirac", "--p", "2", "--depth", "1", "--in", "{in}"], {"s": [1]}, {}))
+@example((["integrate", "--p", "3", "--f", "binom:2", "--mu", "T^2", "--in", "{in}"], {"prec": 7.9}, {}))
+@example((["idealcheck", "--p", "2", "--in", "{in}"], {"N": True}, {}))
+@example((["wval", "--p", "2", "--in", "{in}"], {"mu": "@{mu}"},
+          {"p": 2, "prec": 4, "degree": 3, "coeffs": [1, 5, 10, 10], "exact_tail": True}))
+@example((["convolve", "--p", "3", "--in", "{in}"], {"mu1": "@{mu}", "mu2": "T"},
+          {"p": 5, "prec": 4, "degree": 3, "coeffs": [1]}))
+@example((["fourier", "--p", "2", "--in", "{in}"], {"mu": "@{mu}"},
+          {"p": 2, "prec": 4, "depth": 1, "degree": None,
+           "terms": [{"q": {"num": 1, "logden": 3}, "coeff": 1}]}))
+@example((["wval", "--p", "2", "--in", "{in}"], {"mu": "@{mu}", "degree": 10**9, "depth": 10**9},
+          {"p": 1, "prec": 4, "depth": 10**9, "degree": None, "terms": []}))
+def test_fuzzed_json_documents_exit_with_a_documented_code(job):
+    """Any --in document and @file measure document, whatever the types of
+    their values, exits 0, 2, 3, 4 or 5 without an escaping exception."""
+    argv, doc, measure = job
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"in": f"{tmp}/in.json", "mu": f"{tmp}/mu.json"}
+        if isinstance(doc, dict):
+            doc = {k: v.format(**paths) if isinstance(v, str) and "{mu}" in v else v
+                   for k, v in doc.items()}
+        Path(paths["in"]).write_text(json.dumps(doc))
+        Path(paths["mu"]).write_text(json.dumps(measure))
+        argv = [a.format(**paths) if a == "{in}" else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("PADIC_FOURIER_MAX_BOX", "4000")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = _exit_code(lambda: main(argv))
+    assert code in (0, 2, 3, 4, 5), (argv, doc, measure, err.getvalue())
 
 
 # values for the parser-agreement test: the fuzz vocabulary plus values

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from padic_fourier import iwasawa
+from padic_fourier import _series, iwasawa
 from padic_fourier.errors import (
     InternalConsistencyError,
     ParseError,
@@ -762,7 +762,7 @@ def test_packed_ball_fold_matches_the_list_fold(pmod, degree, h, kind, rnd):
         h -= 1
     coeffs = coefficient_list(rnd, kind, degree, mod)
     want = horner_fold_oracle(coeffs, p**h, mod)
-    assert iwasawa._ball_residues(coeffs, p**h, mod) == want
+    assert _series.ball_residues(coeffs, p**h, mod) == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -777,7 +777,7 @@ def test_packed_ball_fold_matches_the_list_fold(pmod, degree, h, kind, rnd):
 def test_packed_differences_match_the_list_differences(pmod, m, kind, rnd):
     _, mod = pmod
     values = [v % mod for v in coefficient_list(rnd, kind, m, mod)]
-    assert iwasawa._differences_at_zero(values, mod) == differences_oracle(values, mod)
+    assert _series.differences_at_zero(values, mod) == differences_oracle(values, mod)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1000,7 +1000,7 @@ def test_ball_table_rows_are_folded_monomials(p, N, top):
     for m, row in enumerate(rows):
         want = []
         for h in range(N + 1):
-            values = iwasawa._ball_residues([0] * m + [1], p**h, p ** (N + 1 - h))
+            values = _series.ball_residues([0] * m + [1], p**h, p ** (N + 1 - h))
             want += [x * p ** (h + 1) for x in values + [0] * (p**h - len(values))]
         assert row == want, m
 
@@ -1122,7 +1122,7 @@ def test_scan_matrix_is_the_stacked_ball_table():
     want = [[] for _ in range(deg)]
     for h in range(N + 1):
         for m, row in enumerate(want):
-            values = iwasawa._ball_residues([0] * m + [1], p**h, p**K)
+            values = _series.ball_residues([0] * m + [1], p**h, p**K)
             values += [0] * (p**h - len(values))
             row += [x * p ** (h + 1) % p**K for x in values]
     assert seen["rows"] == want

@@ -8,6 +8,7 @@ pair) to coefficient, and the product visits every pair of terms.
 import copy
 import functools
 import json
+import math
 import operator
 import random
 import subprocess
@@ -21,8 +22,8 @@ from hypothesis import example, given, settings, strategies as st
 from padic_fourier import _series
 from padic_fourier.ainf import AinfElt
 from padic_fourier.artin_hasse import PIntegralSeries
-from padic_fourier.errors import ParseError, PreconditionError
-from padic_fourier.fourier import UnifFn
+from padic_fourier.errors import ParseError, PrecisionExhausted, PreconditionError
+from padic_fourier.fourier import UnifFn, pullback_rescale
 from padic_fourier.iwasawa import BivariateSeries, IwasawaElt, MahlerFn
 from padic_fourier.padic import PadicScalar, SExponent
 from padic_fourier.witt import PerfSeries, WittElt
@@ -211,9 +212,10 @@ def slice_unpack(x, n, w, half):
 
 @st.composite
 def slot_cases(draw):
-    """(values, w, half, garbage): n <= 64 slot values of w bytes, often at
-    an end of the range, and an integer to add above the n slots."""
-    w = draw(st.integers(1, 17))
+    """(values, w, half, garbage): n <= 64 slot values of w bytes (one to
+    three word planes), often at an end of the range, and an integer to add
+    above the n slots."""
+    w = draw(st.integers(1, 24))
     half = draw(st.sampled_from([0, 1 << (8 * w - 1)]))
     lo, hi = (-half, half - 1) if half else (0, (1 << 8 * w) - 1)
     value = st.one_of(st.sampled_from([lo, lo + 1, hi - 1, hi, 0]), st.integers(lo, hi))
@@ -229,6 +231,8 @@ def slot_cases(draw):
 @example(([-128, 127, -1], 1, 128, -(2**90)), True)
 @example(([2**135 - 1, -(2**135)], 17, 2**135, 5), False)
 @example(([], 3, 0, 7), False)
+@example(([2**191 - 1, -(2**191), -1, 0, 2**64, -(2**128)], 24, 2**191, -(2**250)), True)
+@example(([2**72 - 1, 2**64 - 1, 2**64, 0], 9, 0, 2**100), False)
 def test_pack_and_unpack_match_the_slice_oracle(case, negate):
     values, w, half, garbage = case
     x = slice_pack(values, w, half)
@@ -248,7 +252,7 @@ def test_pack_and_unpack_match_the_slice_oracle(case, negate):
 
 @pytest.mark.parametrize("native", [True, False])
 @pytest.mark.parametrize("half", [False, True])
-@pytest.mark.parametrize("w", range(1, 9))
+@pytest.mark.parametrize("w", range(1, 25))
 def test_pack_and_unpack_4096_slots(monkeypatch, w, half, native):
     rng = random.Random(f"{w}-{half}")
     half = 1 << (8 * w - 1) if half else 0
@@ -752,3 +756,190 @@ def test_cli_qp_file_matches_inline_measure(tmp_path, capsys, argv):
             }))
             files[i] = f"@{path}"
     assert run(files) == inline
+
+
+# -- exact tails -------------------------------------------------------------
+#
+# Each input is drawn uncut: a Z_p series is a coefficient list that may run
+# past its degree, and stands for exactly that list when it claims an exact
+# tail, else for the list with one more nonzero term past its box.  A result
+# may claim an exact tail only if the schoolbook result on the uncut inputs
+# has no term at or past its box that is nonzero mod p^prec.
+
+
+@st.composite
+def zp_docs(draw, p):
+    """The JSON document of an IwasawaElt whose coefficients may run past
+    its degree; the coefficients cut are often zero mod p^prec."""
+    degree, prec = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    mod = p**prec
+    zero = st.integers(-2, 2).map(lambda k: k * mod)
+    coeffs = draw(st.lists(st.one_of(st.integers(-mod, mod), zero), min_size=degree, max_size=degree))
+    coeffs += draw(st.lists(draw(st.sampled_from([zero, st.integers(-mod, mod)])), max_size=4))
+    exact = draw(st.booleans())
+    return {"p": p, "prec": prec, "degree": degree, "coeffs": coeffs, "exact_tail": exact}
+
+
+def uncut(doc):
+    """The series a document stands for: its coefficients if its tail is
+    exact, else with one more nonzero term past them and past its box."""
+    cs, degree = doc["coeffs"], doc["degree"]
+    return cs if doc["exact_tail"] else cs + [0] * (degree - len(cs)) + [1]
+
+
+def zp_elt(doc):
+    return IwasawaElt(doc["p"], doc["prec"], doc["degree"], doc["coeffs"], doc["exact_tail"])
+
+
+@st.composite
+def exact_tail_cases(draw):
+    """(kind, doc, other, k, box): two Z_p documents of one prime, an
+    integer and an optional degree for the operation ``kind``."""
+    p = draw(PRIMES)
+    doc, other = draw(zp_docs(p)), draw(zp_docs(p))
+    mod = p ** doc["prec"]
+    k = draw(st.one_of(st.integers(-mod, mod), st.sampled_from([0, mod, -2 * mod])))
+    box = draw(st.one_of(st.none(), st.integers(1, doc["degree"] + 4)))
+    kind = draw(st.sampled_from([
+        "new", "resize", "from_json", "add", "mul", "int_mul", "neg", "coproduct",
+        "mahler", "mahler_difference", "unif", "unif_json", "unif_pullback", "unif_basis",
+    ]))
+    return kind, doc, other, k, box
+
+
+def list_mul(a, b):
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def coproduct_oracle(cs):
+    """Σ c_n (T1 + T2 + T1·T2)^n as a map (i, j) -> coefficient."""
+    x = {(1, 0): 1, (0, 1): 1, (1, 1): 1}
+    out, power = {}, {(0, 0): 1}
+    for c in cs:
+        for q, v in power.items():
+            out[q] = out.get(q, 0) + c * v
+        power = schoolbook(power, x, lambda q: True, pair_add)
+    return out
+
+
+def mahler_difference_oracle(cs, k):
+    """Mahler coefficients of Δ^k f, f = Σ cs[n] (x choose n), read from the
+    values of f: the m-th is (Δ^(m+k) f)(0)."""
+    n = len(cs) + k + 1
+    vals = [sum(c * math.comb(x, i) for i, c in enumerate(cs)) for x in range(n)]
+    at_zero = []
+    for _ in range(n):
+        at_zero.append(vals[0])
+        vals = [b - a for a, b in zip(vals, vals[1:])]
+    return at_zero[k:]
+
+
+def assert_zp_tail(mu, truth):
+    mod = mu.p**mu.prec
+    truth = list(truth) + [0] * mu.degree
+    assert all((c - t) % mod == 0 for c, t in zip(mu.coeffs, truth))
+    if mu.exact_tail:
+        assert not any(t % mod for t in truth[mu.degree:])
+
+
+def assert_mahler_tail(f, truth):
+    mod = f.p**f.prec
+    truth = list(truth) + [0] * f.tail_cert
+    assert all((f.coeffs.get(n, 0) - t) % mod == 0 for n, t in enumerate(truth[:f.tail_cert]))
+    if f.exact_tail:
+        assert not any(t % mod for t in truth[f.tail_cert:])
+
+
+def assert_unif_terms(f, truth):
+    got = {q.as_fraction(): c for q, c in f.items_sexp()}
+    assert all((got.get(q, 0) - truth.get(q, 0)) % f.p**f.prec == 0 for q in got.keys() | truth)
+
+
+def zp_doc(p, prec, degree, coeffs, exact):
+    return {"p": p, "prec": prec, "degree": degree, "coeffs": coeffs, "exact_tail": exact}
+
+
+@settings(max_examples=600, deadline=None)
+@given(exact_tail_cases())
+# T·(1 + T) in degree 2 cuts T^2; T^3 is cut from the sum in degree 2
+@example(("mul", zp_doc(2, 3, 2, [0, 1], True), zp_doc(2, 3, 2, [1, 1], True), 1, None))
+@example(("add", zp_doc(3, 2, 4, [0, 0, 0, 1], True), zp_doc(3, 2, 2, [1], True), 1, None))
+# a cut coefficient 10 ≢ 0 mod 7^4, and one that is 0 mod 7^4
+@example(("from_json", zp_doc(7, 4, 3, [1, 5, 10, 10, 5, 1], True), zp_doc(7, 4, 1, [], True), 1, None))
+@example(("resize", zp_doc(7, 4, 3, [1, 5, 10, 0, 7**4], True), zp_doc(7, 4, 1, [], True), 1, 6))
+# a coproduct box grows only through an exact tail
+@example(("coproduct", zp_doc(2, 3, 2, [0, 1], False), zp_doc(2, 3, 1, [], True), 1, 4))
+@example(("coproduct", zp_doc(2, 3, 2, [1, 1, 8, 0], True), zp_doc(2, 3, 1, [], True), 1, 5))
+@example(("mahler_difference", zp_doc(3, 2, 3, [1, 2, 3], True), zp_doc(3, 2, 1, [], True), 4, 2))
+def test_exact_tails_hold_on_the_uncut_inputs(case):
+    kind, doc, other, k, box = case
+    p, prec, degree, cs = doc["p"], doc["prec"], doc["degree"], doc["coeffs"]
+    mu, truth, mod = zp_elt(doc), uncut(doc), p**prec
+    if kind == "new":
+        assert_zp_tail(mu, truth)
+    elif kind == "resize":
+        prec = 1 + abs(k) % prec
+        if box is not None and box > degree and not mu.exact_tail:
+            with pytest.raises(PrecisionExhausted):
+                mu.resize(prec, box)
+        else:
+            assert_zp_tail(mu.resize(prec, box), truth)
+    elif kind == "from_json":
+        if doc["exact_tail"] and any(c % mod for c in cs[degree:]):
+            with pytest.raises(ParseError):
+                IwasawaElt.from_json(doc)
+        else:
+            assert_zp_tail(IwasawaElt.from_json(doc), truth)
+    elif kind == "add":
+        a, b = truth, uncut(other)
+        n = max(len(a), len(b))
+        sums = [x + y for x, y in zip(a + [0] * n, b + [0] * n)]
+        assert_zp_tail(mu + zp_elt(other), sums)
+    elif kind == "mul":
+        assert_zp_tail(mu * zp_elt(other), list_mul(truth, uncut(other)))
+    elif kind == "int_mul":
+        assert_zp_tail(mu * k, [c * k for c in truth])
+        assert_zp_tail(k * mu, [c * k for c in truth])
+    elif kind == "neg":
+        assert_zp_tail(-mu, [-c for c in truth])
+    elif kind == "coproduct":
+        if box is not None and box > degree and not mu.exact_tail:
+            with pytest.raises(PrecisionExhausted):
+                mu.coproduct(box)
+            return
+        delta, want = mu.coproduct(box), coproduct_oracle(truth)
+        assert delta.degree == (degree if box is None else box)
+        assert delta.coeffs == residues(
+            {q: c for q, c in want.items() if sum(q) < delta.degree}, mod
+        )
+    elif kind in ("mahler", "mahler_difference"):
+        exact = doc["exact_tail"]
+        if box is not None and any(c % mod for c in cs[box:]):
+            with pytest.raises(PreconditionError):
+                MahlerFn.from_coeffs(p, cs, prec, exact_tail=exact, tail_cert=box)
+            return
+        f = MahlerFn.from_coeffs(p, cs, prec, exact_tail=exact, tail_cert=box)
+        if kind == "mahler":
+            assert_mahler_tail(f, cs)
+        else:
+            k = abs(k) % (len(cs) + 3)
+            assert_mahler_tail(f.finite_difference(k), mahler_difference_oracle(cs, k))
+    else:
+        depth, terms = abs(k) % 3, dict(enumerate(cs))
+        exact = doc["exact_tail"] or kind == "unif_basis"
+        cert = None if exact else [(Fraction(0), 1)]
+        f = UnifFn(p, prec, depth, terms, decay_cert=cert, exact_tail=exact)
+        want = {Fraction(key, p**depth): c for key, c in terms.items()}
+        if kind == "unif_json":
+            f = UnifFn.from_json(json.loads(json.dumps(f.to_json())))
+        elif kind == "unif_pullback":
+            f, want = pullback_rescale(f), {q / p: c for q, c in want.items()}
+        elif kind == "unif_basis":
+            q = Fraction(len(terms), p**depth)
+            f, want = UnifFn.basis(p, q, prec), {q: 1}
+        assert f.exact_tail == exact
+        assert_unif_terms(f, want)
