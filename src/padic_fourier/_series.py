@@ -21,7 +21,7 @@ import operator
 from array import array
 from fractions import Fraction
 
-from .errors import ParseError, PreconditionError
+from .errors import ParseError, PreconditionError, PrimeMismatch, UncertifiedTailError
 from .padic import SExponent, json_field, json_int, vp_int
 
 
@@ -376,6 +376,45 @@ def equal(a, b, bound, mod):
         for k in a.keys() | b.keys()
         if bound is None or k < bound
     )
+
+
+def pairings(fns, mus, fview, mview):
+    """Σ_k b_k a_k for every function and measure: rows of (shift, residue,
+    bound), the value p^shift·residue mod p^bound.  ``fview(f)`` is (coeffs,
+    prec, floors), floors None for an exact tail or (at, beyond): ``at(k)``
+    floors the valuation of the omitted coefficient at key k, ``beyond(q)``
+    of all those from exponent q on.  ``mview(mu)`` is (coeffs, prec, shift,
+    key bound, degree): residues, p^-shift times the coefficients below the
+    key bound, and from ``degree`` on only valuation >= shift, both None for
+    an exact tail.  A term unknown on one side costs the other's valuation."""
+    if len(ps := {x.p for x in (*fns, *mus)}) > 1:
+        raise PrimeMismatch("function and measure primes differ")
+    p, views = ps.pop() if ps else None, [mview(mu) for mu in mus]
+    index = {}  # key -> [(measure, residue)]: each sum is a join
+    for j, (mc, *_) in enumerate(views):
+        for k, a in mc.items():
+            index.setdefault(k, []).append((j, a))
+    rows = []
+    for fc, fprec, floors in map(fview, fns):
+        totals = [0] * len(views)
+        for k, b in fc.items():
+            for j, a in index.get(k, ()):
+                totals[j] += b * a
+        row = []
+        for total, (mc, mprec, shift, kbound, degree) in zip(totals, views):
+            prec = bound = fprec if fprec < mprec else mprec  # all for two exact tails
+            if kbound is not None:
+                bound = min([bound] + [vp_int(b, p) for k, b in fc.items() if k >= kbound])
+            if floors is not None:
+                at, beyond = floors
+                bound = min([bound] + [at(k) + vp_int(a, p) for k, a in mc.items() if k not in fc])
+                bound = bound if degree is None else min(bound, beyond(degree))
+            # crossing terms that leave no digit from p^0 on certify nothing
+            if bound < prec and bound < 1 - shift:
+                raise UncertifiedTailError("the boxes do not jointly certify the pairing tail")
+            row.append((shift, total % p**prec if total else 0, shift + bound))
+        rows.append(row)
+    return rows
 
 
 def substitute(coeffs, x, zero, one):

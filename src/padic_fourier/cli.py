@@ -33,7 +33,13 @@ from .errors import (
     PreconditionError,
     PrimeMismatch,
 )
-from .fourier import UnifFn, forward_transform, forward_transform_diracs, integrate_unif
+from .fourier import (
+    UnifFn,
+    forward_transform,
+    forward_transform_diracs,
+    integrate_unif,
+    integrate_unif_matrix,
+)
 from .iwasawa import (
     IwasawaElt,
     MahlerFn,
@@ -42,13 +48,14 @@ from .iwasawa import (
     ball_ideal_middle_generators,
     dirac,
     integrate,
+    integrate_matrix,
     intersection_vs_middle_scan,
     mahler_coeffs_by_differences,
     mahler_coeffs_from_samples,
     middle_ideal_valuation,
     ptadic_power_generators,
 )
-from .padic import LowerBound, PadicScalar, SExponent, is_prime, json_int, vp_int
+from .padic import LowerBound, PadicScalar, SExponent, _congruent, is_prime, json_int, vp_int
 from .witt import PerfSeries, teichmuller
 
 
@@ -438,32 +445,32 @@ def _cmd_orthocheck(pr):
     if mode == "zp":
         imax = _int(pr.get("imax", 30), "--imax")
         prec = _prec(pr, 20)
+        if imax < 0:
+            raise PreconditionError(f"imax {imax} < 0")
         ks = range(imax + 1)
         _check_box(len(ks) ** 2)  # one integral per pair
         fns = [MahlerFn.basis(p, i, prec) for i in ks]
         mus = [IwasawaElt.monomial(p, j, prec, imax + 2) for j in ks]
-        integral, keys = integrate, ("i", "j")
+        matrix, keys = integrate_matrix, ("i", "j")
     elif mode == "qp":
         qdepth = _int(pr.get("qdepth", 2), "--qdepth")
         qmax = _frac(pr.get("qmax", 4))
         prec = _prec(pr, 12)
-        if qdepth < 0:
-            raise PreconditionError(f"qdepth {qdepth} < 0")
+        if qdepth < 0 or qmax < 0:
+            raise PreconditionError(f"qdepth {qdepth} or qmax {qmax} < 0")
         ks = range(_cells(p, qdepth, qmax))
         _check_box(len(ks) ** 2)
         fns = [UnifFn.basis(p, Fraction(k, p**qdepth), prec) for k in ks]
         mus = [AinfElt.monomial(p, Fraction(k, p**qdepth), prec, degree=qmax) for k in ks]
-        integral, keys = integrate_unif, ("q1", "q2")
+        matrix, keys = integrate_unif_matrix, ("q1", "q2")
     else:
         raise ParseError(f"unknown orthocheck mode {mode!r}")
-    # the expected values 0 and 1, built only when some pair needs them: an
-    # empty box takes any --prec, where a scalar refuses a negative one
-    expect = [PadicScalar.from_int(p, c, prec) for c in (0, 1)] if ks else []
+    # each entry against the Kronecker delta at its own certified precision
     failures = [
         {keys[0]: i, keys[1]: j}
-        for i, f in enumerate(fns)
-        for j, mu in enumerate(mus)
-        if integral(f, mu) != expect[i == j]
+        for i, row in enumerate(matrix(fns, mus))
+        for j, (shift, total, bound) in enumerate(row)
+        if not _congruent(p, shift, total, 0, i == j, bound)
     ]
     if failures:
         raise InternalConsistencyError(f"orthogonality failed at {failures[:5]}")

@@ -34,12 +34,12 @@ from .padic import (
     json_field,
     json_flag,
     json_int,
-    vp_int,
 )
 
 __all__ = [
     "UnifFn",
     "integrate_unif",
+    "integrate_unif_matrix",
     "forward_transform",
     "forward_transform_diracs",
     "eval_unif",
@@ -167,46 +167,30 @@ class UnifFn(Immutable):
         )
 
 
-def integrate_unif(f: UnifFn, mu: AinfElt) -> PadicScalar:
-    """The pairing Σ_q b_q a_q of a uniform function with a uniform measure.
+def integrate_unif_matrix(fns, mus):
+    """Σ_q b_q a_q for every uniform function and measure, as rows of (shift,
+    residue, bound): p^shift·residue mod p^bound, the measure's shift.  A term
+    outside one side's box is bounded by the other side's certificate, and an
+    unbounded one raises.  Each side moves to the deepest grid once."""
+    m = max((x.depth for x in (*fns, *mus)), default=0)
 
-    Terms where one side is outside its box are bounded by the other
-    side's certificate and folded into the reported precision; an
-    unbounded crossing raises instead of silently truncating.
-    """
-    if f.p != mu.p:
-        raise PrimeMismatch("function and measure primes differ")
-    p = f.p
-    m = max(f.depth, mu.depth)
-    mud = mu.with_depth(m)
-    fk = _series.regrid(f.coeffs, p ** (m - f.depth))
-    grid = Fraction(1, p**m)
-    keybound = _series.key_bound(p, m, mu.degree)
-    prec = min(f.prec, mu.prec)
-    out_prec = prec
-    total = 0
-    mod = p**prec
-    for k, b in fk.items():
-        if keybound is None or k < keybound:
-            a = mud.coeffs.get(k, 0)
-            if a:
-                total = (total + b * a) % mod
-        else:
-            # stored function coefficient against an unknown measure digit
-            out_prec = min(out_prec, vp_int(b, p))
-    if not f.exact_tail:
-        for k, a in mud.coeffs.items():
-            if k not in fk:
-                out_prec = min(
-                    out_prec,
-                    f.decay_floor_beyond(k * grid) + vp_int(a, p) + mu.shift,
-                )
-        if mu.degree is not None:
-            out_prec = min(out_prec, f.decay_floor_beyond(mu.degree))
-    if out_prec < 1:
-        raise UncertifiedTailError("boxes do not jointly certify the pairing tail")
-    value = PadicScalar(p, mu.shift, total, prec)
-    return value.truncate(min(out_prec, value.abs_bound))
+    def fview(f):
+        grid = Fraction(1, f.p**m)
+        floors = (lambda k: f.decay_floor_beyond(k * grid)), f.decay_floor_beyond
+        tail = None if f.exact_tail else floors
+        return _series.regrid(f.coeffs, f.p ** (m - f.depth)), f.prec, tail
+
+    def mview(mu):
+        cs = mu.with_depth(m).coeffs
+        return cs, mu.prec, mu.shift, _series.key_bound(mu.p, m, mu.degree), mu.degree
+
+    return _series.pairings(fns, mus, fview, mview)
+
+
+def integrate_unif(f: UnifFn, mu: AinfElt) -> PadicScalar:
+    """The pairing of a uniform function and measure: ``integrate_unif_matrix`` 1×1."""
+    [[(shift, total, bound)]] = integrate_unif_matrix([f], [mu])
+    return PadicScalar(f.p, shift, total, bound - shift)
 
 
 def forward_transform(mu: AinfElt) -> dict:

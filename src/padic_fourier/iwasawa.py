@@ -65,6 +65,7 @@ __all__ = [
     "mahler_coeffs_by_differences",
     "finite_difference",
     "integrate",
+    "integrate_matrix",
     "eval_mahler",
     "ball_measure",
     "w_valuation",
@@ -682,43 +683,29 @@ def eval_mahler(f, x):
     return f.eval(x)
 
 
-def integrate(f, mu):
-    """The pairing Σ c_n a_n of a function with a measure.
+def integrate_matrix(fns, mus):
+    """The pairing Σ c_n a_n of every function with every measure, as rows
+    of (0, residue, bound), the value mod p^bound.  Crossing terms (a term
+    unknown on one side, possibly nonzero on the other) cost digits, and a
+    pair with none certified is flagged, never silently truncated.  Indices
+    a function omits below its period or tail certificate are zero."""
 
-    Crossing terms (a coefficient unknown on one side, possibly nonzero
-    on the other) are folded into the reported precision; if nothing can
-    be certified the tail is flagged instead of silently truncated.
-    """
-    if f.p != mu.p:
-        raise PrimeMismatch("function and measure primes differ")
-    p = f.p
-    prec = min(f.prec, mu.prec)
-    mod = p**prec
-    total = 0
-    out_prec = prec
-    for n, c in f.coeffs.items():
-        if n < mu.degree:
-            a = mu.coeffs[n]
-            if a:
-                total = (total + c * a) % mod
-        elif not mu.exact_tail:
-            # stored coefficient against an unknown measure digit
-            out_prec = min(out_prec, vp_int(c, p))
-    if not f.exact_tail:
-        start = f.period if f.period is not None else f.tail_cert
-        for n in range(start, mu.degree):
-            if n in f.coeffs:
-                continue
-            a = mu.coeffs[n]
-            av = vp_int(a, p) if a else mu.prec
-            out_prec = min(out_prec, f.tail_floor_at(n) + av)
-        if not mu.exact_tail:
-            out_prec = min(out_prec, f.tail_floor_at(max(start, mu.degree)))
-    if out_prec < 1:
-        raise UncertifiedTailError(
-            "neither the degree bound nor the tail certificate covers the pairing"
-        )
-    return PadicScalar(p, 0, total, out_prec)
+    def fview(f):
+        start = f.tail_cert if f.period is None else f.period
+        at = lambda n: f.tail_floor_at(n) if n >= start else _INF
+        return f.coeffs, f.prec, None if f.exact_tail else (at, lambda n: at(max(n, start)))
+
+    def mview(mu):
+        tail = None if mu.exact_tail else mu.degree
+        return _series.sparse(mu.coeffs), mu.prec, 0, tail, tail
+
+    return _series.pairings(fns, mus, fview, mview)
+
+
+def integrate(f, mu):
+    """The pairing of a function with a measure: ``integrate_matrix`` 1×1."""
+    [[(_, total, bound)]] = integrate_matrix([f], [mu])
+    return PadicScalar(f.p, 0, total, bound)
 
 
 # ---------------------------------------------------------------------------

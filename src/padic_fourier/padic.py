@@ -176,6 +176,14 @@ class LowerBound:
         return f">= {self.bound}"
 
 
+def _congruent(p, s, u, t, v, bound):
+    """Whether p^s·u ≡ p^t·v mod p^bound, bound >= min(s, t): the rule of
+    ``PadicScalar`` equality, for callers that hold no scalar."""
+    if s > t:
+        s, u, t, v = t, v, s, u
+    return (u - v * p ** (t - s)) % p ** (bound - s) == 0
+
+
 class PadicScalar(Immutable):
     """An element of Q_p known to absolute precision O(p^(shift+prec)).
 
@@ -330,21 +338,16 @@ class PadicScalar(Immutable):
         return PadicScalar(self.p, self.shift, self.unit, abs_bound - self.shift)
 
     def __eq__(self, other):
-        """Equality at the coarsest common precision: the difference, taken
-        on the grid p^s of the lower shift, vanishes mod p^(bound - s).  An
+        """Equality at the coarsest common precision, by ``_congruent``; an
         int is exact at shift 0, so the bound is this scalar's own."""
-        p = self.p
         if isinstance(other, int):
-            shift, unit, bound = 0, other, self.abs_bound
-        elif isinstance(other, PadicScalar):
-            if p != other.p:
-                return False
-            shift, unit, bound = other.shift, other.unit, min(self.abs_bound, other.abs_bound)
-        else:
+            return _congruent(self.p, self.shift, self.unit, 0, other, self.abs_bound)
+        if not isinstance(other, PadicScalar):
             return NotImplemented
-        s = min(self.shift, shift)
-        diff = self.unit * p ** (self.shift - s) - unit * p ** (shift - s)
-        return diff % p ** (bound - s) == 0
+        return self.p == other.p and _congruent(
+            self.p, self.shift, self.unit, other.shift, other.unit,
+            min(self.abs_bound, other.abs_bound),
+        )
 
     def __hash__(self):
         raise TypeError("PadicScalar equality is precision-relative; not hashable")

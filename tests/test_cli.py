@@ -386,12 +386,63 @@ class TestErrors:
     (["wval", "--p", "2", "--mu", "T^-1"], 3),
     (["ball", "--p", "2", "--mu", "T^-1", "--a", "0", "--h", "0"], 3),
     (["integrate", "--p", "2", "--f", "binom:-1", "--mu", "T"], 3),
+    (["orthocheck", "--p", "2", "--imax", "-1"], 3),
+    (["orthocheck", "--p", "2", "--mode", "qp", "--qmax", "-1"], 3),
+    (["orthocheck", "--p", "2", "--mode", "qp", "--qmax", "0"], 0),
 ])
 def test_flag_values_map_to_documented_exit_codes(capsys, argv, code):
     from padic_fourier.cli import main
 
     assert main(argv) == code
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("mode, off", [
+    ("zp", "{'i': 2, 'j': 5}"), ("qp", "{'q1': 2, 'q2': 5}"),
+])
+def test_orthocheck_reports_a_pair_off_by_a_unit(capsys, monkeypatch, mode, off):
+    # basis function 2 also takes basis function 5's coefficient, so pair
+    # (2, 5) pairs to 1 where the delta is 0, and no other pair moves
+    if mode == "zp":
+        cls, scale, flags = cli.MahlerFn, 1, ["--imax", "6", "--prec", "8"]
+        skew = lambda p, prec: cls(p, prec, {2: 1, 5: 1}, 6, exact_tail=True)
+    else:  # keys k at --qdepth 2 stand for q = k/4
+        cls, scale, flags = cli.UnifFn, 4, ["--qmax", "2"]
+        skew = lambda p, prec: cls(p, prec, 2, {2: 1, 5: 1}, exact_tail=True)
+    basis = cls.basis.__func__
+    monkeypatch.setattr(cls, "basis", classmethod(
+        lambda klass, p, q, prec: skew(p, prec) if q * scale == 2 else basis(klass, p, q, prec)
+    ))
+    assert main(["orthocheck", "--p", "2", "--mode", mode, *flags]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: orthogonality failed at [") and f"[{off}]" in err
+
+
+@pytest.mark.parametrize("argv, cells", [
+    (["orthocheck", "--p", "2", "--imax", "30", "--prec", "20"], 31),
+    (["orthocheck", "--p", "2", "--mode", "qp"], 16),
+], ids=["zp-readme", "qp-default"])
+def test_orthocheck_work_is_linear_in_the_basis(capsys, monkeypatch, argv, cells):
+    # the pairing matrix is one batch: no scalar and no single integral per
+    # pair, so the counts stay O(cells) where the per-pair check made cells²
+    from padic_fourier import fourier, iwasawa
+    from padic_fourier.padic import PadicScalar
+
+    calls = {"scalar": 0, "integral": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(PadicScalar, "__init__", counted("scalar", PadicScalar.__init__))
+    for mod, name in [(iwasawa, "integrate"), (fourier, "integrate_unif"),
+                      (cli, "integrate"), (cli, "integrate_unif")]:
+        monkeypatch.setattr(mod, name, counted("integral", getattr(mod, name)))
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["checked"] == cells**2
+    assert calls["integral"] == 0 and calls["scalar"] <= cells
 
 
 @pytest.mark.parametrize("argv, doc", [

@@ -1,20 +1,31 @@
+import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from padic_fourier import _series
 from padic_fourier.ainf import AinfElt, dirac_q, rescale_pushforward
-from padic_fourier.errors import UncertifiedTailError
+from padic_fourier.errors import PrimeMismatch, UncertifiedTailError
 from padic_fourier.fourier import (
     UnifFn,
     eval_unif,
     forward_transform,
     forward_transform_diracs,
     integrate_unif,
+    integrate_unif_matrix,
     pullback_rescale,
 )
-from padic_fourier.iwasawa import IwasawaElt, MahlerFn, integrate
-from padic_fourier.padic import PadicScalar, SExponent, comb_int
+from padic_fourier.iwasawa import (
+    IwasawaElt,
+    MahlerFn,
+    integrate,
+    integrate_matrix,
+    mahler_coeffs_from_samples,
+)
+from padic_fourier.padic import PadicScalar, SExponent, _congruent, comb_int, vp_int
 
 
 def quadrature_integral(f, q_prime, level, prec):
@@ -274,3 +285,256 @@ class TestIntegrateEdges:
         assert UnifFn.from_json(doc) == f
         f2 = UnifFn.basis(2, Fraction(1, 2), 5)
         assert UnifFn.from_json(f2.to_json()) == f2
+
+
+# ---------------------------------------------------------------------------
+# Batched pairings on Z_p and Q_p against per-pair oracles
+# ---------------------------------------------------------------------------
+
+
+def integrate_by_pairs(f, mu):
+    """Oracle for ``integrate_matrix``: one pair at a time, every crossing
+    term and tail rule spelled out."""
+    if f.p != mu.p:
+        raise PrimeMismatch("function and measure primes differ")
+    p = f.p
+    prec = min(f.prec, mu.prec)
+    total, out_prec = 0, prec
+    for n, c in f.coeffs.items():
+        if n < mu.degree:
+            total += c * mu.coeffs[n]
+        elif not mu.exact_tail:
+            # stored coefficient against an unknown measure digit
+            out_prec = min(out_prec, vp_int(c, p))
+    if not f.exact_tail:
+        start = f.period if f.period is not None else f.tail_cert
+        for n in range(start, mu.degree):
+            if n in f.coeffs:
+                continue
+            a = mu.coeffs[n]
+            av = vp_int(a, p) if a else mu.prec
+            out_prec = min(out_prec, f.tail_floor_at(n) + av)
+        if not mu.exact_tail:
+            out_prec = min(out_prec, f.tail_floor_at(max(start, mu.degree)))
+    if out_prec < 1:
+        raise UncertifiedTailError("nothing certified")
+    return PadicScalar(p, 0, total, out_prec)
+
+
+def check_matrix_against_oracle(matrix, oracle, fns, mus):
+    """``matrix(fns, mus)`` against ``oracle`` pair by pair: PrimeMismatch for
+    a family of two primes, else UncertifiedTailError when some pair raises
+    it, else every entry the oracle's scalar, and the CLI's per-entry test
+    against 0 and 1 the verdict of ``PadicScalar.__eq__`` and of a zero
+    difference."""
+    if len({x.p for x in (*fns, *mus)}) > 1:
+        with pytest.raises(PrimeMismatch):
+            matrix(fns, mus)
+        return
+    try:
+        want = [[oracle(f, mu) for mu in mus] for f in fns]
+    except UncertifiedTailError:
+        with pytest.raises(UncertifiedTailError):
+            matrix(fns, mus)
+        return
+    got = matrix(fns, mus)
+    assert len(got) == len(fns)
+    for f, row, want_row in zip(fns, got, want):
+        assert len(row) == len(mus)
+        for (shift, total, bound), w in zip(row, want_row):
+            assert PadicScalar(f.p, shift, total, bound - shift).to_json() == w.to_json()
+            for c in (0, 1):
+                assert _congruent(f.p, shift, total, 0, c, bound) == (w == c) == (w - c).is_zero()
+
+
+@st.composite
+def zp_pairing_families(draw):
+    """Functions with exact, plain and period tails and measures with exact
+    and unknown tails, stored indices running past the measures' degrees;
+    now and then one object at another prime."""
+    p = draw(st.sampled_from([2, 3, 5]))
+
+    def function(p):
+        prec = draw(st.integers(1, 6))
+        kind = draw(st.sampled_from(["exact", "plain", "period"]))
+        if kind == "period":
+            M = draw(st.integers(0, 4 if p == 2 else 2))
+            samples = st.integers(0, p**prec)
+            return mahler_coeffs_from_samples(
+                p, draw(st.lists(samples, min_size=p**M, max_size=p**M)), prec=prec
+            )
+        cert = draw(st.integers(1, 14))
+        cs = draw(st.dictionaries(st.integers(0, cert - 1), st.integers(0, p**prec), max_size=4))
+        return MahlerFn(p, prec, cs, cert, exact_tail=kind == "exact")
+
+    def measure(p):
+        prec, degree = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+        cs = draw(st.dictionaries(st.integers(0, degree - 1), st.integers(0, p**prec), max_size=4))
+        return IwasawaElt(
+            p, prec, degree, [cs.get(n, 0) for n in range(degree)], exact_tail=draw(st.booleans())
+        )
+
+    fns = [function(p) for _ in range(draw(st.integers(0, 4)))]
+    mus = [measure(p) for _ in range(draw(st.integers(0, 4)))]
+    if draw(st.integers(0, 9)) == 0:
+        family, make = draw(st.sampled_from([(fns, function), (mus, measure)]))
+        family.append(make(7))
+    return fns, mus
+
+
+@settings(max_examples=300, deadline=None)
+@given(zp_pairing_families())
+@example(([MahlerFn(3, 2, {5: 1}, 6)], [IwasawaElt(3, 2, 4, [1, 1, 1, 1])]))  # uncertified
+@example(([MahlerFn.basis(2, 1, 4)], [IwasawaElt.monomial(3, 1, 4, 3)]))  # two primes
+def test_integrate_matrix_equals_the_per_pair_oracle(family):
+    fns, mus = family
+    check_matrix_against_oracle(integrate_matrix, integrate_by_pairs, fns, mus)
+    if fns and mus:
+        try:
+            want = integrate_by_pairs(fns[0], mus[0]).to_json()
+        except (PrimeMismatch, UncertifiedTailError) as e:
+            with pytest.raises(type(e)):
+                integrate(fns[0], mus[0])
+        else:
+            assert integrate(fns[0], mus[0]).to_json() == want
+
+
+def integrate_unif_by_pairs(f, mu):
+    """Oracle for ``integrate_unif_matrix``: one pair at a time on the pair's
+    own grid.  The measure's coefficients are p^shift times its residues, so
+    every bound counts the shift: the box's own p^(shift + prec), a stored
+    function coefficient against an unknown measure digit, and an omitted
+    function coefficient against a stored or unknown one."""
+    if f.p != mu.p:
+        raise PrimeMismatch("function and measure primes differ")
+    p = f.p
+    m = max(f.depth, mu.depth)
+    mud = mu.with_depth(m)
+    fk = {k * p ** (m - f.depth): b for k, b in f.coeffs.items()}
+    keybound = None if mu.degree is None else math.ceil(mu.degree * p**m)
+    prec = min(f.prec, mu.prec)
+    total, out = 0, mu.shift + prec
+    for k, b in fk.items():
+        if keybound is None or k < keybound:
+            total += b * mud.coeffs.get(k, 0)
+        else:
+            out = min(out, vp_int(b, p) + mu.shift)
+    if not f.exact_tail:
+        for k, a in mud.coeffs.items():
+            if k not in fk:
+                out = min(out, f.decay_floor_beyond(Fraction(k, p**m)) + vp_int(a, p) + mu.shift)
+        if mu.degree is not None:
+            out = min(out, f.decay_floor_beyond(mu.degree) + mu.shift)
+    if out < min(1, mu.shift + prec):  # crossing terms left no digit from p^0 on
+        raise UncertifiedTailError("nothing certified")
+    return PadicScalar(p, mu.shift, total, out - mu.shift)
+
+
+def unif_fn(draw, p, exact=None):
+    """A uniform function on a grid of depth <= 2, its tail exact or under a
+    decay certificate of up to two thresholds."""
+    prec, depth = draw(st.integers(1, 6)), draw(st.integers(0, 2))
+    cs = draw(st.dictionaries(st.integers(0, 3 * p**depth), st.integers(0, p**prec), max_size=4))
+    if draw(st.booleans()) if exact is None else exact:
+        return UnifFn(p, prec, depth, cs, exact_tail=True)
+    cert = draw(st.lists(
+        st.tuples(st.integers(0, 3 * p**2).map(lambda k: Fraction(k, p**2)), st.integers(0, 4)),
+        min_size=1, max_size=2,
+    ))
+    return UnifFn(p, prec, depth, cs, decay_cert=cert)
+
+
+def unif_measure(draw, p, degree=True):
+    """A shifted uniform measure; its degree may be off every p-power grid."""
+    prec, depth = draw(st.integers(1, 6)), draw(st.integers(0, 2))
+    if degree and draw(st.integers(0, 3)):
+        degree = Fraction(draw(st.integers(1, 12)), draw(st.sampled_from([1, 2, 3, 4, 9])))
+    else:
+        degree = None
+    cs = draw(st.dictionaries(st.integers(0, 3 * p**depth), st.integers(0, p**prec), max_size=4))
+    return AinfElt(p, prec, depth, degree, cs, shift=draw(st.integers(-3, 3)))
+
+
+@st.composite
+def qp_pairing_families(draw):
+    p = draw(st.sampled_from([2, 3]))
+    fns = [unif_fn(draw, p) for _ in range(draw(st.integers(0, 4)))]
+    mus = [unif_measure(draw, p) for _ in range(draw(st.integers(0, 4)))]
+    if draw(st.integers(0, 9)) == 0:
+        family, make = draw(st.sampled_from([(fns, unif_fn), (mus, unif_measure)]))
+        family.append(make(draw, 5))
+    return fns, mus
+
+
+@settings(max_examples=300, deadline=None)
+@given(qp_pairing_families())
+@example(([UnifFn(2, 10, 0, {0: 1, 1: 8}, exact_tail=True)],
+          [AinfElt(2, 5, 0, 1, {0: 3}, shift=-3)]))
+# omitted exponents of S come arbitrarily close above the degree 1/3, so the
+# tail floor is the one at 1/3 (1), not at the key bound's 1/2 (3)
+@example(([UnifFn(2, 6, 2, {1: 1}, decay_cert=[(0, 1), (Fraction(1, 2), 3)])],
+          [AinfElt(2, 6, 2, Fraction(1, 3), {1: 1})]))
+def test_integrate_unif_matrix_equals_the_per_pair_oracle(family):
+    fns, mus = family
+    check_matrix_against_oracle(integrate_unif_matrix, integrate_unif_by_pairs, fns, mus)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from([2, 3]))
+def test_shifted_pairing_holds_for_both_tail_realisations(data, p):
+    # a certified pairing agrees, to its precision, with the exact pairing
+    # of every completion of the boxes: here the unknown measure tail at 0
+    # and at p^shift, the omitted function terms at 0 and at p^floor
+    draw = data.draw
+    f = unif_fn(draw, p)
+    mu = unif_measure(draw, p, degree=False)
+    mu = AinfElt(p, mu.prec, mu.depth, Fraction(draw(st.integers(1, 12)), p**mu.depth),
+                 mu.coeffs, shift=mu.shift)
+    try:
+        got = integrate_unif(f, mu)
+    except UncertifiedTailError:
+        return
+    m = max(f.depth, mu.depth)
+    fk = {k * p ** (m - f.depth): b for k, b in f.coeffs.items()}
+    mk = mu.with_depth(m).coeffs
+    kb = _series.key_bound(p, m, mu.degree)
+    keys = set(fk) | set(mk) | set(range(kb, kb + 3))
+    for f_tail in (False, True) if not f.exact_tail else (False,):
+        fc = dict(fk)
+        if f_tail:
+            for k in keys - set(fk):
+                fc[k] = p ** f.decay_floor_beyond(Fraction(k, p**m))
+        for mu_tail in (False, True):
+            mc = dict(mk)
+            if mu_tail:
+                mc.update({k: 1 for k in keys if k >= kb})
+            total = sum(b * mc.get(k, 0) for k, b in fc.items())
+            exact = PadicScalar(p, mu.shift, total, min(f.prec, mu.prec))
+            assert got == exact, (f_tail, mu_tail)
+
+
+class TestShiftedPairing:
+    def test_positive_shift_keeps_its_digits(self, tmp_path, capsys):
+        # 2^2·3·Tt^(1/2) + O(2^7, q >= 1) against (x choose 1/2): the box
+        # certifies O(2^7), the shift plus the five stored digits
+        from padic_fourier.cli import main
+
+        mu = AinfElt(2, 5, 1, 1, {1: 3}, shift=2)
+        assert integrate_unif(UnifFn.basis(2, Fraction(1, 2), 12), mu) == PadicScalar(2, 2, 3, 5)
+        path = tmp_path / "mu.json"
+        path.write_text(json.dumps(mu.to_json()))
+        argv = ["integrate", "--p", "2", "--f", "binom:1/2", "--mu", f"@{path}"]
+        assert main([*argv, "--format", "pretty"]) == 0
+        assert capsys.readouterr().out.strip() == "2^2 * 3 + O(2^7)"
+
+    def test_negative_shift_tail_is_uncertified(self):
+        # a tail coefficient 2^-3 at q = 1 moves the integral by 8 · 2^-3 = 1
+        f = UnifFn(2, 10, 0, {0: 1, 1: 8}, exact_tail=True)
+        with pytest.raises(UncertifiedTailError):
+            integrate_unif(f, AinfElt(2, 5, 0, 1, {0: 3}, shift=-3))
+
+    def test_negative_shift_with_exact_tails_is_certified(self):
+        # no tail to cross: the box's own p^(shift + prec) = 2^-1, below p^0
+        mu = AinfElt(2, 2, 0, None, {0: 3}, shift=-3)
+        out = integrate_unif(UnifFn.constant(2, 1, 8), mu)
+        assert out.abs_bound == -1 and out == PadicScalar(2, -3, 3, 2)
