@@ -86,67 +86,53 @@ class JobSpec:
                 )
 
 
-def max_box_cells():
+def _budget(p, precs, work=0):
+    """Refuse a job that does not fit PADIC_FOURIER_MAX_BOX, read here once
+    per job, before anything is built.  Each (what, n) in ``precs`` is under
+    the precision rule: residues mod p^n take n·bit_length(p) bits, refused
+    past the cap, and p^n may not have more decimal digits than CPython's
+    integer string limit (when set), past which a residue could not be
+    written out.  ``work`` is the job's count of cells, or a function of
+    ``cells(k, scale=1)``, int(scale·p^k), which refuses an exponent k that
+    alone puts the count past the cap before p^k is computed."""
     raw = os.environ.get("PADIC_FOURIER_MAX_BOX", "1000000")
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ParseError(f"PADIC_FOURIER_MAX_BOX={raw!r} is not an integer")
-
-
-def _check_box(cells):
-    cap = max_box_cells()
-    if cells > cap:
-        size = cells if cells.bit_length() <= 64 else f"over 2^{cells.bit_length() - 1}"
-        raise PreconditionError(f"box of {size} cells exceeds PADIC_FOURIER_MAX_BOX={cap}")
-
-
-def _cells(p, k, scale=1):
-    """int(scale * p^k), a count the caller checks against the cap.  When k
-    alone puts it past the cap, it is refused before p^k is computed."""
-    scale, cap = Fraction(scale), max_box_cells()
-    # p^k >= 2^(k (bit_length(p) - 1)) and |scale| >= 1/denominator
-    if scale and k * (p.bit_length() - 1) > (cap * scale.denominator).bit_length():
-        raise PreconditionError(f"{p}^{k} cells exceed PADIC_FOURIER_MAX_BOX={cap}")
-    return int(scale * p**k) if scale else 0
-
-
-def _prec(pr, default):
-    """The --prec flag of the parameters ``pr``, or ``default`` when absent.
-    A residue mod p^prec takes under prec·bit_length(p) bits; more bits than
-    the cap is refused before p^prec is computed."""
-    if "prec" not in pr:
-        return default
-    return _prec_bits(pr["p"], _int(pr["prec"], "--prec"), "--prec")
-
-
-def _prec_bits(p, prec, what):
-    """``prec``, refused when residues mod p^prec take more bits than the
-    cap, or more decimal digits than CPython's integer string limit (when
-    set), past which the result could not be written out."""
-    cap = max_box_cells()
-    if prec * p.bit_length() > cap:
-        raise PreconditionError(f"{what} {prec} exceeds PADIC_FOURIER_MAX_BOX={cap} bits")
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    # p^prec has floor(prec·log10(p)) + 1 decimal digits; p < 2 is refused later
-    if digits and p > 1 and prec * math.log10(p) >= digits:
-        raise PreconditionError(
-            f"{what} {prec} gives residues of more than {digits} decimal digits, "
-            "the integer string limit"
-        )
-    return prec
+    for what, n in precs:
+        if n * p.bit_length() > cap:
+            raise PreconditionError(f"{what} {n} exceeds PADIC_FOURIER_MAX_BOX={cap} bits")
+        # p^n has floor(n·log10(p)) + 1 decimal digits
+        if digits and n * math.log10(p) >= digits:
+            raise PreconditionError(
+                f"{what} {n} gives residues of more than {digits} decimal digits, "
+                "the integer string limit"
+            )
+
+    def cells(k, scale=1):
+        num, den = scale.as_integer_ratio()
+        # p^k >= 2^(k (bit_length(p) - 1)) and |scale| >= 1/den
+        if num and k * (p.bit_length() - 1) > (cap * den).bit_length():
+            raise PreconditionError(f"{p}^{k} cells exceed PADIC_FOURIER_MAX_BOX={cap}")
+        return int(num * p**k // den) if num else 0
+
+    count = work(cells) if callable(work) else work
+    if count > cap:
+        size = count if count.bit_length() <= 64 else f"over 2^{count.bit_length() - 1}"
+        raise PreconditionError(f"job of {size} cells exceeds PADIC_FOURIER_MAX_BOX={cap}")
 
 
-def _load_measure_doc(path, degree=None):
-    """The measure document at ``path``, budgeted before a constructor runs:
-    its "prec" by the --prec rule and, for a Q_p document (``degree`` the
-    --degree bound), its "depth" by the cells of degree·p^depth + 1."""
-    doc = _load_doc(path)
-    p = json_int(doc, "p")
-    _prec_bits(p, json_int(doc, "prec"), 'document "prec"')
-    if degree is not None:  # a negative depth is left for the constructor to refuse
-        _check_box(_cells(p, max(json_int(doc, "depth"), 0), degree) + 1)
-    return doc
+def _prec(pr, default, key="prec"):
+    """The precision flag --``key`` of the parameters ``pr``, or ``default``
+    when absent; a value below 1 is a precondition error."""
+    if key not in pr:
+        return default
+    n = _int(pr[key], f"--{key}")
+    if n < 1:
+        raise PreconditionError(f"--{key} {n} < 1")
+    return n
 
 
 def _int(text, what, sep=None):
@@ -190,74 +176,74 @@ def _frac(text) -> Fraction:
         raise ParseError(f"bad rational {text!r}: {e}")
 
 
-def _parse_measure(p, expr, prec, degree, depth, qp):
-    """The measure ``expr`` on Q_p (an AinfElt) if ``qp``, else on Z_p (an
-    IwasawaElt); its box must fit the cap, and a document's prime be ``p``."""
-    expr = expr.strip()
+def _measures(pr, exprs, prec, qp=None, degree=16, precs=()):
+    """The measures of the flag values ``exprs``, charged with ``precs`` as
+    one job before any is built: on Q_p if ``qp``, on Z_p if ``qp`` is
+    False, else on Q_p when any of them is.  Each ``@file`` is loaded once,
+    its kind read from it (a Q_p document lists "terms"), and its prime
+    must be --p; its "prec" is under the precision rule.  A Z_p measure
+    counts its degree, a Q_p measure degree·p^depth + 1 cells, from its
+    declared depth."""
+    p = pr["p"]
+    exprs = [str(e).strip() for e in exprs]
+    docs = {e: _load_doc(e[1:]) for e in dict.fromkeys(exprs) if e.startswith("@")}
+    if qp is None:
+        qp = any("terms" in docs[e] if e in docs else
+                 e.startswith(("Tt", "diracq:")) or "@depth" in e for e in exprs)
     if qp:
-        degree = _frac(degree)
-        if degree <= 0:  # before a document's depth is counted against it
+        degree = _frac(pr.get("degree", degree))
+        if degree <= 0:  # before a depth is counted against it
             raise PreconditionError("degree bound must be positive")
-        depth = None if depth is None else _int(depth, "--depth")
-        mu = _parse_qp_measure(p, expr, prec, degree, depth)
-        _check_box(_cells(p, mu.depth, degree) + 1)
+        depth = _int(pr["depth"], "--depth") if "depth" in pr else None
     else:
-        mu = _parse_zp_measure(p, expr, prec, _int(degree, "--degree"))
-    if mu.p != p:
-        raise PrimeMismatch(f"{expr!r} is a measure at p = {mu.p}, not {p}")
-    return mu
+        degree = _int(pr.get("degree", degree), "--degree")
 
+    def read(e):
+        """(k, scale, extra, build): ``e`` counts scale·p^k + extra cells."""
+        if e in docs:
+            doc, q = docs[e], json_int(docs[e], "p")
+            if q != p:
+                raise (PrimeMismatch(f"{e!r} is a measure at p = {q}, not {p}")
+                       if is_prime(q) else PreconditionError(f"p = {q} is not prime"))
+            if not qp:
+                return 0, json_int(doc, "degree"), 0, lambda: IwasawaElt.from_json(doc)
+            # a negative depth is left for the loader to refuse
+            return max(json_int(doc, "depth"), 0), degree, 1, lambda: AinfElt.from_json(doc)
+        if not qp:
+            if e in ("1", "T") or e.startswith("T^"):  # 1 is T^0
+                m = _int(e[2:], "monomial") if e.startswith("T^") else int(e == "T")
+                return 0, degree, 0, lambda: IwasawaElt.monomial(p, m, prec, degree)
+            if e.startswith("dirac:"):
+                a = _int(e[6:], "dirac point")
+                return 0, degree, 0, lambda: dirac(a, degree, prec, p=p)
+            raise ParseError(f"cannot parse Z_p measure {e!r}")
+        if e in ("1", "Tt") or e.startswith("Tt^"):  # 1 is Tt^0
+            q = _frac(e[3:]) if e.startswith("Tt^") else Fraction(e == "Tt")
+            k = vp_int(q.denominator, p)
+            return k, degree, 1, lambda: AinfElt.monomial(p, q, prec, degree)
+        if e.startswith("diracq:"):
+            body, at, dd = e[len("diracq:"):].partition("@depth")
+            m = _int(dd, "depth") if at else depth
+            if m is None:
+                raise ParseError("diracq needs @depthM or --depth")
+            s = _frac(body)
+            return m, degree, 1, lambda: dirac_q(p, s, m, prec, degree)
+        raise ParseError(f"cannot parse Q_p measure {e!r}")
 
-def _parse_zp_measure(p, expr, prec, degree):
-    if expr.startswith("@"):
-        doc = _load_measure_doc(expr[1:])
-        _check_box(json_int(doc, "degree"))
-        return IwasawaElt.from_json(doc)
-    _check_box(degree)
-    if expr == "1":
-        return IwasawaElt.one(p, prec, degree)
-    if expr == "T":
-        return IwasawaElt.monomial(p, 1, prec, degree)
-    if expr.startswith("T^"):
-        return IwasawaElt.monomial(p, _int(expr[2:], "monomial"), prec, degree)
-    if expr.startswith("dirac:"):
-        return dirac(_int(expr[6:], "dirac point"), degree, prec, p=p)
-    raise ParseError(f"cannot parse Z_p measure {expr!r}")
-
-
-def _parse_qp_measure(p, expr, prec, degree, depth):
-    if expr.startswith("@"):
-        return AinfElt.from_json(_load_measure_doc(expr[1:], degree))
-    if expr == "1":
-        return AinfElt.one(p, prec, degree)
-    if expr == "Tt":
-        return AinfElt.monomial(p, 1, prec, degree)
-    if expr.startswith("Tt^"):
-        return AinfElt.monomial(p, _frac(expr[3:]), prec, degree)
-    if expr.startswith("diracq:"):
-        body = expr[len("diracq:"):]
-        m = depth
-        if "@depth" in body:
-            body, dd = body.split("@depth", 1)
-            m = _int(dd, "depth")
-        if m is None:
-            raise ParseError("diracq needs @depthM or --depth")
-        _check_box(_cells(p, m, degree) + 1)
-        return dirac_q(p, _frac(body), m, prec, degree)
-    raise ParseError(f"cannot parse Q_p measure {expr!r}")
-
-
-def _is_qp_expr(expr):
-    expr = expr.strip()
-    if expr.startswith("@"):
-        return "terms" in _load_doc(expr[1:])  # a Z_p document lists "coeffs"
-    return expr.startswith(("Tt", "diracq:")) or "@depth" in expr
+    boxes = [read(e) for e in exprs]
+    precs = [("--prec", prec), *precs, *(('document "prec"', json_int(doc, "prec"))
+                                          for doc in docs.values())]
+    _budget(p, precs, lambda cells: sum(cells(k, s) + c for k, s, c, _ in boxes))
+    return [build() for *_, build in boxes]
 
 
 def _parse_function(p, expr, prec):
+    """(qp, build): whether the function ``expr`` is a Q_p function, and a
+    function that builds it."""
     expr = expr.strip()
     if expr.startswith("const:"):
-        return MahlerFn.from_coeffs(p, [_int(expr[6:], "constant")], prec)
+        c = _int(expr[6:], "constant")
+        return False, lambda: MahlerFn.from_coeffs(p, [c], prec)
     if expr.startswith("binom:"):
         body = expr[len("binom:"):]
         depth = 0
@@ -266,13 +252,14 @@ def _parse_function(p, expr, prec):
             depth = _int(dd, "depth")
         q = _frac(body)
         if q.denominator == 1 and depth == 0:
-            return MahlerFn.basis(p, int(q), prec)
-        return UnifFn.basis(p, q, prec)
+            return False, lambda: MahlerFn.basis(p, int(q), prec)
+        return True, lambda: UnifFn.basis(p, q, prec)
     raise ParseError(f"cannot parse function {expr!r}")
 
 
 def _parse_perfseries(p, expr):
-    """The mod-p series ``expr``, summed on its deepest grid in one pass."""
+    """The mod-p series ``expr`` as (depth, coeffs), summed on its deepest
+    grid in one pass."""
     expr = expr.replace(" ", "")
     if expr.startswith("@"):
         raise ParseError("PerfSeries JSON input is not supported inline; use terms")
@@ -298,7 +285,7 @@ def _parse_perfseries(p, expr):
     for q, c in terms:
         k = q.num * p ** (depth - q.logden)
         cs[k] = cs.get(k, 0) + c
-    return PerfSeries(p, depth, None, cs)
+    return depth, cs
 
 
 def _scalar_doc(x: PadicScalar):
@@ -325,8 +312,11 @@ def _cmd_mahler(pr):
     p = pr["p"]
     samples = [_int(s, "sample") for s in str(pr["samples"]).split(",") if s != ""]
     prec = _prec(pr, None)
+    # the difference oracle takes n + 1 residue products in row n
+    m = len(samples)
+    _budget(p, [] if prec is None else [("--prec", prec)], m * (m + 1) // 2)
     f = mahler_coeffs_from_samples(p, samples, prec=prec)
-    coeffs = [f.coeffs.get(n, 0) for n in range(len(samples))]
+    coeffs = [f.coeffs.get(n, 0) for n in range(m)]
     oracle = mahler_coeffs_by_differences(p, samples, f.prec)
     return {
         "p": p,
@@ -338,65 +328,58 @@ def _cmd_mahler(pr):
 
 
 def _cmd_integrate(pr):
-    p = pr["p"]
-    prec = _prec(pr, 12)
-    f, mu_expr = _parse_function(p, str(pr["f"]), prec), str(pr["mu"])
-    qp = isinstance(f, UnifFn) or _is_qp_expr(mu_expr)
-    mu = _parse_measure(p, mu_expr, prec, pr.get("degree", 16), pr.get("depth"), qp)
-    if qp and isinstance(f, MahlerFn):
-        # lift a Z_p basis function to the Q_p side
+    p, prec = pr["p"], _prec(pr, 12)
+    unif, build = _parse_function(p, str(pr["f"]), prec)
+    (mu,) = _measures(pr, [pr["mu"]], prec, qp=unif or None)
+    f = build()
+    if not isinstance(mu, AinfElt):
+        return _scalar_doc(integrate(f, mu))
+    if isinstance(f, MahlerFn):  # lift a Z_p basis function to the Q_p side
         f = UnifFn(p, prec, 0, dict(f.coeffs), exact_tail=True)
-    return _scalar_doc((integrate_unif if qp else integrate)(f, mu))
+    return _scalar_doc(integrate_unif(f, mu))
 
 
 def _cmd_convolve(pr):
-    p = pr["p"]
-    prec = _prec(pr, 8)
-    exprs = str(pr["mu1"]), str(pr["mu2"])
-    qp = any(map(_is_qp_expr, exprs))
-    m1, m2 = (
-        _parse_measure(p, e, prec, pr.get("degree", 16), pr.get("depth"), qp)
-        for e in exprs
-    )
+    m1, m2 = _measures(pr, [pr["mu1"], pr["mu2"]], _prec(pr, 8))
     return _measure_doc(m1 * m2)
 
 
 def _cmd_ball(pr):
-    p = pr["p"]
-    prec = _prec(pr, 8)
-    mu = _parse_measure(p, str(pr["mu"]), prec, pr.get("degree", 16), None, False)
-    return _scalar_doc(mu.ball_measure(_int(pr["a"], "--a"), _int(pr["h"], "--h")))
+    a, h = _int(pr["a"], "--a"), _int(pr["h"], "--h")
+    (mu,) = _measures(pr, [pr["mu"]], _prec(pr, 8), qp=False, precs=[("--h", h)])
+    return _scalar_doc(mu.ball_measure(a, h))
 
 
 def _cmd_wval(pr):
-    expr = str(pr["mu"])
-    prec = _prec(pr, 8)
-    mu = _parse_measure(
-        pr["p"], expr, prec, pr.get("degree", 16), pr.get("depth"), _is_qp_expr(expr)
-    )
+    (mu,) = _measures(pr, [pr["mu"]], _prec(pr, 8))
     return _wval_doc(mu.w_valuation())
 
 
 def _cmd_dirac(pr):
-    p = pr["p"]
-    prec = _prec(pr, 8)
+    p, prec = pr["p"], _prec(pr, 8)
     if "s" in pr:
-        depth = _int(pr.get("depth", 0), "--depth")
+        s, depth = _frac(pr["s"]), _int(pr.get("depth", 0), "--depth")
         degree = _frac(pr.get("degree", 4))
-        _check_box(_cells(p, depth, degree) + 1)
-        return _measure_doc(dirac_q(p, _frac(pr["s"]), depth, prec, degree))
-    degree = _int(pr.get("degree", 16), "--degree")
-    _check_box(degree)
-    return _measure_doc(dirac(_int(pr["a"], "--a"), degree, prec, p=p))
+        _budget(p, [("--prec", prec)], lambda cells: cells(depth, degree) + 1)
+        return _measure_doc(dirac_q(p, s, depth, prec, degree))
+    a, degree = _int(pr["a"], "--a"), _int(pr.get("degree", 16), "--degree")
+    _budget(p, [("--prec", prec)], degree)
+    return _measure_doc(dirac(a, degree, prec, p=p))
 
 
 def _cmd_teich(pr):
-    p = pr["p"]
-    digits = _int(pr.get("digits", 3), "--digits")
-    x = _parse_perfseries(p, str(pr["x"]))
-    if "degree" in pr:
-        x = PerfSeries(p, x.depth, _frac(pr["degree"]), dict(x.coeffs))
-    return _measure_doc(teichmuller(x, digits))
+    p, digits = pr["p"], _prec(pr, 3, "digits")
+    depth, cs = _parse_perfseries(p, str(pr["x"]))
+    degree = _frac(pr["degree"]) if "degree" in pr else None
+    top = max(cs, default=0)
+    # the result's box, of residues mod p^digits: the support, whose top key k
+    # grows to k·p^(digits-1) in the power undoing the root steps, its last
+    # product the largest; under a degree bound, degree·p^depth keys once per
+    # squaring of that power
+    _budget(p, [("--digits", digits)], lambda cells: digits * (
+        cells(digits - 1, top) + 1 if degree is None
+        else cells(depth, degree) * (math.ceil((digits - 1) * math.log2(p)) + 1)))
+    return _measure_doc(teichmuller(PerfSeries(p, depth, degree, cs), digits))
 
 
 def _cmd_mucan(pr):
@@ -405,7 +388,18 @@ def _cmd_mucan(pr):
     prec = _prec(pr, 4)
     depth = _int(pr.get("depth", stage), "--depth")
     degree = _frac(pr.get("degree", 2))
-    _check_box(_cells(p, depth, degree) + 1)
+
+    def work(cells):
+        # the box once per product: of the p^stage-th power (square and
+        # multiply) and, at a depth past the stage, of the powers of T_n that
+        # L(T_n) sums, (prec + ⌈degree⌉)/w + 1 for w(T_n) >= min(1/p^stage, degree)
+        box, e = cells(depth, degree) + 1, cells(stage)
+        steps = e.bit_length() - 1 + e.bit_count()
+        if depth > stage >= 0 and degree > 0:
+            steps += math.ceil((prec + math.ceil(degree)) / min(Fraction(1, e), degree)) + 1
+        return box * steps
+
+    _budget(p, [("--prec", prec)], work)
     return _measure_doc(canonical_measure(p, stage, depth, prec, degree))
 
 
@@ -419,18 +413,20 @@ def _cmd_fourier(pr):
         for part in str(pr["combo"]).split(","):
             c, s = _int(part, "--combo term", "@")
             combo.append((c, _frac(s)))
-        n, bits = _cells(p, qdepth, qmax) + 1, prec * p.bit_length()
+        bits = prec * p.bit_length()
         # one binomial per exponent and term, its block products costing
         # about bits^2·log(bits): 4-5 times as much per doubling of --prec;
         # a point whose denominator is not a power of p has ends of random
         # digits, (p-1)/2 blocks of each size per level: timed at 4-16 times
         units = sum(p ** vp_int(s.denominator, p) != s.denominator for _, s in combo)
-        _check_box(n * (len(combo) + 15 * units) * max(1, bits * bits * bits.bit_length() // 640))
-        qs = [SExponent(p, k, qdepth) for k in range(n)]
+        weight = (len(combo) + 15 * units) * max(1, bits * bits * bits.bit_length() // 640)
+        _budget(p, [("--prec", prec)], lambda cells: (cells(qdepth, qmax) + 1) * weight)
+        n = int(qmax * p**qdepth) if qmax else 0  # no power past the cap at qmax 0
+        qs = [SExponent(p, k, qdepth) for k in range(n + 1)]
         out = forward_transform_diracs(p, combo, qs, prec)
     else:
-        degree, depth = pr.get("degree", 4), pr.get("depth")
-        out = forward_transform(_parse_measure(p, str(pr["mu"]), prec, degree, depth, True))
+        (mu,) = _measures(pr, [pr["mu"]], prec, qp=True, degree=4)
+        out = forward_transform(mu)
     return {
         "coefficients": [
             {"q": q.to_json(), "value": v.to_json()}
@@ -447,8 +443,8 @@ def _cmd_orthocheck(pr):
         prec = _prec(pr, 20)
         if imax < 0:
             raise PreconditionError(f"imax {imax} < 0")
+        _budget(p, [("--prec", prec)], (imax + 1) ** 2)  # one pairing per (i, j)
         ks = range(imax + 1)
-        _check_box(len(ks) ** 2)  # one integral per pair
         fns = [MahlerFn.basis(p, i, prec) for i in ks]
         mus = [IwasawaElt.monomial(p, j, prec, imax + 2) for j in ks]
         matrix, keys = integrate_matrix, ("i", "j")
@@ -458,8 +454,8 @@ def _cmd_orthocheck(pr):
         prec = _prec(pr, 12)
         if qdepth < 0 or qmax < 0:
             raise PreconditionError(f"qdepth {qdepth} or qmax {qmax} < 0")
-        ks = range(_cells(p, qdepth, qmax))
-        _check_box(len(ks) ** 2)
+        _budget(p, [("--prec", prec)], lambda cells: cells(qdepth, qmax) ** 2)
+        ks = range(int(qmax * p**qdepth) if qmax else 0)  # as in fourier
         fns = [UnifFn.basis(p, Fraction(k, p**qdepth), prec) for k in ks]
         mus = [AinfElt.monomial(p, Fraction(k, p**qdepth), prec, degree=qmax) for k in ks]
         matrix, keys = integrate_unif_matrix, ("q1", "q2")
@@ -485,13 +481,12 @@ def _cmd_idealcheck(pr):
     scan = str(pr.get("scan", "bounded"))
     if scan not in ("off", "bounded", "full"):
         raise ParseError(f"unknown scan {scan!r}; expected off, bounded or full")
-    pN = _cells(p, N)
-    degree = p * pN + 1
     # the cap counts a membership test for each of the 2(p^N + 1) + N + 2
     # generators below at each of N + 2 radii, over the p^(N+1) + 1 degrees
     # of their box; the rows behind those tests, T^m for m <= p^N on the
     # radii h <= N, cost (p^N + 1)·Σ_(h <= N) p^h once, within that count
-    _check_box((2 * (pN + 1) + N + 2) * (N + 2) * degree)
+    _budget(p, [], lambda cells: (2 * (cells(N) + 1) + N + 2) * (N + 2) * (p * cells(N) + 1))
+    pN = p**N
     lists = (
         ptadic_power_generators(p, N),
         ball_ideal_equal_generators(p, N),

@@ -495,6 +495,8 @@ class MahlerFn(Immutable):
     def __init__(self, p, prec, coeffs, tail_cert, exact_tail=False, period=None):
         if not is_prime(p):
             raise PreconditionError(f"p = {p} is not prime")
+        if prec < 1:
+            raise PreconditionError(f"prec {prec} < 1")
         mod = p**prec
         cs = {}
         for n, c in coeffs.items():

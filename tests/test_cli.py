@@ -322,11 +322,15 @@ class TestErrors:
         ["idealcheck", "--p", "3", "--N", "100000000"],
         ["orthocheck", "--p", "3", "--mode", "qp", "--qdepth", "100000000"],
         ["dirac", "--p", "2", "--s", "1", "--depth", "2", "--degree", "9" * 4300],
+        ["teich", "--p", "2", "--x", "1 + t", "--digits", "20"],
+        ["mahler", "--p", "2", "--samples", ",".join(["1", "0"] * 8192)],
+        ["ball", "--p", "3", "--mu", "T", "--a", "0", "--h", "4000000"],
         *([job[0], "--p", "3", *job[1:], "--prec", "100000000"] for job in _PREC_JOBS),
     ], ids=["orthocheck-zp", "orthocheck-qp", "idealcheck-p7-N3", "idealcheck-p3-N5",
             "dirac-depth-15000", "mucan-depth-1e8", "wval-diracq-depth-1e8",
             "fourier-qdepth-1e8", "idealcheck-N-1e8", "orthocheck-qdepth-1e8",
-            "dirac-degree-4300-digits",
+            "dirac-degree-4300-digits", "teich-digits-20", "mahler-16384-samples",
+            "ball-h-4e6",
             *("-".join(a.lstrip("-") for a in job[:2]) + "-prec-1e8" for job in _PREC_JOBS)])
     def test_check_commands_are_budgeted(self, args):
         # with no budget the first four ran past 4 s (idealcheck) or 8 s
@@ -334,13 +338,27 @@ class TestErrors:
         # power p^k, which ran for seconds or put more than 4300 digits into
         # the error text, as the 4300-digit degree's cell count still would;
         # of the --prec jobs, wval and integrate ran past a 10 s timeout
-        # computing p^prec
+        # computing p^prec; with no charge at all teich ran 3.7 s at 18 digits
+        # (about 7 times as long per two digits), mahler's difference oracle
+        # 31 s on 16384 samples, and ball 2.3 s computing 3^4000000
         start = time.monotonic()
         out = run_cli(args, timeout=10)
         assert time.monotonic() - start < 5
         assert out.returncode == 3
         assert "PADIC_FOURIER_MAX_BOX" in out.stderr
         assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("args", [
+        ["fourier", "--p", "3", "--combo", "1@0", "--qmax", "0", "--qdepth", "100000000"],
+        ["orthocheck", "--p", "3", "--mode", "qp", "--qmax", "0", "--qdepth", "100000000"],
+    ], ids=["fourier", "orthocheck-qp"])
+    def test_zero_qmax_skips_the_power(self, args):
+        # qmax·p^qdepth is 0, so no job needs 3^100000000, a power of about
+        # 160 million bits
+        start = time.monotonic()
+        out = run_cli(args, timeout=10)
+        assert time.monotonic() - start < 5
+        assert out.returncode == 0
 
     def test_prec_jobs_cover_every_command_with_prec(self):
         assert {argv[0] for argv in _PREC_JOBS} == {
@@ -389,11 +407,14 @@ class TestErrors:
     (["orthocheck", "--p", "2", "--imax", "-1"], 3),
     (["orthocheck", "--p", "2", "--mode", "qp", "--qmax", "-1"], 3),
     (["orthocheck", "--p", "2", "--mode", "qp", "--qmax", "0"], 0),
+    # a document measure has its own precision, so --prec reached only the
+    # function: 0 printed 0 + O(3^0), -2 failed in the scalar constructor
+    (["integrate", "--p", "3", "--f", "binom:2", "--mu", "DOC", "--prec", "0"], 3),
+    (["integrate", "--p", "3", "--f", "binom:2", "--mu", "DOC", "--prec", "-2"], 3),
 ])
-def test_flag_values_map_to_documented_exit_codes(capsys, argv, code):
-    from padic_fourier.cli import main
-
-    assert main(argv) == code
+def test_flag_values_map_to_documented_exit_codes(capsys, tmp_path, argv, code):
+    doc = _doc_arg(tmp_path, {"p": 3, "prec": 4, "degree": 4, "coeffs": [1, 2, 3]})
+    assert main([doc if a == "DOC" else a for a in argv]) == code
     capsys.readouterr()
 
 
@@ -565,11 +586,13 @@ class TestMeasureDocuments:
         (["dirac", "--p", "2", "--a", "-1", "--degree", "4", "--prec", "14000"], 0),
         (["dirac", "--p", "2", "--a", "-1", "--degree", "4", "--prec", "15000"], 3),
         (["wval", "--p", "2", "--mu", "DOC"], 3),
-    ], ids=["prec-14000", "prec-15000", "document-prec-15000"])
+        (["teich", "--p", "5", "--x", "3*t", "--digits", "7000"], 3),
+    ], ids=["prec-14000", "prec-15000", "document-prec-15000", "teich-digits-7000"])
     def test_prec_past_the_integer_string_limit_exits_3(self, tmp_path, args, code):
         # 2^15000 - 1 has 4516 decimal digits, past CPython's default limit
         # of 4300, and writing such a residue out ended in a ValueError
-        # traceback (exit 1); 2^14000 - 1 has 4215 and is still written
+        # traceback (exit 1); 2^14000 - 1 has 4215 and is still written, and
+        # 5^7000 has 4893, which teich --digits wrote out in that traceback
         doc = _doc_arg(tmp_path, {"p": 2, "prec": 15000, "degree": 4, "coeffs": [0, 1]})
         args = [doc if a == "DOC" else a for a in args]
         out = run_cli(args, env={"PYTHONINTMAXSTRDIGITS": "4300"}, timeout=30)
@@ -580,7 +603,7 @@ class TestMeasureDocuments:
 
     def test_no_integer_string_limit_leaves_prec_to_the_bit_cap(self, monkeypatch):
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
-        assert cli._prec_bits(2, 15000, "--prec") == 15000
+        assert cli._budget(2, [("--prec", 15000)]) is None
 
 
 class TestLargePrimes:
@@ -634,15 +657,119 @@ class TestCommandTable:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_readme_cli_examples_run(capsys):
-    """Every line of the ``sh`` block under ``## CLI`` in the README exits 0."""
+def _readme_cli_lines():
+    """The lines of the ``sh`` block under ``## CLI`` in the README."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = [line for line in block.splitlines() if line.strip()]
     assert lines
+    return lines
+
+
+def test_readme_cli_examples_run(capsys):
+    """Every line of the ``sh`` block under ``## CLI`` in the README exits 0."""
+    lines = _readme_cli_lines()
     failed = {line: code for line in lines if (code := main(shlex.split(line)[1:])) != 0}
     capsys.readouterr()
     assert not failed
+
+
+class _Built(Exception):
+    """A library builder was used: the job got past its charge."""
+
+
+class _Unbuilt:
+    """Stands in for a library builder; any call or attribute raises _Built."""
+
+    def __call__(self, *args, **kwargs):
+        raise _Built
+
+    def __getattr__(self, name):
+        raise _Built
+
+
+@pytest.fixture
+def unbuilt(monkeypatch):
+    """Every name cli imports from the series and transform layers stubbed by
+    an _Unbuilt, so a job raises _Built once its charge admits it."""
+    from padic_fourier import ainf, artin_hasse, fourier, iwasawa, witt
+
+    layers = {m.__name__ for m in (ainf, artin_hasse, fourier, iwasawa, witt)}
+    names = [n for n, v in vars(cli).items() if getattr(v, "__module__", None) in layers]
+    assert {"teichmuller", "mahler_coeffs_from_samples", "IwasawaElt", "AinfElt"} <= set(names)
+    for name in names:
+        monkeypatch.setattr(cli, name, _Unbuilt())
+
+
+def _charged(monkeypatch, capsys, argv, cap):
+    """(exit code, stderr) of ``main(argv)`` under PADIC_FOURIER_MAX_BOX=cap."""
+    monkeypatch.setenv("PADIC_FOURIER_MAX_BOX", cap)
+    code = main(argv)
+    return code, capsys.readouterr().err
+
+
+def test_readme_cli_examples_are_charged_before_anything_is_built(capsys, monkeypatch, unbuilt):
+    """Under a cap of 1 every README example exits 3 and names the cap, and
+    none uses a library builder first: every charge comes before the build."""
+    for line in _readme_cli_lines():
+        code, err = _charged(monkeypatch, capsys, shlex.split(line)[1:], "1")
+        assert code == 3 and "PADIC_FOURIER_MAX_BOX=1" in err, (line, err)
+
+
+@pytest.mark.parametrize("argv, cap, admitted", [
+    # the --prec 12 mucan jobs planned for the benchmark
+    (["mucan", "--p", "5", "--stage", "5", "--prec", "12"], "1000000", True),
+    (["mucan", "--p", "2", "--stage", "10", "--prec", "12"], "1000000", True),
+    (["mucan", "--p", "11", "--stage", "3", "--prec", "12"], "1000000", True),
+    # 3994 cells and 1 s: it fit the fuzz cap while mucan counted cells alone
+    (["mucan", "--p", "11", "--stage", "3", "--prec", "12", "--degree", "3"], "4000", False),
+    # 322103 cells, past 100 s: L(T_0) sums 15 powers of T_0 over the box
+    (["mucan", "--p", "11", "--stage", "0", "--depth", "5", "--prec", "12"], "1000000", False),
+    # exact support: 2^15 + 1 terms (0.5 s), then 2^17 + 1 (3.7 s)
+    (["teich", "--p", "2", "--x", "1 + t", "--digits", "16"], "1000000", True),
+    (["teich", "--p", "2", "--x", "1 + t", "--digits", "18"], "1000000", False),
+    # 400 keys squared 1999 times: 0.5 s at 100 digits, past four minutes at 2000
+    (["teich", "--p", "2", "--x", "1 + t", "--digits", "2000", "--degree", "400"], "1000000", False),
+    # the difference oracle: 0.17 s at 1024 samples, 0.64 s at 2048
+    (["mahler", "--p", "2", "--samples", ",".join("1" * 1024)], "1000000", True),
+    (["mahler", "--p", "2", "--samples", ",".join("1" * 2048)], "1000000", False),
+], ids=["mucan-p5-s5", "mucan-p2-s10", "mucan-p11-s3", "mucan-p11-s3-d3-fuzz-cap", "mucan-p11-m5",
+        "teich-digits-16", "teich-digits-18", "teich-degree-400", "mahler-1024", "mahler-2048"])
+def test_work_counts_admit_and_refuse(capsys, monkeypatch, unbuilt, argv, cap, admitted):
+    if admitted:
+        with pytest.raises(_Built):
+            _charged(monkeypatch, capsys, argv, cap)
+    else:
+        code, err = _charged(monkeypatch, capsys, argv, cap)
+        assert code == 3 and f"PADIC_FOURIER_MAX_BOX={cap}" in err, err
+
+
+@pytest.mark.parametrize("args", [
+    ["wval", "--mu", "@zp"],
+    ["wval", "--mu", "@qp"],
+    ["integrate", "--f", "binom:1", "--mu", "@qp"],
+    ["convolve", "--mu1", "@zp", "--mu2", "@zp2"],
+    ["convolve", "--mu1", "@qp", "--mu2", "@qp2"],
+    ["convolve", "--mu1", "@qp", "--mu2", "@qp"],
+], ids=["wval-zp", "wval-qp", "integrate-qp", "convolve-zp", "convolve-qp", "convolve-same"])
+def test_each_measure_document_is_read_once(capsys, monkeypatch, tmp_path, args):
+    # the kind test and the reader each loaded a document, and convolve
+    # loaded both of its documents twice
+    term = {"q": {"num": 1, "logden": 0}, "coeff": 5}
+    docs = {"zp": ZP_DOC, "zp2": {**ZP_DOC, "coeffs": [3, 1]},
+            "qp": QP_DOC, "qp2": {**QP_DOC, "terms": [*QP_DOC["terms"], term]}}
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    reads = []
+
+    def counted_open(path, *rest):
+        reads.append(path)
+        return open(path, *rest)
+
+    monkeypatch.setattr(cli, "open", counted_open, raising=False)
+    argv = [args[0], "--p", "2", *(f"@{tmp_path / a[1:]}" if a[:1] == "@" else a for a in args[1:])]
+    assert main(argv) == 0, capsys.readouterr().err
+    assert sorted(reads) == sorted({a[1:] for a in argv if a[:1] == "@"})
 
 
 def test_readme_cli_examples_run_without_numpy(capsys, monkeypatch):
@@ -725,10 +852,13 @@ def _argvs(draw):
     return argv
 
 
-# The deadline stays above the slowest job under a 4000-cell box, mucan at
-# p=11 stage 3 prec 12 degree 3 (1.0-1.4 s in process on a 2-CPU machine):
-# mucan's box counts cells, not the work per cell
-@settings(max_examples=200, deadline=timedelta(seconds=30))
+# The slowest job this vocabulary gets past a cap of 4000 is fourier --combo
+# 1@3/4 at p=2 qdepth 9 prec 12, 0.11 s in process on a shared 2-CPU machine
+# (a grid over the numeric flags of every command).  mucan at p=11 stage 3
+# degree 3 prec 12 (1.0 s) and at stage 0 depth 3 (0.5 s) no longer fit: its
+# count takes the products of its powers, not the cells alone.  The deadline
+# leaves a loaded machine about twenty times that job
+@settings(max_examples=200, deadline=timedelta(seconds=2))
 @given(argv=_argvs())
 @example(argv=["wval", "--p", "2", "--mu", "diracq:1/2", "--depth", "2"])
 @example(argv=["idealcheck", "--p", "2", "--N", "-1"])
@@ -840,6 +970,7 @@ def _in_jobs(draw):
            "terms": [{"q": {"num": 1, "logden": 3}, "coeff": 1}]}))
 @example((["wval", "--p", "2", "--in", "{in}"], {"mu": "@{mu}", "degree": 10**9, "depth": 10**9},
           {"p": 1, "prec": 4, "depth": 10**9, "degree": None, "terms": []}))
+@example((["orthocheck", "--p", "2", "--in", "{in}"], {"imax": 2**70}, {}))  # len(range) overflowed
 def test_fuzzed_json_documents_exit_with_a_documented_code(job):
     """Any --in document and @file measure document, whatever the types of
     their values, exits 0, 2, 3, 4 or 5 without an escaping exception."""
@@ -963,6 +1094,11 @@ def test_readme_job_never_imports_argparse():
     assert out.stderr == "[]\n"
 
 
+def _parsed_perfseries(p, expr):
+    depth, cs = cli._parse_perfseries(p, expr)
+    return PerfSeries(p, depth, None, cs)
+
+
 def perfseries_fold_oracle(p, expr):
     """``teich --x`` read one monomial at a time: each sum rebuilds the
     series, so it is quadratic in the number of terms."""
@@ -1021,7 +1157,7 @@ def _perfseries_exprs(draw):
 @example((5, "3 + 2 + t^5/5"))  # repeated constants; t^5/5 is t
 def test_perfseries_parse_matches_monomial_fold(case):
     p, expr = case
-    got, want = cli._parse_perfseries(p, expr), perfseries_fold_oracle(p, expr)
+    got, want = _parsed_perfseries(p, expr), perfseries_fold_oracle(p, expr)
     assert (got.depth, got.degree, got.coeffs) == (want.depth, want.degree, want.coeffs)
     assert str(got) == str(want) and got.to_json() == want.to_json()
 
@@ -1031,7 +1167,7 @@ def test_perfseries_parse_matches_monomial_fold(case):
 ])
 def test_perfseries_parse_fails_as_the_fold_does(p, expr):
     with pytest.raises(PadicFourierError) as got:
-        cli._parse_perfseries(p, expr)
+        _parsed_perfseries(p, expr)
     if expr.startswith("@"):
         return
     with pytest.raises(PadicFourierError) as want:
@@ -1044,7 +1180,7 @@ def test_perfseries_parse_is_linear_in_the_terms():
     # per term, took 0.77 s at 2000 terms, and 4000 take four times that
     expr = " + ".join(f"{1 + i % 2}*t^{i}/9" for i in range(1, 4001))
     start = time.perf_counter()
-    x = cli._parse_perfseries(3, expr)
+    x = _parsed_perfseries(3, expr)
     assert time.perf_counter() - start < 0.5
     assert len(x.coeffs) == 4000
 

@@ -116,6 +116,13 @@ class TestMahler:
         with pytest.raises(PreconditionError):
             mahler_coeffs_from_samples(3, [1, 2, 3, 4])
 
+    @pytest.mark.parametrize("prec", [0, -3])
+    def test_precision_below_1_is_refused(self, prec):
+        # as IwasawaElt and UnifFn refuse it; prec -3 made the modulus 2**-3,
+        # a float, and the coefficient was dropped
+        with pytest.raises(PreconditionError):
+            MahlerFn.basis(2, 3, prec)
+
     def test_periodic_eval_reduces_argument(self):
         samples = [1, 0, 0, 1, 0, 0, 1, 0, 0]
         f = mahler_coeffs_from_samples(3, samples)
