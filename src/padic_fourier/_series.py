@@ -39,9 +39,10 @@ def key_bound(p, depth, degree):
     return None if degree is None else math.ceil(degree * p**depth)
 
 
-def truncate(p, depth, degree, coeffs, mod):
-    """The box rule, as (depth, coeffs): the nonzero residues mod ``mod`` of
-    the terms below ``degree``, on the coarsest grid that holds every key."""
+def truncate(p, depth, degree, coeffs, mod, zeros=False):
+    """The box rule, as (depth, coeffs): the residues mod ``mod`` of the terms
+    below ``degree``, nonzero unless ``zeros`` keeps each key given as known,
+    on the coarsest grid that holds every key."""
     bound = key_bound(p, depth, degree)
     out = {}
     for k, c in coeffs.items():
@@ -50,7 +51,7 @@ def truncate(p, depth, degree, coeffs, mod):
         if bound is not None and k >= bound:
             continue
         c %= mod
-        if c:
+        if c or zeros:
             out[k] = c
     if depth:
         g = math.gcd(*out)  # 0 when no key, or key 0 alone, is left
@@ -404,7 +405,7 @@ def pairings(fns, mus, fview, mview):
         for total, (mc, mprec, shift, kbound, degree) in zip(totals, views):
             prec = bound = fprec if fprec < mprec else mprec  # all for two exact tails
             if kbound is not None:
-                bound = min([bound] + [vp_int(b, p) for k, b in fc.items() if k >= kbound])
+                bound = min([bound] + [vp_int(b, p) for k, b in fc.items() if k >= kbound and b])
             if floors is not None:
                 at, beyond = floors
                 bound = min([bound] + [at(k) + vp_int(a, p) for k, a in mc.items() if k not in fc])

@@ -38,7 +38,7 @@ from .padic import (
     PadicScalar,
     SExponent,
     _as_sexponent,
-    is_prime,
+    _modulus,
     json_field,
     json_int,
     vp_int,
@@ -59,20 +59,14 @@ class AinfElt(Immutable):
     __slots__ = ("p", "prec", "depth", "degree", "shift", "coeffs")
 
     def __init__(self, p, prec, depth, degree, coeffs, shift=0):
-        if not is_prime(p):
-            raise PreconditionError(f"p = {p} is not prime")
-        if prec < 1 or depth < 0:
-            raise PreconditionError("box needs prec >= 1 and depth >= 0")
+        mod = _modulus(p, prec)
+        if depth < 0:
+            raise PreconditionError("box needs depth >= 0")
         degree = None if degree is None else Fraction(degree)
         if degree is not None and degree <= 0:
             raise PreconditionError("degree bound must be positive")
-        depth, cs = _series.truncate(p, depth, degree, coeffs, p**prec)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "prec", prec)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "coeffs", cs)
+        depth, cs = _series.truncate(p, depth, degree, coeffs, mod)
+        self._set(p=p, prec=prec, depth=depth, degree=degree, shift=shift, coeffs=cs)
 
     @classmethod
     def _new(cls, p, prec, depth, degree, coeffs, shift=0):
@@ -106,12 +100,8 @@ class AinfElt(Immutable):
             raise PreconditionError("cannot coarsen the exponent grid")
         f = self.p ** (depth - self.depth)
         elt = object.__new__(type(self))
-        object.__setattr__(elt, "p", self.p)
-        object.__setattr__(elt, "prec", self.prec)
-        object.__setattr__(elt, "depth", depth)
-        object.__setattr__(elt, "degree", self.degree)
-        object.__setattr__(elt, "shift", self.shift)
-        object.__setattr__(elt, "coeffs", _series.regrid(self.coeffs, f))
+        elt._set(p=self.p, prec=self.prec, depth=depth, degree=self.degree,
+                 shift=self.shift, coeffs=_series.regrid(self.coeffs, f))
         return elt
 
     def _pair(self, other):
@@ -205,9 +195,6 @@ class AinfElt(Immutable):
         return _series.equal(
             ca, cb, _series.key_bound(self.p, depth, degree), self.p**prec
         )
-
-    def __hash__(self):
-        raise TypeError(f"{type(self).__name__} equality is box-relative; not hashable")
 
     # -- valuation and reduction -------------------------------------------
 

@@ -31,7 +31,7 @@ from .errors import (
     InternalConsistencyError,
     PreconditionError,
 )
-from .padic import Immutable, is_prime
+from .padic import Immutable, _modulus
 from .witt import PerfSeries
 
 __all__ = [
@@ -59,8 +59,7 @@ class PIntegralSeries(Immutable):
     __slots__ = ("p", "degree", "coeffs")
 
     def __init__(self, p, degree, coeffs):
-        if not is_prime(p):
-            raise PreconditionError(f"p = {p} is not prime")
+        _modulus(p)
         if degree < 1:
             raise PreconditionError("degree must be >= 1")
         cs = tuple(Fraction(c) for c in coeffs[:degree]) + (Fraction(0),) * max(
@@ -71,9 +70,7 @@ class PIntegralSeries(Immutable):
                 raise InternalConsistencyError(
                     f"coefficient of T^{n} = {c} is not p-integral"
                 )
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", cs)
+        self._set(p=p, degree=degree, coeffs=cs)
 
     def __add__(self, other):
         d = min(self.degree, other.degree)
@@ -122,9 +119,6 @@ class PIntegralSeries(Immutable):
             return NotImplemented
         d = min(self.degree, other.degree)
         return self.p == other.p and self.coeffs[:d] == other.coeffs[:d]
-
-    def __hash__(self):
-        raise TypeError("PIntegralSeries is not hashable")
 
     def __repr__(self):
         return f"PIntegralSeries(p={self.p}, degree={self.degree})"

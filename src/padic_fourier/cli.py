@@ -55,7 +55,7 @@ from .iwasawa import (
     middle_ideal_valuation,
     ptadic_power_generators,
 )
-from .padic import LowerBound, PadicScalar, SExponent, _congruent, is_prime, json_int, vp_int
+from .padic import LowerBound, PadicScalar, SExponent, _congruent, _modulus, json_int, vp_int
 from .witt import PerfSeries, teichmuller
 
 
@@ -203,8 +203,8 @@ def _measures(pr, exprs, prec, qp=None, degree=16, precs=()):
         if e in docs:
             doc, q = docs[e], json_int(docs[e], "p")
             if q != p:
-                raise (PrimeMismatch(f"{e!r} is a measure at p = {q}, not {p}")
-                       if is_prime(q) else PreconditionError(f"p = {q} is not prime"))
+                _modulus(q)  # a document at no prime is refused as such
+                raise PrimeMismatch(f"{e!r} is a measure at p = {q}, not {p}")
             if not qp:
                 return 0, json_int(doc, "degree"), 0, lambda: IwasawaElt.from_json(doc)
             # a negative depth is left for the loader to refuse
@@ -392,12 +392,15 @@ def _cmd_mucan(pr):
     def work(cells):
         # the box once per product: of the p^stage-th power (square and
         # multiply) and, at a depth past the stage, of the powers of T_n that
-        # L(T_n) sums, (prec + ⌈degree⌉)/w + 1 for w(T_n) >= min(1/p^stage, degree)
+        # L(T_n) sums, (prec + ⌈degree⌉)/w + 1 for w(T_n) >= min(1/p^stage, degree);
+        # a packed product of bits > 2^14 costs about bits^1.58, so it counts
+        # (bits/2^14)^0.58 times: a linear count admitted jobs of 8-11 s
         box, e = cells(depth, degree) + 1, cells(stage)
         steps = e.bit_length() - 1 + e.bit_count()
         if depth > stage >= 0 and degree > 0:
             steps += math.ceil((prec + math.ceil(degree)) / min(Fraction(1, e), degree)) + 1
-        return box * steps
+        bits = min(box * prec * p.bit_length(), 1 << 64)  # a float holds it
+        return int(box * steps * Fraction(max(1, bits / 2**14) ** 0.58))
 
     _budget(p, [("--prec", prec)], work)
     return _measure_doc(canonical_measure(p, stage, depth, prec, degree))
@@ -551,8 +554,7 @@ def run(job: JobSpec) -> dict:
     params = {**_load_doc(job.in_path), **job.params} if job.in_path else dict(job.params)
     JobSpec(job.command, params, fmt=job.fmt).validate()
     params["p"] = _int(params.get("p"), "--p")
-    if not is_prime(params["p"]):
-        raise PreconditionError(f"p = {params['p']} is not prime")
+    _modulus(params["p"])
     return _COMMANDS[job.command][0](params)
 
 

@@ -29,8 +29,8 @@ from .padic import (
     PadicScalar,
     SExponent,
     _as_sexponent,
+    _modulus,
     gen_binomial,
-    is_prime,
     json_field,
     json_flag,
     json_int,
@@ -63,11 +63,12 @@ class UnifFn(Immutable):
     __slots__ = ("p", "prec", "depth", "coeffs", "decay_cert", "exact_tail")
 
     def __init__(self, p, prec, depth, coeffs, decay_cert=None, exact_tail=False):
-        if not is_prime(p):
-            raise PreconditionError(f"p = {p} is not prime")
-        if prec < 1 or depth < 0:
-            raise PreconditionError("need prec >= 1 and depth >= 0")
-        depth, cs = _series.truncate(p, depth, None, coeffs, p**prec)
+        mod = _modulus(p, prec)
+        if depth < 0:
+            raise PreconditionError("need depth >= 0")
+        # a coefficient given is known mod p^prec, 0 included: no certificate
+        # may charge it as omitted
+        depth, cs = _series.truncate(p, depth, None, coeffs, mod, zeros=True)
         if not exact_tail:
             if not decay_cert:
                 raise PreconditionError(
@@ -78,12 +79,8 @@ class UnifFn(Immutable):
             )
         else:
             decay_cert = ()
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "prec", prec)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "coeffs", cs)
-        object.__setattr__(self, "decay_cert", decay_cert)
-        object.__setattr__(self, "exact_tail", bool(exact_tail))
+        self._set(p=p, prec=prec, depth=depth, coeffs=cs, decay_cert=decay_cert,
+                  exact_tail=bool(exact_tail))
 
     @classmethod
     def basis(cls, p, q, prec):
@@ -119,9 +116,6 @@ class UnifFn(Immutable):
             None,
             self.p ** min(self.prec, other.prec),
         )
-
-    def __hash__(self):
-        raise TypeError("UnifFn is not hashable")
 
     def __repr__(self):
         return (
@@ -247,8 +241,8 @@ def eval_unif(f: UnifFn, x: PadicScalar, target_prec=None) -> PadicScalar:
         raise UncertifiedTailError("decay certificate certifies no digits")
     acc = PadicScalar.zero(p, out_prec)
     for q, b in f.items_sexp():
-        basis_val = gen_binomial(x, q, out_prec)
-        acc = acc + basis_val * b
+        if b:
+            acc = acc + gen_binomial(x, q, out_prec) * b
     return acc.truncate(min(out_prec, acc.abs_bound))
 
 

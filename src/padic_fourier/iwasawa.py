@@ -46,8 +46,8 @@ from .padic import (
     Immutable,
     LowerBound,
     PadicScalar,
+    _modulus,
     binomial_row_tracked,
-    is_prime,
     json_field,
     json_flag,
     json_int,
@@ -98,11 +98,9 @@ class IwasawaElt(Immutable):
     def __init__(self, p, prec, degree, coeffs, exact_tail=False):
         mod = _box(p, prec, degree)
         cs = [c % mod for c in coeffs]
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "prec", prec)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", tuple(cs[:degree]) + (0,) * (degree - len(cs)))
-        object.__setattr__(self, "exact_tail", bool(exact_tail) and not any(cs[degree:]))
+        self._set(p=p, prec=prec, degree=degree,
+                  coeffs=tuple(cs[:degree]) + (0,) * (degree - len(cs)),
+                  exact_tail=bool(exact_tail) and not any(cs[degree:]))
 
     # -- constructors --------------------------------------------------
 
@@ -190,9 +188,6 @@ class IwasawaElt(Immutable):
             _series.sparse(self.coeffs), _series.sparse(other.coeffs), degree, self.p**prec
         )
 
-    def __hash__(self):
-        raise TypeError("IwasawaElt equality is box-relative; not hashable")
-
     # -- measure-theoretic operations ---------------------------------------
 
     def ball_tail_floor(self, h):
@@ -222,7 +217,7 @@ class IwasawaElt(Immutable):
                 f"degree bound {self.degree} certifies nothing at radius p^-{h}"
             )
         if not hasattr(self, "_balls"):
-            object.__setattr__(self, "_balls", {})
+            self._set(_balls={})
         if h not in self._balls:
             self._balls[h] = _series.ball_residues(self.coeffs, self.p**h, self.p**self.prec)
         return self._balls[h], out_prec
@@ -348,11 +343,10 @@ class IwasawaElt(Immutable):
 
 def _box(p, prec, degree):
     """p^prec, once the box (p^prec, degree) of a Z_p series is checked."""
-    if not is_prime(p):
-        raise PreconditionError(f"p = {p} is not prime")
-    if prec < 1 or degree < 1:
-        raise PreconditionError("box needs prec >= 1 and degree >= 1")
-    return p**prec
+    mod = _modulus(p, prec)
+    if degree < 1:
+        raise PreconditionError("box needs degree >= 1")
+    return mod
 
 
 def _common_box(a, b):
@@ -430,10 +424,7 @@ class BivariateSeries(Immutable):
                 c %= mod
                 if c:
                     cs[(i, j)] = c
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "prec", prec)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", cs)
+        self._set(p=p, prec=prec, degree=degree, coeffs=cs)
 
     def _keyed(self, d):
         return {(i + j) * d + i: c for (i, j), c in self.coeffs.items() if i + j < d}
@@ -466,9 +457,6 @@ class BivariateSeries(Immutable):
             self._keyed(d), other._keyed(d), None, self.p ** min(self.prec, other.prec)
         )
 
-    def __hash__(self):
-        raise TypeError("BivariateSeries is not hashable")
-
     def __repr__(self):
         return f"BivariateSeries(p={self.p}, prec={self.prec}, degree={self.degree})"
 
@@ -493,11 +481,7 @@ class MahlerFn(Immutable):
     __slots__ = ("p", "prec", "coeffs", "tail_cert", "exact_tail", "period")
 
     def __init__(self, p, prec, coeffs, tail_cert, exact_tail=False, period=None):
-        if not is_prime(p):
-            raise PreconditionError(f"p = {p} is not prime")
-        if prec < 1:
-            raise PreconditionError(f"prec {prec} < 1")
-        mod = p**prec
+        mod = _modulus(p, prec)
         cs = {}
         for n, c in coeffs.items():
             c %= mod
@@ -505,12 +489,8 @@ class MahlerFn(Immutable):
                 if n >= tail_cert:
                     raise PreconditionError("stored coefficient beyond the tail certificate")
                 cs[n] = c
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "prec", prec)
-        object.__setattr__(self, "coeffs", cs)
-        object.__setattr__(self, "tail_cert", tail_cert)
-        object.__setattr__(self, "exact_tail", bool(exact_tail))
-        object.__setattr__(self, "period", period)
+        self._set(p=p, prec=prec, coeffs=cs, tail_cert=tail_cert,
+                  exact_tail=bool(exact_tail), period=period)
 
     @classmethod
     def basis(cls, p, n, prec):
@@ -609,9 +589,6 @@ class MahlerFn(Immutable):
         return _series.equal(
             self.coeffs, other.coeffs, None, self.p ** min(self.prec, other.prec)
         )
-
-    def __hash__(self):
-        raise TypeError("MahlerFn is not hashable")
 
     def __repr__(self):
         return (

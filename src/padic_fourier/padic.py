@@ -70,7 +70,7 @@ def vp_int(n: int, p: int) -> int:
     if n == 0:
         raise ValueError("valuation of 0 is unbounded")
     if p < 2:
-        raise PreconditionError(f"p = {p} is not prime")
+        _modulus(p)  # raises: no prime is below 2
     if n % p:
         return 0
     n //= p
@@ -144,14 +144,30 @@ def json_flag(doc, key):
     return value
 
 
+def _modulus(p, prec=1):
+    """p^prec, once p is checked prime and prec >= 1: the one check of the
+    prime and the coefficient precision of every value type's box."""
+    if not is_prime(p):
+        raise PreconditionError(f"p = {p} is not prime")
+    if prec < 1:
+        raise PreconditionError(f"box needs prec >= 1, not {prec}")
+    return p**prec
+
+
 class Immutable:
-    """Base of the value types: an instance refuses assignment, so a
-    constructor sets its slots through ``object.__setattr__``."""
+    """Base of the value types: an instance refuses assignment, and its
+    constructor sets its slots once, through ``_set``.  A type that defines
+    ``__eq__`` and no ``__hash__`` is unhashable, as its equality is up to
+    its box."""
 
     __slots__ = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _set(self, **slots):
+        for name, value in slots.items():
+            object.__setattr__(self, name, value)
 
 
 class LowerBound:
@@ -196,21 +212,17 @@ class PadicScalar(Immutable):
     __slots__ = ("p", "shift", "unit", "prec")
 
     def __init__(self, p: int, shift: int, unit: int, prec: int):
-        if not is_prime(p):
-            raise PreconditionError(f"p = {p} is not prime")
+        _modulus(p)  # a scalar may carry prec 0
         if prec < 0:
             raise PreconditionError("prec must be >= 0")
-        unit %= p**prec if prec > 0 else 1
+        unit %= p**prec
         if unit == 0:
             shift, prec = shift + prec, 0
         else:
             v = vp_int(unit, p)
             if v:
                 shift, prec, unit = shift + v, prec - v, unit // p**v
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "prec", prec)
+        self._set(p=p, shift=shift, unit=unit, prec=prec)
 
     # -- constructors -------------------------------------------------
 
@@ -349,9 +361,6 @@ class PadicScalar(Immutable):
             min(self.abs_bound, other.abs_bound),
         )
 
-    def __hash__(self):
-        raise TypeError("PadicScalar equality is precision-relative; not hashable")
-
     # -- presentation ---------------------------------------------------
 
     def __repr__(self):
@@ -388,9 +397,7 @@ class SExponent(Immutable):
             if strip:
                 num //= p**strip
                 logden -= strip
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "logden", logden)
+        self._set(p=p, num=num, logden=logden)
 
     @classmethod
     def from_fraction(cls, p: int, value) -> "SExponent":

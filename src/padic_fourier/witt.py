@@ -124,8 +124,7 @@ class WittElt(Immutable):
         for d in digits:
             if not isinstance(d, PerfSeries) or d.p != p:
                 raise PreconditionError("digits must be PerfSeries over the same p")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "digits", digits)
+        self._set(p=p, digits=digits)
 
     def __eq__(self, other):
         if not isinstance(other, WittElt):
@@ -133,9 +132,6 @@ class WittElt(Immutable):
         return self.p == other.p and len(self.digits) == len(other.digits) and all(
             a == b for a, b in zip(self.digits, other.digits)
         )
-
-    def __hash__(self):
-        raise TypeError("WittElt is not hashable")
 
     def __repr__(self):
         return f"WittElt(p={self.p}, digits={len(self.digits)})"

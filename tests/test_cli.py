@@ -317,6 +317,8 @@ class TestErrors:
         ["idealcheck", "--p", "3", "--N", "5"],
         ["dirac", "--p", "2", "--s", "1", "--depth", "15000"],
         ["mucan", "--p", "2", "--stage", "1", "--depth", "100000000"],
+        ["mucan", "--p", "2", "--stage", "14", "--prec", "12"],
+        ["mucan", "--p", "11", "--stage", "0", "--depth", "4", "--prec", "12"],
         ["wval", "--p", "2", "--mu", "diracq:1@depth100000000"],
         ["fourier", "--p", "2", "--combo", "1@1/2", "--qdepth", "100000000"],
         ["idealcheck", "--p", "3", "--N", "100000000"],
@@ -327,7 +329,8 @@ class TestErrors:
         ["ball", "--p", "3", "--mu", "T", "--a", "0", "--h", "4000000"],
         *([job[0], "--p", "3", *job[1:], "--prec", "100000000"] for job in _PREC_JOBS),
     ], ids=["orthocheck-zp", "orthocheck-qp", "idealcheck-p7-N3", "idealcheck-p3-N5",
-            "dirac-depth-15000", "mucan-depth-1e8", "wval-diracq-depth-1e8",
+            "dirac-depth-15000", "mucan-depth-1e8", "mucan-p2-stage-14",
+            "mucan-p11-depth-4", "wval-diracq-depth-1e8",
             "fourier-qdepth-1e8", "idealcheck-N-1e8", "orthocheck-qdepth-1e8",
             "dirac-degree-4300-digits", "teich-digits-20", "mahler-16384-samples",
             "ball-h-4e6",
@@ -340,7 +343,8 @@ class TestErrors:
         # of the --prec jobs, wval and integrate ran past a 10 s timeout
         # computing p^prec; with no charge at all teich ran 3.7 s at 18 digits
         # (about 7 times as long per two digits), mahler's difference oracle
-        # 31 s on 16384 samples, and ball 2.3 s computing 3^4000000
+        # 31 s on 16384 samples, and ball 2.3 s computing 3^4000000; under a
+        # count linear in the box the two mucan jobs took 8-11 s
         start = time.monotonic()
         out = run_cli(args, timeout=10)
         assert time.monotonic() - start < 5

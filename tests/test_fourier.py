@@ -279,6 +279,14 @@ class TestIntegrateEdges:
         out2 = integrate_unif(f, mu_exact)
         assert out2.abs_bound == 4 and out2.residue(4) == 5
 
+    def test_stored_zero_is_not_charged_as_omitted(self):
+        # 16 is 0 mod 2^4, yet known: the decay floor 0 of the omitted
+        # coefficients must not reach the measure's term at q = 1
+        f = UnifFn(2, 4, 0, {0: 1, 1: 16}, decay_cert=[(0, 0)])
+        out = integrate_unif(f, AinfElt(2, 6, 0, None, {0: 1, 1: 1}))
+        assert out.abs_bound == 4 and out == PadicScalar(2, 0, 1, 4)
+        assert f.coeffs == {0: 1, 1: 0}
+
     def test_json_round_trip(self):
         f = UnifFn(3, 6, 1, {1: 2, 4: 5}, decay_cert=[(Fraction(2), 6)])
         doc = f.to_json()
@@ -417,7 +425,7 @@ def integrate_unif_by_pairs(f, mu):
     for k, b in fk.items():
         if keybound is None or k < keybound:
             total += b * mud.coeffs.get(k, 0)
-        else:
+        elif b:  # a stored 0 is known to O(p^prec), which ``out`` holds
             out = min(out, vp_int(b, p) + mu.shift)
     if not f.exact_tail:
         for k, a in mud.coeffs.items():

@@ -569,7 +569,7 @@ def test_bivariate_equality_matches_box_oracle(pair, noise):
 # -- immutability ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("value", [
+VALUES = pytest.mark.parametrize("value", [
     PadicScalar(2, 0, 1, 3),
     SExponent(2, 3, 1),
     IwasawaElt.one(2, 3, 3),
@@ -581,12 +581,27 @@ def test_bivariate_equality_matches_box_oracle(pair, noise):
     UnifFn(2, 3, 0, {0: 1}, exact_tail=True),
     WittElt(2, [PerfSeries(2, 0, None, {0: 1})]),
 ], ids=lambda value: type(value).__name__)
+
+
+@VALUES
 @pytest.mark.parametrize("name", ["p", "extra"])
 def test_value_types_refuse_assignment(value, name):
     before = value.p
     with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
         setattr(value, name, 7)
     assert value.p == before and not hasattr(value, "extra")
+
+
+@VALUES
+def test_value_types_are_unhashable_but_exponents(value):
+    # equality is up to a box or a precision, so equal values may differ in
+    # their digits: no hash can agree with it.  An exponent is exact and
+    # keys the forward transform's result.
+    if isinstance(value, SExponent):
+        assert {value: 1}[SExponent(2, 6, 2)] == 1
+    else:
+        with pytest.raises(TypeError):
+            hash(value)
 
 
 # -- JSON terms on the 1/p^depth grid ----------------------------------------
