@@ -22,7 +22,7 @@ from array import array
 from fractions import Fraction
 
 from .errors import ParseError, PreconditionError, PrimeMismatch, UncertifiedTailError
-from .padic import SExponent, json_field, json_int, vp_int
+from .padic import LowerBound, SExponent, json_field, json_int, vp_int
 
 
 def degree_min(a, b):
@@ -453,8 +453,32 @@ def exponents(p, depth, coeffs):
     on the 1/p^depth grid is the exponent num/p^logden in lowest terms."""
     pows = [p**v for v in range(depth + 1)]
     for k in sorted(coeffs):
-        v = 0 if k % p else min(vp_int(k, p), depth) if k else depth
+        v = 0 if not depth or k % p else min(vp_int(k, p), depth) if k else depth
         yield k // pows[v], depth - v, coeffs[k]
+
+
+def w_valuation(p, depth, shift, prec, degree, coeffs):
+    """w = min_q v_p(a_q) + q of p^shift · Σ c_k X^(k/p^depth), known mod
+    (p^(shift+prec), q >= degree), degree None for an exact tail: the least
+    stored term, a Fraction, if no omitted one can lie below it, else a
+    LowerBound of the omitted terms' floor shift + min(prec, degree)."""
+    den = p**depth
+    best = min((vp_int(c, p) * den + k for k, c in coeffs.items()), default=None)
+    floor = prec if degree is None else min(prec, degree)
+    if best is not None and best <= floor * den:
+        return shift + Fraction(best, den)
+    return LowerBound(shift + floor)
+
+
+def render(p, depth, coeffs, var, coef=str):
+    """The terms as text in ascending exponent order: the constant as
+    ``coef(c)``, any other term as its monomial in ``var``, preceded by
+    ``coef(c)·`` unless that reads 1; "0" for no terms."""
+    parts = []
+    for n, e, c in exponents(p, depth, coeffs):
+        c, mono = coef(c), f"{var}^{n}/{p**e}" if e else var if n == 1 else f"{var}^{n}"
+        parts.append(c if not n else mono if c == "1" else f"{c}·{mono}")
+    return " + ".join(parts) or "0"
 
 
 def encode_terms(p, depth, coeffs):

@@ -41,7 +41,6 @@ from .padic import (
     _modulus,
     json_field,
     json_int,
-    vp_int,
 )
 
 __all__ = [
@@ -200,18 +199,7 @@ class AinfElt(Immutable):
 
     def w_valuation(self):
         """w(Σ a_q Tt^q) = min_q v_p(a_q) + q, or a lower-bound marker."""
-        grid = Fraction(1, self.p**self.depth)
-        best = None
-        for k, c in self.coeffs.items():
-            v = self.shift + vp_int(c, self.p) + k * grid
-            if best is None or v < best:
-                best = v
-        floor = Fraction(self.shift + self.prec)
-        if self.degree is not None:
-            floor = min(floor, self.shift + self.degree)
-        if best is not None and best <= floor:
-            return best
-        return LowerBound(floor if best is None else min(floor, best))
+        return _series.w_valuation(self.p, self.depth, self.shift, self.prec, self.degree, self.coeffs)
 
     def w_floor(self):
         """The valuation if resolved, else the certified lower bound."""
@@ -237,13 +225,8 @@ class AinfElt(Immutable):
         )
 
     def __str__(self):
-        parts = []
-        for n, e, c in _series.exponents(self.p, self.depth, self.coeffs):
-            c_str = f"{self.p}^{self.shift}·{c}" if self.shift else str(c)
-            mono = f"Tt^{n}/{self.p**e}" if e else "Tt" if n == 1 else f"Tt^{n}"
-            term = mono if c == 1 and not self.shift else f"{c_str}·{mono}"
-            parts.append(c_str if n == 0 else term)
-        body = " + ".join(parts) if parts else "0"
+        coef = (lambda c: f"{self.p}^{self.shift}·{c}") if self.shift else str
+        body = _series.render(self.p, self.depth, self.coeffs, "Tt", coef)
         dstr = "inf" if self.degree is None else str(self.degree)
         return f"{body} + O({self.p}^{self.shift + self.prec}, q>={dstr})"
 

@@ -319,9 +319,11 @@ def pi_element(p, depth, prec, degree):
     valuation -i above the precision floor; every omitted term lies in
     the box ideal, which may force the reported degree below the request
     (down to p^(i_max + 1) - 1) and the reported precision to
-    depth + 1 + i_max.  Coefficients of the i >= 1 terms are not
-    p-integral, so the element carries a global shift; the element-level
-    invariant w >= 0 replaces coefficient-wise integrality here.
+    depth + 1 + i_max.  So Tt^1 (i = 0) is stored only if the reported
+    degree exceeds 1, which at p = 2 needs degree > 2.  Coefficients of the
+    i >= 1 terms are not p-integral, so the element carries a global shift;
+    the element-level invariant w >= 0 replaces coefficient-wise
+    integrality here.
     """
     degree = Fraction(degree)
     if degree <= 1:
@@ -333,23 +335,9 @@ def pi_element(p, depth, prec, degree):
     prec_eff = min(prec, depth + 1 + i_max)
     if prec_eff < 1:
         raise BoxExhausted("box cannot certify any digit of the pi series")
-    shift = -i_max
-    mod = p**prec_eff
-    cs = {}
-    scale = p**depth
-    for i in range(i_max, -depth - 1, -1):
-        c = p ** (i_max - i)
-        if c % mod == 0:
-            continue
-        if i >= 0:
-            key = p**i * scale
-        else:
-            key = p ** (depth + i)
-        if Fraction(key, scale) >= deg_eff:
-            continue
-        cs[key] = c % mod
-    out = AinfElt(p, prec_eff, depth, deg_eff, cs, shift=shift)
-    w = out.w_floor()
-    if w < 0:
+    # Tt^(p^i) is key p^(depth+i); AinfElt's box rule drops the terms outside
+    cs = {p ** (depth + i): p ** (i_max - i) for i in range(-depth, i_max + 1)}
+    out = AinfElt(p, prec_eff, depth, deg_eff, cs, shift=-i_max)
+    if out.w_floor() < 0:
         raise InternalConsistencyError("pi series must satisfy w >= 0")
     return out

@@ -390,17 +390,24 @@ def _cmd_mucan(pr):
     degree = _frac(pr.get("degree", 2))
 
     def work(cells):
-        # the box once per product: of the p^stage-th power (square and
-        # multiply) and, at a depth past the stage, of the powers of T_n that
-        # L(T_n) sums, (prec + ⌈degree⌉)/w + 1 for w(T_n) >= min(1/p^stage, degree);
-        # a packed product of bits > 2^14 costs about bits^1.58, so it counts
-        # (bits/2^14)^0.58 times: a linear count admitted jobs of 8-11 s
-        box, e = cells(depth, degree) + 1, cells(stage)
-        steps = e.bit_length() - 1 + e.bit_count()
+        # k packed products of n residues mod p^e count k·words^1.58/100, slots
+        # of 2·e·bit_length(p) + bit_length(n) bits as mul_mod sizes them: the
+        # box's p^stage-th power; past the stage, the powers of T_n that L(T_n)
+        # sums, (prec + ⌈degree⌉)/w + 1 for w(T_n) >= min(1/p^stage, degree);
+        # L's Newton solve to as many terms (else to the box), a p-th power at
+        # each level i = 1..g mod p^(prec+i), p^(g+1) >= terms
+        def products(k, n, e):  # n in [0, 2^64]: a box of degree <= 0 is empty
+            n = min(max(n, 0), 1 << 64)  # and a float holds the size
+            return k * Fraction((n * (2 * e * p.bit_length() + n.bit_length()) / 64) ** 1.58)
+
+        box, e, k = cells(depth, degree) + 1, cells(stage), p - 2
+        count, terms = products(e.bit_length() - 1 + e.bit_count(), box, prec), box
         if depth > stage >= 0 and degree > 0:
-            steps += math.ceil((prec + math.ceil(degree)) / min(Fraction(1, e), degree)) + 1
-        bits = min(box * prec * p.bit_length(), 1 << 64)  # a float holds it
-        return int(box * steps * Fraction(max(1, bits / 2**14) ** 0.58))
+            terms = math.ceil((prec + math.ceil(degree)) / min(Fraction(1, e), degree)) + 1
+            count += products(min(terms, box), box, prec)  # a power past the box is 0
+        g = next(g for g in range(65) if p ** (g + 1) >= min(terms, 1 << 64))
+        per = max(1, k.bit_length() + k.bit_count())  # products of a p-th power
+        return int(count + sum(products(per, terms, prec + i) for i in range(1, g + 1))) // 100
 
     _budget(p, [("--prec", prec)], work)
     return _measure_doc(canonical_measure(p, stage, depth, prec, degree))

@@ -231,27 +231,10 @@ class IwasawaElt(Immutable):
         return PadicScalar(self.p, 0, total, out_prec)
 
     def w_valuation(self):
-        """w(Σ a_n T^n) = min_n v_p(a_n) + n, or a lower-bound marker.
-
-        Stored nonzero residues give exact candidates; zero residues and
-        the unknown tail only give floors N+n and d.
-        """
-        best = None
-        for n, c in enumerate(self.coeffs):
-            if c:
-                v = vp_int(c, self.p) + n
-                if best is None or v < best:
-                    best = v
-        zero_floors = [self.prec + n for n, c in enumerate(self.coeffs) if c == 0]
-        floor = min(zero_floors) if zero_floors else _INF
-        if not self.exact_tail:
-            floor = min(floor, self.degree)
-        if best is not None and best <= floor:
-            return best
-        bound = floor if best is None else min(floor, best)
-        if bound is _INF:
-            return best if best is not None else LowerBound(self.prec)
-        return LowerBound(int(bound))
+        """w(Σ a_n T^n) = min_n v_p(a_n) + n by ``AinfElt``'s rule at depth 0."""
+        w = _series.w_valuation(self.p, 0, 0, self.prec, None if self.exact_tail else self.degree,
+                                _series.sparse(self.coeffs))
+        return w if isinstance(w, LowerBound) else int(w)
 
     def natural_ideal_membership(self, h, l):
         """Does the measure take values in p^l Z_p on every ball of radius p^-h?
@@ -300,17 +283,7 @@ class IwasawaElt(Immutable):
         return f"IwasawaElt(p={self.p}, prec={self.prec}, degree={self.degree})"
 
     def __str__(self):
-        parts = []
-        for n, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if n == 0:
-                parts.append(str(c))
-            elif n == 1:
-                parts.append(f"{c}·T" if c != 1 else "T")
-            else:
-                parts.append(f"{c}·T^{n}" if c != 1 else f"T^{n}")
-        body = " + ".join(parts) if parts else "0"
+        body = _series.render(self.p, 0, _series.sparse(self.coeffs), "T")
         return f"{body} + O({self.p}^{self.prec}, T^{self.degree})"
 
     def to_json(self):

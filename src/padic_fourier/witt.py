@@ -92,11 +92,7 @@ class PerfSeries(AinfElt):
         )
 
     def __str__(self):
-        parts = []
-        for n, e, c in _series.exponents(self.p, self.depth, self.coeffs):
-            mono = f"t^{n}/{self.p**e}" if e else "t" if n == 1 else f"t^{n}"
-            parts.append(str(c) if n == 0 else mono if c == 1 else f"{c}·{mono}")
-        body = " + ".join(parts) if parts else "0"
+        body = _series.render(self.p, self.depth, self.coeffs, "t")
         dstr = "inf" if self.degree is None else str(self.degree)
         return f"{body}  (mod {self.p}, q>={dstr})"
 

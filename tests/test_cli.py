@@ -319,6 +319,7 @@ class TestErrors:
         ["mucan", "--p", "2", "--stage", "1", "--depth", "100000000"],
         ["mucan", "--p", "2", "--stage", "14", "--prec", "12"],
         ["mucan", "--p", "11", "--stage", "0", "--depth", "4", "--prec", "12"],
+        ["mucan", "--p", "5", "--stage", "5", "--prec", "40"],
         ["wval", "--p", "2", "--mu", "diracq:1@depth100000000"],
         ["fourier", "--p", "2", "--combo", "1@1/2", "--qdepth", "100000000"],
         ["idealcheck", "--p", "3", "--N", "100000000"],
@@ -330,7 +331,7 @@ class TestErrors:
         *([job[0], "--p", "3", *job[1:], "--prec", "100000000"] for job in _PREC_JOBS),
     ], ids=["orthocheck-zp", "orthocheck-qp", "idealcheck-p7-N3", "idealcheck-p3-N5",
             "dirac-depth-15000", "mucan-depth-1e8", "mucan-p2-stage-14",
-            "mucan-p11-depth-4", "wval-diracq-depth-1e8",
+            "mucan-p11-depth-4", "mucan-p5-prec-40", "wval-diracq-depth-1e8",
             "fourier-qdepth-1e8", "idealcheck-N-1e8", "orthocheck-qdepth-1e8",
             "dirac-degree-4300-digits", "teich-digits-20", "mahler-16384-samples",
             "ball-h-4e6",
@@ -344,7 +345,9 @@ class TestErrors:
         # computing p^prec; with no charge at all teich ran 3.7 s at 18 digits
         # (about 7 times as long per two digits), mahler's difference oracle
         # 31 s on 16384 samples, and ball 2.3 s computing 3^4000000; under a
-        # count linear in the box the two mucan jobs took 8-11 s
+        # count linear in the box the first two mucan --prec 12 jobs took
+        # 8-11 s, and under a weight sublinear in the slot width the --prec
+        # 40 one 6-10 s
         start = time.monotonic()
         out = run_cli(args, timeout=10)
         assert time.monotonic() - start < 5
@@ -721,10 +724,12 @@ def test_readme_cli_examples_are_charged_before_anything_is_built(capsys, monkey
 
 
 @pytest.mark.parametrize("argv, cap, admitted", [
-    # the --prec 12 mucan jobs planned for the benchmark
+    # the --prec 12 and --prec 4 mucan jobs planned for the benchmark
     (["mucan", "--p", "5", "--stage", "5", "--prec", "12"], "1000000", True),
     (["mucan", "--p", "2", "--stage", "10", "--prec", "12"], "1000000", True),
     (["mucan", "--p", "11", "--stage", "3", "--prec", "12"], "1000000", True),
+    (["mucan", "--p", "2", "--stage", "12", "--prec", "12"], "1000000", True),
+    (["mucan", "--p", "5", "--stage", "5", "--prec", "4"], "1000000", True),
     # 3994 cells and 1 s: it fit the fuzz cap while mucan counted cells alone
     (["mucan", "--p", "11", "--stage", "3", "--prec", "12", "--degree", "3"], "4000", False),
     # 322103 cells, past 100 s: L(T_0) sums 15 powers of T_0 over the box
@@ -737,7 +742,8 @@ def test_readme_cli_examples_are_charged_before_anything_is_built(capsys, monkey
     # the difference oracle: 0.17 s at 1024 samples, 0.64 s at 2048
     (["mahler", "--p", "2", "--samples", ",".join("1" * 1024)], "1000000", True),
     (["mahler", "--p", "2", "--samples", ",".join("1" * 2048)], "1000000", False),
-], ids=["mucan-p5-s5", "mucan-p2-s10", "mucan-p11-s3", "mucan-p11-s3-d3-fuzz-cap", "mucan-p11-m5",
+], ids=["mucan-p5-s5", "mucan-p2-s10", "mucan-p11-s3", "mucan-p2-s12", "mucan-p5-s5-n4",
+        "mucan-p11-s3-d3-fuzz-cap", "mucan-p11-m5",
         "teich-digits-16", "teich-digits-18", "teich-degree-400", "mahler-1024", "mahler-2048"])
 def test_work_counts_admit_and_refuse(capsys, monkeypatch, unbuilt, argv, cap, admitted):
     if admitted:
@@ -867,6 +873,7 @@ def _argvs(draw):
 @example(argv=["wval", "--p", "2", "--mu", "diracq:1/2", "--depth", "2"])
 @example(argv=["idealcheck", "--p", "2", "--N", "-1"])
 @example(argv=["mucan", "--p", "2", "--stage", "-1", "--depth", "4"])
+@example(argv=["mucan", "--p", "2", "--stage", "1", "--depth", "2", "--degree", "-1"])
 @example(argv=["dirac", "--p", "2", "--s", "1", "--depth", "-1"])
 @example(argv=["orthocheck", "--p", "2", "--mode", "qp", "--qdepth", "-1"])
 @example(argv=["idealcheck", "--p", "7", "--N", "3"])

@@ -21,11 +21,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from padic_fourier import _series
 from padic_fourier.ainf import AinfElt
-from padic_fourier.artin_hasse import PIntegralSeries
-from padic_fourier.errors import ParseError, PrecisionExhausted, PreconditionError
+from padic_fourier.artin_hasse import PIntegralSeries, pi_element
+from padic_fourier.errors import (
+    BoxExhausted, InternalConsistencyError, ParseError, PrecisionExhausted, PreconditionError,
+)
 from padic_fourier.fourier import UnifFn, pullback_rescale
 from padic_fourier.iwasawa import BivariateSeries, IwasawaElt, MahlerFn
-from padic_fourier.padic import PadicScalar, SExponent
+from padic_fourier.padic import LowerBound, PadicScalar, SExponent, vp_int
 from padic_fourier.witt import PerfSeries, WittElt
 
 PRIMES = st.sampled_from([2, 3, 5])
@@ -958,3 +960,163 @@ def test_exact_tails_hold_on_the_uncut_inputs(case):
             f, want = UnifFn.basis(p, q, prec), {q: 1}
         assert f.exact_tail == exact
         assert_unif_terms(f, want)
+
+
+# -- one valuation rule and one printer -------------------------------------
+# Each series type's valuation loop and term printer, and pi_element's key
+# loop, written out per type: oracles for the one rule in _series that the
+# Z_p, Q_p and F_p views share.
+
+
+def iwasawa_w_oracle(mu):
+    best = None
+    for n, c in enumerate(mu.coeffs):
+        if c:
+            v = vp_int(c, mu.p) + n
+            if best is None or v < best:
+                best = v
+    zero_floors = [mu.prec + n for n, c in enumerate(mu.coeffs) if c == 0]
+    floor = min(zero_floors) if zero_floors else math.inf
+    if not mu.exact_tail:
+        floor = min(floor, mu.degree)
+    if best is not None and best <= floor:
+        return best
+    bound = floor if best is None else min(floor, best)
+    if bound is math.inf:
+        return best if best is not None else LowerBound(mu.prec)
+    return LowerBound(int(bound))
+
+
+def ainf_w_oracle(x):
+    grid = Fraction(1, x.p**x.depth)
+    best = None
+    for k, c in x.coeffs.items():
+        v = x.shift + vp_int(c, x.p) + k * grid
+        if best is None or v < best:
+            best = v
+    floor = Fraction(x.shift + x.prec)
+    if x.degree is not None:
+        floor = min(floor, x.shift + x.degree)
+    if best is not None and best <= floor:
+        return best
+    return LowerBound(floor if best is None else min(floor, best))
+
+
+def iwasawa_str_oracle(mu):
+    parts = []
+    for n, c in enumerate(mu.coeffs):
+        if c == 0:
+            continue
+        if n == 0:
+            parts.append(str(c))
+        elif n == 1:
+            parts.append(f"{c}·T" if c != 1 else "T")
+        else:
+            parts.append(f"{c}·T^{n}" if c != 1 else f"T^{n}")
+    body = " + ".join(parts) if parts else "0"
+    return f"{body} + O({mu.p}^{mu.prec}, T^{mu.degree})"
+
+
+def ainf_str_oracle(x):
+    parts = []
+    for n, e, c in _series.exponents(x.p, x.depth, x.coeffs):
+        c_str = f"{x.p}^{x.shift}·{c}" if x.shift else str(c)
+        mono = f"Tt^{n}/{x.p**e}" if e else "Tt" if n == 1 else f"Tt^{n}"
+        term = mono if c == 1 and not x.shift else f"{c_str}·{mono}"
+        parts.append(c_str if n == 0 else term)
+    body = " + ".join(parts) if parts else "0"
+    dstr = "inf" if x.degree is None else str(x.degree)
+    return f"{body} + O({x.p}^{x.shift + x.prec}, q>={dstr})"
+
+
+def perf_str_oracle(x):
+    parts = []
+    for n, e, c in _series.exponents(x.p, x.depth, x.coeffs):
+        mono = f"t^{n}/{x.p**e}" if e else "t" if n == 1 else f"t^{n}"
+        parts.append(str(c) if n == 0 else mono if c == 1 else f"{c}·{mono}")
+    body = " + ".join(parts) if parts else "0"
+    dstr = "inf" if x.degree is None else str(x.degree)
+    return f"{body}  (mod {x.p}, q>={dstr})"
+
+
+def pi_element_oracle(p, depth, prec, degree):
+    degree = Fraction(degree)
+    if degree <= 1:
+        raise PreconditionError("degree must exceed 1 to hold the i = 0 term")
+    i_max = 0
+    while p ** (i_max + 1) < degree:
+        i_max += 1
+    deg_eff = min(degree, Fraction(p ** (i_max + 1) - 1))
+    prec_eff = min(prec, depth + 1 + i_max)
+    if prec_eff < 1:
+        raise BoxExhausted("box cannot certify any digit of the pi series")
+    mod, scale, cs = p**prec_eff, p**depth, {}
+    for i in range(i_max, -depth - 1, -1):
+        c = p ** (i_max - i)
+        if c % mod == 0:
+            continue
+        key = p**i * scale if i >= 0 else p ** (depth + i)
+        if Fraction(key, scale) >= deg_eff:
+            continue
+        cs[key] = c % mod
+    out = AinfElt(p, prec_eff, depth, deg_eff, cs, shift=-i_max)
+    w = ainf_w_oracle(out)
+    if (w.bound if isinstance(w, LowerBound) else w) < 0:
+        raise InternalConsistencyError("pi series must satisfy w >= 0")
+    return out
+
+
+@st.composite
+def sparse_iwasawa_elts(draw, p):
+    """Z_p series with runs of zero residues, both tails, and coefficients
+    that vanish mod p^prec."""
+    prec = draw(st.integers(1, 4))
+    coeff = st.one_of(st.just(0), st.builds(
+        lambda u, j: u * p**j, st.integers(1, p**prec), st.integers(0, prec)))
+    coeffs = draw(st.lists(coeff, max_size=draw(st.integers(1, 10)) + 2))
+    degree = draw(st.integers(1, 10))
+    return IwasawaElt(p, prec, degree, coeffs, exact_tail=draw(st.booleans()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(PRIMES.flatmap(lambda p: st.tuples(
+    sparse_iwasawa_elts(p), iwasawa_elts(p), ainf_elts(p), perf_elts(p))))
+@example((IwasawaElt(2, 3, 4, [0, 0, 0, 0], exact_tail=True), IwasawaElt(2, 3, 2, [8, 4]),
+          AinfElt(2, 3, 2, None, {3: 4, 8: 1}, shift=-1), PerfSeries(2, 1, None, {0: 1, 1: 1})))
+def test_series_views_match_their_own_loops(case):
+    zp, dense_zp, qp, fp = case
+    for mu in (zp, dense_zp):
+        w = mu.w_valuation()
+        assert w == iwasawa_w_oracle(mu)
+        assert type(w.bound if isinstance(w, LowerBound) else w) is int
+        assert str(mu) == iwasawa_str_oracle(mu)
+    for x in (qp, fp):
+        assert x.w_valuation() == ainf_w_oracle(x)
+    assert str(qp) == ainf_str_oracle(qp)
+    assert str(fp) == perf_str_oracle(fp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(PRIMES, st.integers(0, 3), st.integers(0, 6),
+       st.builds(Fraction, st.integers(1, 300), st.sampled_from([1, 2, 3, 7])))
+@example(2, 1, 4, Fraction(2))
+@example(3, 0, 0, Fraction(5))
+def test_pi_element_matches_its_key_loop(p, depth, prec, degree):
+    try:
+        want = pi_element_oracle(p, depth, prec, degree)
+    except (PreconditionError, BoxExhausted, InternalConsistencyError) as e:
+        with pytest.raises(type(e)):
+            pi_element(p, depth, prec, degree)
+        return
+    got = pi_element(p, depth, prec, degree)
+    assert (got.depth, got.degree, got.prec, got.shift, got.coeffs) == (
+        want.depth, want.degree, want.prec, want.shift, want.coeffs)
+    assert str(got) == str(want)
+
+
+def test_pi_element_p2_degree_two_holds_no_unit_term():
+    # 1 < degree <= 2 at p = 2: the reported degree is 1, so Tt^1 (i = 0)
+    # lies outside the box and only the i = -1 term is stored
+    pi = pi_element(2, 1, 4, 2)
+    assert str(pi) == "2·Tt^1/2 + O(2^2, q>=1)"
+    assert pi.degree == 1 and pi.items_sexp()[-1][0].as_fraction() < 1
