@@ -333,8 +333,8 @@ def pi_element(p, depth, prec, degree):
         i_max += 1
     deg_eff = min(degree, Fraction(p ** (i_max + 1) - 1))
     prec_eff = min(prec, depth + 1 + i_max)
-    if prec_eff < 1:
-        raise BoxExhausted("box cannot certify any digit of the pi series")
+    if prec_eff < max(1, i_max):  # the box floor prec_eff - i_max bounds w below
+        raise BoxExhausted(f"a box of prec {prec_eff} cannot certify w >= 0 of the pi series")
     # Tt^(p^i) is key p^(depth+i); AinfElt's box rule drops the terms outside
     cs = {p ** (depth + i): p ** (i_max - i) for i in range(-depth, i_max + 1)}
     out = AinfElt(p, prec_eff, depth, deg_eff, cs, shift=-i_max)

@@ -437,12 +437,7 @@ def _cmd_fourier(pr):
     else:
         (mu,) = _measures(pr, [pr["mu"]], prec, qp=True, degree=4)
         out = forward_transform(mu)
-    return {
-        "coefficients": [
-            {"q": q.to_json(), "value": v.to_json()}
-            for q, v in sorted(out.items(), key=lambda kv: kv[0].as_fraction())
-        ]
-    }
+    return {"coefficients": [{"q": q.to_json(), "value": v.to_json()} for q, v in out.items()]}
 
 
 def _cmd_orthocheck(pr):

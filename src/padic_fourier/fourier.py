@@ -29,8 +29,8 @@ from .padic import (
     PadicScalar,
     SExponent,
     _as_sexponent,
+    _gen_binomials,
     _modulus,
-    gen_binomial,
     json_field,
     json_flag,
     json_int,
@@ -204,29 +204,33 @@ def forward_transform_diracs(p, combo, qs, prec) -> dict:
     """Fourier coefficients of a finite Dirac combination Σ c_i Δ(s_i).
 
     combo is a list of (c_i, s_i) with integer weights and PadicScalar
-    (or Fraction) points; the coefficient at q is Σ c_i (s_i choose q),
-    each computed through the generalized binomial at the target
-    precision.
+    (or Fraction) points; the coefficient at q is Σ c_i (s_i choose q) at
+    the target precision, each point's values read by one generalized
+    binomial pass over the exponents on their common grid.  The result
+    keeps the order of ``qs``.
     """
-    out = {}
     points = []
     for c, s in combo:
         if not isinstance(s, PadicScalar):
             s = PadicScalar.from_fraction(p, Fraction(s), prec + 24)
+        elif s.p != p:
+            raise PrimeMismatch(f"Dirac point at p={s.p}, transform at p={p}")
         points.append((c, s))
-    for q in qs:
-        q = _as_sexponent(p, q)
-        acc = PadicScalar.zero(p, prec)
-        for c, s in points:
-            acc = acc + gen_binomial(s, q, prec) * c
-        out[q] = acc
-    return out
+    qs = [_as_sexponent(p, q) for q in qs]
+    logden = max((q.logden for q in qs), default=0)
+    keys = {q: q.num * p ** (logden - q.logden) for q in qs}
+    js = sorted(set(keys.values()))
+    acc = dict.fromkeys(js, PadicScalar.zero(p, prec))
+    for c, s in points:
+        for j, b in zip(js, _gen_binomials(s, logden, js, prec)):
+            acc[j] = acc[j] + b * c
+    return {q: acc[j] for q, j in keys.items()}
 
 
 def eval_unif(f: UnifFn, x: PadicScalar, target_prec=None) -> PadicScalar:
     """Evaluate Σ_q b_q (x choose q) at a point of Q_p.
 
-    Stored terms go through the generalized binomial; omitted terms are
+    Stored terms are read by one generalized binomial pass; omitted terms are
     bounded by the decay certificate (the basis functions are bounded by
     1 everywhere, and sharper bounds from the valuation inequality can be
     folded into the certificate by the caller).
@@ -240,9 +244,9 @@ def eval_unif(f: UnifFn, x: PadicScalar, target_prec=None) -> PadicScalar:
     if out_prec < 1:
         raise UncertifiedTailError("decay certificate certifies no digits")
     acc = PadicScalar.zero(p, out_prec)
-    for q, b in f.items_sexp():
-        if b:
-            acc = acc + gen_binomial(x, q, out_prec) * b
+    js = sorted(k for k, b in f.coeffs.items() if b)
+    for j, c in zip(js, _gen_binomials(x, f.depth, js, out_prec)):
+        acc = acc + c * f.coeffs[j]
     return acc.truncate(min(out_prec, acc.abs_bound))
 
 

@@ -671,40 +671,50 @@ def _as_sexponent(p: int, q) -> SExponent:
     return SExponent.from_fraction(p, q)
 
 
-def _level_for(x: PadicScalar, q: SExponent, target_prec: int) -> int:
-    vx = x.val_floor()
-    n = max(q.logden, -min(vx, 0), target_prec - 1 - vx)
-    return max(n, 0)
+def _approximant(x: PadicScalar, logden: int, js, n: int):
+    """(X, M, Ks): C(p^n x, p^n j/p^logden) is C(X, K) for x ≡ X mod p^M,
+    with K = j·p^(n - logden) for each j of ``js``."""
+    p, step = x.p, x.p ** (n - logden)
+    return x.unit * p ** (x.shift + n), x.abs_bound + n, [j * step for j in js]
+
+
+def _gen_binomials(x: PadicScalar, logden: int, js, target_prec: int):
+    """Yield (x choose j/p^logden) for each j of the ascending ``js``, to
+    >= target_prec digits, from one ``_combs_tracked`` walk at one level.
+
+    The level n = max(logden, -min(v(x), 0), target_prec - 1 - v(x)) makes
+    both arguments integral, and consecutive approximants C(p^n x, p^n q)
+    differ by a multiple of p^(1+n+v(x)); each entry is certified to the
+    lesser of that and its walk precision, or raises PrecisionExhausted.
+    (x choose 0) is 1 + O(p^target_prec) for every x, with no walk.
+    """
+    if target_prec < 1 or logden < 0:
+        raise PreconditionError(f"need target_prec >= 1 and logden >= 0, not {target_prec}, {logden}")
+    p, vx = x.p, x.val_floor()
+    n = max(logden, -min(vx, 0), target_prec - 1 - vx)
+    X, M, ks = _approximant(x, logden, js, n)
+    walk = _combs_tracked(p, X, M, [k for k in ks if k], target_prec + 2)
+    for j in js:
+        if not j:
+            yield PadicScalar.one(p, target_prec)
+            continue
+        out = next(walk)
+        certified = min(out.abs_bound, 1 + n + vx)
+        if certified < target_prec:
+            raise PrecisionExhausted(f"(x choose {j}/p^{logden}) is certified only to "
+                                     f"O(p^{certified}); raise the precision of x")
+        yield out.truncate(certified)
 
 
 def gen_binomial(x: PadicScalar, q, target_prec: int) -> PadicScalar:
     """Generalized binomial (x choose q) on Q_p, q in S, to >= target_prec digits.
 
-    Computed as the scaling-level approximant C(p^n x, p^n q) with n chosen
-    so that the tail of the level sequence is certified below p^-target_prec:
-    consecutive approximants differ by a multiple of p^(1+n+v(x)).  It comes
+    The one-entry case of ``_gen_binomials``: the approximant C(p^n x, p^n q)
     from ``comb_tracked``'s counting and block products, in time polynomial
-    in n ≈ target_prec, where the falling-factorial walk took ~p^n steps.
+    in the level n ≈ target_prec, where the falling-factorial walk took ~p^n.
     """
-    p = x.p
-    q = _as_sexponent(p, q)
-    if target_prec < 1:
-        raise PreconditionError("target_prec must be >= 1")
-    if q.num == 0:
-        return PadicScalar.one(p, target_prec)
-    n = _level_for(x, q, target_prec)
-    K = q.num * p ** (n - q.logden)
-    M = x.abs_bound + n
-    X = x.unit * p ** (x.shift + n)
-    out = comb_tracked(p, X, M, K, work=target_prec + 2)
-    tail = 1 + n + x.val_floor()
-    certified = min(out.abs_bound, tail)
-    if certified < target_prec:
-        raise PrecisionExhausted(
-            f"input precision certifies only O(p^{certified}); "
-            f"raise the precision of x to reach O(p^{target_prec})"
-        )
-    return out.truncate(certified)
+    q = _as_sexponent(x.p, q)
+    return next(_gen_binomials(x, q.logden, [q.num], target_prec))
 
 
 def gen_binomial_approximants(x: PadicScalar, q, levels) -> list:
@@ -713,41 +723,24 @@ def gen_binomial_approximants(x: PadicScalar, q, levels) -> list:
     Levels must make both arguments integral.  Used to inspect the
     convergence of the defining limit.
     """
-    p = x.p
-    q = _as_sexponent(p, q)
+    q = _as_sexponent(x.p, q)
     out = []
     for n in levels:
         if n < q.logden or x.shift + n < 0:
             raise PreconditionError(f"level {n} leaves arguments non-integral")
-        K = q.num * p ** (n - q.logden)
-        M = x.abs_bound + n
-        X = x.unit * p ** (x.shift + n)
-        out.append((n, comb_tracked(p, X, M, K, work=M)))
+        X, M, (K,) = _approximant(x, q.logden, [q.num], n)
+        out.append((n, comb_tracked(x.p, X, M, K, work=M)))
     return out
 
 
 def gen_binomial_profile(x: PadicScalar, logden: int, q_max, target_prec: int) -> dict:
     """All (x choose j/p^logden) for 0 <= j/p^logden <= q_max, at one level.
 
-    Returns {j: PadicScalar}.  The scaling level n that the largest exponent
-    needs serves every entry, C(p^n x, j p^(n - logden)) as ``comb_tracked``
-    gives it; the entries share its unit products, which grow by block
-    products over p^(n - logden) factors from one entry to the next.  So
-    the profile costs polynomial time in n per entry, where a walk took
-    about q_max p^n steps.
+    Returns {j: PadicScalar}: the grid case of ``_gen_binomials``.  The
+    entries share the walk's unit products, which grow by block products
+    over p^(n - logden) factors from one entry to the next, so the profile
+    costs polynomial time in n per entry, where a walk took about
+    q_max p^n steps.
     """
-    p = x.p
-    j_max = int(Fraction(q_max) * p**logden)
-    n = max(_level_for(x, SExponent(p, max(j_max, 1), logden), target_prec), logden)
-    X, M, step = x.unit * p ** (x.shift + n), x.abs_bound + n, p ** (n - logden)
-    tail = 1 + n + x.val_floor()
-    out = {}
-    ks = range(0, j_max * step + 1, step)
-    for j, sc in enumerate(_combs_tracked(p, X, M, ks, target_prec + 2)):
-        certified = min(sc.abs_bound, tail)
-        if certified < target_prec:
-            raise PrecisionExhausted(
-                f"profile entry q={j}/p^{logden} certified only to O(p^{certified})"
-            )
-        out[j] = sc.truncate(certified)
-    return out
+    js = range(int(Fraction(q_max) * x.p**logden) + 1)
+    return dict(zip(js, _gen_binomials(x, logden, js, target_prec)))

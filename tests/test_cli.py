@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from padic_fourier import cli
 from padic_fourier.cli import JobSpec, main, run
 from padic_fourier.errors import PadicFourierError, ParseError, PreconditionError
+from padic_fourier.padic import PadicScalar
 from padic_fourier.witt import PerfSeries
 
 
@@ -888,6 +889,41 @@ def test_fuzzed_argv_exits_with_a_documented_code(argv):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = _exit_code(lambda: main(argv))
     assert code in (0, 2, 3, 4, 5), (argv, err.getvalue())
+
+
+@st.composite
+def _combo_jobs(draw):
+    """A ``fourier --combo`` argv without --prec: 1-2 points, each aligned
+    (its denominator a power of p) or a p-adic unit (one prime to p)."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    points = []
+    for _ in range(draw(st.integers(1, 2))):
+        den = draw(st.sampled_from([p, p**2, p**3, 3 * p + 1, 7]))
+        points.append(f"{draw(st.integers(-5, 5))}@{draw(st.integers(1, 40))}/{den}")
+    return ["fourier", "--p", str(p), "--combo=" + ",".join(points),
+            "--qdepth", str(draw(st.integers(0, 2))),
+            "--qmax", draw(st.sampled_from(["1", "3/2", "2"]))]
+
+
+def _coefficients(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0, argv
+    return [(c["q"], PadicScalar.from_json(c["value"])) for c in json.loads(out.getvalue())["coefficients"]]
+
+
+# a refinement oracle: each digit printed at --prec N is certified, so a run
+# three digits deeper prints the same digits; same deadline as the argv fuzz
+@settings(max_examples=300, deadline=timedelta(seconds=2))
+@given(argv=_combo_jobs(), prec=st.integers(2, 10))
+@example(argv=["fourier", "--p", "2", "--combo=5@29/7", "--qdepth", "2", "--qmax", "3/2"], prec=4)
+def test_fourier_combo_digits_survive_a_deeper_run(argv, prec):
+    shallow = _coefficients([*argv, "--prec", str(prec)])
+    deep = _coefficients([*argv, "--prec", str(prec + 3)])
+    assert [q for q, _ in shallow] == [q for q, _ in deep]
+    for (q, a), (_, b) in zip(shallow, deep):
+        assert a.abs_bound == prec and b.abs_bound == prec + 3, (argv, q)
+        assert a == b, (argv, prec, q, a, b)
 
 
 # a JSON value of each type a document may hold where a flag or field goes

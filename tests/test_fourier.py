@@ -8,7 +8,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from padic_fourier import _series
 from padic_fourier.ainf import AinfElt, dirac_q, rescale_pushforward
-from padic_fourier.errors import PrimeMismatch, UncertifiedTailError
+from padic_fourier.errors import (
+    PrecisionExhausted,
+    PreconditionError,
+    PrimeMismatch,
+    UncertifiedTailError,
+)
 from padic_fourier.fourier import (
     UnifFn,
     eval_unif,
@@ -25,7 +30,16 @@ from padic_fourier.iwasawa import (
     integrate_matrix,
     mahler_coeffs_from_samples,
 )
-from padic_fourier.padic import PadicScalar, SExponent, _congruent, comb_int, vp_int
+from padic_fourier.padic import (
+    PadicScalar,
+    SExponent,
+    _congruent,
+    comb_int,
+    comb_tracked,
+    gen_binomial,
+    gen_binomial_profile,
+    vp_int,
+)
 
 
 def quadrature_integral(f, q_prime, level, prec):
@@ -546,3 +560,167 @@ class TestShiftedPairing:
         mu = AinfElt(2, 2, 0, None, {0: 3}, shift=-3)
         out = integrate_unif(UnifFn.constant(2, 1, 8), mu)
         assert out.abs_bound == -1 and out == PadicScalar(2, -3, 3, 2)
+
+
+# ---------------------------------------------------------------------------
+# One generalized-binomial pass per point: the per-exponent evaluation, with
+# its own level rule, is the oracle for gen_binomial, gen_binomial_profile,
+# forward_transform_diracs and eval_unif.
+# ---------------------------------------------------------------------------
+
+
+def sexp(p, q):
+    return q if isinstance(q, SExponent) else SExponent.from_fraction(p, q)
+
+
+def level_oracle(x, q, target_prec):
+    vx = x.val_floor()
+    return max(q.logden, -min(vx, 0), target_prec - 1 - vx, 0)
+
+
+def gen_binomial_oracle(x, q, target_prec):
+    """(x choose q) at its own level: C(p^n x, p^n q) by ``comb_tracked``,
+    certified to the tail 1 + n + v(x)."""
+    p, q = x.p, sexp(x.p, q)
+    if target_prec < 1:
+        raise PreconditionError("target_prec must be >= 1")
+    if q.num == 0:
+        return PadicScalar.one(p, target_prec)
+    n = level_oracle(x, q, target_prec)
+    X, M = x.unit * p ** (x.shift + n), x.abs_bound + n
+    out = comb_tracked(p, X, M, q.num * p ** (n - q.logden), work=target_prec + 2)
+    certified = min(out.abs_bound, 1 + n + x.val_floor())
+    if certified < target_prec:
+        raise PrecisionExhausted(f"certified only to O(p^{certified})")
+    return out.truncate(certified)
+
+
+def profile_oracle(x, logden, q_max, target_prec):
+    """The profile's entries j >= 1, each by ``comb_tracked`` at the level the
+    largest exponent needs."""
+    p = x.p
+    j_max = int(Fraction(q_max) * p**logden)
+    n = max(level_oracle(x, SExponent(p, max(j_max, 1), logden), target_prec), logden)
+    X, M, step = x.unit * p ** (x.shift + n), x.abs_bound + n, p ** (n - logden)
+    out = {}
+    for j in range(1, j_max + 1):
+        sc = comb_tracked(p, X, M, j * step, target_prec + 2)
+        certified = min(sc.abs_bound, 1 + n + x.val_floor())
+        if certified < target_prec:
+            raise PrecisionExhausted(f"entry {j} certified only to O(p^{certified})")
+        out[j] = sc.truncate(certified)
+    return out
+
+
+def forward_transform_diracs_oracle(p, combo, qs, prec):
+    points = [
+        (c, s if isinstance(s, PadicScalar) else PadicScalar.from_fraction(p, s, prec + 24))
+        for c, s in combo
+    ]
+    out = {}
+    for q in qs:
+        q = sexp(p, q)
+        acc = PadicScalar.zero(p, prec)
+        for c, s in points:
+            acc = acc + gen_binomial_oracle(s, q, prec) * c
+        out[q] = acc
+    return out
+
+
+def eval_unif_oracle(f, x, target_prec=None):
+    target = f.prec if target_prec is None else min(target_prec, f.prec)
+    out_prec = min(target, f.decay_floor_beyond(Fraction(0)))
+    if out_prec < 1:
+        raise UncertifiedTailError("decay certificate certifies no digits")
+    acc = PadicScalar.zero(f.p, out_prec)
+    for q, b in f.items_sexp():
+        if b:
+            acc = acc + gen_binomial_oracle(x, q, out_prec) * b
+    return acc.truncate(min(out_prec, acc.abs_bound))
+
+
+def triple(s):
+    return s.shift, s.unit, s.prec
+
+
+def outcome(fn, *args):
+    """The (shift, unit, prec) of every scalar fn returns, in order, or the
+    class of the error it raises."""
+    try:
+        out = fn(*args)
+    except (PrecisionExhausted, PreconditionError, PrimeMismatch, UncertifiedTailError) as e:
+        return type(e)
+    if isinstance(out, PadicScalar):
+        return triple(out)
+    return [(k, triple(v)) for k, v in out.items()]
+
+
+def scalars(p):
+    """Scalars of prec 0-12, the zero scalar included."""
+    return st.one_of(st.just(PadicScalar(p, 0, 0, 0)), st.builds(
+        lambda shift, unit, prec: PadicScalar(p, shift, unit, prec),
+        st.integers(-3, 3), st.integers(0, p**12), st.integers(0, 12)))
+
+
+def dirac_points(p):
+    """Scalars, and rationals whose denominator is a power of p or prime to p."""
+    return scalars(p) | st.builds(
+        Fraction, st.integers(-40, 40), st.sampled_from([1, p, p**2, p**3, 3 * p + 1]))
+
+
+def exponent_lists(p):
+    """Unsorted exponents on grids of depth 0-3, with duplicates, q = 0, and
+    both SExponents and Fractions."""
+    q = st.builds(lambda n, e: SExponent(p, n, e), st.integers(0, 3 * p**2), st.integers(0, 3))
+    return st.lists(st.one_of(q, q.map(SExponent.as_fraction), st.just(0)), min_size=1, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5]).flatmap(lambda p: st.tuples(
+    st.just(p), st.lists(st.tuples(st.integers(-5, 5), dirac_points(p)), min_size=1, max_size=3),
+    exponent_lists(p), st.integers(1, 10))))
+@example((2, [(5, Fraction(29, 7))], [Fraction(3, 2), 0, Fraction(1, 4), 1, Fraction(1, 4)], 4))
+@example((3, [(1, PadicScalar(3, 0, 0, 0)), (2, PadicScalar(3, -2, 5, 3))],
+          [SExponent(3, 7, 2), 0, SExponent(3, 1, 0)], 6))
+def test_forward_transform_diracs_matches_the_per_exponent_oracle(case):
+    p, combo, qs, prec = case
+    want = outcome(forward_transform_diracs_oracle, p, combo, qs, prec)
+    assert outcome(forward_transform_diracs, p, combo, qs, prec) == want
+    for _, s in combo:
+        if isinstance(s, PadicScalar):
+            for q in qs:
+                assert outcome(gen_binomial, s, q, prec) == outcome(gen_binomial_oracle, s, q, prec)
+
+
+def test_forward_transform_diracs_refuses_a_point_at_another_prime():
+    with pytest.raises(PrimeMismatch):
+        forward_transform_diracs(2, [(1, PadicScalar.from_int(3, 1, 4))], [0, 1], 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5]).flatmap(lambda p: st.tuples(
+    st.data(), scalars(p), st.none() | st.integers(1, 10))))
+def test_eval_unif_matches_the_per_exponent_oracle(case):
+    data, x, target = case
+    f = unif_fn(data.draw, x.p)
+    assert outcome(eval_unif, f, x, target) == outcome(eval_unif_oracle, f, x, target)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5]).flatmap(lambda p: st.tuples(
+    scalars(p), st.integers(0, 3),
+    st.builds(Fraction, st.integers(1, 12), st.sampled_from([1, 2, 4])), st.integers(1, 10))))
+@example((PadicScalar(2, 0, 0, 0), 0, Fraction(0), 7))
+def test_profile_matches_the_per_exponent_oracle_past_entry_zero(case):
+    x, logden, q_max, target = case
+    want = outcome(profile_oracle, x, logden, q_max, target)
+    got = outcome(gen_binomial_profile, x, logden, q_max, target)
+    # (x choose 0) is 1 for every x, at the target precision
+    assert got == (want if isinstance(want, type) else [(0, (0, 1, target))] + want)
+
+
+def test_profile_entry_zero_is_one_where_the_walk_has_no_digits():
+    # the walk's entry 0 for this x raised PrecisionExhausted
+    x = PadicScalar(2, 0, 0, 0)
+    assert outcome(gen_binomial_profile, x, 0, 0, 7) == [(0, (0, 1, 7))]
+    assert outcome(gen_binomial, x, 0, 7) == (0, 1, 7)

@@ -23,7 +23,7 @@ from padic_fourier import _series
 from padic_fourier.ainf import AinfElt
 from padic_fourier.artin_hasse import PIntegralSeries, pi_element
 from padic_fourier.errors import (
-    BoxExhausted, InternalConsistencyError, ParseError, PrecisionExhausted, PreconditionError,
+    BoxExhausted, ParseError, PrecisionExhausted, PreconditionError,
 )
 from padic_fourier.fourier import UnifFn, pullback_rescale
 from padic_fourier.iwasawa import BivariateSeries, IwasawaElt, MahlerFn
@@ -1062,7 +1062,7 @@ def pi_element_oracle(p, depth, prec, degree):
     out = AinfElt(p, prec_eff, depth, deg_eff, cs, shift=-i_max)
     w = ainf_w_oracle(out)
     if (w.bound if isinstance(w, LowerBound) else w) < 0:
-        raise InternalConsistencyError("pi series must satisfy w >= 0")
+        raise BoxExhausted("box cannot certify w >= 0 of the pi series")
     return out
 
 
@@ -1101,10 +1101,13 @@ def test_series_views_match_their_own_loops(case):
        st.builds(Fraction, st.integers(1, 300), st.sampled_from([1, 2, 3, 7])))
 @example(2, 1, 4, Fraction(2))
 @example(3, 0, 0, Fraction(5))
+@example(2, 0, 1, Fraction(5))  # 1 <= prec < i_max: the box floor is below 0
+@example(3, 1, 1, Fraction(10))
+@example(2, 2, 2, Fraction(9))
 def test_pi_element_matches_its_key_loop(p, depth, prec, degree):
     try:
         want = pi_element_oracle(p, depth, prec, degree)
-    except (PreconditionError, BoxExhausted, InternalConsistencyError) as e:
+    except (PreconditionError, BoxExhausted) as e:
         with pytest.raises(type(e)):
             pi_element(p, depth, prec, degree)
         return
