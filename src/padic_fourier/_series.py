@@ -253,13 +253,14 @@ def ball_residues(coeffs, r, mod):
     return [c % mod for c in _unpack(fold(x), cnt, w, half)] + [0] * (n - cnt)
 
 
-def differences_at_zero(values, mod):
+def differences_at_zero(values, mod, sign=-1):
     """[(Δ^n f)(0) mod ``mod`` for n < len(values)], f(i) = values[i] in
-    [0, mod), Δf(x) = f(x+1) - f(x).
+    [0, mod), Δf(x) = f(x+1) + sign·f(x): sign -1 takes samples to Mahler
+    coefficients, sign 1 takes coefficients c_k to samples Σ_k C(n, k) c_k.
 
     One integer z packed like ``mul``, slot i holding f(i) + half so that
     no slot borrows: (Δ^n f)(0) is the low slot less half, and Δ is z >> W
-    - z plus the biases.  A pass at most doubles each slot, so the slots
+    + sign·(z - biases).  A pass at most doubles each slot, so the slots
     are brought back to residues every ``period`` passes.
     """
     m, (w, half, period) = len(values), _slots(mod)
@@ -270,7 +271,7 @@ def differences_at_zero(values, mod):
         if not left:  # the low m - n slots hold Δ^n f; the rest are dropped
             z, left = _reduce(z - biases, m - n, w, half, mod) + biases, period
         out.append(((z & low) - half) % mod)
-        z = (z >> W) - z + biases
+        z = (z >> W) + sign * (z - biases)
         left -= 1
     return out
 

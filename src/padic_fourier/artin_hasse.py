@@ -31,7 +31,7 @@ from .errors import (
     InternalConsistencyError,
     PreconditionError,
 )
-from .padic import Immutable, _modulus
+from .padic import Immutable, _modulus, log_floor
 from .witt import PerfSeries
 
 __all__ = [
@@ -153,12 +153,7 @@ def artin_hasse_exp(p: int, degree: int) -> PIntegralSeries:
     e = [Fraction(0)] * degree
     e[0] = Fraction(1)
     for n in range(1, degree):
-        acc = Fraction(0)
-        i = 0
-        while p**i <= n:
-            acc += e[n - p**i]
-            i += 1
-        e[n] = acc / n
+        e[n] = sum(e[n - p**i] for i in range(log_floor(n, p) + 1)) / n
     return PIntegralSeries(p, degree, e)
 
 
@@ -193,9 +188,7 @@ def _log_newton(p, degree, prec=None):
     residual vanishes mod T^s and the product drops leading zeros, so
     G/G' mod T^d reads g mod T^(d-s) only.
     """
-    guard = 0
-    while p ** (guard + 1) < degree:
-        guard += 1
+    guard = log_floor(degree - 1, p)
     scale = p**guard
     mul = _mul_exact if prec is None else _series.mul_mod
     mods = [None if prec is None else p ** (prec + i) for i in range(guard + 1)]
@@ -212,8 +205,8 @@ def _log_newton(p, degree, prec=None):
     for d in reversed(rounds):
         L += [0] * (d - len(L))
         H, Gp = slog[:d], [1] + [0] * (s - 1)  # p^guard · G(L), G'(L)
-        P, Q, i = L, Gp, 0  # L^(p^i) mod p^(prec+i), L^(p^i - 1) mod (p^prec, T^s)
-        while p**i < d:
+        P, Q = L, Gp  # L^(p^i) mod p^(prec+i), L^(p^i - 1) mod (p^prec, T^s)
+        for i in range(log_floor(d - 1, p) + 1):
             if i:
                 step = functools.partial(mul, n=d, m=mods[i])
                 R = _series.power(P, p - 2, P, step)  # P^(p-1)
@@ -221,7 +214,6 @@ def _log_newton(p, degree, prec=None):
                 Gp = [x + y for x, y in zip(Gp, Q)]
             f = scale // p**i
             H = [h + f * c for h, c in zip(H, P)]
-            i += 1
         r = _mod([-c for c in mul(Gp, g, s, pmod)], pmod)
         r[0] += 2
         g = mul(g, r, s, pmod)
@@ -328,9 +320,7 @@ def pi_element(p, depth, prec, degree):
     degree = Fraction(degree)
     if degree <= 1:
         raise PreconditionError("degree must exceed 1 to hold the i = 0 term")
-    i_max = 0
-    while p ** (i_max + 1) < degree:
-        i_max += 1
+    i_max = log_floor(math.ceil(degree) - 1, p)
     deg_eff = min(degree, Fraction(p ** (i_max + 1) - 1))
     prec_eff = min(prec, depth + 1 + i_max)
     if prec_eff < max(1, i_max):  # the box floor prec_eff - i_max bounds w below

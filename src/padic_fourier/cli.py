@@ -55,7 +55,7 @@ from .iwasawa import (
     middle_ideal_valuation,
     ptadic_power_generators,
 )
-from .padic import LowerBound, PadicScalar, SExponent, _congruent, _modulus, json_int, vp_int
+from .padic import LowerBound, PadicScalar, SExponent, _congruent, _modulus, json_int, log_floor, vp_int
 from .witt import PerfSeries, teichmuller
 
 
@@ -405,7 +405,7 @@ def _cmd_mucan(pr):
         if depth > stage >= 0 and degree > 0:
             terms = math.ceil((prec + math.ceil(degree)) / min(Fraction(1, e), degree)) + 1
             count += products(min(terms, box), box, prec)  # a power past the box is 0
-        g = next(g for g in range(65) if p ** (g + 1) >= min(terms, 1 << 64))
+        g = log_floor(min(terms, 1 << 64) - 1, p)
         per = max(1, k.bit_length() + k.bit_count())  # products of a p-th power
         return int(count + sum(products(per, terms, prec + i) for i in range(1, g + 1))) // 100
 

@@ -51,6 +51,7 @@ from .padic import (
     json_field,
     json_flag,
     json_int,
+    log_floor,
     vp_factorial,
     vp_int,
 )
@@ -198,19 +199,14 @@ class IwasawaElt(Immutable):
         the degree cut into a p-adic bound.  Exact tails have no unknown
         terms at all.
         """
-        if self.exact_tail:
-            return _INF
-        l = 0
-        while self.p ** (h + l + 1) <= self.degree:
-            l += 1
-        if self.p ** (h + l) > self.degree:
-            return 0
-        return l + 1
+        return _INF if self.exact_tail else max(0, log_floor(self.degree, self.p) + 1 - h)
 
     def _ball_values(self, h):
         """(residues, out_prec): residues[a] is the value on a + p^h Z_p mod
         p^prec (0 past the list's end), certified to O(p^out_prec).  One fold
         per radius, kept on the instance; callers must not mutate it."""
+        if h < 0:
+            raise PreconditionError(f"ball radius p^-h needs h >= 0, not {h}")
         out_prec = min(self.prec, self.ball_tail_floor(h))
         if out_prec <= 0:
             raise UncertifiedTailError(
@@ -483,12 +479,7 @@ class MahlerFn(Immutable):
         if self.exact_tail:
             return _INF if n0 >= self.tail_cert else 0
         if self.period is not None:
-            if n0 < self.period:
-                return 0
-            l = 0
-            while self.period * self.p ** (l + 1) <= n0:
-                l += 1
-            return min(l + 1, self.prec)
+            return min(log_floor(n0 // self.period, self.p) + 1, self.prec) if n0 >= self.period else 0
         # plain scalar certificate
         return self.prec if n0 >= self.tail_cert else 0
 
@@ -512,10 +503,11 @@ class MahlerFn(Immutable):
         )
 
     def values_on_period(self):
-        """Exact residues f(0..period-1) mod p^N for a periodic function."""
+        """Exact residues f(0..period-1) mod p^N: the Mahler solve undone."""
         if self.period is None:
             raise PreconditionError("function carries no period certificate")
-        return [self._eval_at_int(a) for a in range(self.period)]
+        cs = [self.coeffs.get(n, 0) for n in range(self.period)]
+        return _series.differences_at_zero(cs, self.p**self.prec, sign=1)
 
     def _eval_at_int(self, a):
         row = binomial_row_tracked(self.p, a, self.prec, min(a, self.tail_cert - 1), self.prec)
@@ -594,9 +586,7 @@ def mahler_coeffs_from_samples(p, values, prec=None):
     (``_series.differences_at_zero``), as the ball fold does.
     """
     m = len(values)
-    M = 0
-    while p**M < m:
-        M += 1
+    M = log_floor(m, p)
     if p**M != m:
         raise PreconditionError(f"sample count {m} is not a power of {p}")
     native = M + 1
@@ -704,12 +694,7 @@ def middle_ideal_valuation(p, N, m):
     The ideal is spanned, degree by degree, by p^(N+1) in degree 0 and by
     p^(max(0, N - floor(log_p m))) in degree m >= 1.
     """
-    if m == 0:
-        return N + 1
-    j = 0
-    while p ** (j + 1) <= m:
-        j += 1
-    return max(0, N - j)
+    return N + 1 if m == 0 else max(0, N - log_floor(m, p))
 
 
 def middle_ideal_contains(p, N, coeffs):

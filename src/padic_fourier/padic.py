@@ -32,6 +32,7 @@ __all__ = [
     "gen_binomial_profile",
     "gen_binomial_valuation_bound",
     "gen_binomial_valuation_floor",
+    "log_floor",
     "vp_int",
     "vp_factorial",
 ]
@@ -89,6 +90,14 @@ def vp_int(n: int, p: int) -> int:
             n //= q
             v += e
     return v
+
+
+def log_floor(n: int, p: int) -> int:
+    """How many of p, p^2, ... are <= n: the largest e with p^e <= n, 0 if n < p."""
+    e, q = 0, p
+    while q <= n:
+        e, q = e + 1, q * p
+    return e
 
 
 def vp_factorial(n: int, p: int) -> int:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from padic_fourier import _series
 
@@ -408,3 +408,45 @@ def test_log_mod_inverts_exp_mod_p_n(p, degree, prec):
         out = np.convolve(out, L)[:degree] % mod
         out[0] = (out[0] + c) % mod
     assert out.tolist() == [1, 1] + [0] * (degree - 2)
+
+
+def exp_recurrence_loop(p, degree):
+    """E by n e_n = Σ_{p^i <= n} e_{n - p^i}, the powers found one at a time."""
+    e = [Fraction(1)] + [Fraction(0)] * (degree - 1)
+    for n in range(1, degree):
+        acc, i = Fraction(0), 0
+        while p**i <= n:
+            acc += e[n - p**i]
+            i += 1
+        e[n] = acc / n
+    return e
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(1, 150))
+@example(2, 129)
+def test_exp_recurrence_matches_the_loop(p, degree):
+    assert list(artin_hasse_exp(p, degree).coeffs) == exp_recurrence_loop(p, degree)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7, 11, 13]),
+    st.integers(2, 3000),
+    st.sampled_from([1, 2, 3, 7]),
+    st.integers(0, 3),
+)
+@example(2, 4, 1, 2)  # degree p^2: i_max 1
+@example(3, 19, 2, 1)  # 9 < 19/2 < 27
+def test_pi_element_level_matches_the_loop(p, num, den, depth):
+    # i_max, the largest i with p^i < degree, sets the reported box and shift
+    degree = Fraction(num, den)
+    assume(degree > 1)
+    i_max = 0
+    while p ** (i_max + 1) < degree:
+        i_max += 1
+    prec = depth + 1 + i_max
+    pi = pi_element(p, depth, prec, degree)
+    assert pi.shift == -i_max
+    assert pi.degree == min(degree, Fraction(p ** (i_max + 1) - 1))
+    assert pi.prec == prec

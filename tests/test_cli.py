@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padic_fourier import cli
+from padic_fourier.ainf import AinfElt
 from padic_fourier.cli import JobSpec, main, run
 from padic_fourier.errors import PadicFourierError, ParseError, PreconditionError
 from padic_fourier.padic import PadicScalar
@@ -924,6 +925,75 @@ def test_fourier_combo_digits_survive_a_deeper_run(argv, prec):
     for (q, a), (_, b) in zip(shallow, deep):
         assert a.abs_bound == prec and b.abs_bound == prec + 3, (argv, q)
         assert a == b, (argv, prec, q, a, b)
+
+
+def _run_doc(argv):
+    """(exit code, stdout JSON or None) of one in-process run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = _exit_code(lambda: main(argv))
+    return code, json.loads(out.getvalue()) if code == 0 else None
+
+
+@st.composite
+def _ball_jobs(draw):
+    """(argv without --prec and --degree, degree) of a ``ball`` job on a Dirac
+    mass at a >= degree, whose tail is not exact, so that the degree cut
+    (``ball_tail_floor``) sets the precision."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    degree = draw(st.integers(1, 30))
+    a = draw(st.one_of(st.integers(degree, degree + 300), st.integers(-300, -1)))
+    h = draw(st.integers(0, 4).filter(lambda h: p**h <= degree * p))  # p^h > degree: exit 4
+    argv = ["ball", "--p", str(p), "--mu", f"dirac:{a}", "--h", str(h),
+            "--a", str(draw(st.integers(0, p**h - 1)))]
+    return argv, degree
+
+
+# the refinement oracle on ball values: at --prec N + 3 and a degree p^3
+# times larger, the certified floor gains three digits and no printed digit
+# may move; a run that cannot certify a digit exits 4
+@settings(max_examples=300, deadline=timedelta(seconds=2))
+@given(job=_ball_jobs(), prec=st.integers(2, 8))
+@example(job=(["ball", "--p", "2", "--mu", "dirac:37", "--h", "1", "--a", "1"], 8), prec=6)
+def test_ball_digits_survive_a_deeper_run(job, prec):
+    argv, degree = job
+    p = int(argv[2])
+    code, shallow = _run_doc([*argv, "--prec", str(prec), "--degree", str(degree)])
+    assert code in (0, 4), argv
+    if code:
+        return
+    code, deep = _run_doc([*argv, "--prec", str(prec + 3), "--degree", str(degree * p**3)])
+    assert code == 0, argv
+    a, b = PadicScalar.from_json(shallow["value"]), PadicScalar.from_json(deep["value"])
+    assert b.abs_bound >= a.abs_bound, (argv, prec, degree)
+    assert a == b, (argv, prec, degree, a, b)
+
+
+@st.composite
+def _mucan_jobs(draw):
+    """A ``mucan`` argv without --prec, at depth = stage or stage + 1 and a
+    degree on the depth's grid."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    stage = draw(st.integers(0, {2: 4, 3: 2, 5: 1}[p]))
+    depth = stage + draw(st.integers(0, 1))
+    degrees = ["1", "2", "3"] + ([f"1/{p}", f"{p + 1}/{p}"] if depth else [])
+    return ["mucan", "--p", str(p), "--stage", str(stage), "--depth", str(depth),
+            "--degree", draw(st.sampled_from(degrees))]
+
+
+# the refinement oracle on the canonical measure: every coefficient printed
+# at --prec N is the one a run at --prec N + 3 prints, inside the common box
+@settings(max_examples=150, deadline=timedelta(seconds=2))
+@given(argv=_mucan_jobs(), prec=st.integers(2, 8))
+@example(argv=["mucan", "--p", "2", "--stage", "2", "--depth", "3", "--degree", "2"], prec=4)
+def test_mucan_digits_survive_a_deeper_run(argv, prec):
+    code, shallow = _run_doc([*argv, "--prec", str(prec)])
+    assert code == 0, argv
+    code, deep = _run_doc([*argv, "--prec", str(prec + 3)])
+    assert code == 0, argv
+    a, b = AinfElt.from_json(shallow["measure"]), AinfElt.from_json(deep["measure"])
+    assert a.prec == prec and b.prec == prec + 3, argv
+    assert a == b, (argv, prec)
 
 
 # a JSON value of each type a document may hold where a flag or field goes

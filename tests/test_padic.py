@@ -20,6 +20,7 @@ from padic_fourier.padic import (
     gen_binomial_valuation_bound,
     gen_binomial_valuation_floor,
     is_prime,
+    log_floor,
     vp_factorial,
     vp_int,
     _block_poly,
@@ -143,6 +144,38 @@ def _vp_one_division_at_a_time(n, p):
 def test_vp_int_matches_one_division_at_a_time(p, unit, v):
     n = unit * p**v
     assert vp_int(n, p) == _vp_one_division_at_a_time(n, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7, 11, 13]),
+    st.one_of(st.integers(-5, 3000), st.integers(0, 2**70)),
+)
+@example(2, 0)
+@example(3, 2)
+@example(3, 3)
+@example(2, 2**64 - 1)
+def test_log_floor_brackets_n_between_powers(p, n):
+    e = log_floor(n, p)
+    if n < p:
+        assert e == 0
+    else:
+        assert p**e <= n < p ** (e + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7, 11, 13]),
+    st.one_of(st.integers(0, 3000), st.integers(0, 2**66)),
+)
+@example(2, 2**64)
+@example(3, 1)
+@example(5, 0)
+def test_newton_level_count_matches_the_first_power_past_the_cut(p, terms):
+    # cli mucan's budget counts Newton levels 1..g, g the least with
+    # p^(g+1) >= the term count; it once searched for it power by power
+    cut = min(terms, 1 << 64)
+    assert log_floor(cut - 1, p) == next(g for g in range(65) if p ** (g + 1) >= cut)
 
 
 @pytest.mark.parametrize("p", [1, -1, 0, -2])
