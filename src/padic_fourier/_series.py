@@ -358,17 +358,19 @@ def _reduce(x, n, w, half, mod):
 
 
 def power(x, k, one, mul=operator.mul):
-    """x^k by square-and-multiply, every product taken by ``mul``."""
+    """x^k by square-and-multiply, every product taken by ``mul``: the result
+    starts at its first factor, so ``one`` is returned for k = 0 alone and is
+    never multiplied; bit_length(k) - 1 squarings, bit_count(k) - 1 products."""
     if k < 0:
         raise PreconditionError("negative powers not supported")
-    out = one
+    out = None
     while k:
         if k & 1:
-            out = mul(out, x)
+            out = x if out is None else mul(out, x)
         k >>= 1
         if k:
             x = mul(x, x)
-    return out
+    return one if out is None else out
 
 
 def equal(a, b, bound, mod):
@@ -471,20 +473,20 @@ def w_valuation(p, depth, shift, prec, degree, coeffs):
     return LowerBound(shift + floor)
 
 
-def render(p, depth, coeffs, var, coef=str):
-    """The terms as text in ascending exponent order: the constant as
-    ``coef(c)``, any other term as its monomial in ``var``, preceded by
-    ``coef(c)·`` unless that reads 1; "0" for no terms."""
+def render(p, terms, var, coef=str):
+    """The (num, logden, coeff) ``terms`` of ``exponents`` as text, in their
+    order: the constant as ``coef(c)``, any other term as its monomial in
+    ``var``, preceded by ``coef(c)·`` unless that reads 1; "0" for none."""
     parts = []
-    for n, e, c in exponents(p, depth, coeffs):
+    for n, e, c in terms:
         c, mono = coef(c), f"{var}^{n}/{p**e}" if e else var if n == 1 else f"{var}^{n}"
         parts.append(c if not n else mono if c == "1" else f"{c}·{mono}")
     return " + ".join(parts) or "0"
 
 
-def encode_terms(p, depth, coeffs):
-    """JSON terms ``[{"q", "coeff"}, ...]`` in ascending exponent order."""
-    return [{"q": {"num": n, "logden": e}, "coeff": c} for n, e, c in exponents(p, depth, coeffs)]
+def encode_terms(terms):
+    """JSON terms ``[{"q", "coeff"}, ...]`` of (num, logden, coeff) ``terms``."""
+    return [{"q": {"num": n, "logden": e}, "coeff": c} for n, e, c in terms]
 
 
 def decode_terms(p, depth, terms):

@@ -225,22 +225,28 @@ class AinfElt(Immutable):
         )
 
     def __str__(self):
-        coef = (lambda c: f"{self.p}^{self.shift}·{c}") if self.shift else str
-        body = _series.render(self.p, self.depth, self.coeffs, "Tt", coef)
-        dstr = "inf" if self.degree is None else str(self.degree)
-        return f"{body} + O({self.p}^{self.shift + self.prec}, q>={dstr})"
+        return self._text(_series.exponents(self.p, self.depth, self.coeffs))
 
     def to_json(self):
-        doc = {
-            "p": self.p,
-            "prec": self.prec,
-            "depth": self.depth,
-            "degree": _series.encode_degree(self.p, self.degree),
-            "terms": _series.encode_terms(self.p, self.depth, self.coeffs),
-        }
-        if self.shift:
-            doc["shift"] = self.shift
-        return doc
+        terms = _series.exponents(self.p, self.depth, self.coeffs)
+        return {**self._fields(), "terms": _series.encode_terms(terms)}
+
+    def printed(self):
+        """(fields, terms, text): ``to_json`` but "terms", each term's (num, logden,
+        coeff) ascending, and ``str(self)``, from one ``_series.exponents`` pass."""
+        terms = list(_series.exponents(self.p, self.depth, self.coeffs))
+        return self._fields(), terms, self._text(terms)
+
+    def _fields(self):
+        doc = {"p": self.p, "prec": self.prec, "depth": self.depth,
+               "degree": _series.encode_degree(self.p, self.degree)}
+        return {**doc, "shift": self.shift} if self.shift else doc
+
+    def _text(self, terms):
+        coef = (lambda c: f"{self.p}^{self.shift}·{c}") if self.shift else str
+        body = _series.render(self.p, terms, "Tt", coef)
+        dstr = "inf" if self.degree is None else str(self.degree)
+        return f"{body} + O({self.p}^{self.shift + self.prec}, q>={dstr})"
 
     @classmethod
     def from_json(cls, doc):

@@ -209,7 +209,7 @@ def _log_newton(p, degree, prec=None):
         for i in range(log_floor(d - 1, p) + 1):
             if i:
                 step = functools.partial(mul, n=d, m=mods[i])
-                R = _series.power(P, p - 2, P, step)  # P^(p-1)
+                R = _series.power(P, p - 1, None, step)  # p - 1 >= 1: no one is read
                 P, Q = step(R, P), _mod(R[:s], pmod) if i == 1 else mul(R, Q, s, pmod)
                 Gp = [x + y for x, y in zip(Gp, Q)]
             f = scale // p**i
@@ -282,7 +282,9 @@ def canonical_measure(p, stage, depth, prec, degree):
     multiplicative representative of the mod-p logarithm, and every stage
     reduces to it mod p exactly.  The work runs on dense lists of residues
     on T_n's grid: L(T_n) by ``_series.compose_mod``, its p^n-th power by
-    ``_series.mul_mod``; the one ``AinfElt`` is the result.
+    ``_series.mul_mod``; the one ``AinfElt`` is the result.  L is solved to
+    n terms at most: T_n has no constant term, so no coefficient of L past
+    T^(n-1) reaches the box's n keys; ``_terms_needed`` may stop it sooner.
     """
     if stage < 0:
         raise PreconditionError(f"stage {stage} < 0")
@@ -293,14 +295,14 @@ def canonical_measure(p, stage, depth, prec, degree):
         raise PreconditionError("degree bound must be positive")
     if depth == stage:
         n = _series.key_bound(p, stage, degree)
-        inner = [0, *artin_hasse_log_mod(p, n + 1, prec)[1:n]]
+        inner = [0, *artin_hasse_log_mod(p, n, prec)[1:]]
     else:
         tn = dirac_q(p, Fraction(1, p**stage), depth, prec, degree) - 1
-        L = artin_hasse_log_mod(p, _terms_needed(prec, degree, tn.w_floor()), prec)
         depth, n = tn.depth, _series.key_bound(p, tn.depth, degree)
+        L = artin_hasse_log_mod(p, min(_terms_needed(prec, degree, tn.w_floor()), n), prec)
         inner = _series.compose_mod(L, tn.coeffs, n, m)
     step = functools.partial(_series.mul_mod, n=n, m=m)
-    cs = _series.power(inner, p**stage, [1] + [0] * (n - 1), step)
+    cs = _series.power(inner, p**stage, None, step)  # p^stage >= 1: no one is read
     return AinfElt(p, prec, depth, degree, _series.sparse(cs))
 
 

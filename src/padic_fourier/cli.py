@@ -292,8 +292,39 @@ def _scalar_doc(x: PadicScalar):
     return {"value": x.to_json(), "pretty": str(x)}
 
 
+class _Rows:
+    """``n`` JSON records of one ``shape``, sorted (key, sub) pairs with sub None
+    at an int leaf, held as their ``leaves`` in key order: ``_json`` infers no shape."""
+
+    def __init__(self, shape, leaves, n):
+        self.shape, self.leaves, self.n = shape, leaves, n
+
+    def records(self):
+        """The dicts it stands for, as written (for json.dumps and equality)."""
+        return json.loads(_json(self, "\n"))
+
+    def __eq__(self, other):
+        return self.records() == (other.records() if type(other) is _Rows else other)
+
+
+# the records of AinfElt.to_json's terms and of a Fourier coefficient
+_Q = (("logden", None), ("num", None))
+_TERM = (("coeff", None), ("q", _Q))
+_COEFFICIENT = (("q", _Q), ("value", tuple((k, None) for k in ("p", "prec", "shift", "unit"))))
+
+
 def _measure_doc(mu):
-    return {"measure": mu.to_json(), "pretty": str(mu)}
+    if not isinstance(mu, AinfElt):
+        return {"measure": mu.to_json(), "pretty": str(mu)}
+    fields, terms, text = mu.printed()
+    leaves = [x for n, e, c in terms for x in (c, e, n)]
+    return {"measure": {**fields, "terms": _Rows(_TERM, leaves, len(terms))}, "pretty": text}
+
+
+def _coefficients_doc(out):
+    """The Fourier coefficients ``out``, SExponent -> PadicScalar, in order."""
+    leaves = [x for q, v in out.items() for x in (q.logden, q.num, v.p, v.prec, v.shift, v.unit)]
+    return {"coefficients": _Rows(_COEFFICIENT, leaves, len(out))}
 
 
 def _wval_doc(w):
@@ -394,19 +425,19 @@ def _cmd_mucan(pr):
         # of 2·e·bit_length(p) + bit_length(n) bits as mul_mod sizes them: the
         # box's p^stage-th power; past the stage, the powers of T_n that L(T_n)
         # sums, (prec + ⌈degree⌉)/w + 1 for w(T_n) >= min(1/p^stage, degree);
-        # L's Newton solve to as many terms (else to the box), a p-th power at
-        # each level i = 1..g mod p^(prec+i), p^(g+1) >= terms
+        # L's Newton solve to as many terms, at most the box's n keys, a p-th
+        # power at each level i = 1..g mod p^(prec+i), p^(g+1) >= terms
         def products(k, n, e):  # n in [0, 2^64]: a box of degree <= 0 is empty
             n = min(max(n, 0), 1 << 64)  # and a float holds the size
             return k * Fraction((n * (2 * e * p.bit_length() + n.bit_length()) / 64) ** 1.58)
 
-        box, e, k = cells(depth, degree) + 1, cells(stage), p - 2
-        count, terms = products(e.bit_length() - 1 + e.bit_count(), box, prec), box
+        n, e, k = -cells(depth, -degree), cells(stage), p - 1  # n = ⌈degree·p^depth⌉
+        count, terms = products(e.bit_length() + e.bit_count() - 2, n, prec), n
         if depth > stage >= 0 and degree > 0:
-            terms = math.ceil((prec + math.ceil(degree)) / min(Fraction(1, e), degree)) + 1
-            count += products(min(terms, box), box, prec)  # a power past the box is 0
+            terms = min(math.ceil((prec + math.ceil(degree)) / min(Fraction(1, e), degree)) + 1, n)
+            count += products(terms, n, prec)  # a power past the box is 0
         g = log_floor(min(terms, 1 << 64) - 1, p)
-        per = max(1, k.bit_length() + k.bit_count())  # products of a p-th power
+        per = k.bit_length() + k.bit_count() - 1  # products of a p-th power
         return int(count + sum(products(per, terms, prec + i) for i in range(1, g + 1))) // 100
 
     _budget(p, [("--prec", prec)], work)
@@ -437,7 +468,7 @@ def _cmd_fourier(pr):
     else:
         (mu,) = _measures(pr, [pr["mu"]], prec, qp=True, degree=4)
         out = forward_transform(mu)
-    return {"coefficients": [{"q": q.to_json(), "value": v.to_json()} for q, v in out.items()]}
+    return _coefficients_doc(out)
 
 
 def _cmd_orthocheck(pr):
@@ -561,64 +592,35 @@ def run(job: JobSpec) -> dict:
 
 
 def _render(doc: dict, fmt: str) -> str:
-    if fmt == "pretty":
-        lines = []
-        if "pretty" in doc:
-            lines.append(doc["pretty"])
-        else:
-            for k in sorted(doc):
-                lines.append(f"{k}: {json.dumps(doc[k], sort_keys=True)}")
-        return "\n".join(lines) + "\n"
-    return _json(doc, "\n") + "\n"
+    if fmt == "json":
+        return _json(doc, "\n") + "\n"
+    if "pretty" in doc:
+        return doc["pretty"] + "\n"
+    return "".join(f"{k}: {json.dumps(doc[k], sort_keys=True, default=_Rows.records)}\n" for k in sorted(doc))
 
 
 def _json(x, nl):
     """json.dumps(x, sort_keys=True, indent=2) at the indent ``nl``, a newline
     and the spaces, in one pass: that call skips the C encoder when indenting.
-    A list of ints is one join, and a list of records of one shape is one
-    template formatted once; any other list is walked item by item."""
+    A list of ints is one join, and ``_Rows`` one template formatted once
+    with its leaves; any other list is walked item by item."""
     t = type(x)
     if t is str:
         return _quote(x)
     if t is int:
         return int.__repr__(x)
+    inner = nl + "  "
+    if t is _Rows:
+        row = inner + _template(x.shape, inner)
+        return "[" + ",".join([row] * x.n) % tuple(x.leaves) + nl + "]" if x.n else "[]"
     if x and (t is list or t is tuple):
-        inner = nl + "  "
         if all(type(v) is int for v in x):
             return "[" + inner + ("," + inner).join(map(int.__repr__, x)) + nl + "]"
-        shape, leaves = _shape(x[0]), []
-        if shape and all(_leaves(r, shape, leaves) for r in x):
-            row = inner + _template(shape, inner)
-            return "[" + ",".join([row] * len(x)) % tuple(leaves) + nl + "]"
         return "[" + ",".join([inner + _json(v, inner) for v in x]) + nl + "]"
     if x and t is dict and all(type(k) is str for k in x):
-        inner = nl + "  "
         items = [f"{inner}{_quote(k)}: {_json(x[k], inner)}" for k in sorted(x)]
         return "{" + ",".join(items) + nl + "}"
     return json.dumps(x, sort_keys=True, indent=2).replace("\n", nl)
-
-
-def _shape(x):
-    """The sorted (key, subshape) pairs of a record: a non-empty dict with
-    str keys whose values are ints (subshape None) or records; else None."""
-    if type(x) is not dict or not x or any(type(k) is not str for k in x):
-        return None
-    shape = [(k, None if type(x[k]) is int else _shape(x[k])) for k in sorted(x)]
-    return shape if all(sub or type(x[k]) is int for k, sub in shape) else None
-
-
-def _leaves(r, shape, out):
-    """Whether ``r`` is a record of ``shape`` (a bool is no int leaf: JSON
-    writes true or false), its leaves appended to ``out`` in key order."""
-    if type(r) is not dict or len(r) != len(shape):
-        return False
-    for k, sub in shape:
-        v = r.get(k)
-        if sub is None and type(v) is int:
-            out.append(v)
-        elif sub is None or not _leaves(v, sub, out):
-            return False
-    return True
 
 
 def _template(shape, nl):

@@ -128,7 +128,7 @@ class UnifFn(Immutable):
             "p": self.p,
             "prec": self.prec,
             "depth": self.depth,
-            "terms": _series.encode_terms(self.p, self.depth, self.coeffs),
+            "terms": _series.encode_terms(_series.exponents(self.p, self.depth, self.coeffs)),
             "decay_cert": [
                 {
                     "q_ge": SExponent.from_fraction(self.p, t).to_json(),

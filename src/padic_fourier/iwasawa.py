@@ -199,14 +199,14 @@ class IwasawaElt(Immutable):
         the degree cut into a p-adic bound.  Exact tails have no unknown
         terms at all.
         """
+        if h < 0:
+            raise PreconditionError(f"ball radius p^-h needs h >= 0, not {h}")
         return _INF if self.exact_tail else max(0, log_floor(self.degree, self.p) + 1 - h)
 
     def _ball_values(self, h):
         """(residues, out_prec): residues[a] is the value on a + p^h Z_p mod
         p^prec (0 past the list's end), certified to O(p^out_prec).  One fold
         per radius, kept on the instance; callers must not mutate it."""
-        if h < 0:
-            raise PreconditionError(f"ball radius p^-h needs h >= 0, not {h}")
         out_prec = min(self.prec, self.ball_tail_floor(h))
         if out_prec <= 0:
             raise UncertifiedTailError(
@@ -279,7 +279,7 @@ class IwasawaElt(Immutable):
         return f"IwasawaElt(p={self.p}, prec={self.prec}, degree={self.degree})"
 
     def __str__(self):
-        body = _series.render(self.p, 0, _series.sparse(self.coeffs), "T")
+        body = _series.render(self.p, ((k, 0, c) for k, c in enumerate(self.coeffs) if c), "T")
         return f"{body} + O({self.p}^{self.prec}, T^{self.degree})"
 
     def to_json(self):

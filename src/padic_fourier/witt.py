@@ -91,15 +91,13 @@ class PerfSeries(AinfElt):
             f"terms={len(self.coeffs)})"
         )
 
-    def __str__(self):
-        body = _series.render(self.p, self.depth, self.coeffs, "t")
+    def _text(self, terms):
+        body = _series.render(self.p, terms, "t")
         dstr = "inf" if self.degree is None else str(self.degree)
         return f"{body}  (mod {self.p}, q>={dstr})"
 
-    def to_json(self):
-        doc = AinfElt.to_json(self)
-        del doc["prec"]  # always 1
-        return doc
+    def _fields(self):
+        return {k: v for k, v in AinfElt._fields(self).items() if k != "prec"}  # always 1
 
     @classmethod
     def from_json(cls, doc):

@@ -216,6 +216,40 @@ def test_canonical_measure_matches_the_element_oracle(case):
     assert str(mu) == str(want)
 
 
+def canonical_measure_untrimmed(p, stage, depth, prec, degree):
+    """canonical_measure past the stage with L solved to all the terms
+    ``_terms_needed`` asks for, however far past the box's n keys."""
+    degree, m = Fraction(degree), p**prec
+    tn = dirac_q(p, Fraction(1, p**stage), depth, prec, degree) - 1
+    L = artin_hasse_log_mod(p, _terms_needed(prec, degree, tn.w_floor()), prec)
+    n = _series.key_bound(p, tn.depth, degree)
+    inner = _series.compose_mod(L, tn.coeffs, n, m)
+    return AinfElt(p, prec, tn.depth, degree, _series.sparse(inner)) ** (p**stage)
+
+
+@st.composite
+def past_stage_cases(draw):
+    """(p, stage, depth, prec, degree), depth one or two past the stage and
+    a box of n = ⌈degree·p^depth⌉ <= 200 keys, n <= 2 among them."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    stage = draw(st.integers(0, 3))
+    depth = stage + draw(st.integers(1, 2))
+    j = draw(st.integers(0, depth))
+    num = draw(st.integers(1, 2) | st.integers(1, max(1, 200 // p ** (depth - j))))
+    return p, stage, depth, draw(st.integers(1, 8)), Fraction(num, p**j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(past_stage_cases())
+@example((2, 0, 1, 1, Fraction(1, 2)))  # n = 1
+@example((3, 1, 3, 8, Fraction(2, 27)))  # n = 2
+@example((7, 3, 5, 8, Fraction(1, 7**3)))  # L trimmed from 3088 terms to 49
+@example((2, 3, 5, 8, Fraction(4)))  # terms needed below n: nothing trimmed
+def test_canonical_measure_past_the_stage_needs_l_only_to_the_box(case):
+    mu, want = canonical_measure(*case), canonical_measure_untrimmed(*case)
+    assert mu.to_json() == want.to_json() and str(mu) == str(want)
+
+
 class TestSeries:
     def test_exp_small_p2(self):
         # expand exp(T + T^2/2) over Q to degree 2

@@ -18,7 +18,7 @@ from padic_fourier import cli
 from padic_fourier.ainf import AinfElt
 from padic_fourier.cli import JobSpec, main, run
 from padic_fourier.errors import PadicFourierError, ParseError, PreconditionError
-from padic_fourier.padic import PadicScalar
+from padic_fourier.padic import PadicScalar, SExponent
 from padic_fourier.witt import PerfSeries
 
 
@@ -1377,3 +1377,53 @@ def _record_lists(draw):
 @example({"coeffs": [1, 2, True, 4], "more": [[3, -(2**64)], []]})
 def test_record_lists_render_like_json_dumps(doc):
     assert cli._render(doc, "json") == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# The measure and coefficient writers: records built with their shape, each
+# list of them written like the documents of to_json and str
+@st.composite
+def _printed_measures(draw):
+    """An AinfElt (any shift, depth, degree, coefficients past 2^64) or a
+    PerfSeries, possibly with no terms."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    depth = draw(st.integers(0, 3))
+    degree = draw(st.none() | st.builds(
+        Fraction, st.integers(1, 4 * p**depth), st.sampled_from([1, p, p**depth])))
+    keys = st.integers(0, 4 * p**depth)
+    if draw(st.booleans()):
+        return PerfSeries(p, depth, degree, draw(st.dictionaries(keys, st.integers(0, p), max_size=12)))
+    prec = draw(st.integers(1, 4) | st.just(70))
+    mod = p**prec
+    coeffs = draw(st.dictionaries(keys, st.integers(-mod, mod) | st.just(mod - 1), max_size=12))
+    return AinfElt(p, prec, depth, degree, coeffs, shift=draw(st.integers(-3, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_printed_measures())
+@example(AinfElt(2, 70, 0, None, {}))  # no terms
+@example(AinfElt(2, 70, 3, Fraction(5, 2), {1: 2**70 - 1, 9: 2**64 + 1}, shift=-2))
+@example(PerfSeries(3, 2, None, {0: 1, 1: 2, 9: 1}))
+def test_measure_writer_matches_to_json_and_str(mu):
+    doc = cli._measure_doc(mu)
+    want = {"measure": mu.to_json(), "pretty": str(mu)}
+    assert cli._render(doc, "json") == json.dumps(want, sort_keys=True, indent=2) + "\n"
+    assert cli._render(doc, "pretty") == str(mu) + "\n"
+    assert doc == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.lists(st.tuples(
+    st.integers(0, 40), st.integers(0, 3),
+    st.integers(-3, 3), st.integers(0, 2**70) | st.just(0), st.integers(0, 70),
+), max_size=10))
+@example(2, [])
+@example(3, [(1, 1, -2, 2**65 + 1, 70), (3, 0, 0, 0, 5)])
+def test_coefficient_writer_matches_to_json(p, rows):
+    out = {SExponent.from_fraction(p, Fraction(num, p**logden)): PadicScalar(p, shift, unit, prec)
+           for num, logden, shift, unit, prec in rows}
+    want = [{"q": q.to_json(), "value": v.to_json()} for q, v in out.items()]
+    doc = cli._coefficients_doc(out)
+    assert cli._render(doc, "json") == json.dumps(
+        {"coefficients": want}, sort_keys=True, indent=2) + "\n"
+    assert cli._render(doc, "pretty") == f"coefficients: {json.dumps(want, sort_keys=True)}\n"
+    assert doc == {"coefficients": want}

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from padic_fourier import _series, iwasawa
+from padic_fourier.cli import main
 from padic_fourier.errors import (
     InternalConsistencyError,
     ParseError,
@@ -1284,6 +1285,18 @@ def test_sample_count_level_matches_the_loop(p, m, prec):
         return
     f = mahler_coeffs_from_samples(p, [1] * m, prec=prec)
     assert f.prec == (M + 1 if prec is None else min(prec, M + 1)) and f.period == m
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_ball_tail_floor_refuses_a_negative_radius(exact, capsys):
+    # it once read a floor of 5 at h = -1, a radius p^1 that no ball has
+    mu = IwasawaElt(2, 4, 8, [0, 1], exact_tail=exact)
+    with pytest.raises(PreconditionError, match="h >= 0"):
+        mu.ball_tail_floor(-1)
+    assert mu.ball_tail_floor(0) == (math.inf if exact else 4)
+    # the ball command refuses h < 0 with exit 3, as it did before
+    assert main(["ball", "--p", "2", "--mu", "dirac:37", "--a", "0", "--h", "-1"]) == 3
+    assert "error:" in capsys.readouterr().err
 
 
 def test_ball_readers_refuse_a_negative_radius():

@@ -523,6 +523,71 @@ def test_iwasawa_equality_matches_box_oracle(pair, noise, grow):
     assert x == twin and twin == x
 
 
+# -- power: square-and-multiply from the first factor -----------------------
+
+
+_ONE = object()  # a stand-in identity that no product may see
+
+
+def counting_mul(calls, mul=operator.mul):
+    """``mul`` that refuses the stand-in identity and counts its calls."""
+
+    def counted(a, b):
+        assert a is not _ONE and b is not _ONE, "power multiplied by one"
+        calls.append(1)
+        return mul(a, b)
+
+    return counted
+
+
+@pytest.mark.parametrize("k", range(71))
+def test_power_never_multiplies_by_one(k):
+    calls = []
+    got = _series.power(3, k, _ONE, counting_mul(calls))
+    want = _ONE
+    for _ in range(k):
+        want = 3 if want is _ONE else want * 3
+    assert got is want if k == 0 else got == want
+    # bit_length(k) - 1 squarings and bit_count(k) - 1 further products
+    assert len(calls) == (k.bit_length() + bin(k).count("1") - 2 if k else 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(PRIMES, st.integers(1, 24), st.integers(1, 6), st.integers(1, 70), st.randoms())
+def test_power_of_residue_lists_matches_repeated_products(p, n, prec, k, rng):
+    m = p**prec
+    x = [rng.randrange(m) for _ in range(n)]
+    step = functools.partial(_series.mul_mod, n=n, m=m)
+    calls = []
+    want = x
+    for _ in range(k - 1):
+        want = step(want, x)
+    assert _series.power(x, k, _ONE, counting_mul(calls, step)) == want
+    assert len(calls) == k.bit_length() + bin(k).count("1") - 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(PRIMES.flatmap(ainf_elts))
+def test_ainf_first_power_is_the_product_by_one(x):
+    one = AinfElt.one(x.p, x.prec, x.degree)
+    assert x**1 == one * x and (x**1).to_json() == (one * x).to_json()
+
+
+@settings(max_examples=80, deadline=None)
+@given(PRIMES.flatmap(perf_elts))
+def test_perfseries_first_power_is_the_product_by_one(x):
+    one = PerfSeries.one(x.p, x.degree)
+    assert x**1 == one * x and (x**1).to_json() == (one * x).to_json()
+
+
+@settings(max_examples=80, deadline=None)
+@given(PRIMES.flatmap(iwasawa_elts))
+def test_iwasawa_first_power_is_the_product_by_one(x):
+    x = IwasawaElt(x.p, x.prec, x.degree, x.coeffs, exact_tail=True)
+    one = IwasawaElt.one(x.p, x.prec, x.degree)
+    assert x**1 == one * x and (x**1).to_json() == (one * x).to_json()
+
+
 # -- BivariateSeries -------------------------------------------------------
 
 
