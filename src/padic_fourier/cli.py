@@ -421,21 +421,22 @@ def _cmd_mucan(pr):
     degree = _frac(pr.get("degree", 2))
 
     def work(cells):
-        # k packed products of n residues mod p^e count k·words^1.58/100, slots
-        # of 2·e·bit_length(p) + bit_length(n) bits as mul_mod sizes them: the
-        # box's p^stage-th power; past the stage, the powers of T_n that L(T_n)
-        # sums, (prec + ⌈degree⌉)/w + 1 for w(T_n) >= min(1/p^stage, degree);
-        # L's Newton solve to as many terms, at most the box's n keys, a p-th
-        # power at each level i = 1..g mod p^(prec+i), p^(g+1) >= terms
-        def products(k, n, e):  # n in [0, 2^64]: a box of degree <= 0 is empty
-            n = min(max(n, 0), 1 << 64)  # and a float holds the size
-            return k * Fraction((n * (2 * e * p.bit_length() + n.bit_length()) / 64) ** 1.58)
+        # k packed products of n by t residues mod p^e (t = n by default) count
+        # k·words·(words·t/n)^0.58/100, words = n slots of 2·e·bit_length(p) +
+        # bit_length(n) bits as mul_mod sizes them: the box's p^stage-th power;
+        # past the stage, (prec + ⌈degree⌉)/w + 1 powers of T_n, w(T_n) >= min(
+        # 1/p^stage, degree), each times T_n's p^(depth-stage) + 1 slots; L's Newton
+        # solve to as many terms (at most n), a p-th power per level i mod p^(prec+i)
+        def products(k, n, e, t=None):  # n in [0, 2^64]: a box of degree <= 0
+            n = min(max(n, 0), 1 << 64)  # is empty, and a float holds the size
+            bits = (2 * e * p.bit_length() + n.bit_length()) / 64
+            return k * Fraction(n * bits * ((n if t is None else t) * bits) ** 0.58)
 
         n, e, k = -cells(depth, -degree), cells(stage), p - 1  # n = ⌈degree·p^depth⌉
         count, terms = products(e.bit_length() + e.bit_count() - 2, n, prec), n
         if depth > stage >= 0 and degree > 0:
             terms = min(math.ceil((prec + math.ceil(degree)) / min(Fraction(1, e), degree)) + 1, n)
-            count += products(terms, n, prec)  # a power past the box is 0
+            count += products(terms, n, prec, min(cells(depth - stage) + 1, n))
         g = log_floor(min(terms, 1 << 64) - 1, p)
         per = k.bit_length() + k.bit_count() - 1  # products of a p-th power
         return int(count + sum(products(per, terms, prec + i) for i in range(1, g + 1))) // 100

@@ -9,23 +9,24 @@ and the pairing with a continuous function f = Σ c_n (x choose n)
 Ball values come from the quotient Z_p[[T]]/((1+T)^(p^h) - 1), which is
 Z_p[Z/p^h]: substitute T = S - 1 and fold the exponents of S mod p^h;
 the coefficient of S^a is the value on a + p^h Z_p, so one Horner pass
-gives every ball of a radius (Washington, Cyclotomic Fields, §7.1).  The
+gives every ball of a radius (Washington, Cyclotomic Fields, §7.1).  As
+(S - 1)^(p^h) ≡ 0 mod p there, a fold mod p^k stops at T^(k·p^h).  The
 pass and the Mahler solve's differences run in ``_series``, packed one
 slot per power of S (per sample), every width moved as word planes.
 Degree truncation is converted into p-adic precision through the
 containment of T^(p^(h+l)) in the ideal of measures taking values in
 p^(l+1) Z_p on all balls of radius p^(-h).
 
-The ball ideals themselves are read from one row build (``_ball_rows``):
-row m holds the values of T^m on the balls of radius p^-h, h = 0..N,
-taken mod p^(N+1-h) and scaled by p^(h+1) into Z/p^(N+2), one cyclic
-difference pass per row since T^(m+1) = T^m·(S - 1).  One rule reads
-it: p^i T^m lies in every U_(h, N+1-h) exactly when p^i·gcd(p^(N+2),
-row m) vanishes mod p^(N+2).  ``ball_ideal_failures`` applies the rule
-to generator lists, and ``intersection_vs_middle_scan`` applies it to the
-middle generators and stacks the rows into the ball-value map whose Smith
-form (Cohen, A Course in Computational Algebraic Number Theory, §2.4)
-counts the intersection.
+The ball ideals are read from one pass per radius (``_radius_pass``):
+the values of T^m on the balls of radius p^-h mod p^(N+1-h), one cyclic
+difference pass per m as T^(m+1) = T^m·(S - 1), until they vanish.  One
+rule reads them: p^i T^m lies in every U_(h, N+1-h) exactly when p^i·g
+vanishes mod p^(N+2), g the least of p^(h+1)·gcd(p^(N+1-h), values at
+h), one gcd per (m, h).  ``ball_ideal_failures`` applies the rule to
+generator lists, and ``intersection_vs_middle_scan`` to the middle
+generators, whose scaled values it stacks into the ball-value map whose
+Smith form (Cohen, A Course in Computational Algebraic Number Theory,
+§2.4) counts the intersection.
 """
 
 from __future__ import annotations
@@ -206,7 +207,8 @@ class IwasawaElt(Immutable):
     def _ball_values(self, h):
         """(residues, out_prec): residues[a] is the value on a + p^h Z_p mod
         p^prec (0 past the list's end), certified to O(p^out_prec).  One fold
-        per radius, kept on the instance; callers must not mutate it."""
+        per radius, kept on the instance; callers must not mutate it.  The fold
+        stops at T^(prec·p^h): past it, every term is 0 mod p^prec."""
         out_prec = min(self.prec, self.ball_tail_floor(h))
         if out_prec <= 0:
             raise UncertifiedTailError(
@@ -215,7 +217,8 @@ class IwasawaElt(Immutable):
         if not hasattr(self, "_balls"):
             self._set(_balls={})
         if h not in self._balls:
-            self._balls[h] = _series.ball_residues(self.coeffs, self.p**h, self.p**self.prec)
+            r = self.p**h
+            self._balls[h] = _series.ball_residues(self.coeffs[: self.prec * r], r, self.p**self.prec)
         return self._balls[h], out_prec
 
     def ball_measure(self, a, h):
@@ -702,23 +705,29 @@ def middle_ideal_contains(p, N, coeffs):
     return all(c % p ** middle_ideal_valuation(p, N, m) == 0 for m, c in enumerate(coeffs))
 
 
+def _radius_pass(p, h, mod):
+    """The values of T^m on the balls of radius p^-h mod ``mod`` = p^k, for
+    m = 0, 1, ... as lists of p^h residues, until they vanish (m = k·p^h at
+    the latest): the values of T^(m+1) are one cyclic difference pass."""
+    values = [1] + [0] * (p**h - 1)
+    while any(values):
+        yield values
+        values = [(x - y) % mod for x, y in zip(values[-1:] + values[:-1], values)]
+
+
 def _ball_rows(p, N, top):
     """The ball-value rows of T^m, m = 0..top, over Z/p^(N+2).
 
     Row m lists T^m on the balls of radius p^-h, h = 0..N, taken mod
     p^(N+1-h) and multiplied by p^(h+1), so that vanishing mod p^(N+1-h)
-    is vanishing mod p^(N+2).  In Z_p[Z/p^h] = Z_p[S]/(S^(p^h) - 1),
-    T = S - 1, so the values of T^(m+1) are one cyclic difference pass
-    over those of T^m: O(top·p^h) per radius, where folding each T^m on
-    its own costs O(m·p^h).
+    is vanishing mod p^(N+2); a radius whose pass has stopped adds zeros.
     """
     rows = [[] for _ in range(top + 1)]
     for h in range(N + 1):
-        scale, mod = p ** (h + 1), p ** (N + 1 - h)
-        values = [1] + [0] * (p**h - 1)
+        scale, zeros = p ** (h + 1), [0] * p**h
+        values = _radius_pass(p, h, p ** (N + 1 - h))
         for row in rows:
-            row += [x * scale for x in values]
-            values = [(x - y) % mod for x, y in zip(values[-1:] + values[:-1], values)]
+            row += [x * scale for x in next(values, zeros)]
     return rows
 
 
@@ -729,13 +738,18 @@ def ball_ideal_failures(p, N, gens):
     p^i T^m lies in every one of them exactly when p^i·gcd(p^(N+2), row m)
     vanishes mod p^(N+2), row m of ``_ball_rows``: the radius h part of
     the row then has valuation at least N + 2 - i, that is, T^m takes
-    values in p^(N+1-h-i) Z_p on every ball of radius p^-h.
+    values in p^(N+1-h-i) Z_p on every ball of radius p^-h.  That gcd is
+    the least over h of p^(h+1)·gcd(p^(N+1-h), values), taken unstacked.
     """
     if any(m < 0 for _, m in gens):
         raise PreconditionError("exponents on Z_p are >= 0")
-    mod = p ** (N + 2)
-    rows = _ball_rows(p, N, max((m for _, m in gens), default=0))
-    return [(i, m) for i, m in gens if p**i * math.gcd(mod, *rows[m]) % mod]
+    top = max((m for _, m in gens), default=0)
+    least = [p ** (N + 2)] * (top + 1)  # a vanished row has gcd p^(N+2)
+    for h in range(N + 1):
+        scale, mod = p ** (h + 1), p ** (N + 1 - h)
+        for m, values in zip(range(top + 1), _radius_pass(p, h, mod)):
+            least[m] = min(least[m], scale * math.gcd(mod, *values))
+    return [(i, m) for i, m in gens if p**i * least[m] % p ** (N + 2)]
 
 
 def _elementary_divisor_valuations(rows, p, K):

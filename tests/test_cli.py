@@ -736,6 +736,12 @@ def test_readme_cli_examples_are_charged_before_anything_is_built(capsys, monkey
     (["mucan", "--p", "11", "--stage", "3", "--prec", "12", "--degree", "3"], "4000", False),
     # 322103 cells, past 100 s: L(T_0) sums 15 powers of T_0 over the box
     (["mucan", "--p", "11", "--stage", "0", "--depth", "5", "--prec", "12"], "1000000", False),
+    # past the stage each power of T_n is a product by T_n's p^(depth-stage)
+    # + 1 slots: counted as whole-box products these were refused
+    (["mucan", "--p", "5", "--stage", "3", "--prec", "40", "--degree", "1", "--depth", "4"],
+     "1000000", True),
+    (["mucan", "--p", "2", "--stage", "8", "--prec", "40", "--degree", "2", "--depth", "9"],
+     "1000000", True),
     # exact support: 2^15 + 1 terms (0.5 s), then 2^17 + 1 (3.7 s)
     (["teich", "--p", "2", "--x", "1 + t", "--digits", "16"], "1000000", True),
     (["teich", "--p", "2", "--x", "1 + t", "--digits", "18"], "1000000", False),
@@ -745,7 +751,7 @@ def test_readme_cli_examples_are_charged_before_anything_is_built(capsys, monkey
     (["mahler", "--p", "2", "--samples", ",".join("1" * 1024)], "1000000", True),
     (["mahler", "--p", "2", "--samples", ",".join("1" * 2048)], "1000000", False),
 ], ids=["mucan-p5-s5", "mucan-p2-s10", "mucan-p11-s3", "mucan-p2-s12", "mucan-p5-s5-n4",
-        "mucan-p11-s3-d3-fuzz-cap", "mucan-p11-m5",
+        "mucan-p11-s3-d3-fuzz-cap", "mucan-p11-m5", "mucan-p5-s3-m4", "mucan-p2-s8-m9",
         "teich-digits-16", "teich-digits-18", "teich-degree-400", "mahler-1024", "mahler-2048"])
 def test_work_counts_admit_and_refuse(capsys, monkeypatch, unbuilt, argv, cap, admitted):
     if admitted:

@@ -702,6 +702,50 @@ def test_ball_values_folded_once_per_radius():
         mu.ball_measure(0, 4)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(0, 4),
+    st.integers(1, 4),
+    st.integers(0, 3),
+    st.randoms(use_true_random=False),
+)
+@example(2, 4, 4, 3, random.Random(0))  # a list past the cut at every multiple of p^h
+@example(7, 4, 1, 0, random.Random(1))  # 2401 balls, cut at T^2401
+def test_ball_fold_cut_at_k_p_h_drops_nothing(p, h, k, extra, rnd):
+    # (S - 1)^(p^h) ≡ 0 mod p in Z[S]/(S^(p^h) - 1): mod p^k the terms from
+    # T^(k·p^h) on add nothing, and T^m takes values in p^min(k, ⌊m/p^h⌋)
+    while p**h * (k + extra) > 3000:
+        extra, k = (extra - 1, k) if extra else (0, k - 1)
+    r, mod = p**h, p**k
+    cs = [rnd.randrange(mod) for _ in range(r * (k + extra) + rnd.randrange(r))]
+    assert _series.ball_residues(cs[: k * r], r, mod) == _series.ball_residues(cs, r, mod)
+    for m in rnd.sample(range(len(cs) + 1), min(8, len(cs) + 1)):
+        floor = p ** min(k, m // r)
+        assert all(x % floor == 0 for x in _series.ball_residues([0] * m + [1], r, mod)), m
+
+
+@pytest.mark.parametrize("h", [0, 1, 3])
+def test_ball_values_fold_at_most_prec_p_h_coefficients(monkeypatch, h):
+    # a measure of 2^14 coefficients: the fold is handed T^0..T^(prec·2^h - 1)
+    # alone, and its values are those of the whole list
+    p, prec = 2, 5
+    coeffs = [(5 * n + 3) % 2**prec for n in range(2**14)]
+    seen = []
+    fold = _series.ball_residues
+
+    def spy(cs, r, mod):
+        seen.append(len(cs))
+        return fold(cs, r, mod)
+
+    monkeypatch.setattr(_series, "ball_residues", spy)
+    mu = IwasawaElt(p, prec, 2**14, coeffs)
+    vals, _ = mu._ball_values(h)
+    assert seen and max(seen) <= prec * p**h
+    assert vals == fold(coeffs, p**h, p**prec)
+    assert mu.natural_ideal_membership(h, 0)[0] and len(seen) == 1  # the cached fold
+
+
 # ---------------------------------------------------------------------------
 # Oracles for the packed passes: the list Horner fold and the list iterated
 # differences, checked past the slots' reduction period
@@ -1132,6 +1176,44 @@ def test_perturbed_ball_ideal_failures_match_the_membership_loop(pN, which, rnd)
 def test_ball_ideal_failures_refuse_negative_exponents():
     with pytest.raises(PreconditionError):
         ball_ideal_failures(2, 1, [(0, -1)])
+
+
+def stacked_row_failures(p, N, gens):
+    """ball_ideal_failures by the stacked rows: row m holds T^m on the balls
+    of every radius p^-h, h = 0..N, mod p^(N+1-h) and scaled by p^(h+1), one
+    cyclic difference pass per m over all of 0..max m, and p^i T^m fails
+    when p^i·gcd(p^(N+2), row m) is not 0 mod p^(N+2)."""
+    top, mod = max((m for _, m in gens), default=0), p ** (N + 2)
+    rows = [[] for _ in range(top + 1)]
+    for h in range(N + 1):
+        scale, hmod = p ** (h + 1), p ** (N + 1 - h)
+        values = [1] + [0] * (p**h - 1)
+        for row in rows:
+            row += [x * scale for x in values]
+            values = [(x - y) % hmod for x, y in zip(values[-1:] + values[:-1], values)]
+    return [(i, m) for i, m in gens if p**i * math.gcd(mod, *rows[m]) % mod]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from([(2, N) for N in range(7)] + [(3, N) for N in range(4)]
+                    + [(5, N) for N in range(3)]),
+    st.integers(0, 2),
+    st.randoms(use_true_random=False),
+)
+@example((2, 6), 2, random.Random(0))
+@example((3, 3), 1, random.Random(1))
+@example((5, 2), 0, random.Random(2))
+def test_ball_ideal_failures_match_the_stacked_rows(pN, which, rnd):
+    # idealcheck's lists with generators dropped, weakened by powers of p,
+    # moved in degree (past p^N too), or added at random
+    p, N = pN
+    gens = [
+        (max(0, i - rnd.randrange(3)), max(0, m + rnd.choice((-2, -1, 0, 0, 0, 1, 2))))
+        for i, m in idealcheck_lists(p, N)[which] if rnd.random() < 0.8
+    ]
+    gens += [(rnd.randrange(N + 3), rnd.randrange(p ** (N + 1) + 2)) for _ in range(3)]
+    assert ball_ideal_failures(p, N, gens) == stacked_row_failures(p, N, gens)
 
 
 def elementary_divisors_by_matrix_search(rows, p, K):
