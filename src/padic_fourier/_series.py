@@ -21,8 +21,8 @@ import operator
 from array import array
 from fractions import Fraction
 
-from .errors import ParseError, PreconditionError, PrimeMismatch, UncertifiedTailError
-from .padic import LowerBound, SExponent, json_field, json_int, vp_int
+from .errors import ParseError, PreconditionError, UncertifiedTailError
+from .padic import LowerBound, SExponent, _same, json_field, json_int, vp_int
 
 
 def degree_min(a, b):
@@ -382,18 +382,28 @@ def equal(a, b, bound, mod):
     )
 
 
-def pairings(fns, mus, fview, mview):
-    """Σ_k b_k a_k for every function and measure: rows of (shift, residue,
-    bound), the value p^shift·residue mod p^bound.  ``fview(f)`` is (coeffs,
-    prec, floors), floors None for an exact tail or (at, beyond): ``at(k)``
-    floors the valuation of the omitted coefficient at key k, ``beyond(q)``
-    of all those from exponent q on.  ``mview(mu)`` is (coeffs, prec, shift,
+def operand_prime(fns, fkind, mus, mkind):
+    """The one prime of the functions, each a ``fkind``, and the measures,
+    each a ``mkind`` (None for none), every operand checked by ``_same``
+    before a pairing reads any of its fields."""
+    p = None
+    for xs, kind in ((fns, fkind), (mus, mkind)):
+        for x in xs:
+            p = _same(p, x, kind).p
+    return p
+
+
+def pairings(p, fns, mus, fview, mview):
+    """Σ_k b_k a_k for every function and measure at the prime p, that
+    ``operand_prime`` returned: rows of (shift, residue, bound), the value
+    p^shift·residue mod p^bound.  ``fview(f)`` is (coeffs, prec, floors),
+    floors None for an exact tail or (at, beyond): ``at(k)`` floors the
+    valuation of the omitted coefficient at key k, ``beyond(q)`` of all
+    those from exponent q on.  ``mview(mu)`` is (coeffs, prec, shift,
     key bound, degree): residues, p^-shift times the coefficients below the
     key bound, and from ``degree`` on only valuation >= shift, both None for
     an exact tail.  A term unknown on one side costs the other's valuation."""
-    if len(ps := {x.p for x in (*fns, *mus)}) > 1:
-        raise PrimeMismatch("function and measure primes differ")
-    p, views = ps.pop() if ps else None, [mview(mu) for mu in mus]
+    views = [mview(mu) for mu in mus]
     index = {}  # key -> [(measure, residue)]: each sum is a join
     for j, (mc, *_) in enumerate(views):
         for k, a in mc.items():

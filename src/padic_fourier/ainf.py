@@ -29,7 +29,6 @@ from .errors import (
     BoxExhausted,
     PrecisionExhausted,
     PreconditionError,
-    PrimeMismatch,
 )
 from .iwasawa import dirac
 from .padic import (
@@ -39,6 +38,7 @@ from .padic import (
     SExponent,
     _as_sexponent,
     _modulus,
+    _same,
     json_field,
     json_int,
 )
@@ -104,10 +104,10 @@ class AinfElt(Immutable):
         return elt
 
     def _pair(self, other):
-        if type(other) is not type(self):
-            raise PreconditionError(f"expected a {type(self).__name__}")
-        if self.p != other.p:
-            raise PrimeMismatch(f"p={self.p} vs p={other.p}")
+        """Both operands on their common grid, once each is of the other's
+        type at one prime: an AinfElt and a PerfSeries do not mix."""
+        other = _same(self.p, other, type(self))
+        _same(self.p, self, type(other))
         m = max(self.depth, other.depth)
         return self.with_depth(m), other.with_depth(m)
 
@@ -185,11 +185,7 @@ class AinfElt(Immutable):
         depth, degree, cs = _series.scale(self.p, self.depth, self.degree, self.coeffs, k)
         return self._new(self.p, self.prec, depth, degree, cs, self.shift)
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        if self.p != other.p:
-            return False
+    def _equal(self, other):
         ca, cb, depth, _, prec, degree = self._align(other)
         return _series.equal(
             ca, cb, _series.key_bound(self.p, depth, degree), self.p**prec
@@ -275,8 +271,7 @@ def dirac_q(p, s, depth, prec, degree):
     if depth < 0:
         raise PreconditionError(f"depth {depth} < 0")
     if isinstance(s, PadicScalar):
-        if s.p != p:
-            raise PrimeMismatch("scalar prime differs")
+        s = _same(p, s, PadicScalar)
         if s.val_floor() < -depth:
             raise PreconditionError(
                 f"depth {depth} insufficient: v(s) = {s.val_floor()} < -{depth}"

@@ -31,7 +31,7 @@ from .errors import (
     InternalConsistencyError,
     PreconditionError,
 )
-from .padic import Immutable, _modulus, log_floor
+from .padic import Immutable, _modulus, _same, log_floor
 from .witt import PerfSeries
 
 __all__ = [
@@ -73,6 +73,7 @@ class PIntegralSeries(Immutable):
         self._set(p=p, degree=degree, coeffs=cs)
 
     def __add__(self, other):
+        other = _same(self.p, other, PIntegralSeries)
         d = min(self.degree, other.degree)
         return PIntegralSeries(self.p, d, [self.coeffs[n] + other.coeffs[n] for n in range(d)])
 
@@ -82,6 +83,7 @@ class PIntegralSeries(Immutable):
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return PIntegralSeries(self.p, self.degree, [c * other for c in self.coeffs])
+        other = _same(self.p, other, PIntegralSeries)
         d = min(self.degree, other.degree)
         return PIntegralSeries(self.p, d, _mul_exact(self.coeffs, other.coeffs, d))
 
@@ -89,6 +91,7 @@ class PIntegralSeries(Immutable):
 
     def compose(self, inner):
         """self(inner(T)) for inner with zero constant term, truncated."""
+        inner = _same(self.p, inner, PIntegralSeries)
         if inner.coeffs[0] != 0:
             raise PreconditionError("composition needs a zero constant term")
         d = min(self.degree, inner.degree)
@@ -114,11 +117,9 @@ class PIntegralSeries(Immutable):
                 cs[n * self.p**depth] = r
         return PerfSeries(self.p, depth, Fraction(self.degree), cs)
 
-    def __eq__(self, other):
-        if not isinstance(other, PIntegralSeries):
-            return NotImplemented
+    def _equal(self, other):
         d = min(self.degree, other.degree)
-        return self.p == other.p and self.coeffs[:d] == other.coeffs[:d]
+        return self.coeffs[:d] == other.coeffs[:d]
 
     def __repr__(self):
         return f"PIntegralSeries(p={self.p}, degree={self.degree})"

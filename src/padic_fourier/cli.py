@@ -176,6 +176,14 @@ def _frac(text) -> Fraction:
         raise ParseError(f"bad rational {text!r}: {e}")
 
 
+def _printed_degree(p, degree):
+    """``degree``, once a printed Q_p measure can write it: None or an
+    S-exponent at p, as ``SExponent.from_fraction`` checks before any work."""
+    if degree is not None:
+        SExponent.from_fraction(p, degree)
+    return degree
+
+
 def _measures(pr, exprs, prec, qp=None, degree=16, precs=()):
     """The measures of the flag values ``exprs``, charged with ``precs`` as
     one job before any is built: on Q_p if ``qp``, on Z_p if ``qp`` is
@@ -372,6 +380,8 @@ def _cmd_integrate(pr):
 
 def _cmd_convolve(pr):
     m1, m2 = _measures(pr, [pr["mu1"], pr["mu2"]], _prec(pr, 8))
+    if isinstance(m1, AinfElt):  # the product's degree is the lesser bound, None for none
+        _printed_degree(pr["p"], min(filter(None, (m1.degree, m2.degree)), default=None))
     return _measure_doc(m1 * m2)
 
 
@@ -390,7 +400,7 @@ def _cmd_dirac(pr):
     p, prec = pr["p"], _prec(pr, 8)
     if "s" in pr:
         s, depth = _frac(pr["s"]), _int(pr.get("depth", 0), "--depth")
-        degree = _frac(pr.get("degree", 4))
+        degree = _printed_degree(p, _frac(pr.get("degree", 4)))
         _budget(p, [("--prec", prec)], lambda cells: cells(depth, degree) + 1)
         return _measure_doc(dirac_q(p, s, depth, prec, degree))
     a, degree = _int(pr["a"], "--a"), _int(pr.get("degree", 16), "--degree")
@@ -401,7 +411,7 @@ def _cmd_dirac(pr):
 def _cmd_teich(pr):
     p, digits = pr["p"], _prec(pr, 3, "digits")
     depth, cs = _parse_perfseries(p, str(pr["x"]))
-    degree = _frac(pr["degree"]) if "degree" in pr else None
+    degree = _printed_degree(p, _frac(pr["degree"]) if "degree" in pr else None)
     top = max(cs, default=0)
     # the result's box, of residues mod p^digits: the support, whose top key k
     # grows to k·p^(digits-1) in the power undoing the root steps, its last
@@ -418,7 +428,7 @@ def _cmd_mucan(pr):
     stage = _int(pr.get("stage", 1), "--stage")
     prec = _prec(pr, 4)
     depth = _int(pr.get("depth", stage), "--depth")
-    degree = _frac(pr.get("degree", 2))
+    degree = _printed_degree(p, _frac(pr.get("degree", 2)))
 
     def work(cells):
         # k packed products of n by t residues mod p^e (t = n by default) count

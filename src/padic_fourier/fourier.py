@@ -21,7 +21,6 @@ from .ainf import AinfElt
 from .errors import (
     ParseError,
     PreconditionError,
-    PrimeMismatch,
     UncertifiedTailError,
 )
 from .padic import (
@@ -31,6 +30,7 @@ from .padic import (
     _as_sexponent,
     _gen_binomials,
     _modulus,
+    _same,
     json_field,
     json_flag,
     json_int,
@@ -104,11 +104,7 @@ class UnifFn(Immutable):
                 floor = max(floor, f)
         return floor
 
-    def __eq__(self, other):
-        if not isinstance(other, UnifFn):
-            return NotImplemented
-        if self.p != other.p:
-            return False
+    def _equal(self, other):
         m = max(self.depth, other.depth)
         return _series.equal(
             _series.regrid(self.coeffs, self.p ** (m - self.depth)),
@@ -166,6 +162,7 @@ def integrate_unif_matrix(fns, mus):
     residue, bound): p^shift·residue mod p^bound, the measure's shift.  A term
     outside one side's box is bounded by the other side's certificate, and an
     unbounded one raises.  Each side moves to the deepest grid once."""
+    p = _series.operand_prime(fns, UnifFn, mus, AinfElt)
     m = max((x.depth for x in (*fns, *mus)), default=0)
 
     def fview(f):
@@ -178,7 +175,7 @@ def integrate_unif_matrix(fns, mus):
         cs = mu.with_depth(m).coeffs
         return cs, mu.prec, mu.shift, _series.key_bound(mu.p, m, mu.degree), mu.degree
 
-    return _series.pairings(fns, mus, fview, mview)
+    return _series.pairings(p, fns, mus, fview, mview)
 
 
 def integrate_unif(f: UnifFn, mu: AinfElt) -> PadicScalar:
@@ -209,13 +206,8 @@ def forward_transform_diracs(p, combo, qs, prec) -> dict:
     binomial pass over the exponents on their common grid.  The result
     keeps the order of ``qs``.
     """
-    points = []
-    for c, s in combo:
-        if not isinstance(s, PadicScalar):
-            s = PadicScalar.from_fraction(p, Fraction(s), prec + 24)
-        elif s.p != p:
-            raise PrimeMismatch(f"Dirac point at p={s.p}, transform at p={p}")
-        points.append((c, s))
+    points = [(c, _same(p, s, PadicScalar) if isinstance(s, PadicScalar)
+               else PadicScalar.from_fraction(p, Fraction(s), prec + 24)) for c, s in combo]
     qs = [_as_sexponent(p, q) for q in qs]
     logden = max((q.logden for q in qs), default=0)
     keys = {q: q.num * p ** (logden - q.logden) for q in qs}
@@ -235,9 +227,8 @@ def eval_unif(f: UnifFn, x: PadicScalar, target_prec=None) -> PadicScalar:
     1 everywhere, and sharper bounds from the valuation inequality can be
     folded into the certificate by the caller).
     """
-    if x.p != f.p:
-        raise PrimeMismatch("argument prime differs")
     p = f.p
+    x = _same(p, x, PadicScalar)
     target = f.prec if target_prec is None else min(target_prec, f.prec)
     floor = f.decay_floor_beyond(Fraction(0)) if not f.exact_tail else _INF
     out_prec = min(target, floor if floor is not _INF else target)

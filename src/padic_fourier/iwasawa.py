@@ -40,7 +40,6 @@ from .errors import (
     ParseError,
     PrecisionExhausted,
     PreconditionError,
-    PrimeMismatch,
     UncertifiedTailError,
 )
 from .padic import (
@@ -48,6 +47,7 @@ from .padic import (
     LowerBound,
     PadicScalar,
     _modulus,
+    _same,
     binomial_row_tracked,
     json_field,
     json_flag,
@@ -180,11 +180,7 @@ class IwasawaElt(Immutable):
     def __pow__(self, k):
         return _series.power(self, k, IwasawaElt.one(self.p, self.prec, self.degree))
 
-    def __eq__(self, other):
-        if not isinstance(other, IwasawaElt):
-            return NotImplemented
-        if self.p != other.p:
-            return False
+    def _equal(self, other):
         prec, degree = _common_box(self, other)
         return _series.equal(
             _series.sparse(self.coeffs), _series.sparse(other.coeffs), degree, self.p**prec
@@ -323,10 +319,7 @@ def _box(p, prec, degree):
 
 def _common_box(a, b):
     """(prec, degree) of the box two series of ``a``'s type share."""
-    if not isinstance(b, type(a)):
-        raise PreconditionError(f"expected an {type(a).__name__}")
-    if a.p != b.p:
-        raise PrimeMismatch(f"p={a.p} vs p={b.p}")
+    b = _same(a.p, b, type(a))
     return min(a.prec, b.prec), min(a.degree, b.degree)
 
 
@@ -338,12 +331,12 @@ def dirac(a, degree, prec, p=None):
     precision and the box precision must still be reachable.
     """
     exact = False  # exactness of the tail is only known for small true integers
-    if not isinstance(a, PadicScalar):
+    if isinstance(a, int):
         if p is None:
             raise PreconditionError("p is required when a is a plain integer")
         exact = 0 <= a < degree
         a = PadicScalar.from_int(p, a, prec + vp_factorial(degree - 1, p))
-    p = a.p
+    p = _same(p, a, PadicScalar).p
     if a.shift < 0:
         raise PreconditionError("Dirac points on Z_p must be integral")
     need = prec + vp_factorial(degree - 1, p)
@@ -419,11 +412,7 @@ class BivariateSeries(Immutable):
         cs = _series.mul(self._keyed(d), other._keyed(d), d * d)
         return self._unkeyed(self.p, prec, d, cs)
 
-    def __eq__(self, other):
-        if not isinstance(other, BivariateSeries):
-            return NotImplemented
-        if self.p != other.p:
-            return False
+    def _equal(self, other):
         d = min(self.degree, other.degree)
         return _series.equal(
             self._keyed(d), other._keyed(d), None, self.p ** min(self.prec, other.prec)
@@ -529,8 +518,7 @@ class MahlerFn(Immutable):
             x = PadicScalar.from_int(
                 p, x, self.prec + vp_factorial(self.tail_cert, p) + 1
             )
-        if x.p != p:
-            raise PrimeMismatch("argument prime differs")
+        x = _same(p, x, PadicScalar)
         if x.shift < 0:
             raise PreconditionError("Mahler evaluation needs an integral point")
         if self.period is not None:
@@ -549,11 +537,7 @@ class MahlerFn(Immutable):
         total = sum(self.coeffs.get(n, 0) * b for n, b in enumerate(row))
         return PadicScalar(p, 0, total, out_prec)
 
-    def __eq__(self, other):
-        if not isinstance(other, MahlerFn):
-            return NotImplemented
-        if self.p != other.p:
-            return False
+    def _equal(self, other):
         return _series.equal(
             self.coeffs, other.coeffs, None, self.p ** min(self.prec, other.prec)
         )
@@ -644,7 +628,8 @@ def integrate_matrix(fns, mus):
         tail = None if mu.exact_tail else mu.degree
         return _series.sparse(mu.coeffs), mu.prec, 0, tail, tail
 
-    return _series.pairings(fns, mus, fview, mview)
+    p = _series.operand_prime(fns, MahlerFn, mus, IwasawaElt)
+    return _series.pairings(p, fns, mus, fview, mview)
 
 
 def integrate(f, mu):

@@ -165,9 +165,10 @@ def _modulus(p, prec=1):
 
 class Immutable:
     """Base of the value types: an instance refuses assignment, and its
-    constructor sets its slots once, through ``_set``.  A type that defines
-    ``__eq__`` and no ``__hash__`` is unhashable, as its equality is up to
-    its box."""
+    constructor sets its slots once, through ``_set``.  Equality has one
+    skeleton: a value of another type is ``NotImplemented``, one at another
+    prime is unequal, and the rest is the type's own ``_equal``, up to its
+    box; so a type is unhashable unless it defines ``__hash__``."""
 
     __slots__ = ()
 
@@ -177,6 +178,23 @@ class Immutable:
     def _set(self, **slots):
         for name, value in slots.items():
             object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.p == other.p and self._equal(other)
+
+
+def _same(p, x, kind):
+    """``x``, once it is a ``kind`` at the prime p (at any prime for p None):
+    the one operand rule of every binary operation, pairing and scalar
+    argument.  Another kind is a PreconditionError, another prime a
+    PrimeMismatch."""
+    if not isinstance(x, kind):
+        raise PreconditionError(f"expected {kind.__name__}, got {type(x).__name__}")
+    if p is not None and x.p != p:
+        raise PrimeMismatch(f"p={p} vs p={x.p}")
+    return x
 
 
 class LowerBound:
@@ -302,18 +320,12 @@ class PadicScalar(Immutable):
     # -- arithmetic ----------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, PadicScalar):
-            if other.p != self.p:
-                raise PrimeMismatch(f"p={self.p} vs p={other.p}")
-            return other
         if isinstance(other, int):
             return PadicScalar.from_int(self.p, other, self.prec + max(self.shift, 0) + 1)
-        return NotImplemented
+        return _same(self.p, other, PadicScalar)
 
     def __add__(self, other):
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         bound = min(self.abs_bound, other.abs_bound)
         s = min(self.shift, other.shift, bound)
         mod = self.p ** (bound - s)
@@ -330,8 +342,6 @@ class PadicScalar(Immutable):
 
     def __sub__(self, other):
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -339,8 +349,6 @@ class PadicScalar(Immutable):
 
     def __mul__(self, other):
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         bound = min(self.shift + other.abs_bound, other.shift + self.abs_bound)
         s = self.shift + other.shift
         prec = bound - s
@@ -431,21 +439,15 @@ class SExponent(Immutable):
         return vp_int(self.num, self.p) - self.logden
 
     def __add__(self, other: "SExponent") -> "SExponent":
-        if self.p != other.p:
-            raise PrimeMismatch("exponent primes differ")
+        other = _same(self.p, other, SExponent)
         m = max(self.logden, other.logden)
         num = self.num * self.p ** (m - self.logden) + other.num * self.p ** (
             m - other.logden
         )
         return SExponent(self.p, num, m)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SExponent)
-            and self.p == other.p
-            and self.num == other.num
-            and self.logden == other.logden
-        )
+    def _equal(self, other):
+        return self.num == other.num and self.logden == other.logden
 
     def __lt__(self, other):
         if isinstance(other, SExponent):
@@ -673,11 +675,7 @@ def gen_binomial_valuation_bound(s: PadicScalar, q) -> int:
 
 
 def _as_sexponent(p: int, q) -> SExponent:
-    if isinstance(q, SExponent):
-        if q.p != p:
-            raise PrimeMismatch("exponent prime differs from scalar prime")
-        return q
-    return SExponent.from_fraction(p, q)
+    return _same(p, q, SExponent) if isinstance(q, SExponent) else SExponent.from_fraction(p, q)
 
 
 def _approximant(x: PadicScalar, logden: int, js, n: int):

@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import _series
 from .ainf import AinfElt
 from .errors import BoxExhausted, InternalConsistencyError, PreconditionError
-from .padic import Immutable, SExponent, json_field, json_int
+from .padic import Immutable, SExponent, _same, json_field, json_int
 
 __all__ = [
     "PerfSeries",
@@ -114,16 +114,10 @@ class WittElt(Immutable):
     __slots__ = ("p", "digits")
 
     def __init__(self, p, digits):
-        digits = tuple(digits)
-        for d in digits:
-            if not isinstance(d, PerfSeries) or d.p != p:
-                raise PreconditionError("digits must be PerfSeries over the same p")
-        self._set(p=p, digits=digits)
+        self._set(p=p, digits=tuple(_same(p, d, PerfSeries) for d in digits))
 
-    def __eq__(self, other):
-        if not isinstance(other, WittElt):
-            return NotImplemented
-        return self.p == other.p and len(self.digits) == len(other.digits) and all(
+    def _equal(self, other):
+        return len(self.digits) == len(other.digits) and all(
             a == b for a, b in zip(self.digits, other.digits)
         )
 

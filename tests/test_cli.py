@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import shlex
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from padic_fourier import cli
 from padic_fourier.ainf import AinfElt
 from padic_fourier.cli import JobSpec, main, run
 from padic_fourier.errors import PadicFourierError, ParseError, PreconditionError
+from padic_fourier.iwasawa import IwasawaElt
 from padic_fourier.padic import PadicScalar, SExponent
 from padic_fourier.witt import PerfSeries
 
@@ -158,6 +160,30 @@ class TestErrors:
     def test_mucan_nonpositive_prec_exit_3(self, prec):
         out = run_cli(["mucan", "--p", "2", "--stage", "1", "--prec", prec])
         assert out.returncode == 3 and "Traceback" not in out.stderr
+
+    # a printed Q_p measure writes its degree bound as an S-exponent; a bound
+    # that is none is refused before the job's work, where the mucan job
+    # once ran 1.2 s in process and failed only in the writer
+    @pytest.mark.parametrize("argv", [
+        "mucan --p 3 --stage 8 --depth 9 --prec 4 --degree 1/2",
+        "teich --p 3 --x t^1/3+t --digits 6 --degree 1/2",
+        "dirac --p 3 --s 1/3 --depth 12 --prec 12 --degree 1/2",
+        "convolve --p 3 --mu1 diracq:1/3@depth8 --mu2 diracq:2/3@depth8 --prec 4 --degree 1/2",
+    ])
+    def test_unprintable_degree_exits_3_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        assert main(argv.split()) == 3
+        assert time.perf_counter() - start < 0.25, argv
+        assert "not a power of 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        "wval --p 3 --mu Tt --degree 1/2",
+        "fourier --p 3 --mu Tt --degree 1/2",
+        "integrate --p 3 --f binom:1/3@depth1 --mu Tt --degree 1/2",
+    ])
+    def test_unprinted_degree_is_not_refused(self, capsys, argv):
+        assert main(argv.split()) == 0
+        capsys.readouterr()
 
     def test_fourier_combo_q_count_is_budgeted(self):
         out = run_cli(["fourier", "--p", "3", "--combo", "1@1/3", "--qmax", "1000000000"])
@@ -993,13 +1019,194 @@ def _mucan_jobs(draw):
 @given(argv=_mucan_jobs(), prec=st.integers(2, 8))
 @example(argv=["mucan", "--p", "2", "--stage", "2", "--depth", "3", "--degree", "2"], prec=4)
 def test_mucan_digits_survive_a_deeper_run(argv, prec):
-    code, shallow = _run_doc([*argv, "--prec", str(prec)])
-    assert code == 0, argv
-    code, deep = _run_doc([*argv, "--prec", str(prec + 3)])
-    assert code == 0, argv
-    a, b = AinfElt.from_json(shallow["measure"]), AinfElt.from_json(deep["measure"])
-    assert a.prec == prec and b.prec == prec + 3, argv
-    assert a == b, (argv, prec)
+    _check_measure_refines(argv, prec)
+
+
+def _deeper_runs(argv, prec):
+    """The stdout documents of ``argv`` at --prec N and N + 3, both exiting 0."""
+    docs = []
+    for n in (prec, prec + 3):
+        code, doc = _run_doc([*argv, "--prec", str(n)])
+        assert code == 0, (argv, n)
+        docs.append(doc)
+    return docs
+
+
+def _measure(doc):
+    """The measure of a printed document, on Q_p if it lists terms."""
+    return (AinfElt if "terms" in doc else IwasawaElt).from_json(doc)
+
+
+def _check_measure_refines(argv, prec):
+    """The measure ``argv`` prints at --prec N is the one it prints at N + 3,
+    inside the common box, by the value types' own equality."""
+    shallow, deep = (_measure(doc["measure"]) for doc in _deeper_runs(argv, prec))
+    assert shallow.prec == prec and deep.prec == prec + 3, argv
+    assert shallow == deep, (argv, prec)
+
+
+def _zp_exprs(degree):
+    return st.one_of(st.integers(-60, 60).map("dirac:{}".format),
+                     st.integers(0, degree - 1).map("T^{}".format))
+
+
+@st.composite
+def _qp_expr(draw, p, depth):
+    """A Dirac mass or a monomial on the 1/p^depth grid."""
+    q = Fraction(draw(st.integers(-40, 40)), p ** draw(st.integers(0, depth)))
+    return f"diracq:{q}@depth{depth}" if draw(st.booleans()) else f"Tt^{abs(q)}"
+
+
+@st.composite
+def _measure_jobs(draw, command):
+    """A ``convolve``, ``integrate`` or ``wval`` argv without --prec, on Z_p
+    below an integer degree or on Q_p at one grid depth; an integrand's
+    basis index lies below the degree, so that the pairing is certified."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    argv = [command, "--p", str(p)]
+    if draw(st.booleans()):
+        degree = draw(st.integers(1, 20))
+        mu, f = _zp_exprs(degree), st.one_of(st.integers(0, degree - 1).map("binom:{}".format),
+                                             st.integers(-9, 9).map("const:{}".format))
+    else:
+        depth = draw(st.integers(0, 2))
+        degree = draw(st.sampled_from([Fraction(1), Fraction(2), Fraction(p + 1, p)]))
+        mu = _qp_expr(p, depth)
+        grid = [Fraction(k, p**depth) for k in range(math.ceil(degree * p**depth))]
+        f = st.sampled_from(grid).map(lambda q: f"binom:{q}@depth{depth}")
+    if command == "convolve":
+        argv += ["--mu1", draw(mu), "--mu2", draw(mu)]
+    else:
+        argv += ["--mu", draw(mu)] + (["--f", draw(f)] if command == "integrate" else [])
+    return argv + ["--degree", str(degree)]
+
+
+@st.composite
+def _dirac_s_jobs(draw):
+    """A ``dirac --s`` argv without --prec, the point on the depth's grid."""
+    p, depth = draw(st.sampled_from([2, 3, 5])), draw(st.integers(0, 3))
+    s = Fraction(draw(st.integers(-40, 40)), p ** draw(st.integers(0, depth)))
+    degree = draw(st.sampled_from(["1", "2", "3", f"1/{p}", f"{p + 1}/{p}"]))
+    return ["dirac", "--p", str(p), f"--s={s}", "--depth", str(depth), "--degree", degree]
+
+
+# the refinement oracle on convolutions and Q_p Dirac masses, as on the
+# canonical measure; same deadline as the argv fuzz
+@settings(max_examples=150, deadline=timedelta(seconds=2))
+@given(argv=st.one_of(_measure_jobs("convolve"), _dirac_s_jobs()), prec=st.integers(2, 8))
+@example(argv=["convolve", "--p", "3", "--mu1", "dirac:-7", "--mu2", "dirac:40", "--degree", "12"], prec=3)
+@example(argv=["convolve", "--p", "2", "--mu1", "diracq:5/4@depth2", "--mu2", "diracq:-3/2@depth2",
+               "--degree", "3/2"], prec=4)
+@example(argv=["dirac", "--p", "3", "--s=-5/9", "--depth", "2", "--degree", "4/3"], prec=5)
+def test_measure_digits_survive_a_deeper_run(argv, prec):
+    _check_measure_refines(argv, prec)
+
+
+# the refinement oracle on integrals: every digit a pairing certifies at
+# --prec N is certified, and the same, at N + 3
+@settings(max_examples=150, deadline=timedelta(seconds=2))
+@given(argv=_measure_jobs("integrate"), prec=st.integers(2, 8))
+@example(argv=["integrate", "--p", "2", "--mu", "dirac:37", "--f", "binom:5", "--degree", "8"], prec=4)
+@example(argv=["integrate", "--p", "3", "--mu", "diracq:-7/3@depth1", "--f", "binom:2/3@depth1",
+               "--degree", "2"], prec=3)
+def test_integral_digits_survive_a_deeper_run(argv, prec):
+    shallow, deep = (PadicScalar.from_json(doc["value"]) for doc in _deeper_runs(argv, prec))
+    assert prec <= deep.abs_bound - 3 and shallow.abs_bound <= deep.abs_bound, (argv, shallow, deep)
+    assert shallow == deep, (argv, prec, shallow, deep)
+
+
+def _w(doc):
+    """(w or its floor, whether exact) of a ``wval`` document."""
+    key = "w" if "w" in doc else "w_ge"
+    return Fraction(doc[key]["num"], doc[key]["den"]), key == "w"
+
+
+# the refinement oracle on w-valuations: an exact w at --prec N stays exact
+# at N + 3, and a floor may only rise
+@settings(max_examples=150, deadline=timedelta(seconds=2))
+@given(argv=_measure_jobs("wval"), prec=st.integers(2, 8))
+@example(argv=["wval", "--p", "2", "--mu", "dirac:12", "--degree", "9"], prec=2)
+def test_w_valuation_survives_a_deeper_run(argv, prec):
+    (w, exact), (deep_w, deep_exact) = map(_w, _deeper_runs(argv, prec))
+    assert deep_w >= w, (argv, prec)
+    assert not exact or (deep_exact and deep_w == w), (argv, prec)
+
+
+def _write(tmp, name, doc):
+    """``@path`` of ``doc`` written to ``name`` in the folder ``tmp``."""
+    path = Path(tmp, name)
+    path.write_text(json.dumps(doc))
+    return f"@{path}"
+
+
+@st.composite
+def _dense_zp_pairs(draw):
+    """(p, μ, ν, n): two dense Z_p measure documents with unknown tails and
+    an index below both degrees."""
+    p = draw(st.sampled_from([2, 3, 5]))
+
+    def doc():
+        prec, degree = draw(st.integers(2, 8)), draw(st.integers(2, 20))
+        coeffs = st.lists(st.integers(0, p**prec - 1), min_size=degree, max_size=degree)
+        return {"p": p, "prec": prec, "degree": degree, "coeffs": draw(coeffs)}
+
+    mu, nu = doc(), doc()
+    return p, mu, nu, draw(st.integers(0, min(mu["degree"], nu["degree"]) - 1))
+
+
+# the Hopf duality of functions and measures across commands: integration
+# turns convolution of measures into the coproduct C(x + y, n) =
+# Σ_k C(x, k)·C(y, n - k) of the binomial basis (Vandermonde); compared
+# inside the precision both sides certify
+@settings(max_examples=100, deadline=timedelta(seconds=2))
+@given(case=_dense_zp_pairs())
+def test_integrals_of_a_convolution_satisfy_vandermonde(case):
+    p, mu, nu, n = case
+    with tempfile.TemporaryDirectory() as tmp:
+        m1, m2 = _write(tmp, "mu.json", mu), _write(tmp, "nu.json", nu)
+        code, conv = _run_doc(["convolve", "--p", str(p), "--mu1", m1, "--mu2", m2])
+        assert code == 0
+        both = _write(tmp, "conv.json", conv["measure"])
+
+        def integral(k, m):
+            code, doc = _run_doc(["integrate", "--p", str(p), "--f", f"binom:{k}", "--mu", m])
+            assert code == 0, (k, m)
+            return PadicScalar.from_json(doc["value"])
+
+        lhs = integral(n, both)
+        terms = [integral(k, m1) * integral(n - k, m2) for k in range(n + 1)]
+    rhs = sum(terms[1:], terms[0])
+    assert min(lhs.abs_bound, rhs.abs_bound) >= min(mu["prec"], nu["prec"]), (lhs, rhs)
+    assert lhs == rhs, (case, lhs, rhs)
+
+
+@st.composite
+def _dirac_pairs(draw):
+    """(convolve argv, dirac argv) of δ_a ∗ δ_b and δ_(a+b), without --prec:
+    on Z_p at integers, or on Q_p at points of one grid."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    if draw(st.booleans()):
+        a, b, degree = draw(st.integers(-60, 60)), draw(st.integers(-60, 60)), draw(st.integers(1, 20))
+        mus, point = [f"dirac:{a}", f"dirac:{b}"], [f"--a={a + b}"]
+    else:
+        depth = draw(st.integers(0, 2))
+        a, b = (Fraction(draw(st.integers(-40, 40)), p ** draw(st.integers(0, depth))) for _ in "ab")
+        degree = draw(st.sampled_from(["1", "2", f"{p + 1}/{p}"]))
+        mus = [f"diracq:{a}@depth{depth}", f"diracq:{b}@depth{depth}"]
+        point = [f"--s={a + b}", "--depth", str(depth)]
+    box = ["--p", str(p), "--degree", str(degree)]
+    return ["convolve", *box, "--mu1", mus[0], "--mu2", mus[1]], ["dirac", *box, *point]
+
+
+# the Hopf duality's group law: δ_a ∗ δ_b = δ_(a+b), through the CLI
+@settings(max_examples=150, deadline=timedelta(seconds=2))
+@given(argvs=_dirac_pairs(), prec=st.integers(2, 8))
+@example(argvs=(["convolve", "--p", "2", "--degree", "12", "--mu1", "dirac:-5", "--mu2", "dirac:9"],
+                ["dirac", "--p", "2", "--degree", "12", "--a=4"]), prec=3)
+def test_convolution_of_dirac_masses_is_the_mass_at_the_sum(argvs, prec):
+    conv, mass = (_run_doc([*argv, "--prec", str(prec)]) for argv in argvs)
+    assert conv[0] == mass[0] == 0, argvs
+    assert _measure(conv[1]["measure"]) == _measure(mass[1]["measure"]), (argvs, prec)
 
 
 # a JSON value of each type a document may hold where a flag or field goes

@@ -21,12 +21,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from padic_fourier import _series
 from padic_fourier.ainf import AinfElt
-from padic_fourier.artin_hasse import PIntegralSeries, pi_element
+from padic_fourier.artin_hasse import PIntegralSeries, artin_hasse_exp, pi_element
 from padic_fourier.errors import (
-    BoxExhausted, ParseError, PrecisionExhausted, PreconditionError,
+    BoxExhausted, ParseError, PrecisionExhausted, PreconditionError, PrimeMismatch,
 )
-from padic_fourier.fourier import UnifFn, pullback_rescale
-from padic_fourier.iwasawa import BivariateSeries, IwasawaElt, MahlerFn
+from padic_fourier.fourier import UnifFn, integrate_unif, pullback_rescale
+from padic_fourier.iwasawa import BivariateSeries, IwasawaElt, MahlerFn, dirac, integrate
 from padic_fourier.padic import LowerBound, PadicScalar, SExponent, vp_int
 from padic_fourier.witt import PerfSeries, WittElt
 
@@ -669,6 +669,52 @@ def test_value_types_are_unhashable_but_exponents(value):
     else:
         with pytest.raises(TypeError):
             hash(value)
+
+
+# -- one operand rule ----------------------------------------------------------
+
+
+OPERAND_CALLS = {
+    "integrate a Q_p function": (PreconditionError, lambda: integrate(
+        UnifFn.basis(3, 1, 4), IwasawaElt.monomial(3, 1, 4, 3))),
+    "integrate a Q_p measure": (PreconditionError, lambda: integrate(
+        MahlerFn.basis(3, 1, 4), AinfElt.monomial(3, 1, 4, 3))),
+    "integrate_unif a Z_p function": (PreconditionError, lambda: integrate_unif(
+        MahlerFn.basis(3, 1, 4), AinfElt.monomial(3, 1, 4, 3))),
+    "integrate_unif a Z_p measure": (PreconditionError, lambda: integrate_unif(
+        UnifFn.basis(3, 1, 4), IwasawaElt.monomial(3, 1, 4, 3))),
+    "integrate an int": (PreconditionError, lambda: integrate(MahlerFn.basis(3, 1, 4), 5)),
+    "E + E at two primes": (PrimeMismatch, lambda: artin_hasse_exp(2, 8) + artin_hasse_exp(3, 8)),
+    "E * E at two primes": (PrimeMismatch, lambda: artin_hasse_exp(2, 8) * artin_hasse_exp(3, 8)),
+    "E composed at two primes": (PrimeMismatch, lambda: artin_hasse_exp(2, 8).compose(
+        PIntegralSeries(3, 8, [0, 1]))),
+    "E * a measure": (PreconditionError, lambda: artin_hasse_exp(3, 8) * AinfElt.monomial(3, 1, 4, 3)),
+    "exponent + Fraction": (PreconditionError, lambda: SExponent(3, 1, 1) + Fraction(1, 3)),
+    "dirac at another prime": (PrimeMismatch, lambda: dirac(PadicScalar.from_int(5, 2, 12), 4, 4, p=3)),
+    "dirac at a Fraction": (PreconditionError, lambda: dirac(Fraction(5, 2), 4, 4, p=3)),
+    "Mahler eval at a float": (PreconditionError, lambda: MahlerFn.basis(3, 1, 4).eval(2.5)),
+}
+
+
+@pytest.mark.parametrize("name", OPERAND_CALLS)
+def test_operands_of_another_kind_or_prime_are_refused(name):
+    """Each call mixes kinds or primes; ``padic._same`` refuses it with the
+    documented class, never an AttributeError, TypeError or exit-5 error."""
+    error, call = OPERAND_CALLS[name]
+    with pytest.raises(error):
+        call()
+
+
+def test_perf_series_is_a_measure_to_pair_but_not_to_mix():
+    # a PerfSeries pairs as the AinfElt it is, but no sum, product or
+    # equality mixes the two types, in either order
+    assert integrate_unif(UnifFn.basis(3, 1, 4), PerfSeries.monomial(3, 1, 3)) == PadicScalar(3, 0, 1, 1)
+    a, b = AinfElt.one(3, 4), PerfSeries.one(3)
+    for x, y in ((a, b), (b, a)):
+        for op in (operator.add, operator.mul):
+            with pytest.raises(PreconditionError):
+                op(x, y)
+        assert x != y and not x == y
 
 
 # -- JSON terms on the 1/p^depth grid ----------------------------------------
