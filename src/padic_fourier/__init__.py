@@ -28,25 +28,16 @@ from .iwasawa import (
     BivariateSeries,
     IwasawaElt,
     MahlerFn,
-    ball_measure,
-    convolve,
-    coproduct,
     dirac,
-    eval_mahler,
-    finite_difference,
     integrate,
     mahler_coeffs_by_differences,
     mahler_coeffs_from_samples,
-    natural_ideal_membership,
-    w_valuation,
 )
 from .ainf import (
     AinfElt,
     dirac_q,
-    reduce_mod_p,
     rescale_pushforward,
     t_tilde_approx,
-    w_valuation_S,
 )
 from .witt import PerfSeries, WittElt, teichmuller, witt_decompose, witt_recompose
 from .artin_hasse import (

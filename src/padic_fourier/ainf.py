@@ -48,8 +48,6 @@ __all__ = [
     "dirac_q",
     "t_tilde_approx",
     "rescale_pushforward",
-    "reduce_mod_p",
-    "w_valuation_S",
 ]
 
 class AinfElt(Immutable):
@@ -308,12 +306,4 @@ def rescale_pushforward(x):
     In series coordinates this is the monomial substitution Tt^q -> Tt^(pq),
     lowering the working depth by one (depth-0 keys simply scale by p).
     """
-    return x._scaled(1)
-
-
-def reduce_mod_p(x):
-    return x.reduce_mod_p()
-
-
-def w_valuation_S(x):
-    return x.w_valuation()
+    return _same(None, x, AinfElt)._scaled(1)

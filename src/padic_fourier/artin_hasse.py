@@ -257,6 +257,7 @@ def _terms_needed(prec, degree, w):
 def apply_series(series: PIntegralSeries, x: AinfElt) -> AinfElt:
     """Substitute a measure with w(x) > 0 into a p-integral series, which
     must be known to the degree that ``_terms_needed`` asks for."""
+    x = _same(_same(None, series, PIntegralSeries).p, x, AinfElt)
     if x.shift != 0:
         raise PreconditionError("substitution needs integral coefficients")
     if x.degree is None:

@@ -191,6 +191,7 @@ def forward_transform(mu: AinfElt) -> dict:
     extraction (the expansion is unique); the result maps SExponents to
     scalars at the box precision.
     """
+    mu = _same(None, mu, AinfElt)
     out = {}
     for q, c in mu.items_sexp():
         out[q] = PadicScalar(mu.p, mu.shift, c, mu.prec)
@@ -227,11 +228,10 @@ def eval_unif(f: UnifFn, x: PadicScalar, target_prec=None) -> PadicScalar:
     1 everywhere, and sharper bounds from the valuation inequality can be
     folded into the certificate by the caller).
     """
-    p = f.p
+    p = _same(None, f, UnifFn).p
     x = _same(p, x, PadicScalar)
     target = f.prec if target_prec is None else min(target_prec, f.prec)
-    floor = f.decay_floor_beyond(Fraction(0)) if not f.exact_tail else _INF
-    out_prec = min(target, floor if floor is not _INF else target)
+    out_prec = min(target, f.decay_floor_beyond(0))
     if out_prec < 1:
         raise UncertifiedTailError("decay certificate certifies no digits")
     acc = PadicScalar.zero(p, out_prec)
@@ -249,6 +249,7 @@ def pullback_rescale(f: UnifFn) -> UnifFn:
     coefficient map contracts exponents, b'_(q') = b_(p q').  Exponent
     keys are kept and the depth grows by one, which realizes q -> q/p.
     """
+    f = _same(None, f, UnifFn)
     cert = None
     if not f.exact_tail:
         cert = [(t / f.p, fl) for t, fl in f.decay_cert]

@@ -62,18 +62,11 @@ __all__ = [
     "MahlerFn",
     "BivariateSeries",
     "dirac",
-    "convolve",
     "mahler_coeffs_from_samples",
     "mahler_coeffs_by_differences",
-    "finite_difference",
     "integrate",
     "integrate_matrix",
-    "eval_mahler",
-    "ball_measure",
-    "w_valuation",
-    "natural_ideal_membership",
     "ball_ideal_failures",
-    "coproduct",
     "ptadic_power_generators",
     "ball_ideal_equal_generators",
     "ball_ideal_middle_generators",
@@ -348,27 +341,6 @@ def dirac(a, degree, prec, p=None):
     return IwasawaElt(p, prec, degree, cs, exact_tail=exact)
 
 
-def convolve(mu, nu):
-    """Convolution of measures = product of the series."""
-    return mu * nu
-
-
-def ball_measure(mu, a, h):
-    return mu.ball_measure(a, h)
-
-
-def w_valuation(mu):
-    return mu.w_valuation()
-
-
-def natural_ideal_membership(mu, h, l):
-    return mu.natural_ideal_membership(h, l)
-
-
-def coproduct(mu, degree=None):
-    return mu.coproduct(degree)
-
-
 class BivariateSeries(Immutable):
     """Minimal truncated series in T1, T2 over Z/p^N, total degree < d.
 
@@ -402,7 +374,7 @@ class BivariateSeries(Immutable):
     @classmethod
     def tensor(cls, mu, nu):
         """The product measure mu ⊗ nu on Z_p x Z_p."""
-        prec, degree = _common_box(mu, nu)
+        prec, degree = _common_box(_same(None, mu, IwasawaElt), nu)
         left = cls(mu.p, prec, degree, {(i, 0): c for i, c in enumerate(mu.coeffs)})
         right = cls(mu.p, prec, degree, {(0, j): c for j, c in enumerate(nu.coeffs)})
         return left * right
@@ -569,24 +541,21 @@ def mahler_coeffs_from_samples(p, values, prec=None):
     promised constant on residue classes mod p^M.  The coefficients are
     the iterated differences c_n = (Δ^n f)(0), exact mod p^(M+1) (or the
     samples' precision if lower).  Coefficients beyond index p^M - 1 are
-    not extrapolated.  The differences run on one packed integer
-    (``_series.differences_at_zero``), as the ball fold does.
+    not extrapolated.  Each sample is an int or a PadicScalar at p.  The
+    differences run on one packed integer (``_series.differences_at_zero``),
+    as the ball fold does.
     """
     m = len(values)
     M = log_floor(m, p)
     if p**M != m:
         raise PreconditionError(f"sample count {m} is not a power of {p}")
-    native = M + 1
-    if values and isinstance(values[0], PadicScalar):
-        native = min(native, min(v.abs_bound for v in values))
+    scalars = [_same(p, v, PadicScalar) for v in values if not isinstance(v, int)]
+    native = min([M + 1] + [v.abs_bound for v in scalars])
     out_prec = native if prec is None else min(prec, native)
     if out_prec < 1:
         raise PrecisionExhausted("samples carry no digits")
     mod = p**out_prec
-    vals = [
-        (v.residue(out_prec) if isinstance(v, PadicScalar) else v % mod)
-        for v in values
-    ]
+    vals = [v % mod if isinstance(v, int) else v.residue(out_prec) for v in values]
     coeffs = dict(enumerate(_series.differences_at_zero(vals, mod)))
     return MahlerFn(p, out_prec, coeffs, m, exact_tail=False, period=m)
 
@@ -602,14 +571,6 @@ def mahler_coeffs_by_differences(p, values, prec):
         out.append(sum(map(int.__mul__, row, values)) % mod)
         row = [(b - a) % mod for a, b in zip(row + [0], [0] + row)]
     return out
-
-
-def finite_difference(f, k):
-    return f.finite_difference(k)
-
-
-def eval_mahler(f, x):
-    return f.eval(x)
 
 
 def integrate_matrix(fns, mus):

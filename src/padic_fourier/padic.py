@@ -399,7 +399,8 @@ class PadicScalar(Immutable):
 
 
 class SExponent(Immutable):
-    """An exponent q = num / p^logden in S = Z[1/p] ∩ R_{>=0}, in lowest terms."""
+    """An exponent q = num / p^logden in S = Z[1/p] ∩ R_{>=0}, in lowest terms.
+    Exponents have no order of their own: sort by ``as_fraction``."""
 
     __slots__ = ("p", "num", "logden")
 
@@ -448,22 +449,6 @@ class SExponent(Immutable):
 
     def _equal(self, other):
         return self.num == other.num and self.logden == other.logden
-
-    def __lt__(self, other):
-        if isinstance(other, SExponent):
-            other = other.as_fraction()
-        return self.as_fraction() < other
-
-    def __le__(self, other):
-        if isinstance(other, SExponent):
-            other = other.as_fraction()
-        return self.as_fraction() <= other
-
-    def __gt__(self, other):
-        return not self <= other
-
-    def __ge__(self, other):
-        return not self < other
 
     def __hash__(self):
         return hash((self.p, self.num, self.logden))
@@ -629,6 +614,7 @@ def binomial(x: PadicScalar, n: int) -> PadicScalar:
     the numerator product is known mod p^bound and the division by n!
     costs exactly that many digits.
     """
+    x = _same(None, x, PadicScalar)
     if n < 0:
         raise PreconditionError("n must be >= 0")
     if x.shift < 0:
@@ -655,7 +641,7 @@ def gen_binomial_valuation_floor(s: PadicScalar, q) -> int:
     n + v(s) - 1, and each carry contributes one to the valuation of the
     binomial coefficient.  The bound is sharp (s = p^k, q = 1 attains it).
     """
-    q = _as_sexponent(s.p, q)
+    q = _as_sexponent(_same(None, s, PadicScalar).p, q)
     vq = q.vp()
     if vq is None:
         return 0
@@ -671,7 +657,8 @@ def gen_binomial_valuation_bound(s: PadicScalar, q) -> int:
     s = p^2, q = 1 gives a binomial of valuation exactly 2), so all
     internal truncation logic uses gen_binomial_valuation_floor instead.
     """
-    return (s.p - 1) * gen_binomial_valuation_floor(s, q)
+    floor = gen_binomial_valuation_floor(s, q)
+    return (s.p - 1) * floor
 
 
 def _as_sexponent(p: int, q) -> SExponent:
@@ -720,7 +707,7 @@ def gen_binomial(x: PadicScalar, q, target_prec: int) -> PadicScalar:
     from ``comb_tracked``'s counting and block products, in time polynomial
     in the level n ≈ target_prec, where the falling-factorial walk took ~p^n.
     """
-    q = _as_sexponent(x.p, q)
+    q = _as_sexponent(_same(None, x, PadicScalar).p, q)
     return next(_gen_binomials(x, q.logden, [q.num], target_prec))
 
 
@@ -730,7 +717,7 @@ def gen_binomial_approximants(x: PadicScalar, q, levels) -> list:
     Levels must make both arguments integral.  Used to inspect the
     convergence of the defining limit.
     """
-    q = _as_sexponent(x.p, q)
+    q = _as_sexponent(_same(None, x, PadicScalar).p, q)
     out = []
     for n in levels:
         if n < q.logden or x.shift + n < 0:
@@ -749,5 +736,5 @@ def gen_binomial_profile(x: PadicScalar, logden: int, q_max, target_prec: int) -
     costs polynomial time in n per entry, where a walk took about
     q_max p^n steps.
     """
-    js = range(int(Fraction(q_max) * x.p**logden) + 1)
+    js = range(int(Fraction(q_max) * _same(None, x, PadicScalar).p ** logden) + 1)
     return dict(zip(js, _gen_binomials(x, logden, js, target_prec)))

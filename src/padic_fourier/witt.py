@@ -136,6 +136,7 @@ def teichmuller(x: PerfSeries, prec: int) -> AinfElt:
     support stays exact.  Satisfies [x] ≡ x mod p and [x][y] = [xy] at the
     common box.
     """
+    x = _same(None, x, PerfSeries)
     if prec < 1:
         raise PreconditionError("digit precision must be >= 1")
     n = prec - 1
@@ -156,6 +157,7 @@ def witt_decompose(a: AinfElt, digits: int) -> WittElt:
     dividing by p; a residue not divisible by p after subtraction means
     the element was not a measure-ring value and is reported as corrupted.
     """
+    a = _same(None, a, AinfElt)
     if digits < 1:
         raise PreconditionError("need at least one digit")
     if a.shift != 0:
@@ -187,7 +189,7 @@ def witt_decompose(a: AinfElt, digits: int) -> WittElt:
 
 def witt_recompose(w: WittElt, prec=None) -> AinfElt:
     """Σ p^i [x_i] from the digit list, at precision len(digits) by default."""
-    n = len(w.digits)
+    n = len(_same(None, w, WittElt).digits)
     if n == 0:
         raise PreconditionError("empty digit list")
     prec = n if prec is None else prec

@@ -925,12 +925,12 @@ def test_fuzzed_argv_exits_with_a_documented_code(argv):
 
 
 @st.composite
-def _combo_jobs(draw):
-    """A ``fourier --combo`` argv without --prec: 1-2 points, each aligned
+def _combo_jobs(draw, count=st.integers(1, 2)):
+    """A ``fourier --combo`` argv without --prec: ``count`` points, each aligned
     (its denominator a power of p) or a p-adic unit (one prime to p)."""
     p = draw(st.sampled_from([2, 3, 5]))
     points = []
-    for _ in range(draw(st.integers(1, 2))):
+    for _ in range(draw(count)):
         den = draw(st.sampled_from([p, p**2, p**3, 3 * p + 1, 7]))
         points.append(f"{draw(st.integers(-5, 5))}@{draw(st.integers(1, 40))}/{den}")
     return ["fourier", "--p", str(p), "--combo=" + ",".join(points),
@@ -957,6 +957,24 @@ def test_fourier_combo_digits_survive_a_deeper_run(argv, prec):
     for (q, a), (_, b) in zip(shallow, deep):
         assert a.abs_bound == prec and b.abs_bound == prec + 3, (argv, q)
         assert a == b, (argv, prec, q, a, b)
+
+
+# the transform is linear in the measure: at every q the coefficient of
+# c1@s1,c2@s2 is the sum of those of c1@s1 and c2@s2.  A negative weight
+# goes as --combo=-3@1/2, since argparse reads a value that starts with -
+# as a flag; same deadline as the argv fuzz
+@settings(max_examples=100, deadline=timedelta(seconds=2))
+@given(argv=_combo_jobs(count=st.just(2)), prec=st.integers(2, 10))
+@example(argv=["fourier", "--p", "3", "--combo=-3@1/3,2@5/7", "--qdepth", "1", "--qmax", "2"], prec=4)
+def test_fourier_combo_is_linear_in_its_points(argv, prec):
+    i = next(i for i, a in enumerate(argv) if a.startswith("--combo="))
+    combo = argv[i][len("--combo="):]
+    both, first, second = (
+        _coefficients([*argv[:i], "--combo=" + c, *argv[i + 1:], "--prec", str(prec)])
+        for c in (combo, *combo.split(",")))
+    assert [q for q, _ in both] == [q for q, _ in first] == [q for q, _ in second]
+    for (q, c), (_, a), (_, b) in zip(both, first, second):
+        assert c == a + b, (argv, prec, q, c, a, b)
 
 
 def _run_doc(argv):
@@ -1020,6 +1038,33 @@ def _mucan_jobs(draw):
 @example(argv=["mucan", "--p", "2", "--stage", "2", "--depth", "3", "--degree", "2"], prec=4)
 def test_mucan_digits_survive_a_deeper_run(argv, prec):
     _check_measure_refines(argv, prec)
+
+
+@st.composite
+def _teich_jobs(draw):
+    """A ``teich`` argv without --digits: 1-3 terms c·t^q on a grid of depth
+    at most 2, with or without a degree bound."""
+    p = draw(st.sampled_from([2, 3]))
+    terms = [f"{draw(st.integers(1, p - 1))}*t^{draw(st.integers(0, 2 * p))}/{p ** draw(st.integers(0, 2))}"
+             for _ in range(draw(st.integers(1, 3)))]
+    argv = ["teich", "--p", str(p), "--x", "+".join(terms)]
+    if draw(st.booleans()):
+        argv += ["--degree", draw(st.sampled_from(["1", "2", f"{p + 1}/{p}"]))]
+    return argv
+
+
+# the refinement oracle on Teichmüller lifts: [x] mod p^N is [x] mod p^(N+2)
+# read mod p^N, inside the common box
+@settings(max_examples=60, deadline=timedelta(seconds=2))
+@given(argv=_teich_jobs(), digits=st.integers(1, 4))
+@example(argv=["teich", "--p", "2", "--x", "1*t^1/2+1*t^3/4"], digits=2)
+@example(argv=["teich", "--p", "3", "--x", "2*t^1/3+1*t^0/1", "--degree", "2"], digits=3)
+def test_teich_digits_survive_a_deeper_run(argv, digits):
+    runs = [_run_doc([*argv, "--digits", str(n)]) for n in (digits, digits + 2)]
+    assert [code for code, _ in runs] == [0, 0], (argv, digits)
+    shallow, deep = (AinfElt.from_json(doc["measure"]) for _, doc in runs)
+    assert shallow.prec == digits and deep.prec == digits + 2, argv
+    assert shallow == deep, (argv, digits)
 
 
 def _deeper_runs(argv, prec):

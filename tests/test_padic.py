@@ -1,4 +1,5 @@
 import math
+import operator
 import time
 from fractions import Fraction
 
@@ -485,6 +486,14 @@ class TestSExponent:
         qs = [SExponent(2, n, l) for n in range(0, 8) for l in range(0, 3)]
         fr = sorted(q.as_fraction() for q in qs)
         assert sorted(q.as_fraction() for q in sorted(qs, key=lambda q: q.as_fraction())) == fr
+
+    @pytest.mark.parametrize("other", [SExponent(2, 1, 0), SExponent(3, 1, 1), 0.7, Fraction(1, 3)])
+    @pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge])
+    def test_exponents_have_no_order_of_their_own(self, op, other):
+        # an order would compare across primes and with floats: callers
+        # sort by as_fraction
+        with pytest.raises(TypeError):
+            op(SExponent(2, 1, 1), other)
 
     def test_add(self):
         a = SExponent(2, 1, 1) + SExponent(2, 1, 2)

@@ -20,15 +20,22 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from padic_fourier import _series
-from padic_fourier.ainf import AinfElt
-from padic_fourier.artin_hasse import PIntegralSeries, artin_hasse_exp, pi_element
+from padic_fourier.ainf import AinfElt, rescale_pushforward
+from padic_fourier.artin_hasse import PIntegralSeries, apply_series, artin_hasse_exp, pi_element
 from padic_fourier.errors import (
     BoxExhausted, ParseError, PrecisionExhausted, PreconditionError, PrimeMismatch,
 )
-from padic_fourier.fourier import UnifFn, integrate_unif, pullback_rescale
-from padic_fourier.iwasawa import BivariateSeries, IwasawaElt, MahlerFn, dirac, integrate
-from padic_fourier.padic import LowerBound, PadicScalar, SExponent, vp_int
-from padic_fourier.witt import PerfSeries, WittElt
+from padic_fourier.fourier import (
+    UnifFn, eval_unif, forward_transform, integrate_unif, pullback_rescale,
+)
+from padic_fourier.iwasawa import (
+    BivariateSeries, IwasawaElt, MahlerFn, dirac, integrate, mahler_coeffs_from_samples,
+)
+from padic_fourier.padic import (
+    LowerBound, PadicScalar, SExponent, binomial, gen_binomial, gen_binomial_approximants,
+    gen_binomial_profile, gen_binomial_valuation_bound, gen_binomial_valuation_floor, vp_int,
+)
+from padic_fourier.witt import PerfSeries, WittElt, teichmuller, witt_decompose, witt_recompose
 
 PRIMES = st.sampled_from([2, 3, 5])
 
@@ -703,6 +710,67 @@ def test_operands_of_another_kind_or_prime_are_refused(name):
     error, call = OPERAND_CALLS[name]
     with pytest.raises(error):
         call()
+
+
+_MU = IwasawaElt.monomial(3, 1, 4, 3)
+_A = AinfElt.monomial(3, 1, 4, 3)
+_E = artin_hasse_exp(3, 8)
+_X = PadicScalar.from_int(3, 2, 4)
+
+# the value a public function reads first, of another kind or prime
+FIRST_OPERAND_CALLS = {
+    "tensor of an int": (PreconditionError, lambda: BivariateSeries.tensor(5, _MU)),
+    "eval_unif of an int": (PreconditionError, lambda: eval_unif(5, _X)),
+    "pullback_rescale of an int": (PreconditionError, lambda: pullback_rescale(5)),
+    "forward_transform of an int": (PreconditionError, lambda: forward_transform(5)),
+    "forward_transform of a Z_p measure": (PreconditionError, lambda: forward_transform(_MU)),
+    "rescale_pushforward of an int": (PreconditionError, lambda: rescale_pushforward(5)),
+    "rescale_pushforward of a Z_p measure": (PreconditionError, lambda: rescale_pushforward(_MU)),
+    "teichmuller of an int": (PreconditionError, lambda: teichmuller(5, 3)),
+    "teichmuller of a measure": (PreconditionError, lambda: teichmuller(_A, 3)),
+    "witt_decompose of an int": (PreconditionError, lambda: witt_decompose(5, 2)),
+    "witt_decompose of a Z_p measure": (PreconditionError, lambda: witt_decompose(_MU, 2)),
+    "witt_recompose of an int": (PreconditionError, lambda: witt_recompose(5)),
+    "E applied to an int": (PreconditionError, lambda: apply_series(_E, 5)),
+    "E applied to a Z_p measure": (PreconditionError, lambda: apply_series(_E, _MU)),
+    "an int applied to a measure": (PreconditionError, lambda: apply_series(5, _A)),
+    "E at p=2 applied at p=3": (PrimeMismatch, lambda: apply_series(artin_hasse_exp(2, 21), _A)),
+    "binomial of an int": (PreconditionError, lambda: binomial(5, 2)),
+    "gen_binomial of an int": (PreconditionError, lambda: gen_binomial(5, 1, 4)),
+    "gen_binomial_profile of an int": (PreconditionError, lambda: gen_binomial_profile(5, 1, 1, 4)),
+    "gen_binomial_approximants of an int": (PreconditionError, lambda: gen_binomial_approximants(5, 1, [1])),
+    "gen_binomial_valuation_floor of an int": (PreconditionError, lambda: gen_binomial_valuation_floor(5, 1)),
+    "gen_binomial_valuation_bound of an int": (PreconditionError, lambda: gen_binomial_valuation_bound(5, 1)),
+    "Mahler samples at another prime": (PrimeMismatch, lambda: mahler_coeffs_from_samples(
+        3, [PadicScalar.from_int(5, v, 4) for v in (1, 2, 3)])),
+    "a float Mahler sample": (PreconditionError, lambda: mahler_coeffs_from_samples(3, [1, 2.5, 3])),
+}
+
+
+@pytest.mark.parametrize("name", FIRST_OPERAND_CALLS)
+def test_first_operands_of_another_kind_or_prime_are_refused(name):
+    """Each public function checks the value it reads first through
+    ``padic._same``, before any field of it is read."""
+    error, call = FIRST_OPERAND_CALLS[name]
+    with pytest.raises(error):
+        call()
+
+
+def test_perf_series_stays_a_measure_to_read():
+    # a PerfSeries is an AinfElt wherever a measure is read first
+    x = PerfSeries.monomial(3, Fraction(1, 3), degree=2)
+    assert forward_transform(x) == {SExponent(3, 1, 1): PadicScalar(3, 0, 1, 1)}
+    assert rescale_pushforward(x) == PerfSeries.monomial(3, 1, degree=6)
+    assert witt_decompose(x, 1) == WittElt(3, [x])
+
+
+def test_mahler_samples_mix_ints_and_scalars():
+    # scalar samples at p count at their least precision, ints exactly
+    ints = mahler_coeffs_from_samples(3, [1, 2, 3])
+    mixed = mahler_coeffs_from_samples(3, [PadicScalar.from_int(3, 1, 4), 2, 3])
+    assert mixed.prec == ints.prec == 2 and mixed == ints
+    short = mahler_coeffs_from_samples(3, [1, PadicScalar.from_int(3, 2, 1), 3])
+    assert short.prec == 1 and short == ints
 
 
 def test_perf_series_is_a_measure_to_pair_but_not_to_mix():
