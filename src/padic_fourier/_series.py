@@ -220,21 +220,51 @@ def _slots(mod):
 def ball_residues(coeffs, r, mod):
     """Σ_m c_m (S-1)^m in (Z/mod)[S]/(S^n - 1), n = min(r, len(coeffs)).
 
-    Horner from the top nonzero coefficient on one integer x, packed like
-    ``mul``: slot a of W bits holds the coefficient of S^a.  With S = 2^W,
-    S^n = 1 holds mod 2^(Wn) - 1, so multiplying by S - 1 is x·2^W - x and
-    folding the high slots onto the low ones.  A step at most doubles each
-    slot and adds c_m < mod, so the slots are brought back to residues
-    (``_reduce``) every ``period`` steps.  For r = p^h entry a is the value
-    on a + p^h Z_p (and 0 for a >= n, as no power of S reaches it).
+    Packed like ``mul``: slot a of W bits holds the coefficient of S^a, and
+    with S = 2^W, S^k = 1 holds mod 2^(Wk) - 1, so multiplying by S - 1 is
+    x·2^W - x and folding the high slots onto the low ones.  For r = p^h
+    entry a is the value on a + p^h Z_p (and 0 for a >= n, as no power of S
+    reaches it).  With d = 1 + the top nonzero index, at most k = min(n, d)
+    slots are nonzero.  One Horner loop runs on a ring of ``size`` slots: a
+    step at most doubles each slot and adds a residue, so the slots are
+    brought back to residues (``_reduce``) every ``period`` steps.  Two
+    layouts share it:
+
+    - one block: the d coefficients from the top down on size = k slots; as
+      the degree stays below d, a ring of k slots wraps only when n < d.
+      Cost: d steps on k slots of w bytes.
+    - halves (a Taylor shift by halves, von zur Gathen & Gerhard 1997):
+      blocks of B coefficients side by side on size = D slots, B the
+      largest power of two <= W - bits - 3, so B steps need no reduction.
+      Column j of every block is (C >> W·j) & mask, C the packed list, and
+      block i ends holding P_i = Σ_(j<B) c_(iB+j) (S-1)^j, the sum being
+      Σ_i P_i (S-1)^(iB).  Then L = ⌈log2(d/B)⌉ halving levels repack the
+      D = B·2^L slots at v bytes, room for D·mod^2, and pair block 2i with
+      2i + 1: X = (X & m_s) + ((X >> 8v·s) & m_s)·(S-1)^s, one product, one
+      reduction and one squaring of the power each.  One wrap mod S^n - 1
+      ends it.  Cost: B steps on D slots and L products of D·v bytes, or
+      M(d) log d.
+
+    Cost rule: halves iff d·k·w > D·(B·w + 24·L·v^1.5), both sides in bytes
+    swept by a Horner step; a level's 24·v^1.5 was fitted on timings at
+    moduli of 8 to 60 bits and d from 96 to 2048; k <= 40 never halves.
     """
     n = min(r, len(coeffs))
-    top = max((m for m, c in enumerate(coeffs) if c), default=-1)
-    w, half, period = _slots(mod)
-    W, Wn = 8 * w, 8 * w * n
-    ones = (1 << Wn) - 1
-    biases = _biases(n, w, half)
-    cnt = min(n, top + 1)  # (S-1)^m has degree m: past top a slot stays 0
+    d = 1 + max((m for m, c in enumerate(coeffs) if c), default=-1)
+    bits, (w, half, period) = (mod - 1).bit_length(), _slots(mod)
+    W, B = 8 * w, 1 << (period - 1).bit_length() - 1  # period - 1 = W - bits - 3
+    L = (max(d - 1, 0) // B).bit_length()  # ⌈log2⌉ of the block count
+    D = B << L
+    k, v = min(n, d), (2 * bits + D.bit_length() + 7) // 8
+    halves = d * k * w > D * (B * w + 24 * L * v**1.5)
+    if halves:
+        size, C = D, _pack([c % mod for c in coeffs[:d]], w, 0)
+        mask = int.from_bytes((b"\xff" * w + bytes(w * (B - 1))) * (D // B), "little")
+        columns = ((C >> W * j) & mask for j in range(B - 1, -1, -1))
+    else:
+        size, columns = k, [c % mod for c in reversed(coeffs[:d])]
+    Wn = W * size
+    ones, biases = (1 << Wn) - 1, _biases(size, w, half)
 
     def fold(x):
         # x ≡ Σ s_a 2^(Wa) mod 2^(Wn) - 1, |s_a| < half - 1: fold x + biases
@@ -244,13 +274,28 @@ def ball_residues(coeffs, r, mod):
         return (x & ones) + (x >> Wn) - biases
 
     x, left = 0, period
-    for m in range(top, -1, -1):
+    for c in columns:
         if not left:
-            x, left = _reduce(fold(x), cnt, w, half, mod), period
-        x = (x << W) - x + coeffs[m] % mod
+            x, left = _reduce(fold(x), size, w, half, mod), period
+        x = (x << W) - x + c
         x = (x & ones) + (x >> Wn)
         left -= 1
-    return [c % mod for c in _unpack(fold(x), cnt, w, half)] + [0] * (n - cnt)
+    cs = [c % mod for c in _unpack(fold(x), size, w, half)]
+    if halves:
+        V, s = 8 * v, B
+        x = _pack(cs, v, 0)
+        power = _pack([(-1) ** (B - i) * math.comb(B, i) % mod for i in range(B + 1)], v, 0)
+        while s < D:
+            m_s = int.from_bytes((b"\xff" * (v * s) + bytes(v * s)) * (D // (2 * s)), "little")
+            x = _reduce((x & m_s) + ((x >> V * s) & m_s) * power, D, v, 0, mod)
+            s *= 2
+            if s < D:
+                power = _reduce(power * power, s + 1, v, 0, mod)
+        Vn = V * n
+        while x >> Vn:  # slots hold residues: their sums stay below 2^V
+            x = (x & (1 << Vn) - 1) + (x >> Vn)
+        cs = [c % mod for c in _unpack(x, k, v, 0)]
+    return cs + [0] * (n - len(cs))
 
 
 def differences_at_zero(values, mod, sign=-1):

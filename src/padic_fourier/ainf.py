@@ -38,6 +38,7 @@ from .padic import (
     SExponent,
     _as_sexponent,
     _modulus,
+    _point,
     _same,
     json_field,
     json_int,
@@ -260,23 +261,23 @@ def dirac_q(p, s, depth, prec, degree):
 
     (1 + Tt^(1/p^m))^(s p^m) is the Z_p Dirac mass at s p^m on the 1/p^m
     grid: ``iwasawa.dirac`` below degree·p^m, then T -> Tt^(1/p^m).  s may be
-    a Fraction (exact) or a PadicScalar, whose precision must then cover
-    every binomial.
+    an int or a Fraction (exact) or a PadicScalar, whose precision must then
+    cover every binomial: ``padic._point``'s rule.
     """
     degree = Fraction(degree)
     if degree <= 0:
         raise PreconditionError("degree bound must be positive")
     if depth < 0:
         raise PreconditionError(f"depth {depth} < 0")
+    s = _point(p, s)
     if isinstance(s, PadicScalar):
-        s = _same(p, s, PadicScalar)
         if s.val_floor() < -depth:
             raise PreconditionError(
                 f"depth {depth} insufficient: v(s) = {s.val_floor()} < -{depth}"
             )
         a = s * PadicScalar.from_int(p, p**depth, s.prec + depth + 1)
     else:
-        a = Fraction(s) * p**depth
+        a = s * p**depth
         if a.denominator != 1:
             raise PreconditionError(f"depth {depth} insufficient for s = {s}")
         a = int(a)

@@ -24,6 +24,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import __version__
+from ._series import decode_degree
 from .ainf import AinfElt, dirac_q
 from .artin_hasse import canonical_measure
 from .errors import (
@@ -55,7 +56,9 @@ from .iwasawa import (
     middle_ideal_valuation,
     ptadic_power_generators,
 )
-from .padic import LowerBound, PadicScalar, SExponent, _congruent, _modulus, json_int, log_floor, vp_int
+from .padic import (
+    LowerBound, PadicScalar, SExponent, _congruent, _modulus, json_field, json_int, log_floor, vp_int,
+)
 from .witt import PerfSeries, teichmuller
 
 
@@ -184,14 +187,15 @@ def _printed_degree(p, degree):
     return degree
 
 
-def _measures(pr, exprs, prec, qp=None, degree=16, precs=()):
+def _measures(pr, exprs, prec, qp=None, degree=16, precs=(), printed=False):
     """The measures of the flag values ``exprs``, charged with ``precs`` as
     one job before any is built: on Q_p if ``qp``, on Z_p if ``qp`` is
     False, else on Q_p when any of them is.  Each ``@file`` is loaded once,
     its kind read from it (a Q_p document lists "terms"), and its prime
     must be --p; its "prec" is under the precision rule.  A Z_p measure
     counts its degree, a Q_p measure degree·p^depth + 1 cells, from its
-    declared depth."""
+    declared depth.  If ``printed``, the degree their product prints on
+    Q_p, the least bound (None for none), passes ``_printed_degree`` first."""
     p = pr["p"]
     exprs = [str(e).strip() for e in exprs]
     docs = {e: _load_doc(e[1:]) for e in dict.fromkeys(exprs) if e.startswith("@")}
@@ -242,6 +246,9 @@ def _measures(pr, exprs, prec, qp=None, degree=16, precs=()):
     precs = [("--prec", prec), *precs, *(('document "prec"', json_int(doc, "prec"))
                                           for doc in docs.values())]
     _budget(p, precs, lambda cells: sum(cells(k, s) + c for k, s, c, _ in boxes))
+    if printed and qp:
+        bounds = (decode_degree(p, json_field(docs[e], "degree")) if e in docs else degree for e in exprs)
+        _printed_degree(p, min(filter(None, bounds), default=None))
     return [build() for *_, build in boxes]
 
 
@@ -379,9 +386,7 @@ def _cmd_integrate(pr):
 
 
 def _cmd_convolve(pr):
-    m1, m2 = _measures(pr, [pr["mu1"], pr["mu2"]], _prec(pr, 8))
-    if isinstance(m1, AinfElt):  # the product's degree is the lesser bound, None for none
-        _printed_degree(pr["p"], min(filter(None, (m1.degree, m2.degree)), default=None))
+    m1, m2 = _measures(pr, [pr["mu1"], pr["mu2"]], _prec(pr, 8), printed=True)
     return _measure_doc(m1 * m2)
 
 

@@ -30,6 +30,7 @@ from .padic import (
     _as_sexponent,
     _gen_binomials,
     _modulus,
+    _point,
     _same,
     json_field,
     json_flag,
@@ -201,14 +202,14 @@ def forward_transform(mu: AinfElt) -> dict:
 def forward_transform_diracs(p, combo, qs, prec) -> dict:
     """Fourier coefficients of a finite Dirac combination Σ c_i Δ(s_i).
 
-    combo is a list of (c_i, s_i) with integer weights and PadicScalar
-    (or Fraction) points; the coefficient at q is Σ c_i (s_i choose q) at
-    the target precision, each point's values read by one generalized
-    binomial pass over the exponents on their common grid.  The result
-    keeps the order of ``qs``.
+    combo is a list of (c_i, s_i) with integer weights and points read by
+    ``padic._point``'s rule (an int, a Fraction or a PadicScalar); the
+    coefficient at q is Σ c_i (s_i choose q) at the target precision, each
+    point's values read by one generalized binomial pass over the exponents
+    on their common grid.  The result keeps the order of ``qs``.
     """
-    points = [(c, _same(p, s, PadicScalar) if isinstance(s, PadicScalar)
-               else PadicScalar.from_fraction(p, Fraction(s), prec + 24)) for c, s in combo]
+    points = [(c, x if isinstance(x := _point(p, s), PadicScalar)
+               else PadicScalar.from_fraction(p, x, prec + 24)) for c, s in combo]
     qs = [_as_sexponent(p, q) for q in qs]
     logden = max((q.logden for q in qs), default=0)
     keys = {q: q.num * p ** (logden - q.logden) for q in qs}

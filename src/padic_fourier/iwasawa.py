@@ -32,6 +32,7 @@ Smith form (Cohen, A Course in Computational Algebraic Number Theory,
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from . import _series
 from .errors import (
@@ -47,6 +48,7 @@ from .padic import (
     LowerBound,
     PadicScalar,
     _modulus,
+    _point,
     _same,
     binomial_row_tracked,
     json_field,
@@ -319,20 +321,24 @@ def _common_box(a, b):
 def dirac(a, degree, prec, p=None):
     """The Dirac mass at an integral point, as the series (1+T)^a.
 
-    ``a`` may be a plain integer (exact) or an integral PadicScalar, in
-    which case each coefficient C(a, n) costs v_p(n!) digits of a's
-    precision and the box precision must still be reachable.
+    ``a`` is read by ``padic._point``'s rule: an integer, exact, or an
+    integral PadicScalar, in which case each coefficient C(a, n) costs
+    v_p(n!) digits of a's precision and the box precision must still be
+    reachable.
     """
+    a = _point(p, a)
     exact = False  # exactness of the tail is only known for small true integers
-    if isinstance(a, int):
+    if isinstance(a, Fraction):
+        if a.denominator != 1:
+            raise PreconditionError(f"rational Dirac point {a}: give it as a PadicScalar")
         if p is None:
             raise PreconditionError("p is required when a is a plain integer")
         exact = 0 <= a < degree
-        a = PadicScalar.from_int(p, a, prec + vp_factorial(degree - 1, p))
-    p = _same(p, a, PadicScalar).p
+    p = a.p if p is None else p
+    need = prec + vp_factorial(degree - 1, p)
+    a = _point(p, a, need)
     if a.shift < 0:
         raise PreconditionError("Dirac points on Z_p must be integral")
-    need = prec + vp_factorial(degree - 1, p)
     if a.abs_bound < need:
         raise PrecisionExhausted(
             f"need a mod p^{need} for degree {degree} at precision {prec}"
@@ -486,11 +492,7 @@ class MahlerFn(Immutable):
         factor costs v_p(n!) digits of x's precision.
         """
         p = self.p
-        if isinstance(x, int):
-            x = PadicScalar.from_int(
-                p, x, self.prec + vp_factorial(self.tail_cert, p) + 1
-            )
-        x = _same(p, x, PadicScalar)
+        x = _point(p, x, self.prec + vp_factorial(self.tail_cert, p) + 1)
         if x.shift < 0:
             raise PreconditionError("Mahler evaluation needs an integral point")
         if self.period is not None:

@@ -197,6 +197,24 @@ def _same(p, x, kind):
     return x
 
 
+def _point(p, s, prec=None):
+    """A point of Q_p by the one rule of every reader of points: an int or
+    a ``Fraction`` as an exact Fraction, a PadicScalar as ``_same`` checks
+    it at p.  Anything else (a float, a bool, ...) is a PreconditionError.
+    With ``prec`` a rational point becomes a scalar: an integer mod p^prec,
+    any other with relative precision prec."""
+    if isinstance(s, (int, Fraction)) and not isinstance(s, bool):
+        s = Fraction(s)
+        if prec is None:
+            return s
+        if s.denominator == 1:
+            return PadicScalar.from_int(p, int(s), prec)
+        return PadicScalar.from_fraction(p, s, prec)
+    if not isinstance(s, PadicScalar):
+        raise PreconditionError(f"a point is an int, a Fraction or a PadicScalar, not {type(s).__name__}")
+    return _same(p, s, PadicScalar)
+
+
 class LowerBound:
     """Marker for a quantity only known to be ``>= bound``.
 

@@ -177,6 +177,23 @@ class TestErrors:
         assert "not a power of 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
+        "convolve --p 3 --mu1 diracq:1/3@depth10 --mu2 diracq:2/3@depth10 --degree 1/2 --prec 12",
+        "convolve --p 3 --mu1 diracq:1/3@depth10 --mu2 @DOC --degree 1/2 --prec 12",
+    ])
+    def test_convolve_degree_is_checked_before_any_build(self, monkeypatch, capsys, argv):
+        # the product's degree, the least bound of the flag and the
+        # documents, is read before any build: no Dirac mass is built for a
+        # product that cannot be printed
+        calls = []
+        monkeypatch.setattr(cli, "dirac_q", lambda *a: calls.append(a))
+        with tempfile.TemporaryDirectory() as tmp:
+            doc = AinfElt.monomial(3, Fraction(1, 3), 12, 1).to_json()
+            (Path(tmp) / "mu.json").write_text(json.dumps(doc))
+            assert main(argv.replace("DOC", str(Path(tmp) / "mu.json")).split()) == 3
+        assert calls == []
+        assert "denominator 2 is not a power of 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
         "wval --p 3 --mu Tt --degree 1/2",
         "fourier --p 3 --mu Tt --degree 1/2",
         "integrate --p 3 --f binom:1/3@depth1 --mu Tt --degree 1/2",
@@ -975,6 +992,34 @@ def test_fourier_combo_is_linear_in_its_points(argv, prec):
     assert [q for q, _ in both] == [q for q, _ in first] == [q for q, _ in second]
     for (q, c), (_, a), (_, b) in zip(both, first, second):
         assert c == a + b, (argv, prec, q, c, a, b)
+
+
+# the addition formula C(x+y, q) = Σ_(q1+q2=q) C(x, q1)·C(y, q2) on Q_p, each
+# binomial read from a fourier --combo run of 1@x, 1@y or 1@x+y.  The sum runs
+# over the --qdepth D grid.  For x, y in p^-d Z, v(C(x, q)) >= v(x) - v(q), and
+# q1 off the grid puts q1 and q2 at a depth m > D, so the terms left out sum
+# to O(p^(2(D + 1 - d))).  Same deadline as the argv fuzz
+@settings(max_examples=60, deadline=timedelta(seconds=2))
+@given(p=st.sampled_from([2, 3]), d=st.integers(0, 1), k=st.integers(0, 2),
+       a=st.integers(-40, 40), b=st.integers(-40, 40), prec=st.integers(3, 10),
+       qmax=st.sampled_from(["1", "3/2", "2"]))
+@example(p=2, d=1, k=2, a=1, b=3, prec=8, qmax="2")
+@example(p=3, d=0, k=1, a=-7, b=11, prec=6, qmax="1")
+def test_fourier_combo_satisfies_the_addition_formula(p, d, k, a, b, prec, qmax):
+    x, y, depth = Fraction(a, p**d), Fraction(b, p**d), d + k
+    cx, cy, cxy = (
+        {Fraction(q["num"], p ** q["logden"]): v for q, v in _coefficients(
+            ["fourier", "--p", str(p), f"--combo=1@{s}", "--qdepth", str(depth),
+             "--qmax", qmax, "--prec", str(prec)])}
+        for s in (x, y, x + y))
+    tail = 2 * (depth + 1 - d)
+    compared = 0
+    for q, lhs in cxy.items():
+        acc = sum((cx[q1] * cy[q - q1] for q1 in cx if q1 <= q), PadicScalar.zero(p, tail))
+        rhs = acc.truncate(min(acc.abs_bound, tail))
+        assert lhs == rhs, (p, x, y, q, lhs, rhs)
+        compared += min(lhs.abs_bound, rhs.abs_bound) > 0
+    assert compared, (p, x, y)  # C(x+y, 0) = 1 = C(x, 0)·C(y, 0) at the least
 
 
 def _run_doc(argv):

@@ -785,10 +785,13 @@ def slot_moduli(draw):
 
 
 def coefficient_list(rnd, kind, n, mod):
-    """n coefficients: dense residues, a few signed huge terms, or zeros."""
+    """n coefficients: dense residues, a few signed huge terms, one top term
+    alone, or zeros."""
     if kind == "dense":
         return [rnd.randrange(mod) for _ in range(n)]
     out = [0] * n
+    if kind == "single" and n:
+        out[-1] = rnd.randrange(1, mod)
     if kind == "sparse" and n:
         for _ in range(rnd.randrange(1, 4)):
             out[rnd.randrange(n)] = rnd.choice([-1, 1]) * rnd.randrange(10**80)
@@ -800,20 +803,50 @@ def coefficient_list(rnd, kind, n, mod):
     slot_moduli(),
     st.integers(0, 700),
     st.integers(0, 6),
-    st.sampled_from(["dense", "sparse", "zero"]),
+    st.sampled_from(["dense", "sparse", "single", "zero"]),
     st.randoms(use_true_random=False),
 )
 @example((2, 2**8), 700, 6, "dense", random.Random(0))  # ~11 reduction periods
-@example((3, 3**40), 700, 6, "dense", random.Random(1))  # 64 bits: 16-byte slots
+@example((3, 3**40), 700, 6, "dense", random.Random(1))  # 64 bits: 16-byte slots, one block
 @example((7, 7**22), 300, 3, "sparse", random.Random(2))
 @example((2, 2**5), 0, 0, "zero", random.Random(3))  # no coefficient at all
+# either side of the cost rule's switch at d = 512: one block at n = 128,
+# halves over four levels at n = 256
+@example((2, 2**8), 512, 7, "dense", random.Random(4))
+@example((2, 2**8), 512, 8, "dense", random.Random(5))
+@example((2, 2**8), 4096, 12, "dense", random.Random(6))  # halves: seven levels
+@example((3, 3**6), 700, 6, "dense", random.Random(7))  # halves: 22 blocks, the last short
+@example((3, 3**6), 700, 6, "single", random.Random(8))  # halves: c·T^699 alone
+@example((2, 2**62), 2048, 11, "dense", random.Random(9))  # halves: 16- and 17-byte slots
+@example((7, 7**22), 2401, 4, "sparse", random.Random(10))  # halves: huge signed terms
+@example((2, 2**8), 4096, 12, "zero", random.Random(11))
+@example((5, 5**4), 1, 2, "single", random.Random(12))  # one coefficient
+@example((2, 2**8), 4096, 0, "dense", random.Random(13))  # h = 0: one ball
 def test_packed_ball_fold_matches_the_list_fold(pmod, degree, h, kind, rnd):
     p, mod = pmod
-    while p**h > 729:
+    while p**h > 4096:
         h -= 1
     coeffs = coefficient_list(rnd, kind, degree, mod)
     want = horner_fold_oracle(coeffs, p**h, mod)
     assert _series.ball_residues(coeffs, p**h, mod) == want
+
+
+def test_ball_fold_by_halves_takes_log_d_reductions(monkeypatch):
+    # a work count, not a timer: one block would reduce its 4096 slots once
+    # per period of 54 steps, 75 times; the halves reduce the sum once per
+    # level and the power once per squaring, 7 + 6 times
+    reduce, seen = _series._reduce, []
+
+    def spy(x, n, w, half, mod):
+        seen.append(n)
+        return reduce(x, n, w, half, mod)
+
+    monkeypatch.setattr(_series, "_reduce", spy)
+    rnd = random.Random(0)
+    for h in (10, 12):
+        seen.clear()
+        _series.ball_residues([rnd.randrange(256) for _ in range(2**h)], 2**h, 256)
+        assert len(seen) == 2 * (h - 5) - 1, (h, seen)
 
 
 @settings(max_examples=40, deadline=None)

@@ -20,13 +20,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from padic_fourier import _series
-from padic_fourier.ainf import AinfElt, rescale_pushforward
+from padic_fourier.ainf import AinfElt, dirac_q, rescale_pushforward
 from padic_fourier.artin_hasse import PIntegralSeries, apply_series, artin_hasse_exp, pi_element
 from padic_fourier.errors import (
     BoxExhausted, ParseError, PrecisionExhausted, PreconditionError, PrimeMismatch,
 )
 from padic_fourier.fourier import (
-    UnifFn, eval_unif, forward_transform, integrate_unif, pullback_rescale,
+    UnifFn, eval_unif, forward_transform, forward_transform_diracs, integrate_unif,
+    pullback_rescale,
 )
 from padic_fourier.iwasawa import (
     BivariateSeries, IwasawaElt, MahlerFn, dirac, integrate, mahler_coeffs_from_samples,
@@ -754,6 +755,38 @@ def test_first_operands_of_another_kind_or_prime_are_refused(name):
     error, call = FIRST_OPERAND_CALLS[name]
     with pytest.raises(error):
         call()
+
+
+# a point that is not an int, a Fraction or a PadicScalar at p
+POINT_CALLS = {
+    "dirac_q at a float": lambda: dirac_q(2, 0.5, 1, 4, 2),
+    "forward_transform_diracs at a float": lambda: forward_transform_diracs(
+        2, [(1, 0.1)], [SExponent(2, 1, 0)], 4),
+    "dirac at a float": lambda: dirac(2.0, 4, 4, p=3),
+    "dirac at a bool": lambda: dirac(True, 4, 4, p=3),
+    "dirac_q at a string": lambda: dirac_q(3, "1/3", 1, 4, 2),
+}
+
+
+@pytest.mark.parametrize("name", POINT_CALLS)
+def test_points_are_ints_fractions_or_scalars(name):
+    """Every reader of a point takes it by ``padic._point``'s one rule; a
+    float once read as the mass at 1/2 or ran out of precision."""
+    with pytest.raises(PreconditionError, match="a point is an int, a Fraction or a PadicScalar"):
+        POINT_CALLS[name]()
+
+
+def test_points_read_alike_as_int_fraction_or_scalar():
+    assert dirac(Fraction(5), 8, 4, p=3) == dirac(5, 8, 4, p=3)
+    assert dirac(Fraction(5), 8, 4, p=3).exact_tail
+    assert dirac_q(2, Fraction(1), 1, 4, 2) == dirac_q(2, 1, 1, 4, 2)
+    q = [SExponent(2, 1, 1)]
+    half = PadicScalar.from_fraction(2, Fraction(1, 2), 30)
+    assert (forward_transform_diracs(2, [(1, Fraction(1, 2))], q, 4)
+            == forward_transform_diracs(2, [(1, half)], q, 4))
+    f = MahlerFn.basis(3, 2, 4)
+    assert f.eval(Fraction(7)) == f.eval(7)
+    assert f.eval(Fraction(1, 2)) == f.eval(PadicScalar.from_fraction(3, Fraction(1, 2), 8))
 
 
 def test_perf_series_stays_a_measure_to_read():
