@@ -32,9 +32,9 @@ from .errors import (
 )
 from .iwasawa import dirac
 from .padic import (
-    Immutable,
     LowerBound,
     PadicScalar,
+    Ring,
     SExponent,
     _as_sexponent,
     _modulus,
@@ -51,15 +51,15 @@ __all__ = [
     "rescale_pushforward",
 ]
 
-class AinfElt(Immutable):
+class AinfElt(Ring):
     """A uniform measure on Q_p as a truncated S-series."""
 
     __slots__ = ("p", "prec", "depth", "degree", "shift", "coeffs")
 
     def __init__(self, p, prec, depth, degree, coeffs, shift=0):
         mod = _modulus(p, prec)
-        if depth < 0:
-            raise PreconditionError("box needs depth >= 0")
+        if type(depth) is not int or type(shift) is not int or depth < 0:
+            raise PreconditionError(f"box needs int depth >= 0 and shift, not {depth!r}, {shift!r}")
         degree = None if degree is None else Fraction(degree)
         if degree is not None and degree <= 0:
             raise PreconditionError("degree bound must be positive")
@@ -148,17 +148,6 @@ class AinfElt(Immutable):
             ca[k] = ca.get(k, 0) + c
         return self._new(self.p, prec, depth, degree, ca, s)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._mul(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
     def _mul(self, other):
         """The product behind every series type's own ``__mul__``."""
         if isinstance(other, int):
@@ -173,8 +162,6 @@ class AinfElt(Immutable):
 
     def __mul__(self, other):
         return self._mul(other)
-
-    __rmul__ = __mul__
 
     def __pow__(self, k):
         return _series.power(self, k, self._new(self.p, self.prec, 0, self.degree, {0: 1}))
@@ -264,11 +251,12 @@ def dirac_q(p, s, depth, prec, degree):
     an int or a Fraction (exact) or a PadicScalar, whose precision must then
     cover every binomial: ``padic._point``'s rule.
     """
+    _modulus(p, prec)
     degree = Fraction(degree)
     if degree <= 0:
         raise PreconditionError("degree bound must be positive")
-    if depth < 0:
-        raise PreconditionError(f"depth {depth} < 0")
+    if type(depth) is not int or depth < 0:
+        raise PreconditionError(f"depth {depth!r} is not an int >= 0")
     s = _point(p, s)
     if isinstance(s, PadicScalar):
         if s.val_floor() < -depth:
@@ -293,8 +281,8 @@ def t_tilde_approx(p, n, stage, depth, prec, degree):
     the approximant is the monomial itself; mod p every stage equals
     t^(1/p^n) exactly.
     """
-    if stage < 0 or n < 0:
-        raise PreconditionError("n and stage must be >= 0")
+    if type(n) is not int or type(stage) is not int or min(n, stage) < 0:
+        raise PreconditionError(f"n and stage must be ints >= 0, not {n!r}, {stage!r}")
     if depth < n + stage:
         raise BoxExhausted(f"depth {depth} < n + stage = {n + stage}")
     base = dirac_q(p, Fraction(1, p ** (n + stage)), depth, prec, degree) - 1

@@ -31,7 +31,7 @@ from .errors import (
     InternalConsistencyError,
     PreconditionError,
 )
-from .padic import Immutable, _modulus, _same, log_floor
+from .padic import Ring, _modulus, _same, log_floor
 from .witt import PerfSeries
 
 __all__ = [
@@ -53,15 +53,15 @@ def _residue(num, den, mod):
     return Fraction(num, den) if mod is None else num * pow(den, -1, mod) % mod
 
 
-class PIntegralSeries(Immutable):
+class PIntegralSeries(Ring):
     """A truncated power series over Q with p-integral coefficients."""
 
     __slots__ = ("p", "degree", "coeffs")
 
     def __init__(self, p, degree, coeffs):
         _modulus(p)
-        if degree < 1:
-            raise PreconditionError("degree must be >= 1")
+        if type(degree) is not int or degree < 1:
+            raise PreconditionError(f"degree must be an int >= 1, not {degree!r}")
         cs = tuple(Fraction(c) for c in coeffs[:degree]) + (Fraction(0),) * max(
             0, degree - len(coeffs)
         )
@@ -77,17 +77,12 @@ class PIntegralSeries(Immutable):
         d = min(self.degree, other.degree)
         return PIntegralSeries(self.p, d, [self.coeffs[n] + other.coeffs[n] for n in range(d)])
 
-    def __sub__(self, other):
-        return self + other * -1
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return PIntegralSeries(self.p, self.degree, [c * other for c in self.coeffs])
         other = _same(self.p, other, PIntegralSeries)
         d = min(self.degree, other.degree)
         return PIntegralSeries(self.p, d, _mul_exact(self.coeffs, other.coeffs, d))
-
-    __rmul__ = __mul__
 
     def compose(self, inner):
         """self(inner(T)) for inner with zero constant term, truncated."""
@@ -151,6 +146,8 @@ def artin_hasse_exp(p: int, degree: int) -> PIntegralSeries:
     The coefficient recurrence n e_n = Σ_{p^i <= n} e_{n - p^i} follows
     from E' = E · (Σ T^(p^i - 1)) and involves no factorials.
     """
+    if type(degree) is not int or degree < 1:
+        raise PreconditionError(f"degree must be an int >= 1, not {degree!r}")
     e = [Fraction(0)] * degree
     e[0] = Fraction(1)
     for n in range(1, degree):
@@ -242,8 +239,7 @@ def artin_hasse_log(p: int, degree: int) -> PIntegralSeries:
 def artin_hasse_log_mod(p: int, degree: int, prec: int) -> tuple:
     """Residues of L mod (p^prec, T^degree), prec >= 1, from the same Newton
     solve as ``artin_hasse_log`` run over scaled integers."""
-    if prec < 1:
-        raise PreconditionError(f"precision must be >= 1, got {prec}")
+    _modulus(p, prec)
     return _log_newton(p, degree, prec)
 
 
@@ -288,11 +284,11 @@ def canonical_measure(p, stage, depth, prec, degree):
     n terms at most: T_n has no constant term, so no coefficient of L past
     T^(n-1) reaches the box's n keys; ``_terms_needed`` may stop it sooner.
     """
-    if stage < 0:
-        raise PreconditionError(f"stage {stage} < 0")
+    if type(stage) is not int or stage < 0:
+        raise PreconditionError(f"stage {stage!r} is not an int >= 0")
     if depth < stage:
         raise BoxExhausted(f"depth {depth} < stage {stage}")
-    degree, m = Fraction(degree), p**prec
+    degree, m = Fraction(degree), _modulus(p, prec)
     if degree <= 0:
         raise PreconditionError("degree bound must be positive")
     if depth == stage:
@@ -324,6 +320,8 @@ def pi_element(p, depth, prec, degree):
     degree = Fraction(degree)
     if degree <= 1:
         raise PreconditionError("degree must exceed 1 to hold the i = 0 term")
+    if type(depth) is not int or depth < 0:
+        raise PreconditionError(f"box needs an int depth >= 0, not {depth!r}")
     i_max = log_floor(math.ceil(degree) - 1, p)
     deg_eff = min(degree, Fraction(p ** (i_max + 1) - 1))
     prec_eff = min(prec, depth + 1 + i_max)

@@ -47,6 +47,7 @@ from .padic import (
     Immutable,
     LowerBound,
     PadicScalar,
+    Ring,
     _modulus,
     _point,
     _same,
@@ -80,7 +81,7 @@ __all__ = [
 _INF = math.inf
 
 
-class IwasawaElt(Immutable):
+class IwasawaElt(Ring):
     """A measure on Z_p as a series in T, known mod the box (p^N, T^d).
 
     ``exact_tail`` records that every coefficient from degree d on is
@@ -111,8 +112,8 @@ class IwasawaElt(Immutable):
 
     @classmethod
     def monomial(cls, p, m, prec, degree, coeff=1):
-        if m < 0:
-            raise PreconditionError(f"T^{m}: exponents on Z_p are >= 0")
+        if type(m) is not int or m < 0:
+            raise PreconditionError(f"T^{m!r}: exponents on Z_p are ints >= 0")
         if m >= degree:
             raise BoxExhausted(f"T^{m} does not fit below degree {degree}")
         return cls(p, prec, degree, _series.dense({m: coeff}, degree), exact_tail=True)
@@ -146,15 +147,6 @@ class IwasawaElt(Immutable):
             and self.poly_degree() < degree and other.poly_degree() < degree,
         )
 
-    def __neg__(self):
-        return IwasawaElt(
-            self.p, self.prec, self.degree, [-c for c in self.coeffs],
-            exact_tail=self.exact_tail,
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, int):
             return IwasawaElt(
@@ -169,8 +161,6 @@ class IwasawaElt(Immutable):
             and self.poly_degree() + other.poly_degree() < degree
         )
         return IwasawaElt(self.p, prec, degree, cs, exact_tail=exact)
-
-    __rmul__ = __mul__
 
     def __pow__(self, k):
         return _series.power(self, k, IwasawaElt.one(self.p, self.prec, self.degree))
@@ -191,8 +181,8 @@ class IwasawaElt(Immutable):
         the degree cut into a p-adic bound.  Exact tails have no unknown
         terms at all.
         """
-        if h < 0:
-            raise PreconditionError(f"ball radius p^-h needs h >= 0, not {h}")
+        if type(h) is not int or h < 0:
+            raise PreconditionError(f"ball radius p^-h needs an int h >= 0, not {h!r}")
         return _INF if self.exact_tail else max(0, log_floor(self.degree, self.p) + 1 - h)
 
     def _ball_values(self, h):
@@ -307,8 +297,8 @@ class IwasawaElt(Immutable):
 def _box(p, prec, degree):
     """p^prec, once the box (p^prec, degree) of a Z_p series is checked."""
     mod = _modulus(p, prec)
-    if degree < 1:
-        raise PreconditionError("box needs degree >= 1")
+    if type(degree) is not int or degree < 1:
+        raise PreconditionError(f"box needs an int degree >= 1, not {degree!r}")
     return mod
 
 
@@ -335,6 +325,7 @@ def dirac(a, degree, prec, p=None):
             raise PreconditionError("p is required when a is a plain integer")
         exact = 0 <= a < degree
     p = a.p if p is None else p
+    _box(p, prec, degree)
     need = prec + vp_factorial(degree - 1, p)
     a = _point(p, a, need)
     if a.shift < 0:
@@ -421,6 +412,8 @@ class MahlerFn(Immutable):
 
     def __init__(self, p, prec, coeffs, tail_cert, exact_tail=False, period=None):
         mod = _modulus(p, prec)
+        if type(tail_cert) is not int:
+            raise PreconditionError(f"tail_cert must be an int, not {tail_cert!r}")
         cs = {}
         for n, c in coeffs.items():
             c %= mod
@@ -434,8 +427,8 @@ class MahlerFn(Immutable):
     @classmethod
     def basis(cls, p, n, prec):
         """The binomial function x -> (x choose n)."""
-        if n < 0:
-            raise PreconditionError(f"binom(x, {n}): the index must be >= 0")
+        if type(n) is not int or n < 0:
+            raise PreconditionError(f"binom(x, {n!r}): the index must be an int >= 0")
         return cls(p, prec, {n: 1}, n + 1, exact_tail=True)
 
     @classmethod
@@ -479,17 +472,14 @@ class MahlerFn(Immutable):
         cs = [self.coeffs.get(n, 0) for n in range(self.period)]
         return _series.differences_at_zero(cs, self.p**self.prec, sign=1)
 
-    def _eval_at_int(self, a):
-        row = binomial_row_tracked(self.p, a, self.prec, min(a, self.tail_cert - 1), self.prec)
-        return sum(self.coeffs.get(n, 0) * b for n, b in enumerate(row)) % self.p**self.prec
-
     def eval(self, x):
-        """Evaluate the truncated Mahler sum at an integral point.
+        """f(x) = ∫ f dδ_x at an integral point: the pairing with ``dirac``.
 
-        For period-carrying functions the argument is reduced mod the
-        period and the finite exact sum is used (local constancy).  For
-        finite Mahler support the direct sum applies; each binomial
-        factor costs v_p(n!) digits of x's precision.
+        A function with a period is locally constant, so the mass sits at
+        the exact integer x mod the period, below degree = period.  A finite
+        sum needs δ_x below its top index + 1; each C(x, n) costs v_p(n!)
+        digits of x's precision.  The empty function is 0 wherever x has a
+        digit.
         """
         p = self.p
         x = _point(p, x, self.prec + vp_factorial(self.tail_cert, p) + 1)
@@ -501,15 +491,16 @@ class MahlerFn(Immutable):
                 raise PrecisionExhausted(
                     f"argument known mod p^{x.abs_bound} < period p^{vper}"
                 )
-            a = x.integer_rep() % self.period
-            return PadicScalar(p, 0, self._eval_at_int(a), self.prec)
-        top = max(self.coeffs, default=0)  # C(x, n) costs v_p(n!) digits of x
-        out_prec = min(self.prec, x.abs_bound - vp_factorial(top, p)) if self.coeffs else self.prec
-        if out_prec < 1:
+            return integrate(self, dirac(x.integer_rep() % self.period, self.period, self.prec, p=p))
+        if not self.coeffs:
+            if x.abs_bound < 1:
+                raise PrecisionExhausted("argument has no known digits")
+            return PadicScalar.zero(p, self.prec)
+        top = max(self.coeffs)
+        prec = min(self.prec, x.abs_bound - vp_factorial(top, p))
+        if prec < 1:
             raise PrecisionExhausted("argument precision exhausted by binomials")
-        row = binomial_row_tracked(p, x.integer_rep(), x.abs_bound, top, self.prec)
-        total = sum(self.coeffs.get(n, 0) * b for n, b in enumerate(row))
-        return PadicScalar(p, 0, total, out_prec)
+        return integrate(self, dirac(x, top + 1, prec, p=p))
 
     def _equal(self, other):
         return _series.equal(

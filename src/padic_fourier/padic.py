@@ -12,6 +12,7 @@ exponents in S = Z[1/p] ∩ R_{>=0}, obtained as the limit of
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
 from .errors import (
@@ -111,19 +112,11 @@ def vp_factorial(n: int, p: int) -> int:
 
 
 def comb_int(a: int, n: int) -> int:
-    """Exact integer binomial C(a, n) for any integer a and n >= 0.
-
-    The product of n consecutive integers is always divisible by n!.
-    """
+    """Exact integer binomial C(a, n) for any integer a and n >= 0: below 0,
+    C(a, n) = (-1)^n C(n - a - 1, n)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    num = 1
-    for j in range(n):
-        num *= a - j
-    den = 1
-    for j in range(2, n + 1):
-        den *= j
-    return num // den
+    return math.comb(a, n) if a >= 0 else (-1) ** n * math.comb(n - a - 1, n)
 
 
 def json_field(doc, key):
@@ -154,12 +147,14 @@ def json_flag(doc, key):
 
 
 def _modulus(p, prec=1):
-    """p^prec, once p is checked prime and prec >= 1: the one check of the
-    prime and the coefficient precision of every value type's box."""
-    if not is_prime(p):
-        raise PreconditionError(f"p = {p} is not prime")
-    if prec < 1:
-        raise PreconditionError(f"box needs prec >= 1, not {prec}")
+    """p^prec, once p is checked a prime and prec a count >= 1, each an int
+    and no bool: the one check of the prime and the coefficient precision of
+    every value type's box.  Every other count of a box passes the same
+    type test where it is compared."""
+    if type(p) is not int or not is_prime(p):
+        raise PreconditionError(f"p = {p!r} is not prime")
+    if type(prec) is not int or prec < 1:
+        raise PreconditionError(f"box needs an int prec >= 1, not {prec!r}")
     return p**prec
 
 
@@ -183,6 +178,31 @@ class Immutable:
         if type(other) is not type(self):
             return NotImplemented
         return self.p == other.p and self._equal(other)
+
+
+class Ring(Immutable):
+    """Base of the value types with a ``+`` and a ``*`` of their own, which
+    fix the operators that follow from them, written here once: ``-x`` is
+    ``x * -1``; ``x - y`` is ``x + (-y)`` for an int or a Ring y and ``x + y``
+    otherwise, so the type's own operand rule refuses a foreign y; ``y - x``
+    is ``-x + y``; the reflected ``+`` and ``*`` swap their operands."""
+
+    __slots__ = ()
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + (-other if isinstance(other, (int, Ring)) else other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __radd__(self, other):
+        return self + other
+
+    def __rmul__(self, other):
+        return self * other
 
 
 def _same(p, x, kind):
@@ -245,7 +265,7 @@ def _congruent(p, s, u, t, v, bound):
     return (u - v * p ** (t - s)) % p ** (bound - s) == 0
 
 
-class PadicScalar(Immutable):
+class PadicScalar(Ring):
     """An element of Q_p known to absolute precision O(p^(shift+prec)).
 
     Normal form: either ``unit`` is coprime to p (so the valuation is
@@ -258,8 +278,8 @@ class PadicScalar(Immutable):
 
     def __init__(self, p: int, shift: int, unit: int, prec: int):
         _modulus(p)  # a scalar may carry prec 0
-        if prec < 0:
-            raise PreconditionError("prec must be >= 0")
+        if type(shift) is not int or type(prec) is not int or prec < 0:
+            raise PreconditionError(f"need an int shift and an int prec >= 0, not {shift!r}, {prec!r}")
         unit %= p**prec
         if unit == 0:
             shift, prec = shift + prec, 0
@@ -353,17 +373,8 @@ class PadicScalar(Immutable):
         ) % mod
         return PadicScalar(self.p, s, val, bound - s)
 
-    __radd__ = __add__
-
-    def __neg__(self):
+    def __neg__(self):  # primitive: self * -1 would first coerce -1
         return PadicScalar(self.p, self.shift, -self.unit, self.prec)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -(self - other)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -371,8 +382,6 @@ class PadicScalar(Immutable):
         s = self.shift + other.shift
         prec = bound - s
         return PadicScalar(self.p, s, self.unit * other.unit, prec)
-
-    __rmul__ = __mul__
 
     def truncate(self, abs_bound: int) -> "PadicScalar":
         """Forget digits: reduce the absolute precision to ``abs_bound``."""

@@ -60,8 +60,6 @@ class PerfSeries(AinfElt):
     def __mul__(self, other):
         return self._mul(other)
 
-    __rmul__ = __mul__
-
     def frobenius(self, k=1):
         """x -> x^(p^k), exact: scales every exponent by p^k."""
         return self._scaled(k)

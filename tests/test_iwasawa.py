@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,7 +34,9 @@ from padic_fourier.iwasawa import (
     middle_ideal_valuation,
     ptadic_power_generators,
 )
-from padic_fourier.padic import LowerBound, PadicScalar, binomial_row_tracked, comb_int, vp_int
+from padic_fourier.padic import (
+    LowerBound, PadicScalar, _point, binomial_row_tracked, comb_int, vp_factorial, vp_int,
+)
 
 
 class TestDiracAndConvolution:
@@ -1021,6 +1024,87 @@ def test_integrate_and_eval_match_build_then_truncate(mu, rnd, periodic):
         total = sum(c * comb_int(x % f.period, n) for n, c in f.coeffs.items())
     want = PadicScalar(p, 0, total, f.prec).truncate(got.abs_bound)
     assert got.to_json() == want.to_json()
+
+
+def eval_by_rows(f, x):
+    """Oracle: f(x) as the binomial row of x summed against the Mahler
+    coefficients, with no measure and no pairing.  A period reduces x to an
+    exact integer, whose row stops at min(x, tail_cert - 1); a finite sum
+    reads the tracked row of x to its top index, each C(x, n) costing
+    v_p(n!) digits of x; the empty function is 0 wherever x has a digit."""
+    p = f.p
+    x = _point(p, x, f.prec + vp_factorial(f.tail_cert, p) + 1)
+    if x.shift < 0:
+        raise PreconditionError("Mahler evaluation needs an integral point")
+    if f.period is not None:
+        if x.abs_bound < vp_int(f.period, p):
+            raise PrecisionExhausted("argument known below the period")
+        a = x.integer_rep() % f.period
+        row = binomial_row_tracked(p, a, f.prec, min(a, f.tail_cert - 1), f.prec)
+        return PadicScalar(p, 0, sum(f.coeffs.get(n, 0) * b for n, b in enumerate(row)), f.prec)
+    top = max(f.coeffs, default=0)
+    out_prec = min(f.prec, x.abs_bound - vp_factorial(top, p)) if f.coeffs else f.prec
+    if out_prec < 1:
+        raise PrecisionExhausted("argument precision exhausted by binomials")
+    row = binomial_row_tracked(p, x.integer_rep(), x.abs_bound, top, f.prec)
+    return PadicScalar(p, 0, sum(f.coeffs.get(n, 0) * b for n, b in enumerate(row)), out_prec)
+
+
+@st.composite
+def mahler_fns(draw, p):
+    """A periodic, basis, plain-tail, finite or empty Mahler function at p."""
+    prec = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["periodic", "basis", "plain", "finite", "empty"]))
+    if kind == "periodic":
+        m = p ** draw(st.integers(0, 3))
+        return mahler_coeffs_from_samples(p, draw(st.lists(
+            st.integers(0, p**9), min_size=m, max_size=m)), prec=prec)
+    if kind == "basis":
+        return MahlerFn.basis(p, draw(st.integers(0, 20)), prec)
+    tail_cert = draw(st.integers(1, 20))
+    cs = {} if kind == "empty" else draw(st.dictionaries(
+        st.integers(0, tail_cert - 1), st.integers(-(p**9), p**9), min_size=1, max_size=4))
+    return MahlerFn(p, prec, cs, tail_cert, exact_tail=kind == "finite" or
+                    (kind == "empty" and draw(st.booleans())))
+
+
+@st.composite
+def mahler_points(draw, p):
+    """An int, a Fraction (p-integral or not) or a scalar, of few digits or
+    none, at p or now and then at another prime."""
+    kind = draw(st.sampled_from(["int", "fraction", "scalar", "scalar", "scalar", "foreign"]))
+    if kind == "int":
+        return draw(st.integers(-(10**6), 10**6))
+    if kind == "fraction":
+        return Fraction(draw(st.integers(-500, 500)), draw(st.integers(1, 60)))
+    q = 7 if kind == "foreign" else p
+    return PadicScalar(q, draw(st.integers(-1, 4)), draw(st.integers(0, q**12)), draw(st.integers(0, 12)))
+
+
+@st.composite
+def mahler_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    return draw(mahler_fns(p)), draw(mahler_points(p))
+
+
+@settings(max_examples=400, deadline=None)
+@given(mahler_cases())
+@example((MahlerFn(3, 6, {}, 4), PadicScalar(3, 0, 1, 2)))  # empty, x known mod 3^2 only
+@example((MahlerFn(2, 5, {}, 3, exact_tail=True), PadicScalar(2, 1, 1, 1)))
+@example((MahlerFn(3, 6, {}, 4), PadicScalar(3, 0, 0, 0)))  # x has no known digit
+@example((MahlerFn.basis(3, 4, 6), PadicScalar(3, 0, 0, 0)))
+@example((MahlerFn.basis(2, 5, 6), PadicScalar(2, 0, 5, 4)))  # v_2(5!) = 3 of x's 4 digits go
+def test_mahler_eval_is_the_pairing_with_the_dirac_mass(case):
+    """MahlerFn.eval, ∫ f dδ_x, gives the row-and-sum value and precision,
+    or its error class, at ints, Fractions and scalars."""
+    f, x = case
+    try:
+        want = eval_by_rows(f, x)
+    except Exception as e:
+        with pytest.raises(type(e)):
+            f.eval(x)
+        return
+    assert f.eval(x).to_json() == want.to_json()
 
 
 # ---------------------------------------------------------------------------

@@ -338,6 +338,20 @@ class TestBinomial:
         assert comb_int(-2, 2) == 3
         assert comb_int(4, 6) == 0
 
+    def test_comb_int_matches_the_product_loop(self):
+        def product_loop(a, n):
+            # a(a-1)...(a-n+1), which n! always divides
+            num = den = 1
+            for j in range(n):
+                num, den = num * (a - j), den * (j + 1)
+            return num // den
+
+        for a in range(-60, 200):
+            for n in range(80):
+                assert comb_int(a, n) == product_loop(a, n), (a, n)
+        with pytest.raises(ValueError):
+            comb_int(5, -1)
+
 
 def vp_factorial_ref(n, p):
     s = 0

@@ -20,8 +20,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from padic_fourier import _series
-from padic_fourier.ainf import AinfElt, dirac_q, rescale_pushforward
-from padic_fourier.artin_hasse import PIntegralSeries, apply_series, artin_hasse_exp, pi_element
+from padic_fourier.ainf import AinfElt, dirac_q, rescale_pushforward, t_tilde_approx
+from padic_fourier.artin_hasse import (
+    PIntegralSeries, apply_series, artin_hasse_exp, artin_hasse_log_mod, canonical_measure,
+    pi_element,
+)
 from padic_fourier.errors import (
     BoxExhausted, ParseError, PrecisionExhausted, PreconditionError, PrimeMismatch,
 )
@@ -701,6 +704,16 @@ OPERAND_CALLS = {
     "dirac at another prime": (PrimeMismatch, lambda: dirac(PadicScalar.from_int(5, 2, 12), 4, 4, p=3)),
     "dirac at a Fraction": (PreconditionError, lambda: dirac(Fraction(5, 2), 4, 4, p=3)),
     "Mahler eval at a float": (PreconditionError, lambda: MahlerFn.basis(3, 1, 4).eval(2.5)),
+    # the derived operators of padic.Ring reach the type's own operand rule
+    "1 + mu": (PreconditionError, lambda: 1 + IwasawaElt.monomial(3, 1, 4, 3)),
+    "1 - mu": (PreconditionError, lambda: 1 - IwasawaElt.monomial(3, 1, 4, 3)),
+    "mu - None": (PreconditionError, lambda: IwasawaElt.monomial(3, 1, 4, 3) - None),
+    "1 + E": (PreconditionError, lambda: 1 + artin_hasse_exp(3, 8)),
+    "1 - E": (PreconditionError, lambda: 1 - artin_hasse_exp(3, 8)),
+    "E - None": (PreconditionError, lambda: artin_hasse_exp(3, 8) - None),
+    "a - None": (PreconditionError, lambda: AinfElt.monomial(3, 1, 4, 3) - None),
+    "None - a": (PreconditionError, lambda: None - AinfElt.monomial(3, 1, 4, 3)),
+    "sum of measures": (PreconditionError, lambda: sum([IwasawaElt.monomial(3, 1, 4, 3)] * 2)),
 }
 
 
@@ -717,6 +730,43 @@ _MU = IwasawaElt.monomial(3, 1, 4, 3)
 _A = AinfElt.monomial(3, 1, 4, 3)
 _E = artin_hasse_exp(3, 8)
 _X = PadicScalar.from_int(3, 2, 4)
+
+
+def test_derived_operators_follow_from_plus_and_times():
+    # padic.Ring writes -x, x - y, y - x and the reflected + and * once
+    assert -_E == _E * -1 and -_E + _E == _E * 0
+    assert 1 - _A == -_A + 1 and _A - 1 == _A + -1
+    assert 2 * _MU == _MU * 2 and -_MU == _MU * -1 and _MU - _MU == _MU * 0
+    assert 1 - _X == -_X + 1 and 3 + _X == _X + 3 and 3 * _X == _X * 3
+
+
+# an integer parameter that is no int: a float, a bool or None
+INTEGER_PARAMETER_CALLS = {
+    "scalar prec 2.5": lambda: PadicScalar(3, 0, 1, 2.5),
+    "basis index 1.5": lambda: MahlerFn.basis(3, 1.5, 4),
+    "measure prec True": lambda: IwasawaElt(3, True, 2, [1]),
+    "canonical measure at p = 2.5": lambda: canonical_measure(2.5, 1, 1, 4, 2),
+    "t_tilde_approx at n = None": lambda: t_tilde_approx(3, None, 1, 1, 4, 2),
+    "dirac degree 4.0": lambda: dirac(3, 4.0, 4, p=3),
+    "pi_element depth 1.5": lambda: pi_element(2, 1.5, 4, 3),
+    "artin_hasse_log_mod prec 2.5": lambda: artin_hasse_log_mod(3, 4, 2.5),
+    "artin_hasse_exp degree 2.5": lambda: artin_hasse_exp(3, 2.5),
+    "dirac_q at p = 2.0": lambda: dirac_q(2.0, 1, 1, 4, 2),
+    "scalar shift 0.5": lambda: PadicScalar(3, 0.5, 1, 2),
+    "measure shift 0.5": lambda: AinfElt(3, 4, 0, None, {0: 1}, shift=0.5),
+    "monomial T^1.5": lambda: IwasawaElt.monomial(3, 1.5, 4, 3),
+    "ball radius h = 1.5": lambda: IwasawaElt.one(3, 4, 3).ball_measure(0, 1.5),
+}
+
+
+@pytest.mark.parametrize("name", INTEGER_PARAMETER_CALLS)
+def test_integer_parameters_are_ints(name):
+    """A prime, precision, degree, depth, stage or index that is no int is
+    refused by padic._modulus or the type test beside each count's bound,
+    never built into a corrupt value or left to a TypeError."""
+    with pytest.raises(PreconditionError):
+        INTEGER_PARAMETER_CALLS[name]()
+
 
 # the value a public function reads first, of another kind or prime
 FIRST_OPERAND_CALLS = {
