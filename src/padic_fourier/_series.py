@@ -22,7 +22,7 @@ from array import array
 from fractions import Fraction
 
 from .errors import ParseError, PreconditionError, UncertifiedTailError
-from .padic import LowerBound, SExponent, _same, json_field, json_int, vp_int
+from .padic import LowerBound, SExponent, _count, _same, json_field, json_int, vp_int
 
 
 def degree_min(a, b):
@@ -71,8 +71,8 @@ def regrid(coeffs, factor):
 def scale(p, depth, degree, coeffs, k):
     """(depth, degree, coeffs) after q -> p^k q, k in Z: spends grid depth
     before it multiplies keys; a negative k only deepens the grid."""
-    if degree is not None:
-        degree = degree * Fraction(p) ** k
+    k = _count(k, "k")
+    degree = None if degree is None else degree * Fraction(p) ** k
     if k <= depth:
         return depth - k, degree, coeffs
     return 0, degree, regrid(coeffs, p ** (k - depth))
@@ -406,9 +406,7 @@ def power(x, k, one, mul=operator.mul):
     """x^k by square-and-multiply, every product taken by ``mul``: the result
     starts at its first factor, so ``one`` is returned for k = 0 alone and is
     never multiplied; bit_length(k) - 1 squarings, bit_count(k) - 1 products."""
-    if k < 0:
-        raise PreconditionError("negative powers not supported")
-    out = None
+    k, out = _count(k, "k", 0), None
     while k:
         if k & 1:
             out = x if out is None else mul(out, x)

@@ -21,7 +21,6 @@ mod p at every stage.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from . import _series
@@ -37,6 +36,8 @@ from .padic import (
     Ring,
     SExponent,
     _as_sexponent,
+    _count,
+    _degree,
     _modulus,
     _point,
     _same,
@@ -57,13 +58,8 @@ class AinfElt(Ring):
     __slots__ = ("p", "prec", "depth", "degree", "shift", "coeffs")
 
     def __init__(self, p, prec, depth, degree, coeffs, shift=0):
-        mod = _modulus(p, prec)
-        if type(depth) is not int or type(shift) is not int or depth < 0:
-            raise PreconditionError(f"box needs int depth >= 0 and shift, not {depth!r}, {shift!r}")
-        degree = None if degree is None else Fraction(degree)
-        if degree is not None and degree <= 0:
-            raise PreconditionError("degree bound must be positive")
-        depth, cs = _series.truncate(p, depth, degree, coeffs, mod)
+        mod, degree, shift = _modulus(p, prec), _degree(degree), _count(shift, "shift")
+        depth, cs = _series.truncate(p, _count(depth, "depth", 0), degree, coeffs, mod)
         self._set(p=p, prec=prec, depth=depth, degree=degree, shift=shift, coeffs=cs)
 
     @classmethod
@@ -94,9 +90,7 @@ class AinfElt(Ring):
 
     def with_depth(self, depth):
         """Lossless re-expression of the exponent keys on a finer grid."""
-        if depth < self.depth:
-            raise PreconditionError("cannot coarsen the exponent grid")
-        f = self.p ** (depth - self.depth)
+        f = self.p ** (_count(depth, "depth", self.depth) - self.depth)
         elt = object.__new__(type(self))
         elt._set(p=self.p, prec=self.prec, depth=depth, degree=self.degree,
                  shift=self.shift, coeffs=_series.regrid(self.coeffs, f))
@@ -123,10 +117,10 @@ class AinfElt(Ring):
 
     def resize(self, prec=None, degree=None):
         """Shrink the box (truncation only; never a gain of information)."""
-        prec = self.prec if prec is None else prec
+        prec, degree = self.prec if prec is None else prec, _degree(degree)
         if prec > self.prec:
             raise PrecisionExhausted("cannot grow the coefficient precision")
-        if degree is not None and self.degree is not None and Fraction(degree) > self.degree:
+        if degree is not None and self.degree is not None and degree > self.degree:
             raise PrecisionExhausted("cannot grow the degree bound")
         degree = self.degree if degree is None else degree
         return self._new(self.p, prec, self.depth, degree, self.coeffs, self.shift)
@@ -252,12 +246,7 @@ def dirac_q(p, s, depth, prec, degree):
     cover every binomial: ``padic._point``'s rule.
     """
     _modulus(p, prec)
-    degree = Fraction(degree)
-    if degree <= 0:
-        raise PreconditionError("degree bound must be positive")
-    if type(depth) is not int or depth < 0:
-        raise PreconditionError(f"depth {depth!r} is not an int >= 0")
-    s = _point(p, s)
+    degree, depth, s = _degree(degree), _count(depth, "depth", 0), _point(p, s)
     if isinstance(s, PadicScalar):
         if s.val_floor() < -depth:
             raise PreconditionError(
@@ -269,7 +258,7 @@ def dirac_q(p, s, depth, prec, degree):
         if a.denominator != 1:
             raise PreconditionError(f"depth {depth} insufficient for s = {s}")
         a = int(a)
-    mu = dirac(a, math.ceil(degree * p**depth), prec, p=p)
+    mu = dirac(a, _series.key_bound(p, depth, degree), prec, p=p)  # its box refuses None
     return AinfElt(p, prec, depth, degree, _series.sparse(mu.coeffs))
 
 
@@ -281,9 +270,7 @@ def t_tilde_approx(p, n, stage, depth, prec, degree):
     the approximant is the monomial itself; mod p every stage equals
     t^(1/p^n) exactly.
     """
-    if type(n) is not int or type(stage) is not int or min(n, stage) < 0:
-        raise PreconditionError(f"n and stage must be ints >= 0, not {n!r}, {stage!r}")
-    if depth < n + stage:
+    if _count(depth, "depth", 0) < _count(n, "n", 0) + _count(stage, "stage", 0):
         raise BoxExhausted(f"depth {depth} < n + stage = {n + stage}")
     base = dirac_q(p, Fraction(1, p ** (n + stage)), depth, prec, degree) - 1
     return base ** (p**stage)

@@ -31,7 +31,7 @@ from .errors import (
     InternalConsistencyError,
     PreconditionError,
 )
-from .padic import Ring, _modulus, _same, log_floor
+from .padic import Ring, _count, _degree, _modulus, _same, log_floor
 from .witt import PerfSeries
 
 __all__ = [
@@ -60,8 +60,7 @@ class PIntegralSeries(Ring):
 
     def __init__(self, p, degree, coeffs):
         _modulus(p)
-        if type(degree) is not int or degree < 1:
-            raise PreconditionError(f"degree must be an int >= 1, not {degree!r}")
+        degree = _count(degree, "degree", 1)
         cs = tuple(Fraction(c) for c in coeffs[:degree]) + (Fraction(0),) * max(
             0, degree - len(coeffs)
         )
@@ -139,16 +138,14 @@ class PIntegralSeries(Ring):
         }
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)  # a bool is no degree, though True == 1
 def artin_hasse_exp(p: int, degree: int) -> PIntegralSeries:
     """E(T) = exp(Σ T^(p^i)/p^i) mod T^degree, exactly over Q.
 
     The coefficient recurrence n e_n = Σ_{p^i <= n} e_{n - p^i} follows
     from E' = E · (Σ T^(p^i - 1)) and involves no factorials.
     """
-    if type(degree) is not int or degree < 1:
-        raise PreconditionError(f"degree must be an int >= 1, not {degree!r}")
-    e = [Fraction(0)] * degree
+    e = [Fraction(0)] * _count(degree, "degree", 1)
     e[0] = Fraction(1)
     for n in range(1, degree):
         e[n] = sum(e[n - p**i] for i in range(log_floor(n, p) + 1)) / n
@@ -186,7 +183,7 @@ def _log_newton(p, degree, prec=None):
     residual vanishes mod T^s and the product drops leading zeros, so
     G/G' mod T^d reads g mod T^(d-s) only.
     """
-    guard = log_floor(degree - 1, p)
+    guard = log_floor(_count(degree, "degree", 0) - 1, p)
     scale = p**guard
     mul = _mul_exact if prec is None else _series.mul_mod
     mods = [None if prec is None else p ** (prec + i) for i in range(guard + 1)]
@@ -228,14 +225,14 @@ def _log_newton(p, degree, prec=None):
     return tuple((L + [0] * degree)[:degree])
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def artin_hasse_log(p: int, degree: int) -> PIntegralSeries:
     """L(T) with E(L(T)) = 1 + T, mod T^degree; L(T) = T + O(T^2), exactly
     over Q, from Σ_{i>=0} L^(p^i)/p^i = log(1+T) (see ``_log_newton``)."""
     return PIntegralSeries(p, degree, _log_newton(p, degree))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def artin_hasse_log_mod(p: int, degree: int, prec: int) -> tuple:
     """Residues of L mod (p^prec, T^degree), prec >= 1, from the same Newton
     solve as ``artin_hasse_log`` run over scaled integers."""
@@ -284,13 +281,9 @@ def canonical_measure(p, stage, depth, prec, degree):
     n terms at most: T_n has no constant term, so no coefficient of L past
     T^(n-1) reaches the box's n keys; ``_terms_needed`` may stop it sooner.
     """
-    if type(stage) is not int or stage < 0:
-        raise PreconditionError(f"stage {stage!r} is not an int >= 0")
-    if depth < stage:
+    if _count(depth, "depth", 0) < _count(stage, "stage", 0):
         raise BoxExhausted(f"depth {depth} < stage {stage}")
-    degree, m = Fraction(degree), _modulus(p, prec)
-    if degree <= 0:
-        raise PreconditionError("degree bound must be positive")
+    degree, m = _degree(degree), _modulus(p, prec)
     if depth == stage:
         n = _series.key_bound(p, stage, degree)
         inner = [0, *artin_hasse_log_mod(p, n, prec)[1:]]
@@ -317,11 +310,9 @@ def pi_element(p, depth, prec, degree):
     the element-level invariant w >= 0 replaces coefficient-wise
     integrality here.
     """
-    degree = Fraction(degree)
-    if degree <= 1:
-        raise PreconditionError("degree must exceed 1 to hold the i = 0 term")
-    if type(depth) is not int or depth < 0:
-        raise PreconditionError(f"box needs an int depth >= 0, not {depth!r}")
+    degree, depth = _degree(degree, 1), _count(depth, "depth", 0)  # above 1, it holds i = 0
+    if degree is None:
+        raise PreconditionError("the pi series needs a finite degree bound")
     i_max = log_floor(math.ceil(degree) - 1, p)
     deg_eff = min(degree, Fraction(p ** (i_max + 1) - 1))
     prec_eff = min(prec, depth + 1 + i_max)

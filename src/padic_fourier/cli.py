@@ -57,7 +57,7 @@ from .iwasawa import (
     ptadic_power_generators,
 )
 from .padic import (
-    LowerBound, PadicScalar, SExponent, _congruent, _modulus, json_field, json_int, log_floor, vp_int,
+    LowerBound, PadicScalar, SExponent, _congruent, _degree, _modulus, json_field, json_int, log_floor, vp_int,
 )
 from .witt import PerfSeries, teichmuller
 
@@ -203,9 +203,7 @@ def _measures(pr, exprs, prec, qp=None, degree=16, precs=(), printed=False):
         qp = any("terms" in docs[e] if e in docs else
                  e.startswith(("Tt", "diracq:")) or "@depth" in e for e in exprs)
     if qp:
-        degree = _frac(pr.get("degree", degree))
-        if degree <= 0:  # before a depth is counted against it
-            raise PreconditionError("degree bound must be positive")
+        degree = _degree(_frac(pr.get("degree", degree)))  # before a depth is counted against it
         depth = _int(pr["depth"], "--depth") if "depth" in pr else None
     else:
         degree = _int(pr.get("degree", degree), "--degree")

@@ -28,6 +28,7 @@ from .padic import (
     PadicScalar,
     SExponent,
     _as_sexponent,
+    _count,
     _gen_binomials,
     _modulus,
     _point,
@@ -65,11 +66,9 @@ class UnifFn(Immutable):
 
     def __init__(self, p, prec, depth, coeffs, decay_cert=None, exact_tail=False):
         mod = _modulus(p, prec)
-        if depth < 0:
-            raise PreconditionError("need depth >= 0")
         # a coefficient given is known mod p^prec, 0 included: no certificate
         # may charge it as omitted
-        depth, cs = _series.truncate(p, depth, None, coeffs, mod, zeros=True)
+        depth, cs = _series.truncate(p, _count(depth, "depth", 0), None, coeffs, mod, zeros=True)
         if not exact_tail:
             if not decay_cert:
                 raise PreconditionError(
@@ -208,6 +207,7 @@ def forward_transform_diracs(p, combo, qs, prec) -> dict:
     point's values read by one generalized binomial pass over the exponents
     on their common grid.  The result keeps the order of ``qs``.
     """
+    prec = _count(prec, "prec", 1)  # before the 24 guard digits, so an error names it
     points = [(c, x if isinstance(x := _point(p, s), PadicScalar)
                else PadicScalar.from_fraction(p, x, prec + 24)) for c, s in combo]
     qs = [_as_sexponent(p, q) for q in qs]
@@ -231,7 +231,7 @@ def eval_unif(f: UnifFn, x: PadicScalar, target_prec=None) -> PadicScalar:
     """
     p = _same(None, f, UnifFn).p
     x = _same(p, x, PadicScalar)
-    target = f.prec if target_prec is None else min(target_prec, f.prec)
+    target = f.prec if target_prec is None else min(_count(target_prec, "target_prec"), f.prec)
     out_prec = min(target, f.decay_floor_beyond(0))
     if out_prec < 1:
         raise UncertifiedTailError("decay certificate certifies no digits")

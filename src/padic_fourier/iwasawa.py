@@ -48,9 +48,11 @@ from .padic import (
     LowerBound,
     PadicScalar,
     Ring,
+    _count,
     _modulus,
     _point,
     _same,
+    _tail_floor,
     binomial_row_tracked,
     json_field,
     json_flag,
@@ -112,9 +114,7 @@ class IwasawaElt(Ring):
 
     @classmethod
     def monomial(cls, p, m, prec, degree, coeff=1):
-        if type(m) is not int or m < 0:
-            raise PreconditionError(f"T^{m!r}: exponents on Z_p are ints >= 0")
-        if m >= degree:
+        if _count(m, "m", 0) >= degree:
             raise BoxExhausted(f"T^{m} does not fit below degree {degree}")
         return cls(p, prec, degree, _series.dense({m: coeff}, degree), exact_tail=True)
 
@@ -181,9 +181,8 @@ class IwasawaElt(Ring):
         the degree cut into a p-adic bound.  Exact tails have no unknown
         terms at all.
         """
-        if type(h) is not int or h < 0:
-            raise PreconditionError(f"ball radius p^-h needs an int h >= 0, not {h!r}")
-        return _INF if self.exact_tail else max(0, log_floor(self.degree, self.p) + 1 - h)
+        h = _count(h, "h", 0)
+        return _INF if self.exact_tail else _tail_floor(self.degree, self.p**h, self.p)
 
     def _ball_values(self, h):
         """(residues, out_prec): residues[a] is the value on a + p^h Z_p mod
@@ -204,7 +203,7 @@ class IwasawaElt(Ring):
 
     def ball_measure(self, a, h):
         """The value of the measure on the ball a + p^h Z_p."""
-        if h < 0 or not 0 <= a < self.p**h:
+        if _count(a, "a", 0) >= self.p ** _count(h, "h", 0):
             raise PreconditionError("need 0 <= a < p^h")
         vals, out_prec = self._ball_values(h)
         total = vals[a] if a < len(vals) else 0
@@ -297,8 +296,7 @@ class IwasawaElt(Ring):
 def _box(p, prec, degree):
     """p^prec, once the box (p^prec, degree) of a Z_p series is checked."""
     mod = _modulus(p, prec)
-    if type(degree) is not int or degree < 1:
-        raise PreconditionError(f"box needs an int degree >= 1, not {degree!r}")
+    _count(degree, "degree", 1)
     return mod
 
 
@@ -317,15 +315,15 @@ def dirac(a, degree, prec, p=None):
     reachable.
     """
     a = _point(p, a)
-    exact = False  # exactness of the tail is only known for small true integers
     if isinstance(a, Fraction):
         if a.denominator != 1:
             raise PreconditionError(f"rational Dirac point {a}: give it as a PadicScalar")
         if p is None:
             raise PreconditionError("p is required when a is a plain integer")
-        exact = 0 <= a < degree
     p = a.p if p is None else p
     _box(p, prec, degree)
+    # exactness of the tail is only known for small true integers
+    exact = isinstance(a, Fraction) and 0 <= a < degree
     need = prec + vp_factorial(degree - 1, p)
     a = _point(p, a, need)
     if a.shift < 0:
@@ -411,9 +409,9 @@ class MahlerFn(Immutable):
     __slots__ = ("p", "prec", "coeffs", "tail_cert", "exact_tail", "period")
 
     def __init__(self, p, prec, coeffs, tail_cert, exact_tail=False, period=None):
-        mod = _modulus(p, prec)
-        if type(tail_cert) is not int:
-            raise PreconditionError(f"tail_cert must be an int, not {tail_cert!r}")
+        mod, tail_cert = _modulus(p, prec), _count(tail_cert, "tail_cert")
+        if period is not None and p ** log_floor(_count(period, "period", 1), p) != period:
+            raise PreconditionError(f"period {period} is not a power of {p}")
         cs = {}
         for n, c in coeffs.items():
             c %= mod
@@ -427,9 +425,7 @@ class MahlerFn(Immutable):
     @classmethod
     def basis(cls, p, n, prec):
         """The binomial function x -> (x choose n)."""
-        if type(n) is not int or n < 0:
-            raise PreconditionError(f"binom(x, {n!r}): the index must be an int >= 0")
-        return cls(p, prec, {n: 1}, n + 1, exact_tail=True)
+        return cls(p, prec, {_count(n, "n", 0): 1}, n + 1, exact_tail=True)
 
     @classmethod
     def from_coeffs(cls, p, coeffs, prec, exact_tail=True, tail_cert=None):
@@ -442,15 +438,13 @@ class MahlerFn(Immutable):
         if self.exact_tail:
             return _INF if n0 >= self.tail_cert else 0
         if self.period is not None:
-            return min(log_floor(n0 // self.period, self.p) + 1, self.prec) if n0 >= self.period else 0
+            return min(_tail_floor(n0, self.period, self.p), self.prec)
         # plain scalar certificate
         return self.prec if n0 >= self.tail_cert else 0
 
     def finite_difference(self, k):
         """The k-th iterated difference f(x+1) - f(x); shifts coefficients."""
-        if k < 0:
-            raise PreconditionError("k must be >= 0")
-        if k == 0:
+        if _count(k, "k", 0) == 0:
             return self
         if self.period is not None:
             # each pass is reduced mod p^N: the Mahler solve reduces mod p^N
@@ -544,7 +538,7 @@ def mahler_coeffs_from_samples(p, values, prec=None):
         raise PreconditionError(f"sample count {m} is not a power of {p}")
     scalars = [_same(p, v, PadicScalar) for v in values if not isinstance(v, int)]
     native = min([M + 1] + [v.abs_bound for v in scalars])
-    out_prec = native if prec is None else min(prec, native)
+    out_prec = native if prec is None else min(_count(prec, "prec"), native)
     if out_prec < 1:
         raise PrecisionExhausted("samples carry no digits")
     mod = p**out_prec

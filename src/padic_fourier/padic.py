@@ -101,6 +101,13 @@ def log_floor(n: int, p: int) -> int:
     return e
 
 
+def _tail_floor(n: int, r: int, p: int) -> int:
+    """1 + the largest l with r·p^l <= n, 0 if n < r: the one valuation floor
+    of a tail cut at n, where every term from r·p^l on lies in p^(l+1); r is
+    a ball's p^h for T^m, or a Mahler function's period."""
+    return log_floor(n // r, p) + 1 if n >= r else 0
+
+
 def vp_factorial(n: int, p: int) -> int:
     """v_p(n!) by Legendre's formula."""
     s = 0
@@ -149,13 +156,30 @@ def json_flag(doc, key):
 def _modulus(p, prec=1):
     """p^prec, once p is checked a prime and prec a count >= 1, each an int
     and no bool: the one check of the prime and the coefficient precision of
-    every value type's box.  Every other count of a box passes the same
-    type test where it is compared."""
+    every value type's box."""
     if type(p) is not int or not is_prime(p):
         raise PreconditionError(f"p = {p!r} is not prime")
-    if type(prec) is not int or prec < 1:
-        raise PreconditionError(f"box needs an int prec >= 1, not {prec!r}")
-    return p**prec
+    return p ** _count(prec, "prec", 1)
+
+
+def _count(n, what, low=None):
+    """``n``, once it is an int (no bool) of at least ``low`` (any int for
+    None): the one rule of every count, a precision, degree, depth, radius,
+    stage, level or index.  Anything else is a PreconditionError."""
+    if type(n) is not int or (low is not None and n < low):
+        raise PreconditionError(f"need an int {what}{'' if low is None else f' >= {low}'}, not {n!r}")
+    return n
+
+
+def _degree(d, low=0):
+    """A degree bound on Q_p by its one rule: None (no bound) as None, an
+    int or a ``Fraction`` above ``low`` as a Fraction.  Anything else (a
+    float, a bool, a str, ...) is a PreconditionError."""
+    if d is None:
+        return None
+    if type(d) is not int and not isinstance(d, Fraction) or d <= low:
+        raise PreconditionError(f"need a degree bound above {low}, an int or a Fraction, not {d!r}")
+    return Fraction(d)
 
 
 class Immutable:
@@ -278,9 +302,8 @@ class PadicScalar(Ring):
 
     def __init__(self, p: int, shift: int, unit: int, prec: int):
         _modulus(p)  # a scalar may carry prec 0
-        if type(shift) is not int or type(prec) is not int or prec < 0:
-            raise PreconditionError(f"need an int shift and an int prec >= 0, not {shift!r}, {prec!r}")
-        unit %= p**prec
+        unit %= p ** _count(prec, "prec", 0)
+        _count(shift, "shift")
         if unit == 0:
             shift, prec = shift + prec, 0
         else:
@@ -306,7 +329,7 @@ class PadicScalar(Ring):
         vd = vp_int(den, p)
         num //= p**vn
         den //= p**vd
-        mod = p**prec
+        mod = p ** _count(prec, "prec", 0)
         unit = num * pow(den, -1, mod) % mod
         return cls(p, vn - vd, unit, prec)
 
@@ -347,7 +370,7 @@ class PadicScalar(Ring):
 
     def residue(self, k: int) -> int:
         """Value modulo p^k (requires k <= abs_bound)."""
-        if k > self.abs_bound:
+        if _count(k, "k") > self.abs_bound:
             raise PrecisionExhausted(
                 f"residue mod p^{k} requested, only O(p^{self.abs_bound}) known"
             )
@@ -432,8 +455,7 @@ class SExponent(Immutable):
     __slots__ = ("p", "num", "logden")
 
     def __init__(self, p: int, num: int, logden: int = 0):
-        if num < 0 or logden < 0:
-            raise PreconditionError("S-exponents are nonnegative")
+        num, logden = _count(num, "num", 0), _count(logden, "logden", 0)
         if num == 0:
             logden = 0
         elif logden:
@@ -551,10 +573,7 @@ def _combs_tracked(p: int, X: int, M: int, ns, work: int):
     mod = p**w
     num, den, done = 1, 1, 0  # unit parts of X(X-1)...(X-done+1) and done!
     for n in ns:
-        val, maxfv = -vp_factorial(n, p), 0
-        while maxfv < M and X % p ** (maxfv + 1) < n:
-            maxfv += 1
-            val += 1 + (n - 1 - X % p**maxfv) // p**maxfv
+        val, maxfv = _legendre(p, X, M, n)
         rel = min(w, M - maxfv)  # never grows with n: X >= n while rel > 0
         if rel <= 0:
             yield PadicScalar(p, val, 0, 0)
@@ -563,6 +582,22 @@ def _combs_tracked(p: int, X: int, M: int, ns, work: int):
         den = den * _unit_product(p, done + 1, n + 1, w) % mod
         done = n
         yield PadicScalar(p, val, num * pow(den, -1, mod), rel)
+
+
+def _legendre(p: int, X: int, M: int, n: int):
+    """(v, t) for x ≡ X mod p^M, 0 <= X < p^M: v_p(x(x-1)...(x-n+1)/n!) is
+    v, or at least v when t = M, counted level by level while r_t = X mod p^t
+    is below n and t <= M.  Once p^t > X, r_t stays X, so the levels t..M
+    close in one step: M - t + 1 plus Σ (n-1-X)//p^s over s <= log_p(n-1-X)."""
+    val, t, q = -vp_factorial(n, p), 0, 1  # q = p^t
+    while t < M and X % (q * p) < n:
+        t, q = t + 1, q * p
+        if q > X:  # r_s = X < n for every s >= t
+            y = n - 1 - X
+            rest = sum(y // p**s for s in range(t, min(M, log_floor(y, p)) + 1))
+            return val + M - t + 1 + rest, M
+        val += 1 + (n - 1 - X % q) // q
+    return val, t
 
 
 _BLOCK_POLYS = {}  # (p, w) -> [F_1, F_2, ...], grown on demand
@@ -641,9 +676,7 @@ def binomial(x: PadicScalar, n: int) -> PadicScalar:
     the numerator product is known mod p^bound and the division by n!
     costs exactly that many digits.
     """
-    x = _same(None, x, PadicScalar)
-    if n < 0:
-        raise PreconditionError("n must be >= 0")
+    x, n = _same(None, x, PadicScalar), _count(n, "n", 0)
     if x.shift < 0:
         raise PreconditionError("binomial requires an integral argument")
     p = x.p
@@ -709,10 +742,8 @@ def _gen_binomials(x: PadicScalar, logden: int, js, target_prec: int):
     lesser of that and its walk precision, or raises PrecisionExhausted.
     (x choose 0) is 1 + O(p^target_prec) for every x, with no walk.
     """
-    if target_prec < 1 or logden < 0:
-        raise PreconditionError(f"need target_prec >= 1 and logden >= 0, not {target_prec}, {logden}")
     p, vx = x.p, x.val_floor()
-    n = max(logden, -min(vx, 0), target_prec - 1 - vx)
+    n = max(_count(logden, "logden", 0), -min(vx, 0), _count(target_prec, "target_prec", 1) - 1 - vx)
     X, M, ks = _approximant(x, logden, js, n)
     walk = _combs_tracked(p, X, M, [k for k in ks if k], target_prec + 2)
     for j in js:
@@ -747,7 +778,7 @@ def gen_binomial_approximants(x: PadicScalar, q, levels) -> list:
     q = _as_sexponent(_same(None, x, PadicScalar).p, q)
     out = []
     for n in levels:
-        if n < q.logden or x.shift + n < 0:
+        if _count(n, "level") < q.logden or x.shift + n < 0:
             raise PreconditionError(f"level {n} leaves arguments non-integral")
         X, M, (K,) = _approximant(x, q.logden, [q.num], n)
         out.append((n, comb_tracked(x.p, X, M, K, work=M)))

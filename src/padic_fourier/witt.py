@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import _series
 from .ainf import AinfElt
 from .errors import BoxExhausted, InternalConsistencyError, PreconditionError
-from .padic import Immutable, SExponent, _same, json_field, json_int
+from .padic import Immutable, SExponent, _count, _same, json_field, json_int
 
 __all__ = [
     "PerfSeries",
@@ -134,10 +134,7 @@ def teichmuller(x: PerfSeries, prec: int) -> AinfElt:
     support stays exact.  Satisfies [x] ≡ x mod p and [x][y] = [xy] at the
     common box.
     """
-    x = _same(None, x, PerfSeries)
-    if prec < 1:
-        raise PreconditionError("digit precision must be >= 1")
-    n = prec - 1
+    x, n = _same(None, x, PerfSeries), _count(prec, "prec", 1) - 1
     if x.degree is not None:
         eff = x.degree / x.p**n
         if eff * x.p ** (x.depth + n) < 1:
@@ -155,9 +152,7 @@ def witt_decompose(a: AinfElt, digits: int) -> WittElt:
     dividing by p; a residue not divisible by p after subtraction means
     the element was not a measure-ring value and is reported as corrupted.
     """
-    a = _same(None, a, AinfElt)
-    if digits < 1:
-        raise PreconditionError("need at least one digit")
+    a, digits = _same(None, a, AinfElt), _count(digits, "digits", 1)
     if a.shift != 0:
         raise PreconditionError("element must have integral coefficients")
     if a.prec < digits:

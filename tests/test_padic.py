@@ -25,6 +25,7 @@ from padic_fourier.padic import (
     vp_factorial,
     vp_int,
     _block_poly,
+    _legendre,
     _unit_product,
 )
 
@@ -593,6 +594,45 @@ class TestCombTrackedOracle:
         walked = walk_comb(p, x.unit * p ** (x.shift + n), x.abs_bound + n, p ** (n - 2), 8)
         assert triple(gen_binomial(x, q, 6)) == triple(walked.truncate(6))
         assert triple(gen_binomial(x, q, prec).truncate(6)) == triple(walked.truncate(6))
+
+
+def legendre_loop(p, X, M, n):
+    """Oracle: the Legendre count level by level up to M, each level taking
+    X mod p^t afresh, as comb_tracked once did."""
+    val, maxfv = -vp_factorial(n, p), 0
+    while maxfv < M and X % p ** (maxfv + 1) < n:
+        maxfv += 1
+        val += 1 + (n - 1 - X % p**maxfv) // p**maxfv
+    return val, maxfv
+
+
+@st.composite
+def legendre_case(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    M = draw(st.integers(1, 60))
+    X = draw(st.one_of(st.integers(0, p**M - 1), st.integers(0, min(p**M - 1, 300))))
+    return p, X, M, draw(st.one_of(st.integers(0, 400), st.integers(0, 10**6)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(legendre_case())
+@example((2, 5, 3000, 10))  # X < n: levels past log_p X close in one step
+@example((2, 0, 5, 1))  # X = 0
+@example((3, 8, 2, 9))  # X = p^M - 1 < n
+@example((5, 7, 4, 0))  # n = 0
+@example((7, 48, 2, 49))  # n - 1 - X = 0
+def test_legendre_matches_the_level_loop(case):
+    assert _legendre(*case) == legendre_loop(*case)
+
+
+def test_binomial_below_the_point_is_not_a_walk_over_levels():
+    # X = 5 < n = 10 at M = 3000: the loop once took all 3000 levels, each
+    # with a fresh 2^t (22 ms); the closed count takes a few
+    x = PadicScalar.from_int(2, 5, 3000)
+    t0 = time.perf_counter()
+    for _ in range(20):
+        assert binomial(x, 10) == PadicScalar.zero(2, 2992)
+    assert time.perf_counter() - t0 < 0.1
 
 
 def plain_unit_product(p, lo, hi, w):

@@ -22,8 +22,8 @@ from hypothesis import example, given, settings, strategies as st
 from padic_fourier import _series
 from padic_fourier.ainf import AinfElt, dirac_q, rescale_pushforward, t_tilde_approx
 from padic_fourier.artin_hasse import (
-    PIntegralSeries, apply_series, artin_hasse_exp, artin_hasse_log_mod, canonical_measure,
-    pi_element,
+    PIntegralSeries, apply_series, artin_hasse_exp, artin_hasse_log, artin_hasse_log_mod,
+    canonical_measure, pi_element,
 )
 from padic_fourier.errors import (
     BoxExhausted, ParseError, PrecisionExhausted, PreconditionError, PrimeMismatch,
@@ -751,6 +751,8 @@ INTEGER_PARAMETER_CALLS = {
     "pi_element depth 1.5": lambda: pi_element(2, 1.5, 4, 3),
     "artin_hasse_log_mod prec 2.5": lambda: artin_hasse_log_mod(3, 4, 2.5),
     "artin_hasse_exp degree 2.5": lambda: artin_hasse_exp(3, 2.5),
+    # True == 1 hashes alike: the cache must not hand it degree 1's series
+    "artin_hasse_exp degree True": lambda: (artin_hasse_exp(3, 1), artin_hasse_exp(3, True)),
     "dirac_q at p = 2.0": lambda: dirac_q(2.0, 1, 1, 4, 2),
     "scalar shift 0.5": lambda: PadicScalar(3, 0.5, 1, 2),
     "measure shift 0.5": lambda: AinfElt(3, 4, 0, None, {0: 1}, shift=0.5),
@@ -766,6 +768,51 @@ def test_integer_parameters_are_ints(name):
     never built into a corrupt value or left to a TypeError."""
     with pytest.raises(PreconditionError):
         INTEGER_PARAMETER_CALLS[name]()
+
+
+_F = MahlerFn.basis(3, 2, 4)
+_P = PerfSeries(3, 0, None, {1: 1})
+_X6 = PadicScalar.from_int(3, 5, 6)
+
+# a count that is no int, or a degree bound that is no int or Fraction: each
+# call once returned a value or ended outside the documented classes
+COUNT_AND_DEGREE_CALLS = {
+    "finite_difference(2.5)": lambda: _F.finite_difference(2.5),
+    "finite_difference(True)": lambda: _F.finite_difference(True),
+    "witt_decompose to 2.5 digits": lambda: witt_decompose(_A, 2.5),
+    "mu ** 2.5": lambda: _MU ** 2.5,
+    "a ** 2.5": lambda: _A ** 2.5,
+    "with_depth(2.5)": lambda: _A.with_depth(2.5),
+    "ball_measure at a = 0.5": lambda: _MU.ball_measure(0.5, 1),
+    "frobenius(2.5)": lambda: _P.frobenius(2.5),
+    "residue(2.5)": lambda: _X6.residue(2.5),
+    "from_fraction at prec 2.5": lambda: PadicScalar.from_fraction(3, Fraction(1, 2), 2.5),
+    "Mahler period 2.5": lambda: MahlerFn(3, 4, {0: 1}, 3, period=2.5),
+    "Mahler period 6 at p = 3": lambda: MahlerFn(3, 4, {0: 1, 5: 1}, 6, period=6),
+    "Mahler period 3 at p = 2": lambda: MahlerFn(2, 9, {}, 3, period=3),
+    "gen_binomial to 2.5 digits": lambda: gen_binomial(_X6, 1, 2.5),
+    "gen_binomial_approximants at level 2.5": lambda: gen_binomial_approximants(_X6, 1, [2.5]),
+    "artin_hasse_log degree 2.5": lambda: artin_hasse_log(3, 2.5),
+    "AinfElt degree 2.5": lambda: AinfElt(3, 4, 0, 2.5, {1: 1}),
+    "AinfElt degree 0.1": lambda: AinfElt(3, 4, 0, 0.1, {0: 1}),
+    "forward_transform_diracs prec 2.5": lambda: forward_transform_diracs(3, [(1, 2)], [1], 2.5),
+    "Mahler samples prec 1.5": lambda: mahler_coeffs_from_samples(3, [1, 2, 3], prec=1.5),
+    "UnifFn depth 2.5": lambda: UnifFn(3, 4, 2.5, {0: 1}, exact_tail=True),
+    "dirac_q degree 'x'": lambda: dirac_q(3, 1, 1, 4, "x"),
+    "dirac_q degree 0.5": lambda: dirac_q(3, 1, 1, 4, 0.5),
+    "canonical_measure degree 0.5": lambda: canonical_measure(3, 1, 1, 4, 0.5),
+    "pi_element degree 2.5": lambda: pi_element(3, 1, 4, 2.5),
+    "SExponent numerator 1.5": lambda: SExponent(3, 1.5, 0),
+}
+
+
+@pytest.mark.parametrize("name", COUNT_AND_DEGREE_CALLS)
+def test_counts_and_degrees_are_read_by_one_rule(name):
+    """Every count passes ``padic._count`` and every Q_p degree bound
+    ``padic._degree``; a period is a power of p, or a digit of x mod the
+    period would be reported that x does not certify."""
+    with pytest.raises(PreconditionError):
+        COUNT_AND_DEGREE_CALLS[name]()
 
 
 # the value a public function reads first, of another kind or prime
