@@ -30,7 +30,6 @@ from .iwasawa import (
     MahlerFn,
     dirac,
     integrate,
-    mahler_coeffs_by_differences,
     mahler_coeffs_from_samples,
 )
 from .ainf import (

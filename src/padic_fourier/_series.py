@@ -544,9 +544,9 @@ def encode_terms(terms):
 
 def decode_terms(p, depth, terms):
     """Coefficient map on the 1/p^depth grid from JSON terms; a term that is
-    not ``{"q": {"num", "logden"}, "coeff"}`` with integer entries, or an
-    exponent off that grid (``logden > depth`` in lowest terms), is a
-    ParseError."""
+    not ``{"q": {"num", "logden"}, "coeff"}`` with integer entries, an
+    exponent off that grid (``logden > depth`` in lowest terms), or one
+    already given (equal in lowest terms) is a ParseError."""
     if not isinstance(terms, list):
         raise ParseError(f"terms must be a list, not {type(terms).__name__}")
     cs = {}
@@ -554,6 +554,9 @@ def decode_terms(p, depth, terms):
         q = SExponent.from_json(p, json_field(term, "q"))
         if q.logden > depth:
             raise ParseError(f"exponent {q} is off the 1/{p}^{depth} grid")
-        cs[q.num * p ** (depth - q.logden)] = json_int(term, "coeff")
+        k = q.num * p ** (depth - q.logden)
+        if k in cs:
+            raise ParseError(f"exponent {q} is repeated")
+        cs[k] = json_int(term, "coeff")
     return cs
 

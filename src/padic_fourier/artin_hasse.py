@@ -130,13 +130,6 @@ class PIntegralSeries(Ring):
                 parts.append(mono if c == 1 else f"({c})·{mono}")
         return (" + ".join(parts) if parts else "0") + f" + O(T^{self.degree})"
 
-    def to_json(self):
-        return {
-            "p": self.p,
-            "degree": self.degree,
-            "coeffs": [{"num": c.numerator, "den": c.denominator} for c in self.coeffs],
-        }
-
 
 @functools.lru_cache(maxsize=None, typed=True)  # a bool is no degree, though True == 1
 def artin_hasse_exp(p: int, degree: int) -> PIntegralSeries:

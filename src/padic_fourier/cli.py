@@ -51,7 +51,6 @@ from .iwasawa import (
     integrate,
     integrate_matrix,
     intersection_vs_middle_scan,
-    mahler_coeffs_by_differences,
     mahler_coeffs_from_samples,
     middle_ideal_valuation,
     ptadic_power_generators,
@@ -356,18 +355,18 @@ def _cmd_mahler(pr):
     p = pr["p"]
     samples = [_int(s, "sample") for s in str(pr["samples"]).split(",") if s != ""]
     prec = _prec(pr, None)
-    # the difference oracle takes n + 1 residue products in row n
+    # pass n of the packed differences reads the m - n slots left: Σ (m - n)
     m = len(samples)
     _budget(p, [] if prec is None else [("--prec", prec)], m * (m + 1) // 2)
     f = mahler_coeffs_from_samples(p, samples, prec=prec)
-    coeffs = [f.coeffs.get(n, 0) for n in range(m)]
-    oracle = mahler_coeffs_by_differences(p, samples, f.prec)
+    # the transform is a bijection mod p^N (binomial inversion), so its
+    # inverse pass giving back the samples checks every coefficient
     return {
         "p": p,
         "prec": f.prec,
         "period": f.period,
-        "coeffs": coeffs,
-        "matches_difference_oracle": coeffs == oracle,
+        "coeffs": [f.coeffs.get(n, 0) for n in range(m)],
+        "matches_difference_oracle": f.values_on_period() == [s % p**f.prec for s in samples],
     }
 
 

@@ -68,7 +68,6 @@ __all__ = [
     "BivariateSeries",
     "dirac",
     "mahler_coeffs_from_samples",
-    "mahler_coeffs_by_differences",
     "integrate",
     "integrate_matrix",
     "ball_ideal_failures",
@@ -545,19 +544,6 @@ def mahler_coeffs_from_samples(p, values, prec=None):
     vals = [v % mod if isinstance(v, int) else v.residue(out_prec) for v in values]
     coeffs = dict(enumerate(_series.differences_at_zero(vals, mod)))
     return MahlerFn(p, out_prec, coeffs, m, exact_tail=False, period=m)
-
-
-def mahler_coeffs_by_differences(p, values, prec):
-    """Independent oracle: c_n = Σ_i (-1)^(n-i) C(n, i) f(i), n < len(values).
-    Row n of signed binomials mod p^prec comes from row n - 1 by Pascal's
-    rule, so each term is a product of two residues, not of an m-bit C(n, i)."""
-    mod = p**prec
-    values = [v % mod for v in values]
-    out, row = [], [1]
-    for _ in values:
-        out.append(sum(map(int.__mul__, row, values)) % mod)
-        row = [(b - a) % mod for a, b in zip(row + [0], [0] + row)]
-    return out
 
 
 def integrate_matrix(fns, mus):

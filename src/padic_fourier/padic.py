@@ -171,15 +171,25 @@ def _count(n, what, low=None):
     return n
 
 
+def _rational(x, what, kinds="an int or a Fraction"):
+    """``x`` as a Fraction, once it is an int (no bool) or a ``Fraction``:
+    the one rule of every rational argument, a point, a degree bound or an
+    exponent.  Anything else (a float, a bool, a str, ...) is a
+    PreconditionError that names the ``kinds`` ``what`` may be."""
+    if type(x) is not int and not isinstance(x, Fraction):
+        raise PreconditionError(f"{what} is {kinds}, not {x!r}")
+    return Fraction(x)
+
+
 def _degree(d, low=0):
-    """A degree bound on Q_p by its one rule: None (no bound) as None, an
-    int or a ``Fraction`` above ``low`` as a Fraction.  Anything else (a
-    float, a bool, a str, ...) is a PreconditionError."""
+    """A degree bound on Q_p by its one rule: None (no bound) as None, a
+    rational (``_rational``) above ``low`` as a Fraction."""
     if d is None:
         return None
-    if type(d) is not int and not isinstance(d, Fraction) or d <= low:
-        raise PreconditionError(f"need a degree bound above {low}, an int or a Fraction, not {d!r}")
-    return Fraction(d)
+    d = _rational(d, "a degree bound")
+    if d <= low:
+        raise PreconditionError(f"need a degree bound above {low}, not {d}")
+    return d
 
 
 class Immutable:
@@ -242,21 +252,18 @@ def _same(p, x, kind):
 
 
 def _point(p, s, prec=None):
-    """A point of Q_p by the one rule of every reader of points: an int or
-    a ``Fraction`` as an exact Fraction, a PadicScalar as ``_same`` checks
-    it at p.  Anything else (a float, a bool, ...) is a PreconditionError.
-    With ``prec`` a rational point becomes a scalar: an integer mod p^prec,
-    any other with relative precision prec."""
-    if isinstance(s, (int, Fraction)) and not isinstance(s, bool):
-        s = Fraction(s)
-        if prec is None:
-            return s
-        if s.denominator == 1:
-            return PadicScalar.from_int(p, int(s), prec)
-        return PadicScalar.from_fraction(p, s, prec)
-    if not isinstance(s, PadicScalar):
-        raise PreconditionError(f"a point is an int, a Fraction or a PadicScalar, not {type(s).__name__}")
-    return _same(p, s, PadicScalar)
+    """A point of Q_p by the one rule of every reader of points: a
+    PadicScalar as ``_same`` checks it at p, anything else as ``_rational``
+    reads it, an exact Fraction.  With ``prec`` a rational point becomes a
+    scalar: an integer mod p^prec, any other with relative precision prec."""
+    if isinstance(s, PadicScalar):
+        return _same(p, s, PadicScalar)
+    s = _rational(s, "a point", "an int, a Fraction or a PadicScalar")
+    if prec is None:
+        return s
+    if s.denominator == 1:
+        return PadicScalar.from_int(p, int(s), prec)
+    return PadicScalar.from_fraction(p, s, prec)
 
 
 class LowerBound:
@@ -320,8 +327,8 @@ class PadicScalar(Ring):
 
     @classmethod
     def from_fraction(cls, p: int, value, prec: int) -> "PadicScalar":
-        """Embed a rational with the given relative precision budget."""
-        fr = Fraction(value)
+        """Embed a rational (``_rational``) with the given relative precision budget."""
+        fr = _rational(value, "a value")
         if fr == 0:
             return cls.zero(p, prec)
         num, den = fr.numerator, fr.denominator
@@ -369,14 +376,12 @@ class PadicScalar(Ring):
         return self.unit * self.p**self.shift
 
     def residue(self, k: int) -> int:
-        """Value modulo p^k (requires k <= abs_bound)."""
-        if _count(k, "k") > self.abs_bound:
+        """Value of an integral element modulo p^k (requires k <= abs_bound)."""
+        if _count(k, "k", 0) > self.abs_bound:
             raise PrecisionExhausted(
                 f"residue mod p^{k} requested, only O(p^{self.abs_bound}) known"
             )
-        if k <= self.shift:
-            return 0
-        return self.unit * self.p**self.shift % self.p**k
+        return self.integer_rep() % self.p**k
 
     # -- arithmetic ----------------------------------------------------
 
@@ -468,7 +473,7 @@ class SExponent(Immutable):
 
     @classmethod
     def from_fraction(cls, p: int, value) -> "SExponent":
-        fr = Fraction(value)
+        fr = _rational(value, "an exponent")
         if fr < 0:
             raise PreconditionError("S-exponents are nonnegative")
         den = fr.denominator

@@ -122,9 +122,6 @@ class WittElt(Immutable):
     def __repr__(self):
         return f"WittElt(p={self.p}, digits={len(self.digits)})"
 
-    def to_json(self):
-        return {"p": self.p, "digits": [d.to_json() for d in self.digits]}
-
 
 def teichmuller(x: PerfSeries, prec: int) -> AinfElt:
     """The multiplicative representative [x] modulo p^prec.

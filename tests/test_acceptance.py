@@ -30,7 +30,6 @@ from padic_fourier.iwasawa import (
     dirac,
     integrate,
     intersection_vs_middle_scan,
-    mahler_coeffs_by_differences,
     mahler_coeffs_from_samples,
     ptadic_power_generators,
 )
@@ -46,6 +45,8 @@ from padic_fourier.padic import (
     vp_int,
 )
 from padic_fourier.witt import PerfSeries, teichmuller, witt_decompose, witt_recompose
+
+from oracles import mahler_coeffs_by_differences
 
 
 def report(n, ok, detail=""):

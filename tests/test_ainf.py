@@ -10,7 +10,7 @@ from padic_fourier.ainf import (
     rescale_pushforward,
     t_tilde_approx,
 )
-from padic_fourier.errors import BoxExhausted, PreconditionError
+from padic_fourier.errors import BoxExhausted, ParseError, PreconditionError
 from padic_fourier.padic import LowerBound, PadicScalar, comb_int
 from padic_fourier.witt import PerfSeries
 
@@ -258,6 +258,14 @@ class TestJson:
     def test_round_trip(self):
         x = AinfElt(3, 4, 2, Fraction(7, 3), {0: 2, 5: 1}, shift=-1)
         assert AinfElt.from_json(x.to_json()) == x
+
+    def test_repeated_exponent_is_a_parse_error(self):
+        # 1/2 and 2/4 are one exponent: the second term once replaced the first
+        doc = {"p": 2, "prec": 4, "depth": 2, "degree": None,
+               "terms": [{"q": {"num": 1, "logden": 1}, "coeff": 3},
+                         {"q": {"num": 2, "logden": 2}, "coeff": 5}]}
+        with pytest.raises(ParseError, match="repeated"):
+            AinfElt.from_json(doc)
 
     def test_terms_sorted(self):
         x = AinfElt(2, 4, 1, 4, {5: 1, 0: 1, 2: 1})

@@ -267,6 +267,10 @@ class TestSeries:
                 i += 1
             assert list(artin_hasse_exp(p, d).coeffs) == exp_oracle(terms, d)
 
+    def test_str_writes_each_nonzero_term_and_the_box(self):
+        assert str(artin_hasse_exp(2, 5)) == "1 + T + T^2 + (2/3)·T^3 + (2/3)·T^4 + O(T^5)"
+        assert str(artin_hasse_exp(3, 1) * 0) == "0 + O(T^1)"
+
     def test_log_leading_terms(self):
         L = artin_hasse_log(3, 2)
         assert list(L.coeffs) == [0, 1]

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from padic_fourier import cli
+from padic_fourier import _series, cli
 from padic_fourier.ainf import AinfElt
 from padic_fourier.cli import JobSpec, main, run
 from padic_fourier.errors import PadicFourierError, ParseError, PreconditionError
@@ -70,6 +70,28 @@ class TestCommands:
         doc = json.loads(out.stdout)
         assert doc["matches_difference_oracle"] is True
         assert doc["coeffs"][0] == 1 and doc["prec"] == 3
+
+    @pytest.mark.parametrize("p, samples, n", [
+        (3, "1,1,1,0,0,0,0,0,0", 0), (3, "1,1,1,0,0,0,0,0,0", 8), (2, "5,0,3,1", 2),
+    ])
+    def test_mahler_self_check_flags_one_wrong_coefficient(self, capsys, monkeypatch,
+                                                           p, samples, n):
+        # the self-check is the inverse pass: samples -> coefficients -> samples
+        # must give the samples back, so one corrupt coefficient shows
+        real = _series.differences_at_zero
+
+        def corrupt(values, mod, sign=-1):
+            out = real(values, mod, sign)
+            if sign == -1:
+                out[n] = (out[n] + 1) % mod
+            return out
+
+        argv = ["mahler", "--p", str(p), "--samples", samples]
+        assert main(argv) == 0
+        assert '"matches_difference_oracle": true' in capsys.readouterr().out
+        monkeypatch.setattr(_series, "differences_at_zero", corrupt)
+        assert main(argv) == 0
+        assert '"matches_difference_oracle": false' in capsys.readouterr().out
 
     def test_mucan_reduction(self):
         out = run_cli([
@@ -595,6 +617,15 @@ class TestMeasureDocuments:
 
     def test_ball_on_qp_document_exits_2(self, capsys, tmp_path):
         assert self._ball(capsys, tmp_path, QP_DOC) == 2
+
+    @pytest.mark.parametrize("second", [{"num": 1, "logden": 1}, {"num": 2, "logden": 2}],
+                             ids=["same", "same-in-lowest-terms"])
+    def test_qp_document_with_a_repeated_exponent_exits_2(self, capsys, tmp_path, second):
+        # the second term once replaced the first: coefficient 5, exit 0
+        doc = {"p": 2, "prec": 6, "depth": 2, "degree": 4,
+               "terms": [{"q": {"num": 1, "logden": 1}, "coeff": 3}, {"q": second, "coeff": 5}]}
+        mu = _doc_arg(tmp_path, doc)
+        assert self._main(capsys, ["fourier", "--p", "2", "--mu", mu]) == 2
 
     @pytest.mark.parametrize("doc", [ZP_DOC, QP_DOC], ids=["zp", "qp"])
     def test_document_prime_other_than_p_exits_3(self, capsys, tmp_path, doc):

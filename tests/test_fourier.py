@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from padic_fourier import _series
 from padic_fourier.ainf import AinfElt, dirac_q, rescale_pushforward
 from padic_fourier.errors import (
+    ParseError,
     PrecisionExhausted,
     PreconditionError,
     PrimeMismatch,
@@ -307,6 +308,13 @@ class TestIntegrateEdges:
         assert UnifFn.from_json(doc) == f
         f2 = UnifFn.basis(2, Fraction(1, 2), 5)
         assert UnifFn.from_json(f2.to_json()) == f2
+
+    def test_json_repeated_exponent_is_a_parse_error(self):
+        # 1/3 and 3/9 are one exponent: the second term once replaced the first
+        doc = UnifFn(3, 6, 2, {3: 2}, exact_tail=True).to_json()
+        doc["terms"].append({"q": {"num": 3, "logden": 2}, "coeff": 5})
+        with pytest.raises(ParseError, match="repeated"):
+            UnifFn.from_json(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from padic_fourier.iwasawa import (
     dirac,
     integrate,
     intersection_vs_middle_scan,
-    mahler_coeffs_by_differences,
     mahler_coeffs_from_samples,
     middle_ideal_contains,
     middle_ideal_valuation,
@@ -38,8 +37,16 @@ from padic_fourier.padic import (
     LowerBound, PadicScalar, _point, binomial_row_tracked, comb_int, vp_factorial, vp_int,
 )
 
+from oracles import exact_binomial_sum_oracle, mahler_coeffs_by_differences
+
 
 class TestDiracAndConvolution:
+    def test_zero_is_the_exact_additive_identity(self):
+        z, mu = IwasawaElt.zero(3, 6, 8), dirac(5, 8, 6, p=3)
+        assert z == IwasawaElt(3, 6, 8, [], exact_tail=True) and z.exact_tail
+        assert z + mu == mu and z * mu == z and mu - mu == z
+        assert IwasawaElt.from_json(z.to_json()) == z
+
     def test_dirac_zero_is_unit(self):
         assert dirac(0, 8, 6, p=3) == IwasawaElt.one(3, 6, 8)
 
@@ -654,20 +661,6 @@ def test_mahler_oracle_matches_explicit_binomial_sum(p, m):
         for n in range(m)
     ]
     assert mahler_coeffs_by_differences(p, values, 6) == want
-
-
-def exact_binomial_sum_oracle(p, values, prec):
-    """Oracle: c_n = Σ_i (-1)^(n-i) C(n, i) f(i) over exact integers, reduced
-    mod p^prec once per n; its sums grow to about len(values) bits."""
-    mod = p**prec
-    out = []
-    for n in range(len(values)):
-        acc, c = 0, 1
-        for i in range(n + 1):
-            acc += (-1) ** (n - i) * c * values[i]
-            c = c * (n - i) // (i + 1)  # C(n, i + 1)
-        out.append(acc % mod)
-    return out
 
 
 @settings(max_examples=20, deadline=None)

@@ -89,6 +89,11 @@ class TestScalarBasics:
         with pytest.raises(PrecisionExhausted):
             t.residue(3)
 
+    def test_residue_of_a_non_integral_scalar_is_refused(self):
+        # as integer_rep refuses it; 1/3 once read 0.333... mod 3
+        with pytest.raises(PreconditionError, match="not integral"):
+            PadicScalar(3, -1, 1, 3).residue(1)
+
     def test_equality_is_precision_relative(self):
         a = PadicScalar.from_int(3, 5, 2)
         b = PadicScalar.from_int(3, 5 + 9, 4)

@@ -786,6 +786,7 @@ COUNT_AND_DEGREE_CALLS = {
     "ball_measure at a = 0.5": lambda: _MU.ball_measure(0.5, 1),
     "frobenius(2.5)": lambda: _P.frobenius(2.5),
     "residue(2.5)": lambda: _X6.residue(2.5),
+    "residue(-1)": lambda: _X6.residue(-1),
     "from_fraction at prec 2.5": lambda: PadicScalar.from_fraction(3, Fraction(1, 2), 2.5),
     "Mahler period 2.5": lambda: MahlerFn(3, 4, {0: 1}, 3, period=2.5),
     "Mahler period 6 at p = 3": lambda: MahlerFn(3, 4, {0: 1, 5: 1}, 6, period=6),
@@ -803,6 +804,11 @@ COUNT_AND_DEGREE_CALLS = {
     "canonical_measure degree 0.5": lambda: canonical_measure(3, 1, 1, 4, 0.5),
     "pi_element degree 2.5": lambda: pi_element(3, 1, 4, 2.5),
     "SExponent numerator 1.5": lambda: SExponent(3, 1.5, 0),
+    # a rational value is read by padic._rational, the rule of points and degrees
+    "SExponent.from_fraction of 0.1": lambda: SExponent.from_fraction(2, 0.1),
+    "SExponent.from_fraction of '1/3'": lambda: SExponent.from_fraction(3, "1/3"),
+    "PadicScalar.from_fraction of 0.1": lambda: PadicScalar.from_fraction(2, 0.1, 4),
+    "PadicScalar.from_fraction of '1/3'": lambda: PadicScalar.from_fraction(3, "1/3", 4),
 }
 
 
@@ -892,6 +898,12 @@ def test_perf_series_stays_a_measure_to_read():
     assert forward_transform(x) == {SExponent(3, 1, 1): PadicScalar(3, 0, 1, 1)}
     assert rescale_pushforward(x) == PerfSeries.monomial(3, 1, degree=6)
     assert witt_decompose(x, 1) == WittElt(3, [x])
+
+
+def test_mahler_sample_that_is_not_integral_is_refused():
+    # its residue once was a float, and the packed solve a bare TypeError
+    with pytest.raises(PreconditionError, match="not integral"):
+        mahler_coeffs_from_samples(3, [PadicScalar(3, -1, 1, 3), 0, 0])
 
 
 def test_mahler_samples_mix_ints_and_scalars():

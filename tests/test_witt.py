@@ -111,7 +111,9 @@ class TestPerfSeriesJson:
         {"p": 2, "depth": 0, "degree": None, "terms": [{"q": {"num": 1, "logden": 1},
                                                         "coeff": 1}]},
         [1, 2],
-    ], ids=["no-p", "terms-not-a-list", "off-grid", "not-an-object"])
+        {"p": 3, "depth": 1, "degree": None, "terms": [{"q": {"num": 1, "logden": 1}, "coeff": 1},
+                                                        {"q": {"num": 1, "logden": 1}, "coeff": 2}]},
+    ], ids=["no-p", "terms-not-a-list", "off-grid", "not-an-object", "repeated-exponent"])
     def test_malformed_document_is_a_parse_error(self, doc):
         with pytest.raises(ParseError):
             PerfSeries.from_json(doc)
