@@ -56,7 +56,7 @@ from .iwasawa import (
     ptadic_power_generators,
 )
 from .padic import (
-    LowerBound, PadicScalar, SExponent, _congruent, _degree, _modulus, json_field, json_int, log_floor, vp_int,
+    LowerBound, PadicScalar, SExponent, _congruent, _count, _degree, _modulus, json_field, json_int, log_floor, vp_int,
 )
 from .witt import PerfSeries, teichmuller
 
@@ -152,6 +152,23 @@ def _int(text, what, sep=None):
         raise ParseError(f"bad {what} {text!r}")
 
 
+def _depth(text, what):
+    """A depth flag value: an int as ``_int`` reads it, at least 0 by the
+    count rule ``padic._count``, so a negative depth exits 3 even where no
+    term uses it."""
+    return _count(_int(text, what), what, 0)
+
+
+def _exponent_box(pr, qdepth, qmax):
+    """(--qdepth, --qmax) of ``pr``, ``qdepth`` and ``qmax`` when absent: the
+    exponents k/p^qdepth up to qmax of ``fourier --combo`` and ``orthocheck
+    --mode qp``.  A negative value exits 3 before the job is charged."""
+    qdepth, qmax = _depth(pr.get("qdepth", qdepth), "--qdepth"), _frac(pr.get("qmax", qmax))
+    if qmax < 0:
+        raise PreconditionError(f"--qmax {qmax} < 0")
+    return qdepth, qmax
+
+
 def _load_doc(path):
     """The JSON object in the file ``path``: an ``@path`` measure or ``--in``."""
     try:
@@ -203,7 +220,7 @@ def _measures(pr, exprs, prec, qp=None, degree=16, precs=(), printed=False):
                  e.startswith(("Tt", "diracq:")) or "@depth" in e for e in exprs)
     if qp:
         degree = _degree(_frac(pr.get("degree", degree)))  # before a depth is counted against it
-        depth = _int(pr["depth"], "--depth") if "depth" in pr else None
+        depth = _depth(pr["depth"], "--depth") if "depth" in pr else None
     else:
         degree = _int(pr.get("degree", degree), "--degree")
 
@@ -232,7 +249,7 @@ def _measures(pr, exprs, prec, qp=None, degree=16, precs=(), printed=False):
             return k, degree, 1, lambda: AinfElt.monomial(p, q, prec, degree)
         if e.startswith("diracq:"):
             body, at, dd = e[len("diracq:"):].partition("@depth")
-            m = _int(dd, "depth") if at else depth
+            m = _depth(dd, "depth") if at else depth
             if m is None:
                 raise ParseError("diracq needs @depthM or --depth")
             s = _frac(body)
@@ -261,7 +278,7 @@ def _parse_function(p, expr, prec):
         depth = 0
         if "@depth" in body:
             body, dd = body.split("@depth", 1)
-            depth = _int(dd, "depth")
+            depth = _depth(dd, "depth")
         q = _frac(body)
         if q.denominator == 1 and depth == 0:
             return False, lambda: MahlerFn.basis(p, int(q), prec)
@@ -401,7 +418,7 @@ def _cmd_wval(pr):
 def _cmd_dirac(pr):
     p, prec = pr["p"], _prec(pr, 8)
     if "s" in pr:
-        s, depth = _frac(pr["s"]), _int(pr.get("depth", 0), "--depth")
+        s, depth = _frac(pr["s"]), _depth(pr.get("depth", 0), "--depth")
         degree = _printed_degree(p, _frac(pr.get("degree", 4)))
         _budget(p, [("--prec", prec)], lambda cells: cells(depth, degree) + 1)
         return _measure_doc(dirac_q(p, s, depth, prec, degree))
@@ -429,7 +446,7 @@ def _cmd_mucan(pr):
     p = pr["p"]
     stage = _int(pr.get("stage", 1), "--stage")
     prec = _prec(pr, 4)
-    depth = _int(pr.get("depth", stage), "--depth")
+    depth = _depth(pr["depth"], "--depth") if "depth" in pr else stage
     degree = _printed_degree(p, _frac(pr.get("degree", 2)))
 
     def work(cells):
@@ -461,8 +478,7 @@ def _cmd_fourier(pr):
     p = pr["p"]
     prec = _prec(pr, 8)
     if "combo" in pr:
-        qdepth = _int(pr.get("qdepth", 1), "--qdepth")
-        qmax = _frac(pr.get("qmax", 2))
+        qdepth, qmax = _exponent_box(pr, 1, 2)
         combo = []
         for part in str(pr["combo"]).split(","):
             c, s = _int(part, "--combo term", "@")
@@ -498,11 +514,8 @@ def _cmd_orthocheck(pr):
         mus = [IwasawaElt.monomial(p, j, prec, imax + 2) for j in ks]
         matrix, keys = integrate_matrix, ("i", "j")
     elif mode == "qp":
-        qdepth = _int(pr.get("qdepth", 2), "--qdepth")
-        qmax = _frac(pr.get("qmax", 4))
+        qdepth, qmax = _exponent_box(pr, 2, 4)
         prec = _prec(pr, 12)
-        if qdepth < 0 or qmax < 0:
-            raise PreconditionError(f"qdepth {qdepth} or qmax {qmax} < 0")
         _budget(p, [("--prec", prec)], lambda cells: cells(qdepth, qmax) ** 2)
         ks = range(int(qmax * p**qdepth) if qmax else 0)  # as in fourier
         fns = [UnifFn.basis(p, Fraction(k, p**qdepth), prec) for k in ks]

@@ -485,6 +485,14 @@ class TestErrors:
     # function: 0 printed 0 + O(3^0), -2 failed in the scalar constructor
     (["integrate", "--p", "3", "--f", "binom:2", "--mu", "DOC", "--prec", "0"], 3),
     (["integrate", "--p", "3", "--f", "binom:2", "--mu", "DOC", "--prec", "-2"], 3),
+    # a negative exponent box or depth exits 3 even where no term uses it:
+    # all but the last of these ran and exited 0
+    (["fourier", "--p", "2", "--combo", "1@1/2", "--qmax", "-1"], 3),
+    (["integrate", "--p", "2", "--f", "binom:1@depth-1", "--mu", "Tt"], 3),
+    (["fourier", "--p", "2", "--mu", "Tt^1/2", "--depth", "-1"], 3),
+    (["convolve", "--p", "2", "--mu1", "Tt", "--mu2", "Tt", "--depth", "-1"], 3),
+    (["wval", "--p", "2", "--mu", "Tt", "--depth", "-1"], 3),
+    (["fourier", "--p", "2", "--combo", "1@1/2", "--qdepth", "-1"], 3),
 ])
 def test_flag_values_map_to_documented_exit_codes(capsys, tmp_path, argv, code):
     doc = _doc_arg(tmp_path, {"p": 3, "prec": 4, "degree": 4, "coeffs": [1, 2, 3]})

@@ -571,6 +571,22 @@ def comb_case(draw):
 
 class TestCombTrackedOracle:
     @settings(max_examples=300, deadline=None)
+    @given(comb_case(), st.lists(st.integers(0, 10**6), min_size=1, max_size=40))
+    @example((3, 5, 4, 5, 6), [1, 2])  # K = X
+    @example((2, 255, 8, 255, 13), [1])  # work > M
+    @example((3, 700, 7, 243, 5), [0, 1, 5])  # K = p^k
+    def test_is_certified_for_every_lift(self, case, ts):
+        """With K <= X, comb_tracked(p, X, M, K, work) is C(x, K) mod
+        p^(shift + prec) for every lift x = X + t p^M.  walk_comb copies the
+        precision rule of comb_tracked, so only this test checks that rule."""
+        p, X, M, K, work = case
+        K = min(K, X)
+        s = comb_tracked(p, X, M, K, work)
+        assert s.shift >= 0
+        for t in ts:
+            assert (comb_int(X + t * p**M, K) - s.unit * p**s.shift) % p ** (s.shift + s.prec) == 0
+
+    @settings(max_examples=300, deadline=None)
     @given(comb_case())
     @example((3, 5, 4, 10, 6))  # X < K: a zero factor
     @example((2, 0, 5, 3, 4))  # X = 0
