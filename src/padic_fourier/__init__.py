@@ -39,14 +39,7 @@ from .ainf import (
     t_tilde_approx,
 )
 from .witt import PerfSeries, WittElt, teichmuller, witt_decompose, witt_recompose
-from .artin_hasse import (
-    PIntegralSeries,
-    artin_hasse_exp,
-    artin_hasse_log,
-    apply_series,
-    canonical_measure,
-    pi_element,
-)
+from .artin_hasse import canonical_measure, pi_element
 from .fourier import (
     UnifFn,
     eval_unif,

@@ -104,8 +104,8 @@ def mul(a, b, bound):
     product and unpack the slots below the bound (``_pack``, ``_unpack``),
     cut off by a mask, & (2^(8wn) - 1): equal to % 2^(8wn) for every int,
     but linear, where CPython takes % as a long division.  Cost: about
-    min(pairs, Karatsuba on (span_a + span_b) · w bytes).  ``Fraction``s
-    are scaled by a common denominator.
+    min(pairs, Karatsuba on (span_a + span_b) · w bytes).  Coefficients
+    are ints.
     """
     if not a or not b:
         return {}
@@ -129,8 +129,6 @@ def mul(a, b, bound):
                 k = offset + k1 + k2
                 out[k] = out.get(k, 0) + c1 * c2
         return out
-    den_a, a = _integral(a)
-    den_b, b = (den_a, a) if same else _integral(b)
     top = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
     if not top:
         return {}
@@ -139,10 +137,7 @@ def mul(a, b, bound):
     x = _pack(dense(a, span_a), w, half)
     prod = x * x if same else x * _pack(dense(b, span_b), w, half)
     cs = _unpack(prod, n, w, half)
-    if den_a is None and den_b is None:
-        return {offset + i: c for i, c in enumerate(cs) if c}
-    den = (den_a or 1) * (den_b or 1)
-    return {offset + i: Fraction(c, den) for i, c in enumerate(cs) if c}
+    return {offset + i: c for i, c in enumerate(cs) if c}
 
 
 def mul_mod(a, b, n, m):
@@ -321,14 +316,6 @@ def differences_at_zero(values, mod, sign=-1):
     return out
 
 
-def _integral(cs):
-    """(None, cs) for int coefficients, else (their lcm den, cs · den)."""
-    if all(type(c) is int for c in cs.values()):
-        return None, cs
-    den = math.lcm(*(c.denominator for c in cs.values()))
-    return den, {k: int(c * den) for k, c in cs.items()}
-
-
 def _biases(span, w, half):
     """Σ half · 2^(8 w k) over 0 <= k < span."""
     return int.from_bytes(half.to_bytes(w, "little") * span, "little")
@@ -472,20 +459,6 @@ def pairings(p, fns, mus, fview, mview):
             row.append((shift, total % p**prec if total else 0, shift + bound))
         rows.append(row)
     return rows
-
-
-def substitute(coeffs, x, zero, one):
-    """Σ coeffs[k] · x^k over ascending powers of x, in x's own arithmetic;
-    stops at the first empty power, since every later one is empty too."""
-    out, xk = zero, one
-    for k, c in enumerate(coeffs):
-        if k > 0:
-            xk = xk * x
-            if not xk.coeffs:
-                break
-        if c:
-            out = out + xk * c
-    return out
 
 
 def encode_degree(p, degree):

@@ -1,21 +1,17 @@
-"""The Artin-Hasse exponential E and logarithm L, the canonical measure
-built from L, and the pi series.
+"""The Artin-Hasse logarithm L as residues mod p^N, the canonical measure
+built from it, and the pi series.
 
-E(T) = exp(Σ_{i>=0} T^(p^i)/p^i) has p-integral coefficients; L is its
-compositional inverse in the sense E(L(T)) = 1 + T and L(E(T) - 1) = T.
-Coefficients are exact rationals (checked p-integral coefficient-wise);
-the same series are also computed as residues mod p^N for substitution
-into the measure ring, where only residues survive anyway.
+E(T) = exp(Σ_{i>=0} T^(p^i)/p^i) has p-integral coefficients (Dwork's
+lemma), and L is its compositional inverse: E(L(T)) = 1 + T and
+L(E(T) - 1) = T.  Only residues of L mod p^N reach the measure ring, so L
+is solved there alone, from an identity that avoids composition:
 
-Both series come from identities that avoid composition:
-
-    n e_n = Σ_{p^i <= n} e_{n - p^i}          (E' = E · d/dT Σ T^(p^i)/p^i)
     Σ_{i>=0} L^(p^i) / p^i = log(1 + T)        (take log of E(L) = 1 + T)
 
-the second solved by one Newton iteration, exact or mod p^N, whose only
-series operations are products: p-th powers, and one reciprocal step per
-round on an inverse of G'(L) carried from round to round, in place of a
-series division.
+by one Newton iteration over dense lists of residues whose only series
+operations are products: p-th powers, and one reciprocal step per round
+on an inverse of G'(L) carried from round to round, in place of a series
+division.  E itself, and L over Q, are test oracles, not library code.
 """
 
 from __future__ import annotations
@@ -31,158 +27,40 @@ from .errors import (
     InternalConsistencyError,
     PreconditionError,
 )
-from .padic import Ring, _count, _degree, _modulus, _same, log_floor
-from .witt import PerfSeries
+from .padic import _count, _degree, _modulus, log_floor
 
 __all__ = [
-    "PIntegralSeries",
-    "artin_hasse_exp",
-    "artin_hasse_log",
     "artin_hasse_log_mod",
-    "apply_series",
     "canonical_measure",
     "pi_element",
 ]
 
 
-# -- truncated series helpers (coefficient lists, index = degree) -----------
+def _log_newton(p, degree, prec):
+    """Residues of L mod (p^prec, T^degree) as a tuple.
 
-
-def _residue(num, den, mod):
-    """num/den, den prime to p: a Fraction (mod None) or its residue mod ``mod``."""
-    return Fraction(num, den) if mod is None else num * pow(den, -1, mod) % mod
-
-
-class PIntegralSeries(Ring):
-    """A truncated power series over Q with p-integral coefficients."""
-
-    __slots__ = ("p", "degree", "coeffs")
-
-    def __init__(self, p, degree, coeffs):
-        _modulus(p)
-        degree = _count(degree, "degree", 1)
-        cs = tuple(Fraction(c) for c in coeffs[:degree]) + (Fraction(0),) * max(
-            0, degree - len(coeffs)
-        )
-        for n, c in enumerate(cs):
-            if c.denominator % p == 0:
-                raise InternalConsistencyError(
-                    f"coefficient of T^{n} = {c} is not p-integral"
-                )
-        self._set(p=p, degree=degree, coeffs=cs)
-
-    def __add__(self, other):
-        other = _same(self.p, other, PIntegralSeries)
-        d = min(self.degree, other.degree)
-        return PIntegralSeries(self.p, d, [self.coeffs[n] + other.coeffs[n] for n in range(d)])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return PIntegralSeries(self.p, self.degree, [c * other for c in self.coeffs])
-        other = _same(self.p, other, PIntegralSeries)
-        d = min(self.degree, other.degree)
-        return PIntegralSeries(self.p, d, _mul_exact(self.coeffs, other.coeffs, d))
-
-    def compose(self, inner):
-        """self(inner(T)) for inner with zero constant term, truncated."""
-        inner = _same(self.p, inner, PIntegralSeries)
-        if inner.coeffs[0] != 0:
-            raise PreconditionError("composition needs a zero constant term")
-        d = min(self.degree, inner.degree)
-        return _series.substitute(
-            self.coeffs[:d], inner, PIntegralSeries(self.p, d, []), PIntegralSeries(self.p, d, [1])
-        )
-
-    def assert_p_integral(self):
-        """The series itself: its constructor refuses a coefficient that is
-        not p-integral, so every instance is."""
-        return self
-
-    def residues(self, prec):
-        """Coefficients as residues mod p^prec."""
-        return [_residue(c.numerator, c.denominator, self.p**prec) for c in self.coeffs]
-
-    def reduce_mod_p(self, depth=0):
-        """The mod-p reduction as a polynomial in t (on a depth-grid)."""
-        cs = {}
-        for n, c in enumerate(self.coeffs):
-            r = c.numerator * pow(c.denominator, -1, self.p) % self.p
-            if r:
-                cs[n * self.p**depth] = r
-        return PerfSeries(self.p, depth, Fraction(self.degree), cs)
-
-    def _equal(self, other):
-        d = min(self.degree, other.degree)
-        return self.coeffs[:d] == other.coeffs[:d]
-
-    def __repr__(self):
-        return f"PIntegralSeries(p={self.p}, degree={self.degree})"
-
-    def __str__(self):
-        parts = []
-        for n, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if n == 0:
-                parts.append(str(c))
-            else:
-                mono = "T" if n == 1 else f"T^{n}"
-                parts.append(mono if c == 1 else f"({c})·{mono}")
-        return (" + ".join(parts) if parts else "0") + f" + O(T^{self.degree})"
-
-
-@functools.lru_cache(maxsize=None, typed=True)  # a bool is no degree, though True == 1
-def artin_hasse_exp(p: int, degree: int) -> PIntegralSeries:
-    """E(T) = exp(Σ T^(p^i)/p^i) mod T^degree, exactly over Q.
-
-    The coefficient recurrence n e_n = Σ_{p^i <= n} e_{n - p^i} follows
-    from E' = E · (Σ T^(p^i - 1)) and involves no factorials.
-    """
-    e = [Fraction(0)] * _count(degree, "degree", 1)
-    e[0] = Fraction(1)
-    for n in range(1, degree):
-        e[n] = sum(e[n - p**i] for i in range(log_floor(n, p) + 1)) / n
-    return PIntegralSeries(p, degree, e)
-
-
-def _mul_exact(a, b, n, m=None):
-    """Truncated product of two rational coefficient lists, exact (m None)."""
-    return _series.dense(_series.mul(_series.sparse(a), _series.sparse(b), n), n)
-
-
-def _mod(cs, m):
-    """The list ``cs`` reduced mod ``m``, or ``cs`` itself for m None."""
-    return cs if m is None else [c % m for c in cs]
-
-
-def _log_newton(p, degree, prec=None):
-    """Coefficients of L mod T^degree as a tuple: exact over Q if prec is
-    None, else residues mod p^prec.
-
-    Newton's method on G(L) = Σ_i L^(p^i)/p^i - log(1+T) over coefficient
-    lists; the two solves differ only in their product, ``_mul_exact`` or
-    ``_series.mul_mod``, and their reduction, none or mod p^(prec+i).  The
-    round degrees are ``degree`` halved with ceil down to 2, run upward, so
-    each round goes from a settled degree s = ceil(d/2) to d (257 runs 3,
-    5, 9, ..., 257).  Sums are scaled by p^guard, the largest power of p
-    below degree, so p^(guard-i) and p^guard·log(1+T) are p-integral.  Mod
-    p^prec, level i takes L^(p^i) mod p^(prec+i), which depends only on L
-    mod p^prec, so each scaled term p^(guard-i)·L^(p^i), and the scaled
-    residual with them, is right mod p^(prec+guard); the residual must be
-    divisible by p^guard.  The inverse g of G'(L) = Σ L^(p^i - 1) is
-    carried across rounds: L moves only at orders >= s, so g, right mod
-    T^ceil(s/2), stays right, and one step g <- g(2 - G'g) mod T^s makes
-    it right mod T^s; so L^(p^i - 1) is taken mod (p^prec, T^s) only.  The
-    residual vanishes mod T^s and the product drops leading zeros, so
-    G/G' mod T^d reads g mod T^(d-s) only.
+    Newton's method on G(L) = Σ_i L^(p^i)/p^i - log(1+T) over dense lists
+    of residues, every product a ``_series.mul_mod``.  The round degrees
+    are ``degree`` halved with ceil down to 2, run upward, so each round
+    goes from a settled degree s = ceil(d/2) to d (257 runs 3, 5, 9, ...,
+    257).  Sums are scaled by p^guard, the largest power of p below
+    degree, so p^(guard-i) and p^guard·log(1+T) are p-integral.  Level i
+    takes L^(p^i) mod p^(prec+i), which depends only on L mod p^prec, so
+    each scaled term p^(guard-i)·L^(p^i), and the scaled residual with
+    them, is right mod p^(prec+guard); the residual must be divisible by
+    p^guard.  The inverse g of G'(L) = Σ L^(p^i - 1) is carried across
+    rounds: L moves only at orders >= s, so g, right mod T^ceil(s/2), stays
+    right, and one step g <- g(2 - G'g) mod T^s makes it right mod T^s; so
+    L^(p^i - 1) is taken mod (p^prec, T^s) only.  The residual vanishes mod
+    T^s and the product drops leading zeros, so G/G' mod T^d reads g mod
+    T^(d-s) only.
     """
     guard = log_floor(_count(degree, "degree", 0) - 1, p)
-    scale = p**guard
-    mul = _mul_exact if prec is None else _series.mul_mod
-    mods = [None if prec is None else p ** (prec + i) for i in range(guard + 1)]
-    pmod = mods[0]
+    scale, mul = p**guard, _series.mul_mod
+    mods = [p ** (prec + i) for i in range(guard + 1)]
+    pmod, top = mods[0], mods[guard]
     slog = [0] + [  # -p^guard·log(1+T): n/k is prime to p for k = gcd(n, p^guard)
-        _residue((-1) ** n * scale // (k := math.gcd(n, scale)), n // k, mods[guard])
+        (-1) ** n * scale // (k := math.gcd(n, scale)) * pow(n // k, -1, top) % top
         for n in range(1, degree)
     ]
     rounds, d = [], degree
@@ -198,37 +76,27 @@ def _log_newton(p, degree, prec=None):
             if i:
                 step = functools.partial(mul, n=d, m=mods[i])
                 R = _series.power(P, p - 1, None, step)  # p - 1 >= 1: no one is read
-                P, Q = step(R, P), _mod(R[:s], pmod) if i == 1 else mul(R, Q, s, pmod)
+                P, Q = step(R, P), [c % pmod for c in R[:s]] if i == 1 else mul(R, Q, s, pmod)
                 Gp = [x + y for x, y in zip(Gp, Q)]
             f = scale // p**i
             H = [h + f * c for h, c in zip(H, P)]
-        r = _mod([-c for c in mul(Gp, g, s, pmod)], pmod)
+        r = [-c % pmod for c in mul(Gp, g, s, pmod)]
         r[0] += 2
         g = mul(g, r, s, pmod)
-        if any(c.numerator % scale for c in H):  # H/scale is not p-integral
+        if any(c % scale for c in H):  # H/scale is not p-integral
             raise InternalConsistencyError(
                 "scaled Newton residual not divisible by the guard power"
             )
-        if pmod is None:
-            G = [Fraction(c.numerator // scale, c.denominator) for c in H]
-        else:
-            G = [c // scale % pmod for c in H]
-        L = _mod([x - y for x, y in zip(L, mul(G, g, d, pmod))], pmod)
+        G = [c // scale % pmod for c in H]
+        L = [(x - y) % pmod for x, y in zip(L, mul(G, g, d, pmod))]
         s = d
     return tuple((L + [0] * degree)[:degree])
 
 
 @functools.lru_cache(maxsize=None, typed=True)
-def artin_hasse_log(p: int, degree: int) -> PIntegralSeries:
-    """L(T) with E(L(T)) = 1 + T, mod T^degree; L(T) = T + O(T^2), exactly
-    over Q, from Σ_{i>=0} L^(p^i)/p^i = log(1+T) (see ``_log_newton``)."""
-    return PIntegralSeries(p, degree, _log_newton(p, degree))
-
-
-@functools.lru_cache(maxsize=None, typed=True)
 def artin_hasse_log_mod(p: int, degree: int, prec: int) -> tuple:
-    """Residues of L mod (p^prec, T^degree), prec >= 1, from the same Newton
-    solve as ``artin_hasse_log`` run over scaled integers."""
+    """Residues of L mod (p^prec, T^degree), prec >= 1: the one Artin-Hasse
+    solve (``_log_newton``)."""
     _modulus(p, prec)
     return _log_newton(p, degree, prec)
 
@@ -238,27 +106,6 @@ def _terms_needed(prec, degree, w):
     box (prec, degree): from ceil((N + ceil(D))/w) + 1 on, every
     contribution has either exponent >= D or valuation >= N."""
     return math.ceil(Fraction(prec + math.ceil(degree)) / Fraction(w)) + 1
-
-
-def apply_series(series: PIntegralSeries, x: AinfElt) -> AinfElt:
-    """Substitute a measure with w(x) > 0 into a p-integral series, which
-    must be known to the degree that ``_terms_needed`` asks for."""
-    x = _same(_same(None, series, PIntegralSeries).p, x, AinfElt)
-    if x.shift != 0:
-        raise PreconditionError("substitution needs integral coefficients")
-    if x.degree is None:
-        raise PreconditionError("substitution requires a finite degree box")
-    w0 = x.w_floor()
-    if w0 <= 0:
-        raise PreconditionError("substitution needs w(x) > 0")
-    need = _terms_needed(x.prec, x.degree, w0)
-    if series.degree < need:
-        raise BoxExhausted(
-            f"series known to degree {series.degree}, substitution needs {need}"
-        )
-    n, m = _series.key_bound(x.p, x.depth, x.degree), x.p**x.prec
-    cs = _series.compose_mod(series.residues(x.prec)[:need], x.coeffs, n, m)
-    return AinfElt(x.p, x.prec, x.depth, x.degree, _series.sparse(cs))
 
 
 def canonical_measure(p, stage, depth, prec, degree):

@@ -220,9 +220,9 @@ def _measures(pr, exprs, prec, qp=None, degree=16, precs=(), printed=False):
                  e.startswith(("Tt", "diracq:")) or "@depth" in e for e in exprs)
     if qp:
         degree = _degree(_frac(pr.get("degree", degree)))  # before a depth is counted against it
-        depth = _depth(pr["depth"], "--depth") if "depth" in pr else None
     else:
         degree = _int(pr.get("degree", degree), "--degree")
+    depth = _depth(pr["depth"], "--depth") if "depth" in pr else None  # read where unused too
 
     def read(e):
         """(k, scale, extra, build): ``e`` counts scale·p^k + extra cells."""
@@ -423,6 +423,8 @@ def _cmd_dirac(pr):
         _budget(p, [("--prec", prec)], lambda cells: cells(depth, degree) + 1)
         return _measure_doc(dirac_q(p, s, depth, prec, degree))
     a, degree = _int(pr["a"], "--a"), _int(pr.get("degree", 16), "--degree")
+    if "depth" in pr:  # no depth on Z_p, but a given one is read
+        _depth(pr["depth"], "--depth")
     _budget(p, [("--prec", prec)], degree)
     return _measure_doc(dirac(a, degree, prec, p=p))
 
@@ -483,6 +485,10 @@ def _cmd_fourier(pr):
         for part in str(pr["combo"]).split(","):
             c, s = _int(part, "--combo term", "@")
             combo.append((c, _frac(s)))
+        if "depth" in pr:  # a measure's flags, unused by the points, are read
+            _depth(pr["depth"], "--depth")
+        if "degree" in pr:
+            _degree(_frac(pr["degree"]))
         bits = prec * p.bit_length()
         # one binomial per exponent and term, its block products costing
         # about bits^2·log(bits): 4-5 times as much per doubling of --prec;

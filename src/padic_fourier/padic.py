@@ -16,6 +16,7 @@ import math
 from fractions import Fraction
 
 from .errors import (
+    InternalConsistencyError,
     ParseError,
     PrecisionExhausted,
     PreconditionError,
@@ -650,8 +651,11 @@ def _unit_product(p: int, lo: int, hi: int, w: int) -> int:
     Wilson when k >= w.  [a, b) is [lo, hi) with an end ≡ 1 mod p moved down
     by one: that adds or drops a multiple of p, which no block multiplies
     in, and aligns the cover to the ends' high powers of p.  The multiples
-    of p in the unmoved [lo, hi), divided by p, form the next level.
+    of p in the unmoved [lo, hi), divided by p, form the next level.  A lo
+    below 1 is refused: the levels would keep lo <= 0 < hi and never end.
     """
+    if lo < 1:
+        raise InternalConsistencyError(f"unit product from {lo} < 1")
     mod = p**w
     out = 1
     while lo < hi:

@@ -1,4 +1,3 @@
-import functools
 import math
 from fractions import Fraction
 
@@ -10,12 +9,8 @@ from padic_fourier import _series
 
 from padic_fourier.ainf import AinfElt, dirac_q
 from padic_fourier.artin_hasse import (
-    PIntegralSeries,
     _log_newton,
     _terms_needed,
-    apply_series,
-    artin_hasse_exp,
-    artin_hasse_log,
     artin_hasse_log_mod,
     canonical_measure,
     pi_element,
@@ -23,6 +18,15 @@ from padic_fourier.artin_hasse import (
 from padic_fourier.errors import BoxExhausted, InternalConsistencyError
 from padic_fourier.padic import LowerBound
 from padic_fourier.witt import PerfSeries, teichmuller
+
+from oracles import (
+    compose_exact,
+    dict_log_newton_oracle,
+    exp_recurrence_loop,
+    residue,
+    schoolbook,
+    substitute_oracle,
+)
 
 
 def exp_oracle(terms, degree):
@@ -45,58 +49,6 @@ def exp_oracle(terms, degree):
     return out
 
 
-def dict_log_newton_oracle(p, degree, prec=None):
-    """L mod T^degree by the same Newton rounds over coefficient maps: exact
-    over Q if prec is None, else residues mod p^prec.  Every product is the
-    kernel's ``_series.mul``, reduced by a dict comprehension."""
-
-    def residue(c, mod):
-        return c if mod is None else c.numerator * pow(c.denominator, -1, mod) % mod
-
-    def mul_sparse(a, b, d, mod):
-        out = _series.mul(a, b, d)
-        return out if mod is None else {k: r for k, c in out.items() if (r := c % mod)}
-
-    guard = 0
-    while p ** (guard + 1) < degree:
-        guard += 1
-    scale = p**guard
-    mod, pmod = (None, None) if prec is None else (p ** (prec + guard), p**prec)
-    slog = {n: residue(Fraction((-1) ** (n + 1) * scale, n), mod) for n in range(1, degree)}
-    rounds, d = [], degree
-    while d > 2:
-        rounds.append(d)
-        d = -(-d // 2)
-    L, g, s = {1: 1}, {0: 1}, 2
-    for d in reversed(rounds):
-        H = {n: -c for n, c in slog.items() if n < d}
-        Gp = {}
-        P, Q, i = L, {0: 1}, 0
-        while p**i < d:
-            if i:
-                mul = functools.partial(mul_sparse, d=d, mod=pmod and p ** (prec + i))
-                R = _series.power(P, p - 1, {0: 1}, mul)
-                P, Q = mul(R, P), mul_sparse(R, Q, s, pmod)
-            for k, c in P.items():
-                H[k] = H.get(k, 0) + scale // p**i * c
-            for k, c in Q.items():
-                Gp[k] = Gp.get(k, 0) + c
-            i += 1
-        r = {k: -c for k, c in mul_sparse(Gp, g, s, pmod).items()}
-        r[0] = r.get(0, 0) + 2
-        g = mul_sparse(g, r, s, pmod)
-        G = {}
-        for k, c in H.items():
-            c = Fraction(c, scale)
-            assert c.denominator % p, "scaled Newton residual not divisible by the guard power"
-            if c := residue(c, pmod):
-                G[k] = c
-        for k, c in mul_sparse(G, g, d, pmod).items():
-            L[k] = L.get(k, 0) - c
-        s = d
-    return tuple(L.get(n, 0) if prec is None else L.get(n, 0) % pmod for n in range(degree))
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([2, 3, 5, 7, 11]), st.integers(0, 400), st.integers(1, 16))
 @example(2, 180, 16)  # slots sized from the modulus overflowed here
@@ -106,10 +58,30 @@ def test_dense_log_newton_matches_dict_oracle(p, degree, prec):
     assert artin_hasse_log_mod(p, degree, prec) == dict_log_newton_oracle(p, degree, prec)
 
 
+def log_by_coefficients(p, degree):
+    """L mod T^degree over Q, one coefficient at a time from Σ_i L^(p^i)/p^i
+    = log(1+T): for i >= 1, [T^n] L^(p^i) reads L below T^n only, so
+    L_n = (-1)^(n+1)/n - Σ_(1 <= i, p^i <= n) [T^n] L^(p^i) / p^i."""
+    L = {}
+    for n in range(1, degree):
+        c, power, q = Fraction((-1) ** (n + 1), n), L, 1
+        while q * p <= n:
+            base = power
+            for _ in range(p - 1):
+                power = schoolbook(power, base, lambda k: k <= n)
+            q *= p
+            c -= Fraction(power.get(n, 0), q)
+        if c:
+            L[n] = c
+    return tuple(L.get(n, 0) for n in range(degree))
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 @pytest.mark.parametrize("degree", [1, 2, 3, 12, 40])
 def test_exact_log_newton_matches_dict_oracle(p, degree):
-    assert _log_newton(p, degree) == dict_log_newton_oracle(p, degree)
+    """The oracle's Newton solve over Q, the reference for every residue of
+    ``artin_hasse_log_mod``, against L solved coefficient by coefficient."""
+    assert dict_log_newton_oracle(p, degree) == log_by_coefficients(p, degree)
 
 
 def test_log_newton_refuses_a_residual_off_the_guard_power(monkeypatch):
@@ -126,13 +98,6 @@ def test_log_newton_refuses_a_residual_off_the_guard_power(monkeypatch):
     monkeypatch.setattr(_series, "mul_mod", corrupt)
     with pytest.raises(InternalConsistencyError, match="guard power"):
         _log_newton(2, 20, 6)
-
-
-def substitute_oracle(coeffs, x):
-    """Σ coeffs[k] · x^k by ascending powers, each an ``AinfElt`` product,
-    sum and box rule: the element-level substitution."""
-    zero, one = AinfElt.zero(x.p, x.prec, x.degree), AinfElt.one(x.p, x.prec, x.degree)
-    return _series.substitute(coeffs, x, zero, one)
 
 
 def canonical_measure_oracle(p, stage, depth, prec, degree):
@@ -250,13 +215,19 @@ def test_canonical_measure_past_the_stage_needs_l_only_to_the_box(case):
     assert mu.to_json() == want.to_json() and str(mu) == str(want)
 
 
+def log_mod_p(p, degree):
+    """L mod (p, T^degree) as a ``PerfSeries`` on the integer grid, from the
+    oracle's residues mod p."""
+    L = dict_log_newton_oracle(p, degree, 1)
+    return PerfSeries(p, 0, Fraction(degree), {k: c for k, c in enumerate(L) if c})
+
+
 class TestSeries:
     def test_exp_small_p2(self):
         # expand exp(T + T^2/2) over Q to degree 2
         terms = [Fraction(0), Fraction(1), Fraction(1, 2)]
         oracle = exp_oracle(terms, 3)
-        E = artin_hasse_exp(2, 3)
-        assert list(E.coeffs) == oracle == [1, 1, 1]
+        assert list(exp_recurrence_loop(2, 3)) == oracle == [1, 1, 1]
 
     def test_exp_against_oracle_deeper(self):
         for p, d in [(2, 12), (3, 12), (5, 8)]:
@@ -265,53 +236,29 @@ class TestSeries:
             while p**i < d:
                 terms[p**i] = Fraction(1, p**i)
                 i += 1
-            assert list(artin_hasse_exp(p, d).coeffs) == exp_oracle(terms, d)
-
-    def test_str_writes_each_nonzero_term_and_the_box(self):
-        assert str(artin_hasse_exp(2, 5)) == "1 + T + T^2 + (2/3)·T^3 + (2/3)·T^4 + O(T^5)"
-        assert str(artin_hasse_exp(3, 1) * 0) == "0 + O(T^1)"
+            assert list(exp_recurrence_loop(p, d)) == exp_oracle(terms, d)
 
     def test_log_leading_terms(self):
-        L = artin_hasse_log(3, 2)
-        assert list(L.coeffs) == [0, 1]
+        assert dict_log_newton_oracle(3, 2) == (0, 1)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_composition_inverse(self, p):
         d = 32
-        E = artin_hasse_exp(p, d)
-        L = artin_hasse_log(p, d)
-        one_plus_t = PIntegralSeries(p, d, [1, 1])
-        ident = PIntegralSeries(p, d, [0, 1])
-        assert E.compose(L) == one_plus_t
-        assert L.compose(E - PIntegralSeries(p, d, [1])) == ident
+        E, L = exp_recurrence_loop(p, d), dict_log_newton_oracle(p, d)
+        assert compose_exact(E, L, d) == [1, 1] + [0] * (d - 2)
+        assert compose_exact(L, [0, *E[1:]], d) == [0, 1] + [0] * (d - 2)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_p_integrality(self, p):
-        artin_hasse_exp(p, 64).assert_p_integral()
-        artin_hasse_log(p, 64).assert_p_integral()
-
-    def test_non_integral_detected(self):
-        with pytest.raises(InternalConsistencyError):
-            PIntegralSeries(2, 3, [1, Fraction(1, 2)])
-        with pytest.raises(InternalConsistencyError):  # arithmetic builds through the check
-            PIntegralSeries(2, 3, [1, 1]) * Fraction(1, 2)
-
-    def test_reduce_mod_p(self):
-        L = artin_hasse_log(2, 6)
-        r = L.reduce_mod_p()
-        assert r.coeffs == {
-            k: c.numerator * pow(c.denominator, -1, 2) % 2
-            for k, c in enumerate(L.coeffs)
-            if c.numerator % 2
-        }
+        for series in (exp_recurrence_loop(p, 64), dict_log_newton_oracle(p, 64)):
+            assert all(Fraction(c).denominator % p for c in series)
 
 
 class TestCanonicalMeasure:
     @pytest.mark.parametrize("p", [2, 3])
     def test_reduction_is_log_at_every_stage(self, p):
         degree = 3
-        Lbar = artin_hasse_log(p, degree).reduce_mod_p()
-        Lbar = PerfSeries(p, 0, Fraction(degree), dict(Lbar.coeffs))
+        Lbar = log_mod_p(p, degree)
         for n in range(0, 3):
             mu = canonical_measure(p, n, 3, 4, degree)
             assert mu.reduce_mod_p() == Lbar
@@ -331,7 +278,7 @@ class TestCanonicalMeasure:
         # independent route: the multiplicative lift of the mod-p logarithm
         prec, degree = 4, 3
         need = (prec + degree) * p**3 + 1
-        target = teichmuller(artin_hasse_log(p, need).reduce_mod_p(), prec)
+        target = teichmuller(log_mod_p(p, need), prec)
         dists = []
         for n in range(0, 4):
             mu = canonical_measure(p, n, 4, prec, degree)
@@ -345,26 +292,18 @@ class TestCanonicalMeasure:
         p = 2
         prec, degree = 4, 3
         need = 64
-        Lbar = artin_hasse_log(p, need).reduce_mod_p()
-        E = artin_hasse_exp(p, need)
+        Lbar = log_mod_p(p, need)
+        E = [residue(c, p**prec) for c in exp_recurrence_loop(p, need)]
         dists = []
         for n in range(0, 3):
             root = teichmuller(Lbar.frobenius_inverse(n), prec)
             root = AinfElt(p, root.prec, root.depth, Fraction(degree), root.coeffs)
-            val = apply_series(E, root) ** (p**n)
+            val = substitute_oracle(E, root) ** (p**n)
             target = dirac_q(p, Fraction(1), max(val.depth, 3), prec, degree)
             w = (val - target).w_valuation()
             dists.append(w.bound if isinstance(w, LowerBound) else w)
         assert all(d2 >= d1 for d1, d2 in zip(dists, dists[1:]))
         assert dists[0] < dists[-1]
-
-    def test_apply_series_rejects_a_short_series(self):
-        # Tt^(1/2) in the box (2^6, q < 4) needs 21 terms of E, not 4
-        x = AinfElt.monomial(2, Fraction(1, 2), 6, 4)
-        with pytest.raises(BoxExhausted):
-            apply_series(artin_hasse_exp(2, 4), x)
-        y = apply_series(artin_hasse_exp(2, 21), x)
-        assert {q.as_fraction(): c for q, c in y.items_sexp()}[Fraction(2)] == 22
 
     def test_depth_below_stage_rejected(self):
         with pytest.raises(BoxExhausted):
@@ -411,19 +350,19 @@ class TestPiElement:
 @pytest.mark.parametrize("degree", [2, 3, 5, 9, 17, 33, 65])
 def test_log_mod_matches_exact_series(p, degree):
     """The production Newton loop mod p^N against the exact series over Q."""
-    exact = artin_hasse_log(p, degree)
+    exact = dict_log_newton_oracle(p, degree)
     for prec in (1, 3, 6, 10):
-        assert artin_hasse_log_mod(p, degree, prec) == tuple(exact.residues(prec))
+        assert artin_hasse_log_mod(p, degree, prec) == tuple(residue(c, p**prec) for c in exact)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_log_mod_matches_exact_series_at_every_degree(p):
     """Every round schedule up to 80: d = 2s with s odd (6, 10, 14, ...), where
     the inverse step needs g mod T^s, and d = 2^k + 1, one past a doubling."""
+    exact = dict_log_newton_oracle(p, 80)  # L mod T^degree is its prefix
     for degree in range(2, 81):
-        exact = artin_hasse_log(p, degree)
         for prec in (1, 4, 9):
-            expect = tuple(exact.residues(prec))
+            expect = tuple(residue(c, p**prec) for c in exact[:degree])
             assert artin_hasse_log_mod(p, degree, prec) == expect, (degree, prec)
 
 
@@ -439,7 +378,7 @@ def test_log_mod_inverts_exp_mod_p_n(p, degree, prec):
     """E(L) = 1 + T mod (p^prec, T^degree), by Horner over Z/p^prec with E
     from its coefficient recurrence: no Newton step, no series kernel."""
     mod = p**prec
-    e = artin_hasse_exp(p, degree).residues(prec)
+    e = [residue(c, mod) for c in exp_recurrence_loop(p, degree)]
     L = np.array(artin_hasse_log_mod(p, degree, prec), dtype=np.int64)
     out = np.array([e[-1]], dtype=np.int64)
     for c in reversed(e[:-1]):  # int64 is exact: degree · mod^2 < 2^63
@@ -448,23 +387,23 @@ def test_log_mod_inverts_exp_mod_p_n(p, degree, prec):
     assert out.tolist() == [1, 1] + [0] * (degree - 2)
 
 
-def exp_recurrence_loop(p, degree):
-    """E by n e_n = Σ_{p^i <= n} e_{n - p^i}, the powers found one at a time."""
-    e = [Fraction(1)] + [Fraction(0)] * (degree - 1)
-    for n in range(1, degree):
-        acc, i = Fraction(0), 0
-        while p**i <= n:
-            acc += e[n - p**i]
-            i += 1
-        e[n] = acc / n
-    return e
+def exp_by_factors(p, degree):
+    """E mod T^degree over Q as the product over p^i < degree of the factors
+    exp(T^(p^i)/p^i) = Σ_j T^(j·p^i)/(p^(ij)·j!), each written out: the
+    definition of E, with no recurrence."""
+    out, q = {0: Fraction(1)}, 1
+    while q < degree:
+        factor = {j * q: Fraction(1, q**j * math.factorial(j)) for j in range(-(-degree // q))}
+        out, q = schoolbook(out, factor, lambda k: k < degree), q * p
+    return tuple(out.get(n, 0) for n in range(degree))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(1, 150))
 @example(2, 129)
 def test_exp_recurrence_matches_the_loop(p, degree):
-    assert list(artin_hasse_exp(p, degree).coeffs) == exp_recurrence_loop(p, degree)
+    """The recurrence oracle for E against the loop over its factors."""
+    assert exp_recurrence_loop(p, degree) == exp_by_factors(p, degree)
 
 
 @settings(max_examples=300, deadline=None)

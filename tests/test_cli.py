@@ -19,8 +19,9 @@ from padic_fourier import _series, cli
 from padic_fourier.ainf import AinfElt
 from padic_fourier.cli import JobSpec, main, run
 from padic_fourier.errors import PadicFourierError, ParseError, PreconditionError
-from padic_fourier.iwasawa import IwasawaElt
-from padic_fourier.padic import PadicScalar, SExponent
+from padic_fourier.fourier import UnifFn, integrate_unif_matrix
+from padic_fourier.iwasawa import IwasawaElt, MahlerFn, integrate_matrix
+from padic_fourier.padic import PadicScalar, SExponent, vp_int
 from padic_fourier.witt import PerfSeries
 
 
@@ -493,6 +494,16 @@ class TestErrors:
     (["convolve", "--p", "2", "--mu1", "Tt", "--mu2", "Tt", "--depth", "-1"], 3),
     (["wval", "--p", "2", "--mu", "Tt", "--depth", "-1"], 3),
     (["fourier", "--p", "2", "--combo", "1@1/2", "--qdepth", "-1"], 3),
+    # a given --depth or --degree is read on a path that does not use it:
+    # each of these but the last ran and exited 0
+    (["wval", "--p", "2", "--mu", "T", "--depth", "x"], 2),
+    (["wval", "--p", "2", "--mu", "T", "--depth", "-1"], 3),
+    (["dirac", "--p", "2", "--a", "1", "--depth", "x"], 2),
+    (["dirac", "--p", "2", "--a", "1", "--depth", "-1"], 3),
+    (["fourier", "--p", "2", "--combo", "1@1/2", "--depth", "x", "--degree", "y"], 2),
+    (["fourier", "--p", "2", "--combo", "1@1/2", "--degree", "y"], 2),
+    (["fourier", "--p", "2", "--combo", "1@1/2", "--depth", "-1"], 3),
+    (["fourier", "--p", "2", "--combo", "1@1/2", "--depth", "1", "--degree", "3/2"], 0),
 ])
 def test_flag_values_map_to_documented_exit_codes(capsys, tmp_path, argv, code):
     doc = _doc_arg(tmp_path, {"p": 3, "prec": 4, "degree": 4, "coeffs": [1, 2, 3]})
@@ -1259,6 +1270,41 @@ def test_w_valuation_survives_a_deeper_run(argv, prec):
     (w, exact), (deep_w, deep_exact) = map(_w, _deeper_runs(argv, prec))
     assert deep_w >= w, (argv, prec)
     assert not exact or (deep_exact and deep_w == w), (argv, prec)
+
+
+def _orthocheck_matrix(p, mode, box, prec):
+    """The Gram matrix that ``orthocheck --mode mode --prec prec`` checks, as
+    rows of (shift, residue, bound), from the basis functions and monomials
+    the command pairs: ``box`` is --imax on Z_p and (--qdepth, --qmax) on Q_p."""
+    if mode == "zp":
+        ks = range(box + 1)
+        fns = [MahlerFn.basis(p, i, prec) for i in ks]
+        return integrate_matrix(fns, [IwasawaElt.monomial(p, j, prec, box + 2) for j in ks])
+    qdepth, qmax = box
+    qs = [Fraction(k, p**qdepth) for k in range(int(qmax * p**qdepth))]
+    fns = [UnifFn.basis(p, q, prec) for q in qs]
+    return integrate_unif_matrix(fns, [AinfElt.monomial(p, q, prec, degree=qmax) for q in qs])
+
+
+# the refinement oracle on orthocheck: every pairing of its Gram matrix at
+# --prec N is certified, and the same, at N + k, compared by the valuation
+# of the difference up to the shallow bound.  Same deadline as the argv fuzz
+@settings(max_examples=100, deadline=timedelta(seconds=2))
+@given(p=st.sampled_from([2, 3, 5]), box=st.one_of(
+           st.integers(0, 30),
+           st.tuples(st.integers(0, 2), st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(4)]))),
+       prec=st.integers(1, 12), k=st.integers(1, 4))
+@example(p=2, box=30, prec=20, k=3)  # the README job
+@example(p=2, box=(2, Fraction(4)), prec=12, k=1)  # the qp defaults
+def test_orthocheck_digits_survive_a_deeper_run(p, box, prec, k):
+    mode = "zp" if isinstance(box, int) else "qp"
+    shallow, deep = (_orthocheck_matrix(p, mode, box, n) for n in (prec, prec + k))
+    assert len(shallow) == len(deep)
+    for i, (row, deep_row) in enumerate(zip(shallow, deep)):
+        for j, ((s, r, bound), (t, u, deep_bound)) in enumerate(zip(row, deep_row)):
+            diff = Fraction(p) ** s * r - Fraction(p) ** t * u
+            v = vp_int(diff.numerator, p) - vp_int(diff.denominator, p) if diff else bound
+            assert deep_bound >= bound and v >= bound, (p, box, prec, k, i, j)
 
 
 def _write(tmp, name, doc):

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from padic_fourier.errors import PrecisionExhausted, PreconditionError, PrimeMismatch
+from padic_fourier.errors import (
+    InternalConsistencyError, PrecisionExhausted, PreconditionError, PrimeMismatch,
+)
 from padic_fourier.padic import (
     LowerBound,
     PadicScalar,
@@ -730,6 +732,15 @@ class TestUnitProduct:
     @example((7, 1, 7**12 + 1, 1))  # every block k >= w = 1
     def test_matches_greedy_cover(self, case):
         assert _unit_product(*case) == greedy_unit_product_oracle(*case)
+
+    @pytest.mark.parametrize("case", [(3, -4, 6, 6), (2, 0, 5, 3), (5, -25, 1, 2)])
+    def test_refuses_a_range_from_below_one(self, case):
+        # from lo <= 0 the levels keep lo <= 0 < hi = 1 and never end: a
+        # comb_tracked that lets rel stay positive past X < n reaches it
+        t0 = time.perf_counter()
+        with pytest.raises(InternalConsistencyError, match="unit product"):
+            _unit_product(*case)
+        assert time.perf_counter() - t0 < 1
 
 
 @st.composite

@@ -1,8 +1,9 @@
 """The series types against a plain pairwise product, and the JSON term grid.
 
-The oracle below knows nothing of grids, shifts, dense tuples or packed
-keys: a series is a map from exponent (a Fraction, an int or an (i, j)
-pair) to coefficient, and the product visits every pair of terms.
+The oracle, ``oracles.schoolbook``, knows nothing of grids, shifts, dense
+tuples or packed keys: a series is a map from exponent (a Fraction, an int
+or an (i, j) pair) to coefficient, and the product visits every pair of
+terms.
 """
 
 import copy
@@ -21,10 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from padic_fourier import _series
 from padic_fourier.ainf import AinfElt, dirac_q, rescale_pushforward, t_tilde_approx
-from padic_fourier.artin_hasse import (
-    PIntegralSeries, apply_series, artin_hasse_exp, artin_hasse_log, artin_hasse_log_mod,
-    canonical_measure, pi_element,
-)
+from padic_fourier.artin_hasse import artin_hasse_log_mod, canonical_measure, pi_element
 from padic_fourier.errors import (
     BoxExhausted, ParseError, PrecisionExhausted, PreconditionError, PrimeMismatch,
 )
@@ -41,18 +39,9 @@ from padic_fourier.padic import (
 )
 from padic_fourier.witt import PerfSeries, WittElt, teichmuller, witt_decompose, witt_recompose
 
+from oracles import schoolbook
+
 PRIMES = st.sampled_from([2, 3, 5])
-
-
-def schoolbook(a, b, keep, add=operator.add):
-    """Every pairwise product of terms, summed by exponent, kept where keep(q)."""
-    out = {}
-    for q1, c1 in a.items():
-        for q2, c2 in b.items():
-            q = add(q1, q2)
-            if keep(q):
-                out[q] = out.get(q, 0) + c1 * c2
-    return out
 
 
 def residues(terms, mod):
@@ -78,11 +67,7 @@ def nonzero(terms):
     return {q: c for q, c in terms.items() if c}
 
 
-COEFFS = st.one_of(
-    st.integers(-9, 9),
-    st.integers(-(2**130), 2**130),
-    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)),
-)
+COEFFS = st.one_of(st.integers(-9, 9), st.integers(-(2**130), 2**130))
 
 
 @st.composite
@@ -121,8 +106,8 @@ SQ_PACKED_WIDE = {k: 48 << 64 for k in range(16)}  # 36864 * 2^128, 144 bits
 @example((SQ_WIDE, dict(SQ_WIDE), 13))
 @example((SQ_PACKED, SQ_PACKED, None))
 @example((SQ_PACKED_WIDE, dict(SQ_PACKED_WIDE), 20))
-@example(({k: 1 for k in range(40)}, {0: Fraction(1, 3), 9: -2}, 30))  # dense, paired
-@example(({k: 1 for k in range(40)}, {k: Fraction(k, 3) for k in range(10)}, 30))  # packed
+@example(({k: 1 for k in range(40)}, {0: 3, 9: -2}, 30))  # dense, paired
+@example(({k: 1 for k in range(40)}, {k: k - 5 for k in range(10)}, 30))  # packed
 @example(({0: 1, 10**6: 1}, {0: 1, 3: 1}, None))  # sparse: the pair loop
 @example(({}, {0: 1}, None))
 def test_kernel_product_matches_schoolbook(case):
@@ -190,20 +175,18 @@ def dense_operand(rng, kind, n):
     magnitude = {
         "int": lambda: rng.randrange(1, 2**20),
         "wide": lambda: rng.randrange(2**64, 2**90),
-        "fraction": lambda: Fraction(rng.randrange(1, 50), rng.randrange(1, 12)),
     }[kind]
     return {lo + k: rng.choice([-1, 1]) * magnitude() for k in range(n)}
 
 
 @pytest.mark.parametrize("bound", ["none", "mid", "past"])
 @pytest.mark.parametrize("same", [False, True])
-@pytest.mark.parametrize("kind", ["int", "wide", "fraction"])
+@pytest.mark.parametrize("kind", ["int", "wide"])
 def test_kernel_wide_packed_product_matches_schoolbook(kind, same, bound):
     # multi-KiB packed integers: the unpack keeps every slot, sign and carry
     rng = random.Random(f"{kind}-{same}-{bound}")
-    sizes = (300, 330) if kind == "fraction" else (300, 600)
-    a = dense_operand(rng, kind, rng.randrange(*sizes))
-    b = a if same else dense_operand(rng, kind, rng.randrange(*sizes))
+    a = dense_operand(rng, kind, rng.randrange(300, 600))
+    b = a if same else dense_operand(rng, kind, rng.randrange(300, 600))
     lo, hi = min(a) + min(b), max(a) + max(b)
     bound = {"none": None, "mid": (lo + hi) // 2, "past": hi + 1}[bound]
     expect = schoolbook(a, b, lambda k: bound is None or k < bound)
@@ -655,7 +638,6 @@ VALUES = pytest.mark.parametrize("value", [
     MahlerFn.basis(2, 1, 3),
     AinfElt.one(2, 3),
     PerfSeries(2, 0, None, {1: 1}),
-    PIntegralSeries(2, 3, [1, 1]),
     UnifFn(2, 3, 0, {0: 1}, exact_tail=True),
     WittElt(2, [PerfSeries(2, 0, None, {0: 1})]),
 ], ids=lambda value: type(value).__name__)
@@ -695,11 +677,12 @@ OPERAND_CALLS = {
     "integrate_unif a Z_p measure": (PreconditionError, lambda: integrate_unif(
         UnifFn.basis(3, 1, 4), IwasawaElt.monomial(3, 1, 4, 3))),
     "integrate an int": (PreconditionError, lambda: integrate(MahlerFn.basis(3, 1, 4), 5)),
-    "E + E at two primes": (PrimeMismatch, lambda: artin_hasse_exp(2, 8) + artin_hasse_exp(3, 8)),
-    "E * E at two primes": (PrimeMismatch, lambda: artin_hasse_exp(2, 8) * artin_hasse_exp(3, 8)),
-    "E composed at two primes": (PrimeMismatch, lambda: artin_hasse_exp(2, 8).compose(
-        PIntegralSeries(3, 8, [0, 1]))),
-    "E * a measure": (PreconditionError, lambda: artin_hasse_exp(3, 8) * AinfElt.monomial(3, 1, 4, 3)),
+    "mu + mu at two primes": (PrimeMismatch, lambda: IwasawaElt.monomial(2, 1, 4, 3) + (
+        IwasawaElt.monomial(3, 1, 4, 3))),
+    "mu * mu at two primes": (PrimeMismatch, lambda: IwasawaElt.monomial(2, 1, 4, 3) * (
+        IwasawaElt.monomial(3, 1, 4, 3))),
+    "mu * a Q_p measure": (PreconditionError, lambda: IwasawaElt.monomial(3, 1, 4, 3) * (
+        AinfElt.monomial(3, 1, 4, 3))),
     "exponent + Fraction": (PreconditionError, lambda: SExponent(3, 1, 1) + Fraction(1, 3)),
     "dirac at another prime": (PrimeMismatch, lambda: dirac(PadicScalar.from_int(5, 2, 12), 4, 4, p=3)),
     "dirac at a Fraction": (PreconditionError, lambda: dirac(Fraction(5, 2), 4, 4, p=3)),
@@ -708,9 +691,6 @@ OPERAND_CALLS = {
     "1 + mu": (PreconditionError, lambda: 1 + IwasawaElt.monomial(3, 1, 4, 3)),
     "1 - mu": (PreconditionError, lambda: 1 - IwasawaElt.monomial(3, 1, 4, 3)),
     "mu - None": (PreconditionError, lambda: IwasawaElt.monomial(3, 1, 4, 3) - None),
-    "1 + E": (PreconditionError, lambda: 1 + artin_hasse_exp(3, 8)),
-    "1 - E": (PreconditionError, lambda: 1 - artin_hasse_exp(3, 8)),
-    "E - None": (PreconditionError, lambda: artin_hasse_exp(3, 8) - None),
     "a - None": (PreconditionError, lambda: AinfElt.monomial(3, 1, 4, 3) - None),
     "None - a": (PreconditionError, lambda: None - AinfElt.monomial(3, 1, 4, 3)),
     "sum of measures": (PreconditionError, lambda: sum([IwasawaElt.monomial(3, 1, 4, 3)] * 2)),
@@ -728,13 +708,12 @@ def test_operands_of_another_kind_or_prime_are_refused(name):
 
 _MU = IwasawaElt.monomial(3, 1, 4, 3)
 _A = AinfElt.monomial(3, 1, 4, 3)
-_E = artin_hasse_exp(3, 8)
 _X = PadicScalar.from_int(3, 2, 4)
 
 
 def test_derived_operators_follow_from_plus_and_times():
     # padic.Ring writes -x, x - y, y - x and the reflected + and * once
-    assert -_E == _E * -1 and -_E + _E == _E * 0
+    assert -_A == _A * -1 and -_A + _A == _A * 0
     assert 1 - _A == -_A + 1 and _A - 1 == _A + -1
     assert 2 * _MU == _MU * 2 and -_MU == _MU * -1 and _MU - _MU == _MU * 0
     assert 1 - _X == -_X + 1 and 3 + _X == _X + 3 and 3 * _X == _X * 3
@@ -750,9 +729,9 @@ INTEGER_PARAMETER_CALLS = {
     "dirac degree 4.0": lambda: dirac(3, 4.0, 4, p=3),
     "pi_element depth 1.5": lambda: pi_element(2, 1.5, 4, 3),
     "artin_hasse_log_mod prec 2.5": lambda: artin_hasse_log_mod(3, 4, 2.5),
-    "artin_hasse_exp degree 2.5": lambda: artin_hasse_exp(3, 2.5),
+    "artin_hasse_log_mod degree 2.5": lambda: artin_hasse_log_mod(3, 2.5, 4),
     # True == 1 hashes alike: the cache must not hand it degree 1's series
-    "artin_hasse_exp degree True": lambda: (artin_hasse_exp(3, 1), artin_hasse_exp(3, True)),
+    "artin_hasse_log_mod degree True": lambda: (artin_hasse_log_mod(3, 1, 4), artin_hasse_log_mod(3, True, 4)),
     "dirac_q at p = 2.0": lambda: dirac_q(2.0, 1, 1, 4, 2),
     "scalar shift 0.5": lambda: PadicScalar(3, 0.5, 1, 2),
     "measure shift 0.5": lambda: AinfElt(3, 4, 0, None, {0: 1}, shift=0.5),
@@ -793,7 +772,6 @@ COUNT_AND_DEGREE_CALLS = {
     "Mahler period 3 at p = 2": lambda: MahlerFn(2, 9, {}, 3, period=3),
     "gen_binomial to 2.5 digits": lambda: gen_binomial(_X6, 1, 2.5),
     "gen_binomial_approximants at level 2.5": lambda: gen_binomial_approximants(_X6, 1, [2.5]),
-    "artin_hasse_log degree 2.5": lambda: artin_hasse_log(3, 2.5),
     "AinfElt degree 2.5": lambda: AinfElt(3, 4, 0, 2.5, {1: 1}),
     "AinfElt degree 0.1": lambda: AinfElt(3, 4, 0, 0.1, {0: 1}),
     "forward_transform_diracs prec 2.5": lambda: forward_transform_diracs(3, [(1, 2)], [1], 2.5),
@@ -835,10 +813,6 @@ FIRST_OPERAND_CALLS = {
     "witt_decompose of an int": (PreconditionError, lambda: witt_decompose(5, 2)),
     "witt_decompose of a Z_p measure": (PreconditionError, lambda: witt_decompose(_MU, 2)),
     "witt_recompose of an int": (PreconditionError, lambda: witt_recompose(5)),
-    "E applied to an int": (PreconditionError, lambda: apply_series(_E, 5)),
-    "E applied to a Z_p measure": (PreconditionError, lambda: apply_series(_E, _MU)),
-    "an int applied to a measure": (PreconditionError, lambda: apply_series(5, _A)),
-    "E at p=2 applied at p=3": (PrimeMismatch, lambda: apply_series(artin_hasse_exp(2, 21), _A)),
     "binomial of an int": (PreconditionError, lambda: binomial(5, 2)),
     "gen_binomial of an int": (PreconditionError, lambda: gen_binomial(5, 1, 4)),
     "gen_binomial_profile of an int": (PreconditionError, lambda: gen_binomial_profile(5, 1, 1, 4)),
