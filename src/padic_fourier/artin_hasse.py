@@ -101,39 +101,47 @@ def artin_hasse_log_mod(p: int, degree: int, prec: int) -> tuple:
     return _log_newton(p, degree, prec)
 
 
-def _terms_needed(prec, degree, w):
-    """Series terms a substitution of x with w(x) >= w > 0 must keep in the
-    box (prec, degree): from ceil((N + ceil(D))/w) + 1 on, every
-    contribution has either exponent >= D or valuation >= N."""
-    return math.ceil(Fraction(prec + math.ceil(degree)) / Fraction(w)) + 1
-
-
 def canonical_measure(p, stage, depth, prec, degree):
-    """The stage-n approximant L(T_n)^(p^n) of the canonical measure.
+    """The stage-s approximant L(T_s)^(p^s) of the canonical measure.
 
-    T_n is the depth-realized Dirac difference at 1/p^n; at depth == stage
-    it is the basis monomial Tt^(1/p^n) and the logarithm series is placed
-    directly on the exponent grid.  Successive stages converge in w to the
-    multiplicative representative of the mod-p logarithm, and every stage
-    reduces to it mod p exactly.  The work runs on dense lists of residues
-    on T_n's grid: L(T_n) by ``_series.compose_mod``, its p^n-th power by
-    ``_series.mul_mod``; the one ``AinfElt`` is the result.  L is solved to
-    n terms at most: T_n has no constant term, so no coefficient of L past
-    T^(n-1) reaches the box's n keys; ``_terms_needed`` may stop it sooner.
+    T_s is the depth-realized Dirac difference at 1/p^s, at depth == stage
+    the basis monomial Tt^(1/p^s), on whose grid L is then placed directly.
+    The stages converge in w to the multiplicative representative of the
+    mod-p logarithm, and all reduce to it mod p.  The work runs on dense
+    residues over T_s's grid, n keys in a box of precision N, by two facts:
+    (a) f ≡ g mod p^k, k >= 1, gives f^p ≡ g^p mod p^(k+1): in (g + p^k h)^p
+        each C(p, i) g^(p-i) (p^k h)^i, 0 < i < p, and (p^k h)^p lie in p^(k+1);
+    (b) mod p, (Σ a_k T^k)^p = Σ a_k T^(pk): each C(p, i) vanishes, a_k^p ≡ a_k.
+    With e = max(N - s, 1) and c = max(0, s - N + 1) = s - (N - e), L(T_s)
+    mod p^e on n' = ⌈n/p^c⌉ keys (``_series.compose_mod``), its keys times p^c
+    by (b), then N - e p-th powers, the j-th mod p^(e+j) (``_series.mul_mod``),
+    make L(T_s)^(p^s) mod (p^N, T^n) by (a).  L is solved mod p^e to K terms:
+    with j0 T_s's least key with a unit coefficient and k_min <= j0 its least
+    key, a monomial of T_s^k that survives mod p^e has at most e - 1 factors
+    of positive valuation, so its key is at least (k - e + 1)·j0 + (e - 1)·k_min,
+    >= n' from k = K = (e - 1) + ⌈(n' - (e - 1)·k_min)/j0⌉ on; if K < e - 1,
+    K·k_min >= n' bounds the keys k·k_min of k in [K, e - 1) too.  With no
+    unit, T_s^k vanishes mod p^e from k = e: K = e.  As T_s(0) = 0, K <= n'.
     """
     if _count(depth, "depth", 0) < _count(stage, "stage", 0):
         raise BoxExhausted(f"depth {depth} < stage {stage}")
-    degree, m = _degree(degree), _modulus(p, prec)
+    _modulus(p, prec)
+    if _degree(degree) is None:
+        raise PreconditionError("the canonical measure needs a finite degree bound")
+    e, c = max(prec - stage, 1), max(0, stage - prec + 1)
     if depth == stage:
-        n = _series.key_bound(p, stage, degree)
-        inner = [0, *artin_hasse_log_mod(p, n, prec)[1:]]
+        n, tn = _series.key_bound(p, stage, degree), {1: 1}
     else:
         tn = dirac_q(p, Fraction(1, p**stage), depth, prec, degree) - 1
-        depth, n = tn.depth, _series.key_bound(p, tn.depth, degree)
-        L = artin_hasse_log_mod(p, min(_terms_needed(prec, degree, tn.w_floor()), n), prec)
-        inner = _series.compose_mod(L, tn.coeffs, n, m)
-    step = functools.partial(_series.mul_mod, n=n, m=m)
-    cs = _series.power(inner, p**stage, None, step)  # p^stage >= 1: no one is read
+        depth, n, tn = tn.depth, _series.key_bound(p, tn.depth, degree), tn.coeffs
+    fine, units = -(-n // p**c), [k for k, v in tn.items() if v % p]  # n'
+    terms = e if not units else e - 1 + -(-(fine - (e - 1) * min(tn)) // min(units))
+    L = artin_hasse_log_mod(p, min(terms, fine), e)  # n' terms if tn is T
+    cs = [0] * n
+    cs[:: p**c] = L if tn == {1: 1} else _series.compose_mod(L, tn, fine, p**e)  # (b)
+    for j in range(1, prec - e + 1):  # (a): the j-th p-th power mod p^(e+j)
+        step = functools.partial(_series.mul_mod, n=n, m=p ** (e + j))
+        cs = _series.power(cs, p, None, step)  # p >= 2: no one is read
     return AinfElt(p, prec, depth, degree, _series.sparse(cs))
 
 

@@ -480,6 +480,8 @@ def _cmd_fourier(pr):
     p = pr["p"]
     prec = _prec(pr, 8)
     if "combo" in pr:
+        if "mu" in pr:
+            raise ParseError("fourier takes --combo or --mu, not both")
         qdepth, qmax = _exponent_box(pr, 1, 2)
         combo = []
         for part in str(pr["combo"]).split(","):
@@ -509,18 +511,16 @@ def _cmd_fourier(pr):
 def _cmd_orthocheck(pr):
     p = pr["p"]
     mode = str(pr.get("mode", "zp"))
+    imax = _count(_int(pr.get("imax", 30), "--imax"), "--imax", 0)
+    qdepth, qmax = _exponent_box(pr, 2, 4)  # both modes read both boxes, charge their own
     if mode == "zp":
-        imax = _int(pr.get("imax", 30), "--imax")
         prec = _prec(pr, 20)
-        if imax < 0:
-            raise PreconditionError(f"imax {imax} < 0")
         _budget(p, [("--prec", prec)], (imax + 1) ** 2)  # one pairing per (i, j)
         ks = range(imax + 1)
         fns = [MahlerFn.basis(p, i, prec) for i in ks]
         mus = [IwasawaElt.monomial(p, j, prec, imax + 2) for j in ks]
         matrix, keys = integrate_matrix, ("i", "j")
     elif mode == "qp":
-        qdepth, qmax = _exponent_box(pr, 2, 4)
         prec = _prec(pr, 12)
         _budget(p, [("--prec", prec)], lambda cells: cells(qdepth, qmax) ** 2)
         ks = range(int(qmax * p**qdepth) if qmax else 0)  # as in fourier
@@ -744,14 +744,18 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {e}\n")
         return e.exit_code
     text = _render(doc, job.fmt)
-    if job.out_path:
-        try:
+    try:
+        if job.out_path:
             Path(job.out_path).write_text(text)
-        except OSError as e:
-            sys.stderr.write(f"error: cannot write {job.out_path!r}: {e}\n")
-            return 2
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as e:
+        if not job.out_path:  # a closed pipe: the exit flush writes to devnull
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+        sys.stderr.write(f"error: cannot write {repr(job.out_path) if job.out_path else 'stdout'}: {e}\n")
+        return 2
     return 0
 
 

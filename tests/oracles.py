@@ -2,11 +2,13 @@
 fast paths against.  They are kept out of the package: a job never runs them."""
 
 import functools
+import math
 import operator
 from fractions import Fraction
 
 from padic_fourier import _series
 from padic_fourier.ainf import AinfElt
+from padic_fourier.padic import vp_factorial
 
 
 def mahler_coeffs_by_differences(p, values, prec):
@@ -34,6 +36,16 @@ def exact_binomial_sum_oracle(p, values, prec):
             c = c * (n - i) // (i + 1)  # C(n, i + 1)
         out.append(acc % mod)
     return out
+
+
+def legendre_loop(p, X, M, n):
+    """Oracle: the Legendre count level by level up to M, each level taking
+    X mod p^t afresh, as comb_tracked once did."""
+    val, maxfv = -vp_factorial(n, p), 0
+    while maxfv < M and X % p ** (maxfv + 1) < n:
+        maxfv += 1
+        val += 1 + (n - 1 - X % p**maxfv) // p**maxfv
+    return val, maxfv
 
 
 # -- the Artin-Hasse series over Q --------------------------------------------
@@ -137,6 +149,13 @@ def compose_exact(outer, inner, degree):
             out[k] += c * x
         power = schoolbook(power, inner, lambda k: k < degree)
     return out
+
+
+def terms_needed(prec, degree, w):
+    """Series terms a substitution of x with w(x) >= w > 0 must keep in the
+    box (prec, degree): from ceil((N + ceil(D))/w) + 1 on, every
+    contribution has either exponent >= D or valuation >= N."""
+    return math.ceil(Fraction(prec + math.ceil(degree)) / Fraction(w)) + 1
 
 
 def substitute_oracle(coeffs, x):

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from padic_fourier import _series
+from padic_fourier import _series, artin_hasse
 
 from padic_fourier.ainf import AinfElt, dirac_q
 from padic_fourier.artin_hasse import (
     _log_newton,
-    _terms_needed,
     artin_hasse_log_mod,
     canonical_measure,
     pi_element,
@@ -26,6 +25,7 @@ from oracles import (
     residue,
     schoolbook,
     substitute_oracle,
+    terms_needed,
 )
 
 
@@ -111,7 +111,7 @@ def canonical_measure_oracle(p, stage, depth, prec, degree):
         inner = AinfElt(p, prec, stage, degree, {k: c for k, c in enumerate(L) if k > 0})
     else:
         tn = dirac_q(p, Fraction(1, p**stage), depth, prec, degree) - 1
-        L = artin_hasse_log_mod(p, _terms_needed(prec, degree, tn.w_floor()), prec)
+        L = artin_hasse_log_mod(p, terms_needed(prec, degree, tn.w_floor()), prec)
         inner = substitute_oracle(L, tn)
     return inner ** (p**stage)
 
@@ -183,10 +183,11 @@ def test_canonical_measure_matches_the_element_oracle(case):
 
 def canonical_measure_untrimmed(p, stage, depth, prec, degree):
     """canonical_measure past the stage with L solved to all the terms
-    ``_terms_needed`` asks for, however far past the box's n keys."""
+    ``terms_needed`` asks for, however far past the box's n keys, and raised
+    to the p^stage-th power at full precision in one ``AinfElt`` power."""
     degree, m = Fraction(degree), p**prec
     tn = dirac_q(p, Fraction(1, p**stage), depth, prec, degree) - 1
-    L = artin_hasse_log_mod(p, _terms_needed(prec, degree, tn.w_floor()), prec)
+    L = artin_hasse_log_mod(p, terms_needed(prec, degree, tn.w_floor()), prec)
     n = _series.key_bound(p, tn.depth, degree)
     inner = _series.compose_mod(L, tn.coeffs, n, m)
     return AinfElt(p, prec, tn.depth, degree, _series.sparse(inner)) ** (p**stage)
@@ -213,6 +214,74 @@ def past_stage_cases(draw):
 def test_canonical_measure_past_the_stage_needs_l_only_to_the_box(case):
     mu, want = canonical_measure(*case), canonical_measure_untrimmed(*case)
     assert mu.to_json() == want.to_json() and str(mu) == str(want)
+
+
+@st.composite
+def deep_stage_cases(draw):
+    """(p, stage, depth, prec, degree), stage >= prec, depth = stage or one or
+    two past it, a box of at most about 400 keys; a degree of 1/p^stage or
+    below leaves T_n no unit coefficient in the box."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    prec = draw(st.integers(1, {2: 5, 3: 3, 5: 2, 7: 2}[p]))
+    stage = prec + draw(st.integers(0, {2: 3, 3: 2, 5: 1, 7: 1}[p]))
+    depth = stage + draw(st.integers(0, 2))
+    j = draw(st.integers(0, depth))
+    num = draw(st.integers(1, 3) | st.integers(1, max(1, 400 // p ** (depth - j))))
+    return p, stage, depth, prec, Fraction(num, p**j)
+
+
+@settings(max_examples=80, deadline=None)
+@given(deep_stage_cases())
+@example((2, 4, 4, 2, Fraction(3)))  # depth == stage, c = 3
+@example((5, 2, 2, 2, Fraction(2)))  # stage == prec: c = 1
+@example((2, 6, 8, 3, Fraction(1)))  # j0 = p^2
+@example((3, 2, 4, 2, Fraction(1, 27)))  # T_n has no unit coefficient in the box
+@example((7, 1, 3, 1, Fraction(1, 7)))  # the unit key is the box's bound
+@example((3, 3, 5, 1, Fraction(5, 3)))
+def test_canonical_measure_past_the_precision_matches_the_oracle(case):
+    mu = canonical_measure(*case)
+    want = canonical_measure_oracle(*case)
+    assert mu.to_json() == want.to_json() and str(mu) == str(want)
+
+
+@pytest.mark.parametrize("case", [
+    (2, 3, 5, 10, Fraction(2)),  # e = 7, c = 0
+    (3, 6, 8, 4, Fraction(3)),  # e = 1, c = 3
+    (5, 2, 2, 6, Fraction(1)),  # depth == stage: K = n'
+    (3, 2, 4, 2, Fraction(1, 27)),  # no unit coefficient: K = e
+    (2, 0, 3, 5, Fraction(4)),  # stage 0: no power
+])
+def test_solve_and_powers_run_at_the_digits_they_need(monkeypatch, case):
+    """L is solved mod p^e to at most K terms, and the j-th p-th power runs
+    mod p^(e+j): at stage s, e = max(N - s, 1), c = max(0, s - N + 1),
+    n' = ⌈keys/p^c⌉, K = (e - 1) + ⌈(n' - (e - 1)·k_min)/j0⌉, or e if T_s
+    has no unit coefficient."""
+    p, stage, depth, prec, degree = case
+    solves, moduli = [], []
+    real_solve, real_mul = artin_hasse.artin_hasse_log_mod, _series.mul_mod
+
+    def solve(p, degree, prec):
+        solves.append((degree, prec))
+        out = real_solve(p, degree, prec)
+        moduli.clear()  # the solve's own products
+        return out
+
+    monkeypatch.setattr(artin_hasse, "artin_hasse_log_mod", solve)
+    monkeypatch.setattr(_series, "mul_mod", lambda a, b, n, m: moduli.append(m) or real_mul(a, b, n, m))
+    canonical_measure(*case)
+    e, c = max(prec - stage, 1), max(0, stage - prec + 1)
+    if depth == stage:
+        tn, keys = {1: 1}, math.ceil(degree * p**stage)
+    else:
+        tn = dirac_q(p, Fraction(1, p**stage), depth, prec, degree) - 1
+        tn, keys = tn.coeffs, math.ceil(degree * p**tn.depth)
+    fine = -(-keys // p**c)
+    units = [k for k, v in tn.items() if v % p]
+    K = e - 1 + math.ceil((fine - (e - 1) * min(tn)) / min(units)) if units else e
+    [(terms, digits)] = solves
+    assert digits == e and terms <= min(K, fine)
+    per = p.bit_length() + p.bit_count() - 2  # products of one p-th power
+    assert moduli == [p ** (e + j) for j in range(1, prec - e + 1) for _ in range(per)]
 
 
 def log_mod_p(p, degree):

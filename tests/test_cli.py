@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import shlex
 import subprocess
 import sys
@@ -355,6 +356,21 @@ class TestErrors:
         assert main(["wval", "--p", "2", "--mu", "T", "--out", str(out)]) == 2
         assert "cannot write" in capsys.readouterr().err
 
+    def test_closed_stdout_exits_2_without_a_traceback(self):
+        # stdout is a pipe whose read end is closed before the child starts
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            out = subprocess.run(
+                [sys.executable, "-m", "padic_fourier.cli", "wval", "--p", "2", "--mu", "T"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: cannot write stdout")
+        assert out.stderr.count("\n") == 1, out.stderr  # no traceback, no exit-flush warning
+
     @pytest.mark.parametrize("argv", [
         ["wval", "--mu", "MU"],
         ["integrate", "--f", "binom:1", "--mu", "MU"],
@@ -504,6 +520,10 @@ class TestErrors:
     (["fourier", "--p", "2", "--combo", "1@1/2", "--degree", "y"], 2),
     (["fourier", "--p", "2", "--combo", "1@1/2", "--depth", "-1"], 3),
     (["fourier", "--p", "2", "--combo", "1@1/2", "--depth", "1", "--degree", "3/2"], 0),
+    # a flag of the other path is read too: each of these ran and exited 0
+    (["fourier", "--p", "2", "--combo", "1@1/2", "--mu", "garbage"], 2),
+    (["orthocheck", "--p", "2", "--imax", "2", "--qmax", "x", "--qdepth", "y"], 2),
+    (["orthocheck", "--p", "2", "--mode", "qp", "--imax", "x"], 2),
 ])
 def test_flag_values_map_to_documented_exit_codes(capsys, tmp_path, argv, code):
     doc = _doc_arg(tmp_path, {"p": 3, "prec": 4, "degree": 4, "coeffs": [1, 2, 3]})
@@ -1116,11 +1136,12 @@ def test_ball_digits_survive_a_deeper_run(job, prec):
 
 @st.composite
 def _mucan_jobs(draw):
-    """A ``mucan`` argv without --prec, at depth = stage or stage + 1 and a
-    degree on the depth's grid."""
+    """A ``mucan`` argv without --prec, at depth = stage, stage + 1 or stage
+    + 2 (T_n's unit key p^2) and a degree on the depth's grid; stages reach
+    past --prec, where L is read mod p on a coarse grid."""
     p = draw(st.sampled_from([2, 3, 5]))
-    stage = draw(st.integers(0, {2: 4, 3: 2, 5: 1}[p]))
-    depth = stage + draw(st.integers(0, 1))
+    stage = draw(st.integers(0, {2: 8, 3: 5, 5: 2}[p]))
+    depth = stage + draw(st.integers(0, 2))
     degrees = ["1", "2", "3"] + ([f"1/{p}", f"{p + 1}/{p}"] if depth else [])
     return ["mucan", "--p", str(p), "--stage", str(stage), "--depth", str(depth),
             "--degree", draw(st.sampled_from(degrees))]
@@ -1131,6 +1152,9 @@ def _mucan_jobs(draw):
 @settings(max_examples=150, deadline=timedelta(seconds=2))
 @given(argv=_mucan_jobs(), prec=st.integers(2, 8))
 @example(argv=["mucan", "--p", "2", "--stage", "2", "--depth", "3", "--degree", "2"], prec=4)
+@example(argv=["mucan", "--p", "2", "--stage", "8", "--depth", "10", "--degree", "3"], prec=2)
+@example(argv=["mucan", "--p", "3", "--stage", "5", "--depth", "7", "--degree", "3"], prec=2)
+@example(argv=["mucan", "--p", "5", "--stage", "2", "--depth", "4", "--degree", "6/5"], prec=2)
 def test_mucan_digits_survive_a_deeper_run(argv, prec):
     _check_measure_refines(argv, prec)
 

@@ -31,6 +31,8 @@ from padic_fourier.padic import (
     _unit_product,
 )
 
+from oracles import legendre_loop
+
 PRIMES = [2, 3, 5]
 
 
@@ -619,16 +621,6 @@ class TestCombTrackedOracle:
         assert triple(gen_binomial(x, q, prec).truncate(6)) == triple(walked.truncate(6))
 
 
-def legendre_loop(p, X, M, n):
-    """Oracle: the Legendre count level by level up to M, each level taking
-    X mod p^t afresh, as comb_tracked once did."""
-    val, maxfv = -vp_factorial(n, p), 0
-    while maxfv < M and X % p ** (maxfv + 1) < n:
-        maxfv += 1
-        val += 1 + (n - 1 - X % p**maxfv) // p**maxfv
-    return val, maxfv
-
-
 @st.composite
 def legendre_case(draw):
     p = draw(st.sampled_from([2, 3, 5, 7, 11]))
@@ -645,6 +637,38 @@ def legendre_case(draw):
 @example((5, 7, 4, 0))  # n = 0
 @example((7, 48, 2, 49))  # n - 1 - X = 0
 def test_legendre_matches_the_level_loop(case):
+    assert _legendre(*case) == legendre_loop(*case)
+
+
+@st.composite
+def legendre_run_case(draw):
+    """(p, X, M, n) where the count meets long runs of zero digits: X = 0 or
+    u·p^v with v up to M, n on either side of X, M at p^M - 1 = X's top or
+    one level past v, so the count runs through many levels and the tail."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    M = draw(st.integers(1, 200))
+    v = draw(st.integers(0, M))
+    X = draw(st.sampled_from([0, p**v, (p - 1) * p**v, p**M - 1, p**M - p**v]))
+    X = X % p**M if draw(st.booleans()) else (X + draw(st.integers(0, p**M))) % p**M
+    if draw(st.booleans()):
+        M = max(1, min(M, v + 1))
+        X %= p**M
+    n = draw(st.sampled_from([0, 1, 2, max(X, 1), X + 1, X + p**v, 2 * X + 1, p**M]) | st.integers(0, 10**4))
+    return p, X, M, n
+
+
+@settings(max_examples=500, deadline=None)
+@given(legendre_run_case())
+@example((2, 0, 1, 1))  # X = 0 at M = 1
+@example((2, 0, 200, 10**6))  # X = 0: every level below n
+@example((2, 2**150, 151, 2**150))  # n = X: the nonzero digit closes the count
+@example((2, 2**150, 151, 2**150 + 1))  # n past X: every level counted
+@example((3, 2 * 3**80, 81, 10**4))  # M one past v_p(X)
+@example((5, 5**30, 200, 5**30 + 5**30))  # a run on each side of one digit
+@example((7, 7**40 - 1, 40, 7**40))  # X = p^M - 1 < n: no zero digit
+def test_legendre_on_runs_of_zero_digits_matches_the_loop(case):
+    p, X, M, n = case
+    assert 0 <= X < p**M
     assert _legendre(*case) == legendre_loop(*case)
 
 
